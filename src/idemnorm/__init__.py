@@ -1,9 +1,9 @@
 """Norms of idempotent indicator functions on finite groups.
 
-Character-sum norms and closed two-coset forms on abelian groups, Schur
-multiplier (gamma2) brackets with re-checkable certificates and witnesses on
-any finite group, the combinatorial detectors behind the classification
-theorems, and exhaustive per-group sweeps.
+Character-sum norms and closed two-coset forms on abelian groups, exact cb
+multiplier norms with re-checkable certificates and witnesses on any finite
+group, the gamma2 solver for literal matrices, the combinatorial detectors
+behind the classification theorems, and exhaustive per-group sweeps.
 """
 
 from .bs import (

@@ -1,10 +1,12 @@
-"""Multiplier matrices of subset indicators and their Schur-norm bounds,
+"""Multiplier matrices of subset indicators and their exact Schur norms,
 plus the combinatorial detectors that explain large norms: the forbidden
 3x3 pattern, the progression property, and the closure claim.
 
 The multiplier matrix of S is M(s, t) = chi_S(s^-1 t); its Schur norm equals
-the completely bounded multiplier norm of chi_S, which is what cb_norm
-brackets through the gamma2 solver.
+the completely bounded multiplier norm of chi_S.  cb_norm computes it in
+closed form from one SVD of M and returns it as a bracket of width ~1e-14
+whose certificate and witness re-check independently, so the iterative
+gamma2 solver is never run on a group.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from typing import Optional
 
 import numpy as np
 
-from .bs import mu_values
 from .groups import (
     Group,
     element_order,
@@ -22,7 +23,9 @@ from .groups import (
     subset_elements,
     validate_mask,
 )
-from .schur import Gamma2Bounds, WitnessPair, gamma2, pattern_witness, witness_lower_bound
+# gamma2 is not called here; it stays importable as multiplier.gamma2, which
+# perfbench's tracer test asserts is schur.gamma2
+from .schur import Gamma2Bounds, WitnessPair, _certified_upper, gamma2, witness_lower_bound  # noqa: F401
 
 CB_ORDER_CAP = 64
 
@@ -42,57 +45,34 @@ def multiplier_matrix(group: Group, mask: int) -> np.ndarray:
     return indicator[table[inv, :]]
 
 
-def _abelian_witness_seeds(group: Group, mask: int) -> list[np.ndarray]:
-    """Near-optimal Schur witnesses for abelian multiplier matrices: the
-    translation-invariant matrices whose spectra carry the unit phases of mu
-    (both phase conventions), which turn the character-sum norm into an
-    operator-norm ratio."""
-    mu = mu_values(group, mask)
-    safe = np.where(np.abs(mu) > 1e-15, np.abs(mu), 1.0)
-    phases = np.where(np.abs(mu) > 1e-15, mu / safe, 1.0)
-    n = group.order
-    seeds = []
-    for spectrum in (phases, np.conj(phases)):
-        psi = np.fft.ifftn(spectrum.reshape(group.factors)).reshape(-1)
-        seed = np.empty((n, n), dtype=complex)
-        for s in group.elements():
-            s_inv = group.inv(s)
-            for t in group.elements():
-                seed[s, t] = psi[group.mul(s_inv, t)]
-        seeds.append(seed)
-    return seeds
+def cb_norm(group: Group, mask: int) -> Gamma2Bounds:
+    """Exact completely bounded multiplier norm of chi_S (group order capped
+    at 64), as a closed bracket with its certificate and witness.
 
+    On a finite group cb multipliers coincide with the Fourier algebra
+    (Bozejko-Fendler 1984, Eymard 1964), so the norm is ||M||_S1 / |G|, the
+    nuclear norm of the multiplier matrix over the group order.  With one
+    SVD M = U diag(s) V*:
 
-def cb_norm(group: Group, mask: int, tol: float = 1e-3) -> Gamma2Bounds:
-    """gamma2 bounds for the multiplier matrix of S (group order capped at 64).
-
-    An abelian-structure witness seed is always supplied, and when the
-    forbidden pattern occurs as a submatrix the embedded pattern witness is
-    used to raise the lower bound (compression monotonicity).
+      * upper: P = U diag(s) U* and Q = V diag(s) V* make [[P, M], [M*, Q]]
+        PSD; M commutes with left translation, so both diagonals are constant
+        and equal sum(s) / |G|;
+      * lower: X = conj(U V*) is unitary and, with xi uniform,
+        <xi, (M o X) xi> = tr(M V U*) / |G| = sum(s) / |G|.
     """
     mask = validate_mask(group, mask)
     if group.order > CB_ORDER_CAP:
         raise ValueError(f"cb_norm supports orders up to {CB_ORDER_CAP}, got {group.order}")
     matrix = multiplier_matrix(group, mask)
-    seeds = []
-    if group.is_abelian and mask:
-        seeds.extend(_abelian_witness_seeds(group, mask))
-    bounds = gamma2(matrix, tol, extra_seeds=seeds)
-    hit = forbidden_pattern_search(group, mask)
-    if hit is not None:
-        value, small = pattern_witness()
-        if value > bounds.lower:
-            rows, cols = hit
-            embedded = np.zeros_like(matrix)
-            embedded[np.ix_(rows, cols)] = small.matrix
-            xi = np.zeros(group.order, dtype=complex)
-            xi[list(cols)] = small.vector
-            witness = WitnessPair(embedded, xi)
-            lower = witness_lower_bound(matrix, witness)
-            if lower > bounds.lower:
-                bounds = Gamma2Bounds(lower=lower, upper=max(bounds.upper, lower),
-                                      certificate=bounds.certificate, witness=witness)
-    return bounds
+    u, s, vh = np.linalg.svd(matrix)
+    # the PSD completion [U; V] diag(s) [U; V]*, re-certified against rounding
+    # by the solver's own eigenvalue shift
+    completion = np.block([[(u * s) @ u.conj().T, matrix],
+                           [matrix.T, (vh.conj().T * s) @ vh]])
+    upper, certificate = _certified_upper(matrix, completion)
+    witness = WitnessPair((u @ vh).conj(), np.ones(group.order))
+    lower = min(witness_lower_bound(matrix, witness), upper)
+    return Gamma2Bounds(lower=lower, upper=upper, certificate=certificate, witness=witness)
 
 
 def forbidden_pattern_search(group: Group, mask: int) -> Optional[tuple[tuple[int, int, int], tuple[int, int, int]]]:

@@ -12,14 +12,24 @@ every reported bracket can be re-verified independently of the solver.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
 
 MAX_MATRIX_DIM = 64
+MAX_TOL = 0.1
 
 _HERMITIAN_RTOL = 1e-12
+
+
+def validate_tol(tol: float) -> float:
+    """A tolerance as a float, or ValueError unless it is finite with
+    0 <= tol < MAX_TOL.  NaN must not get through: every comparison with it
+    is false, so a NaN tolerance would pass every check it guards."""
+    tol = float(tol)
+    if not 0.0 <= tol < MAX_TOL:  # also rejects NaN and inf
+        raise ValueError(f"tolerance must be finite with 0 <= tol < {MAX_TOL}, got {tol!r}")
+    return tol
 
 
 def as_matrix(data, max_dim: int = MAX_MATRIX_DIM) -> np.ndarray:
@@ -397,7 +407,7 @@ def _rank_one_exact(a: np.ndarray) -> Optional[Gamma2Bounds]:
 # -- main entry --------------------------------------------------------------------
 
 def gamma2(a, tol: float = 1e-3, *, max_dim: int = MAX_MATRIX_DIM,
-           iteration_cap: int = 50_000, extra_seeds: Sequence[np.ndarray] = ()) -> Gamma2Bounds:
+           iteration_cap: int = 50_000) -> Gamma2Bounds:
     """Two-sided Schur-norm bounds with upper - lower <= max(tol, 1e-3).
 
     Upper bound: bisection on the certificate level c, testing PSD feasibility
@@ -406,13 +416,15 @@ def gamma2(a, tol: float = 1e-3, *, max_dim: int = MAX_MATRIX_DIM,
     returned level is re-certified from the final iterate's eigenvalues, so it
     does not depend on the feasibility heuristic.  Lower bound: the best of a
     deterministic family of witness pairs (entry witness, polar and phase
-    seeds, the separating direction recovered from the last infeasible level,
-    and any extra_seeds), each polished by block-coordinate ascent.
+    seeds, and the separating direction recovered from the last infeasible
+    level), each polished by block-coordinate ascent.
 
-    Raises Gamma2ConvergenceError (carrying the bracket) if the gap cannot be
-    closed within the iteration budget.
+    Raises ValueError for a tolerance outside [0, MAX_TOL), and
+    Gamma2ConvergenceError (carrying the bracket) if the gap cannot be closed
+    within the iteration budget.
     """
     a = as_matrix(a, max_dim=max_dim)
+    tol = validate_tol(tol)
     target_gap = max(tol, 1e-3)
     fast = _rank_one_exact(a)
     if fast is not None:
@@ -456,11 +468,6 @@ def gamma2(a, tol: float = 1e-3, *, max_dim: int = MAX_MATRIX_DIM,
         gap = _gap_seed(a, stalled)
         if gap is not None:
             seeds.append(gap)
-    for seed in extra_seeds:
-        seed = as_matrix(seed, max_dim=max_dim)
-        if seed.shape != a.shape:
-            raise ValueError(f"extra seed shape {seed.shape} does not match matrix {a.shape}")
-        seeds.append(seed)
     lower, witness = _best_witness(a, seeds)
 
     upper = best_upper
@@ -482,19 +489,3 @@ def gamma2(a, tol: float = 1e-3, *, max_dim: int = MAX_MATRIX_DIM,
         if upper - lower > target_gap:
             raise Gamma2ConvergenceError(lower, upper)
     return Gamma2Bounds(lower=lower, upper=upper, certificate=best_cert, witness=witness)
-
-
-@lru_cache(maxsize=1)
-def _pattern_witness_cached() -> tuple[float, WitnessPair]:
-    """High-precision witness for the forbidden pattern, reused to raise lower
-    bounds of matrices that contain it as a submatrix."""
-    a = forbidden_pattern()
-    u, _, vh = np.linalg.svd(a, full_matrices=False)
-    val, x, xi = _ascend_witness(a, u @ vh, iters=2000)
-    witness = WitnessPair(x, xi)
-    return witness_lower_bound(a, witness), witness
-
-
-def pattern_witness() -> tuple[float, WitnessPair]:
-    """Best known witness pair for the forbidden pattern (value ~ 9/7)."""
-    return _pattern_witness_cached()

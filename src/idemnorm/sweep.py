@@ -1,9 +1,9 @@
 """Exhaustive classification of subsets of a small group, up to translation.
 
 For each canonical subset the sweep joins the structural analysis with the
-computed norm (character sums on abelian groups, Schur-norm brackets
-otherwise) and the structure-predicted norm, then asserts the classification
-theorems at the requested tolerance:
+computed norm (character sums on abelian groups, exact cb norms from the
+multiplier matrix otherwise) and the structure-predicted norm, then asserts
+the classification theorems at the requested tolerance:
 
   * a norm below (1+sqrt2)/2 only occurs for cosets, whose norm is 1;
   * on abelian groups a norm strictly inside (1, 4/3) only occurs for unions
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import io
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -38,12 +39,18 @@ from .groups import (
     translate_right,
 )
 from .multiplier import cb_norm, forbidden_pattern_search, multiplier_matrix
-from .schur import check_certificate, forbidden_pattern, gamma2, orthogonal_witness, witness_lower_bound
+from .schur import (
+    check_certificate,
+    forbidden_pattern,
+    gamma2,
+    orthogonal_witness,
+    validate_tol,
+    witness_lower_bound,
+)
 from .witness import WitnessTriple, find_witness, sup_norm_check, witness_integral, witness_norm_bound
 
 SWEEP_ORDER_CAP = 24
 DEFAULT_TOL_EXACT = 1e-9
-DEFAULT_TOL_SCHUR = 5e-3
 
 
 def orbit(group: Group, mask: int) -> set[int]:
@@ -121,13 +128,12 @@ class ClassificationRecord:
         )
 
 
-def classify(group: Group, mask: int, tol: Optional[float] = None,
+def classify(group: Group, mask: int, tol: float = DEFAULT_TOL_EXACT,
              use_cb: Optional[bool] = None) -> ClassificationRecord:
     """Full per-subset report: structure, norm, prediction, witness, pattern."""
+    tol = validate_tol(tol)
     if use_cb is None:
         use_cb = not group.is_abelian
-    if tol is None:
-        tol = DEFAULT_TOL_SCHUR if use_cb else DEFAULT_TOL_EXACT
     analysis = analyze_cosets(group, mask)
     if use_cb:
         bounds = cb_norm(group, mask)
@@ -276,21 +282,29 @@ def _violations_for(group: Group, record: ClassificationRecord, tol: float) -> l
     return out
 
 
-def sweep(group: Group, tol: Optional[float] = None, use_cb: Optional[bool] = None,
+def pool_size(requested: int, cpus: Optional[int], chunks: int) -> int:
+    """Worker processes to start: the requested count, capped by the CPUs
+    (os.cpu_count(), None when unknown) and by the chunks there are to hand
+    out; at least 1, which means no pool."""
+    return max(1, min(requested, cpus or 1, chunks))
+
+
+def sweep(group: Group, tol: float = DEFAULT_TOL_EXACT, use_cb: Optional[bool] = None,
           workers: int = 1, order_cap: int = SWEEP_ORDER_CAP) -> SweepReport:
     """Classify every subset (one canonical representative per translation
     orbit) and check the classification theorems; see the module docstring for
-    the violation rules.  Chunked over bitmask ranges when workers > 1, with a
-    deterministic merge, so worker count never changes the report."""
+    the violation rules.  Chunked over bitmask ranges when workers > 1 (capped
+    by pool_size), with a deterministic merge, so worker count never changes
+    the report."""
+    tol = validate_tol(tol)
     if group.order > order_cap:
         raise ValueError(f"full sweep capped at order {order_cap}, group has {group.order}")
     if use_cb is None:
         use_cb = not group.is_abelian
-    if tol is None:
-        tol = DEFAULT_TOL_SCHUR if use_cb else DEFAULT_TOL_EXACT
     started = time.perf_counter()
     total = 1 << group.order
-    if workers <= 1:
+    workers = pool_size(workers, os.cpu_count(), total)
+    if workers == 1:
         records = _classify_chunk(group, 0, total, tol, use_cb)
     else:
         bounds = [total * i // workers for i in range(workers + 1)]
@@ -381,12 +395,12 @@ def _item(name: str, passed: bool, detail: str) -> VerificationItem:
 
 def run_verification(group_specs: Optional[Sequence[str]] = None,
                      tol: float = DEFAULT_TOL_EXACT,
-                     schur_tol: float = DEFAULT_TOL_SCHUR,
                      grid_points: int = 1_000_000,
                      workers: int = 1) -> VerificationSummary:
     """Run every headline check: constants, the envelope identity, the pattern
     witness and its Schur norm, closed-form cross checks, the 4/pi limit,
     measure forms, amenable cross checks, and the classification sweeps."""
+    tol = validate_tol(tol)
     specs = DEFAULT_GROUP_SPECS if group_specs is None else tuple(group_specs)
     groups = [parse_group(s) for s in specs]
     items: list[VerificationItem] = []
@@ -445,9 +459,7 @@ def run_verification(group_specs: Optional[Sequence[str]] = None,
                        f"monotone approach from both sides: {mono_ok}"))
 
     for group in groups:
-        use_cb = not group.is_abelian
-        report = sweep(group, tol=schur_tol if use_cb else tol, use_cb=use_cb,
-                       workers=workers)
+        report = sweep(group, tol=tol, workers=workers)
         items.append(_item(
             f"sweep_{group.name}",
             not report.violations and report.subset_total == (1 << group.order),
@@ -490,7 +502,7 @@ def run_verification(group_specs: Optional[Sequence[str]] = None,
                     pattern_details.append(f"S={subset_elements(record.subset)}: inexact hit")
                 if group.order <= 64:
                     cb = cb_norm(group, record.subset)
-                    if cb.lower < t.pattern_norm - schur_tol:
+                    if cb.lower < t.pattern_norm - tol:
                         pattern_ok = False
                         pattern_details.append(
                             f"S={subset_elements(record.subset)}: lower {cb.lower!r} < 9/7 - tol")
@@ -508,7 +520,7 @@ def run_verification(group_specs: Optional[Sequence[str]] = None,
             for record in report.records:
                 bounds = cb_norm(group, record.subset)
                 value = bs_norm(group, record.subset)
-                if not (bounds.lower - schur_tol <= value <= bounds.upper + schur_tol):
+                if not (bounds.lower - tol <= value <= bounds.upper + tol):
                     cross_ok = False
                     cross_details.append(
                         f"S={subset_elements(record.subset)}: {value!r} outside "

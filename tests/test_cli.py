@@ -177,3 +177,13 @@ def test_group_from_cayley_file(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["analysis"]["kind"] == "coset"
     assert payload["cb_lower"] == pytest.approx(1.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("argv", [("sweep", "-g", "Z4"), ("verify", "--groups", "Z4"),
+                                  ("schur", "--f0"), ("norm", "-g", "S3", "-s", "0,1")])
+def test_bad_tolerance_exits_2(capsys, argv, tol):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--tol", tol])
+    assert exc.value.code == 2
+    assert "tol" in capsys.readouterr().err

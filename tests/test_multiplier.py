@@ -10,11 +10,14 @@ from idemnorm import (
     closure_claim_check,
     forbidden_pattern,
     forbidden_pattern_search,
+    gamma2,
     is_subgroup,
     make_abelian_group,
     multiplier_matrix,
     progression_check,
     subset_mask,
+    translate_left,
+    translate_right,
     witness_lower_bound,
 )
 from idemnorm.groups import iter_elements
@@ -208,3 +211,42 @@ def test_cb_norm_certificates_verify(z6):
         assert check_certificate(matrix, bounds.certificate.p, bounds.certificate.q,
                                  bounds.certificate.c, tol=1e-8)
         assert witness_lower_bound(matrix, bounds.witness) >= bounds.lower - 1e-12
+
+
+# a fixed spread of 16 masks on each order-8 group, small enough for gamma2
+ORDER_8_MASKS = tuple(range(7, 256, 16))
+
+
+def test_cb_norm_is_exact_with_certificate_and_witness(s3, d4, q8):
+    for g in (s3, d4, q8):
+        for mask in range(1 << g.order):
+            bounds = cb_norm(g, mask)
+            matrix = multiplier_matrix(g, mask)
+            assert bounds.upper - bounds.lower <= 1e-12
+            assert check_certificate(matrix, bounds.certificate.p, bounds.certificate.q,
+                                     bounds.certificate.c, tol=1e-9)
+            assert witness_lower_bound(matrix, bounds.witness) >= bounds.lower - 1e-12
+
+
+def test_gamma2_brackets_exact_cb_norm(s3, d4, q8):
+    # the generic solver, run on the multiplier matrix, stays checked against
+    # the closed form
+    cases = [(s3, mask) for mask in range(1, 1 << 6)]
+    cases += [(g, mask) for g in (d4, q8) for mask in ORDER_8_MASKS]
+    for g, mask in cases:
+        exact = cb_norm(g, mask)
+        bracket = gamma2(multiplier_matrix(g, mask), 1e-3)
+        assert bracket.upper - bracket.lower <= 1e-3
+        assert bracket.lower - 1e-9 <= exact.lower <= exact.upper <= bracket.upper + 1e-9
+
+
+def test_cb_norm_two_sided_translation_invariant(s3, d4):
+    for g in (s3, d4):
+        for mask in (subset_mask(g, [0, 1]), subset_mask(g, [0, 1, 2]),
+                     subset_mask(g, [1, 2, 3, 5])):
+            base = cb_norm(g, mask)
+            for a in g.elements():
+                for b in g.elements():
+                    moved = cb_norm(g, translate_right(g, translate_left(g, a, mask), b))
+                    assert moved.lower == pytest.approx(base.lower, abs=1e-12)
+                    assert moved.upper == pytest.approx(base.upper, abs=1e-12)

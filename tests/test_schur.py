@@ -283,3 +283,9 @@ def test_gamma2_bounds_round_trip():
     np.testing.assert_allclose(back.witness.matrix, bounds.witness.matrix, atol=0)
     assert check_certificate(forbidden_pattern(), back.certificate.p,
                              back.certificate.q, back.certificate.c, tol=1e-8)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0, 0.1])
+def test_gamma2_rejects_bad_tolerance(tol):
+    with pytest.raises(ValueError):
+        gamma2(forbidden_pattern(), tol)

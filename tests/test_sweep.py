@@ -14,7 +14,7 @@ from idemnorm import (
     sweep,
     translate_left,
 )
-from idemnorm.sweep import orbit
+from idemnorm.sweep import orbit, pool_size
 
 
 def test_canonical_form_examples(z6):
@@ -180,3 +180,22 @@ def test_run_verification_empty_group_list():
     summary = run_verification([])
     assert summary.passed
     assert all(not item.name.startswith("sweep_") for item in summary.items)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0, 0.1])
+def test_bad_tolerance_raises(z4, tol):
+    with pytest.raises(ValueError):
+        sweep(z4, tol=tol)
+    with pytest.raises(ValueError):
+        classify(z4, 1, tol=tol)
+    with pytest.raises(ValueError):
+        run_verification([], tol=tol)
+
+
+def test_pool_size_clamps_workers():
+    assert pool_size(3, 2, 64) == 2
+    assert pool_size(10_000, 8, 1 << 24) == 8
+    assert pool_size(5, 64, 3) == 3
+    assert pool_size(4, None, 64) == 1
+    assert pool_size(0, 8, 64) == 1
+    assert pool_size(-3, 8, 64) == 1
