@@ -191,7 +191,11 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--format", choices=("text", "json", "csv"), default="text")
         p.add_argument("--out", help="write the report to this path instead of stdout")
+
+    def tol_option(p):
         p.add_argument("--tol", type=parse_tol, default=None)
+
+    def workers_option(p):
         p.add_argument("--workers", type=int, default=1)
 
     p_norm = sub.add_parser("norm", help="norm and structure of one subset")
@@ -207,6 +211,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--cb", action="store_true",
                          help="use exact cb norms even on abelian groups")
     common(p_sweep)
+    tol_option(p_sweep)
+    workers_option(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_schur = sub.add_parser("schur", help="gamma2 bounds of a matrix")
@@ -216,12 +222,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_schur.add_argument("--witness-only", action="store_true",
                          help="print only the fixed-witness lower bound")
     common(p_schur)
+    tol_option(p_schur)
     p_schur.set_defaults(func=cmd_schur)
 
     p_verify = sub.add_parser("verify", help="run the full verification battery")
     p_verify.add_argument("--groups", help="comma-separated group specs "
                                            f"(default: {','.join(DEFAULT_GROUP_SPECS)})")
     common(p_verify)
+    tol_option(p_verify)
+    workers_option(p_verify)
     p_verify.set_defaults(func=cmd_verify)
     return parser
 

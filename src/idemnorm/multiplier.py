@@ -25,7 +25,7 @@ from .groups import (
 )
 # gamma2 is not called here; it stays importable as multiplier.gamma2, which
 # perfbench's tracer test asserts is schur.gamma2
-from .schur import Gamma2Bounds, WitnessPair, _certified_upper, gamma2, witness_lower_bound  # noqa: F401
+from .schur import Gamma2Bounds, WitnessPair, _certify_blocks, gamma2, witness_lower_bound  # noqa: F401
 
 CB_ORDER_CAP = 64
 
@@ -65,11 +65,9 @@ def cb_norm(group: Group, mask: int) -> Gamma2Bounds:
         raise ValueError(f"cb_norm supports orders up to {CB_ORDER_CAP}, got {group.order}")
     matrix = multiplier_matrix(group, mask)
     u, s, vh = np.linalg.svd(matrix)
-    # the PSD completion [U; V] diag(s) [U; V]*, re-certified against rounding
-    # by the solver's own eigenvalue shift
-    completion = np.block([[(u * s) @ u.conj().T, matrix],
-                           [matrix.T, (vh.conj().T * s) @ vh]])
-    upper, certificate = _certified_upper(matrix, completion)
+    # the diagonal blocks of the PSD completion [U; V] diag(s) [U; V]*,
+    # re-certified against rounding by the solver's own eigenvalue shift
+    upper, certificate = _certify_blocks(matrix, (u * s) @ u.conj().T, (vh.conj().T * s) @ vh)
     witness = WitnessPair((u @ vh).conj(), np.ones(group.order))
     lower = min(witness_lower_bound(matrix, witness), upper)
     return Gamma2Bounds(lower=lower, upper=upper, certificate=certificate, witness=witness)

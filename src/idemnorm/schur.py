@@ -255,8 +255,11 @@ def _alternating_projections(a: np.ndarray, c: float, start: Optional[np.ndarray
 
 def _certified_upper(a: np.ndarray, affine_point: np.ndarray) -> tuple[float, Certificate]:
     rows = a.shape[0]
-    p = affine_point[:rows, :rows]
-    q = affine_point[rows:, rows:]
+    return _certify_blocks(a, affine_point[:rows, :rows], affine_point[rows:, rows:])
+
+
+def _certify_blocks(a: np.ndarray, p: np.ndarray, q: np.ndarray) -> tuple[float, Certificate]:
+    """Certified level of the diagonal blocks p, q of a completion of a."""
     p = (p + p.conj().T) / 2
     q = (q + q.conj().T) / 2
     block = np.block([[p, a], [a.conj().T, q]])

@@ -181,7 +181,7 @@ def test_group_from_cayley_file(tmp_path, capsys):
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
 @pytest.mark.parametrize("argv", [("sweep", "-g", "Z4"), ("verify", "--groups", "Z4"),
-                                  ("schur", "--f0"), ("norm", "-g", "S3", "-s", "0,1")])
+                                  ("schur", "--f0")])
 def test_bad_tolerance_exits_2(capsys, argv, tol):
     with pytest.raises(SystemExit) as exc:
         main([*argv, "--tol", tol])
