@@ -20,9 +20,9 @@ import numpy as np
 from .groups import (
     CosetAnalysis,
     Group,
+    _bits,
     analyze_cosets,
     character_value,
-    iter_elements,
     subset_elements,
     subset_size,
     validate_mask,
@@ -53,25 +53,8 @@ THRESHOLDS = Thresholds(
 )
 
 
-def _validate_thresholds(t: Thresholds) -> None:
-    chain = (1.0, t.prior_coset_bound, t.coset_bound, t.pattern_witness_value,
-             t.prior_two_coset_bound, t.two_coset_bound)
-    if not all(x < y for x, y in zip(chain, chain[1:])):
-        raise AssertionError(f"threshold ordering violated: {chain}")
-    if not (t.coset_bound < t.limit_q_inf < t.pattern_witness_value):
-        raise AssertionError("4/pi must sit between (1+sqrt2)/2 and sqrt(26)/4")
-    if not (t.prior_two_coset_bound < t.pattern_norm < t.two_coset_bound):
-        raise AssertionError("9/7 must sit between (sqrt(17)+1)/4 and 4/3")
-
-
-_validate_thresholds(THRESHOLDS)
-
-
 def _indicator_tensor(group: Group, mask: int) -> np.ndarray:
-    ind = np.zeros(group.order, dtype=float)
-    for s in iter_elements(mask):
-        ind[s] = 1.0
-    return ind.reshape(group.factors)
+    return _bits(mask, group.order).astype(float).reshape(group.factors)
 
 
 def mu_values(group: Group, mask: int) -> np.ndarray:
@@ -181,7 +164,7 @@ def verify_measure_form(group: Group, mask: int, tol: float = 1e-12) -> MeasureF
     h_size = subset_size(ann)
     mu = mu_values(group, mask)
     expected = np.zeros(group.order, dtype=complex)
-    for x in iter_elements(ann):
+    for x in subset_elements(ann):
         expected[x] = (np.conj(character_value(group, x, g1))
                        + np.conj(character_value(group, x, g2))) / h_size
     max_error = float(np.max(np.abs(mu - expected)))

@@ -3,22 +3,35 @@
 Groups come in two kinds: abelian groups given as direct products of cyclic
 groups (elements are mixed-radix encoded coordinate tuples), and general
 finite groups given by a Cayley table (validated on load).  Elements are
-always dense indices 0..n-1 and subsets are bitmasks, so every operation
-here is cheap integer arithmetic.
+always dense indices 0..n-1 and subsets are bitmasks.
+
+All set operations rest on one vectorized primitive, Group.mul_array: the
+products of two broadcast index arrays, read from the Cayley table or summed
+in coordinates (abelian groups store no n x n table).  Bitmasks cross into
+index arrays and back through the helper pair _bits/_mask (np.unpackbits and
+np.packbits).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import os
 import re
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 DEFAULT_MAX_ORDER = 4096
+
+# entries per block of products, counting every coordinate of an abelian
+# product: bounds the temporaries of mul_array
+PRODUCT_BLOCK = 1 << 15
+
+# translation tables store each translate as one uint64 bitmask
+TRANSLATION_TABLE_MAX_ORDER = 64
 
 ABELIAN = "abelian"
 CAYLEY = "cayley"
@@ -50,8 +63,10 @@ class Group:
     """A finite group with elements 0..order-1.
 
     Abelian groups store their cyclic factors and do coordinate arithmetic;
-    Cayley groups store the full multiplication table.  Instances are
-    immutable after construction and safe to share between threads.
+    Cayley groups store the full multiplication table.  Coordinate arrays,
+    abelian inverses and translation tables are built on first use.
+    Instances are immutable after construction (apart from those caches,
+    whose builds are deterministic) and safe to share between threads.
     """
 
     def __init__(self, kind: str, *, factors: Sequence[int] = (),
@@ -78,6 +93,8 @@ class Group:
             for j in range(len(factors) - 2, -1, -1):
                 strides[j] = strides[j + 1] * factors[j + 1]
             self._strides = tuple(strides)
+            self._factor_array = np.array(factors, dtype=np.int64)
+            self._stride_array = np.array(strides, dtype=np.int64)
             self.identity = 0
             self.table = None
             self.name = name or "x".join(f"Z{f}" for f in factors)
@@ -90,10 +107,10 @@ class Group:
             self.identity = int(identity)
             self.table = tab
             self.name = name or f"cayley{n}"
+            # a table without two-sided inverses is rejected on load
+            self._inverse = self._build_inverse()
         else:
             raise ValueError(f"unknown group kind {kind!r}")
-        self._inverse = self._build_inverse()
-        self._mul_table: Optional[np.ndarray] = None
 
     # -- core arithmetic ----------------------------------------------------
 
@@ -106,6 +123,15 @@ class Group:
                 b %= stride
             return out
         return int(self.table[a, b])
+
+    def mul_array(self, a, b) -> np.ndarray:
+        """Products a*b of two index arrays (or an index and an array),
+        broadcast against each other: a gather from the table for Cayley
+        groups, coordinate sums for abelian groups."""
+        if self.kind == CAYLEY:
+            return self.table[a, b]
+        coords = self._coords
+        return ((coords[a] + coords[b]) % self._factor_array).dot(self._stride_array)
 
     def inv(self, a: int) -> int:
         return int(self._inverse[a])
@@ -133,45 +159,60 @@ class Group:
             raise ValueError(f"expected {len(self.factors)} coordinates, got {len(coords)}")
         return sum((int(c) % f) * s for c, f, s in zip(coords, self.factors, self._strides))
 
-    def mul_table(self) -> np.ndarray:
-        """Full n-by-n multiplication table (cached; abelian tables are built lazily)."""
-        if self._mul_table is None:
-            if self.kind == CAYLEY:
-                self._mul_table = self.table
-            else:
-                if self.order > 1024:
-                    raise ValueError(f"mul_table capped at order 1024, group has {self.order}")
-                idx = np.arange(self.order)
-                coords = np.empty((self.order, len(self.factors)), dtype=np.int64)
-                rem = idx.copy()
-                for j, stride in enumerate(self._strides):
-                    coords[:, j] = rem // stride
-                    rem = rem % stride
-                summed = (coords[:, None, :] + coords[None, :, :]) % np.array(self.factors)
-                self._mul_table = (summed * np.array(self._strides)).sum(axis=2)
-        return self._mul_table
-
     def _require_abelian(self) -> None:
         if self.kind != ABELIAN:
             raise ValueError("operation requires an abelian (invariant-factor) group")
 
+    @functools.cached_property
+    def _coords(self) -> np.ndarray:
+        """n-by-k array of the mixed-radix coordinates of every element."""
+        return (np.arange(self.order)[:, None] // self._stride_array) % self._factor_array
+
+    @functools.cached_property
+    def _inverse(self) -> np.ndarray:
+        return self._build_inverse()
+
     def _build_inverse(self) -> np.ndarray:
         if self.kind == ABELIAN:
-            inv = np.empty(self.order, dtype=np.int64)
-            for a in range(self.order):
-                inv[a] = self.index_of(tuple(-c for c in self.coords(a)))
-            return inv
-        e = self.identity
-        inv = np.full(self.order, -1, dtype=np.int64)
-        for a in range(self.order):
-            hits = np.nonzero(self.table[a] == e)[0]
-            for b in hits:
-                if self.table[b, a] == e:
-                    inv[a] = b
-                    break
-            if inv[a] < 0:
-                raise GroupAxiomError(f"element {a} has no two-sided inverse", (a,))
+            return ((-self._coords) % self._factor_array).dot(self._stride_array)
+        # the first right inverse of each row, then the check that it is
+        # also a left inverse
+        inv = np.argmax(self.table == self.identity, axis=1)
+        everything = np.arange(self.order)
+        ok = ((self.table[everything, inv] == self.identity)
+              & (self.table[inv, everything] == self.identity))
+        if not ok.all():
+            a = int(np.argmin(ok))
+            raise GroupAxiomError(f"element {a} has no two-sided inverse", (a,))
         return inv
+
+    @functools.cached_property
+    def translation_table(self) -> np.ndarray:
+        """Byte table of the translation action on subsets, for orders up to 64.
+
+        Entry [b, v, k] is the uint64 bitmask of the k-th translate of the
+        elements 8b..8b+7 that the byte v selects, so the k-th translate of
+        a subset is the OR over its bytes.  The translates are x -> t x
+        (k = t) for abelian groups and x -> t x u (k = t n + u) otherwise.
+        """
+        n = self.order
+        if n > TRANSLATION_TABLE_MAX_ORDER:
+            raise ValueError(f"translation tables stop at order "
+                             f"{TRANSLATION_TABLE_MAX_ORDER}, group has {n}")
+        everything = np.arange(n)
+        if self.is_abelian:
+            image = self.mul_array(everything[None, :], everything[:, None])
+        else:
+            left = self.mul_array(everything[:, None], everything[None, :])  # [t, x]
+            image = self.mul_array(left[:, :, None], everything)             # [t, x, u]
+            image = image.transpose(1, 0, 2).reshape(n, n * n)
+        single = np.left_shift(np.uint64(1), image.astype(np.uint64))    # [x, k]
+        nbytes = (n + 7) // 8
+        table = np.zeros((nbytes, 256, single.shape[1]), dtype=np.uint64)
+        for x in range(n):
+            b, j = divmod(x, 8)
+            table[b, 1 << j:2 << j] = table[b, :1 << j] | single[x]
+        return table
 
     def __repr__(self) -> str:
         return f"Group({self.name}, order={self.order})"
@@ -321,78 +362,94 @@ def subset_mask(group: Group, indices: Sequence[int]) -> int:
 
 
 def subset_elements(mask: int) -> list[int]:
-    out = []
-    i = 0
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return out
+    return _members(mask).tolist()
 
 
 def subset_size(mask: int) -> int:
     return bin(mask).count("1")
 
 
-def iter_elements(mask: int) -> Iterator[int]:
-    i = 0
-    while mask:
-        if mask & 1:
-            yield i
-        mask >>= 1
-        i += 1
+def _bits(mask: int, n: int) -> np.ndarray:
+    """Membership flags of the elements 0..n-1 in a bitmask (np.unpackbits)."""
+    raw = np.frombuffer(mask.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, count=n, bitorder="little").view(bool)
+
+
+def _mask(flags: np.ndarray) -> int:
+    """Bitmask of a vector of membership flags (np.packbits); inverse of _bits."""
+    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
+
+
+def _members(mask: int) -> np.ndarray:
+    """Elements of a bitmask as an ascending index array."""
+    return np.flatnonzero(_bits(mask, mask.bit_length()))
+
+
+def _index_mask(group: Group, elements: np.ndarray) -> int:
+    """Bitmask of an index array."""
+    flags = np.zeros(group.order, dtype=bool)
+    flags[elements] = True
+    return _mask(flags)
+
+
+def _block_rows(group: Group, columns: int) -> int:
+    """Rows of a block of products with the given number of columns."""
+    return max(1, PRODUCT_BLOCK // (max(columns, 1) * max(len(group.factors), 1)))
+
+
+def _products_in(group: Group, flags: np.ndarray, left: np.ndarray,
+                 right: np.ndarray) -> np.ndarray:
+    """flags[left[i] * right[j]] as a len(left)-by-len(right) bool matrix:
+    which products of the two index arrays lie in the set with these
+    membership flags, computed a block of rows at a time."""
+    out = np.empty((len(left), len(right)), dtype=bool)
+    step = _block_rows(group, len(right))
+    for lo in range(0, len(left), step):
+        out[lo:lo + step] = flags[group.mul_array(left[lo:lo + step, None], right)]
+    return out
 
 
 def translate_left(group: Group, t: int, mask: int) -> int:
     """Bitmask of t*S."""
-    out = 0
-    for s in iter_elements(mask):
-        out |= 1 << group.mul(t, s)
-    return out
+    return _index_mask(group, group.mul_array(t, _members(mask)))
 
 
 def translate_right(group: Group, mask: int, t: int) -> int:
     """Bitmask of S*t."""
-    out = 0
-    for s in iter_elements(mask):
-        out |= 1 << group.mul(s, t)
-    return out
-
-
-def negate_subset(group: Group, mask: int) -> int:
-    """Bitmask of S^-1 (the set of inverses; -S in additive notation)."""
-    out = 0
-    for s in iter_elements(mask):
-        out |= 1 << group.inv(s)
-    return out
+    return _index_mask(group, group.mul_array(_members(mask), t))
 
 
 def is_subgroup(group: Group, mask: int) -> bool:
-    """Nonempty, contains the identity, closed under the product."""
+    """Contains the identity and is closed under the product: e in H and
+    hH within H for every h in H, checked a block of h at a time."""
+    mask = validate_mask(group, mask)
     if not (mask >> group.identity) & 1:
         return False
-    members = subset_elements(mask)
-    return all((mask >> group.mul(a, b)) & 1 for a in members for b in members)
+    members = _members(mask)
+    flags = _bits(mask, group.order)
+    step = _block_rows(group, len(members))
+    return all(flags[group.mul_array(members[lo:lo + step, None], members)].all()
+               for lo in range(0, len(members), step))
 
 
 def subgroup_generated(group: Group, generators: Sequence[int]) -> int:
-    """Bitmask of the subgroup generated by the given elements."""
-    mask = 1 << group.identity
-    frontier = [group.identity] + [int(x) for x in generators]
-    while frontier:
-        new = []
-        for a in frontier:
-            for b in subset_elements(mask):
-                for c in (group.mul(a, b), group.mul(b, a)):
-                    if not (mask >> c) & 1:
-                        mask |= 1 << c
-                        new.append(c)
-            if not (mask >> a) & 1:
-                mask |= 1 << a
-                new.append(a)
-        frontier = new
-    return mask
+    """Bitmask of the subgroup generated by the given elements: the closure
+    of {e} under right multiplication by them (in a finite group inverses
+    are positive powers)."""
+    gens = np.array([int(x) for x in generators], dtype=np.int64)
+    flags = np.zeros(group.order, dtype=bool)
+    flags[group.identity] = True
+    frontier = np.array([group.identity])
+    step = _block_rows(group, len(gens))
+    while len(frontier):
+        fresh = []
+        for lo in range(0, len(frontier), step):
+            products = group.mul_array(frontier[lo:lo + step, None], gens).ravel()
+            new = np.unique(products[~flags[products]])
+            flags[new] = True
+            fresh.append(new)
+        frontier = np.concatenate(fresh)
+    return _mask(flags)
 
 
 def element_order(group: Group, t: int) -> int:
@@ -409,15 +466,26 @@ def stabilizer(group: Group, mask: int) -> int:
     """Two-sided stabilizer {t : S t = S and t S = S}; always a subgroup.
 
     For the empty set this is the whole group.  For abelian groups the two
-    one-sided conditions coincide.
+    one-sided conditions coincide.  S t = S puts s0 t in S, so the candidates
+    are s0^-1 S.  Each is checked exactly, s t and t s against the flags of S
+    for a block of s in S at a time, until S is exhausted or only the
+    identity (which always stabilizes) is left.
     """
-    validate_mask(group, mask)
-    out = 0
-    for t in group.elements():
-        if translate_right(group, mask, t) == mask:
-            if group.is_abelian or translate_left(group, t, mask) == mask:
-                out |= 1 << t
-    return out
+    mask = validate_mask(group, mask)
+    if mask == 0:
+        return (1 << group.order) - 1
+    members = _members(mask)
+    flags = _bits(mask, group.order)
+    candidates = group.mul_array(group._inverse[members[0]], members)
+    lo = 0
+    while lo < len(members) and len(candidates) > 1:
+        block = members[lo:lo + _block_rows(group, len(candidates)), None]
+        keep = flags[group.mul_array(block, candidates)].all(axis=0)
+        if not group.is_abelian:
+            keep &= flags[group.mul_array(candidates, block)].all(axis=0)
+        candidates = candidates[keep]
+        lo += len(block)
+    return _index_mask(group, candidates)
 
 
 def character_value(group: Group, x: int, s: int) -> complex:
@@ -432,6 +500,16 @@ def character_value(group: Group, x: int, s: int) -> complex:
     n = group.order
     num = sum(xj * sj * (n // fj) for xj, sj, fj in zip(xs, ss, group.factors)) % n
     return complex(np.exp(2j * np.pi * num / n))
+
+
+def character_values(group: Group, s) -> np.ndarray:
+    """(x, s) for every x, as the last axis, for an element or an index array
+    s; the phase is reduced exactly as in character_value."""
+    group._require_abelian()
+    n = group.order
+    coords = group._coords
+    num = ((coords[s] * (n // group._factor_array)).dot(coords.T)) % n
+    return np.exp(2j * np.pi * num / n)
 
 
 # -- coset structure ----------------------------------------------------------
@@ -482,23 +560,19 @@ def analyze_cosets(group: Group, mask: int) -> CosetAnalysis:
     mask = validate_mask(group, mask)
     if mask == 0:
         return CosetAnalysis(kind="empty")
-    members = subset_elements(mask)
-    a = members[0]
+    a = (mask & -mask).bit_length() - 1
     h = translate_left(group, group.inv(a), mask)
     if is_subgroup(group, h):
         return CosetAnalysis(kind="coset", subgroup=h, rep_a=a)
     stab = stabilizer(group, mask)
     stab_size = subset_size(stab)
-    if len(members) == 2 * stab_size:
-        a_coset = 0
-        for t in iter_elements(stab):
-            a_coset |= 1 << group.mul(a, t)
-        rest = mask & ~a_coset
+    if subset_size(mask) == 2 * stab_size:
+        rest = mask & ~translate_left(group, a, stab)
         if subset_size(rest) == stab_size:
-            b = subset_elements(rest)[0]
+            b = (rest & -rest).bit_length() - 1
             c = group.mul(group.inv(a), b)
-            span = subgroup_generated(group, subset_elements(stab) + [c])
-            if _is_normal_in(group, stab, span):
+            if group.is_abelian or _is_normal_in(
+                    group, stab, subgroup_generated(group, subset_elements(stab) + [c])):
                 q = 1
                 p = c
                 while not (stab >> p) & 1:
@@ -511,12 +585,13 @@ def analyze_cosets(group: Group, mask: int) -> CosetAnalysis:
 
 
 def _is_normal_in(group: Group, sub_mask: int, span_mask: int) -> bool:
-    if group.is_abelian:
-        return True
-    subs = subset_elements(sub_mask)
-    for x in iter_elements(span_mask):
-        xinv = group.inv(x)
-        for t in subs:
-            if not (sub_mask >> group.mul(group.mul(x, t), xinv)) & 1:
-                return False
+    """x T x^-1 within T for every x in the span, a block of x at a time."""
+    subs = _members(sub_mask)
+    flags = _bits(sub_mask, group.order)
+    span = _members(span_mask)
+    step = _block_rows(group, len(subs))
+    for lo in range(0, len(span), step):
+        x = span[lo:lo + step, None]
+        if not flags[group.mul_array(group.mul_array(x, subs), group._inverse[x])].all():
+            return False
     return True

@@ -18,8 +18,9 @@ import numpy as np
 
 from .groups import (
     Group,
+    _bits,
+    _products_in,
     element_order,
-    iter_elements,
     subset_elements,
     validate_mask,
 )
@@ -37,12 +38,14 @@ def multiplier_matrix(group: Group, mask: int) -> np.ndarray:
     diagonals by construction.
     """
     mask = validate_mask(group, mask)
-    table = group.mul_table()
-    inv = np.array([group.inv(s) for s in group.elements()])
-    indicator = np.zeros(group.order, dtype=float)
-    for s in iter_elements(mask):
-        indicator[s] = 1.0
-    return indicator[table[inv, :]]
+    return _row_flags(group, mask).astype(float)
+
+
+def _row_flags(group: Group, mask: int) -> np.ndarray:
+    """The multiplier matrix as flags: [s, t] = (s^-1 t in S), gathered from
+    the products s^-1 t (the coordinate difference t - s when abelian)."""
+    everything = np.arange(group.order)
+    return _products_in(group, _bits(mask, group.order), group._inverse, everything)
 
 
 def cb_norm(group: Group, mask: int) -> Gamma2Bounds:
@@ -86,14 +89,8 @@ def forbidden_pattern_search(group: Group, mask: int) -> Optional[tuple[tuple[in
     if mask == 0:
         return None
     full = (1 << n) - 1
-    row_masks = []
-    for r in range(n):
-        r_inv = group.inv(r)
-        rm = 0
-        for t in range(n):
-            if (mask >> group.mul(r_inv, t)) & 1:
-                rm |= 1 << t
-        row_masks.append(rm)
+    packed = np.packbits(_row_flags(group, mask), axis=1, bitorder="little")
+    row_masks = [int.from_bytes(row.tobytes(), "little") for row in packed]
     for r1 in range(n):
         m1 = row_masks[r1]
         if not m1:

@@ -35,8 +35,6 @@ from .groups import (
     parse_group,
     subset_elements,
     subset_mask,
-    translate_left,
-    translate_right,
 )
 from .multiplier import cb_norm, forbidden_pattern_search, multiplier_matrix
 from .schur import (
@@ -53,22 +51,25 @@ SWEEP_ORDER_CAP = 24
 DEFAULT_TOL_EXACT = 1e-9
 
 
+def _translates(group: Group, mask: int) -> np.ndarray:
+    """Every translate of S (uint64 bitmasks, one per translation), as an OR
+    of the rows of the group's translation table that the bytes of S select."""
+    table = group.translation_table
+    out = table[0, mask & 255]
+    for b in range(1, len(table)):
+        out = out | table[b, (mask >> 8 * b) & 255]
+    return out
+
+
 def orbit(group: Group, mask: int) -> set[int]:
     """All translates of S: left translates for abelian groups, two-sided
     translates otherwise (norms are invariant under both)."""
-    if group.is_abelian:
-        return {translate_left(group, t, mask) for t in group.elements()}
-    out = set()
-    for t in group.elements():
-        left = translate_left(group, t, mask)
-        for u in group.elements():
-            out.add(translate_right(group, left, u))
-    return out
+    return set(_translates(group, mask).tolist())
 
 
 def canonical_form(group: Group, mask: int) -> int:
     """Smallest bitmask in the translation orbit of S; idempotent."""
-    return min(orbit(group, mask))
+    return int(_translates(group, mask).min())
 
 
 @dataclass(frozen=True)
@@ -406,10 +407,18 @@ def run_verification(group_specs: Optional[Sequence[str]] = None,
     items: list[VerificationItem] = []
 
     t = THRESHOLDS
-    ordering = (1.0 < t.prior_coset_bound < t.coset_bound < t.pattern_witness_value
-                < t.prior_two_coset_bound < t.two_coset_bound)
-    items.append(_item("threshold_ordering", ordering,
-                       "1 < 2/sqrt3 < (1+sqrt2)/2 < sqrt26/4 < (sqrt17+1)/4 < 4/3"))
+    clauses = (
+        ("1 < 2/sqrt3 < (1+sqrt2)/2 < sqrt26/4 < (sqrt17+1)/4 < 4/3",
+         1.0 < t.prior_coset_bound < t.coset_bound < t.pattern_witness_value
+         < t.prior_two_coset_bound < t.two_coset_bound),
+        ("(1+sqrt2)/2 < 4/pi < sqrt26/4",
+         t.coset_bound < t.limit_q_inf < t.pattern_witness_value),
+        ("(sqrt17+1)/4 < 9/7 < 4/3",
+         t.prior_two_coset_bound < t.pattern_norm < t.two_coset_bound),
+    )
+    items.append(_item("threshold_ordering", all(holds for _, holds in clauses),
+                       "; ".join(text if holds else f"violated: {text}"
+                                 for text, holds in clauses)))
 
     env = sup_norm_check(grid_points)
     items.append(_item(

@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .bs import mu_values
-from .groups import Group, character_value, subset_elements, validate_mask
+from .groups import Group, _bits, _members, _products_in, character_values, validate_mask
 
 SUP_NORM_F = 4.5
 
@@ -61,14 +61,17 @@ def find_witness(group: Group, mask: int) -> Optional[WitnessTriple]:
     """
     group._require_abelian()
     mask = validate_mask(group, mask)
-    members = subset_elements(mask)
-    for u in members:
-        for v in members:
-            for w in group.elements():
-                if (_member(group, mask, u, w)
-                        and not _member(group, mask, v, w)
-                        and not _member(group, mask, v, group.inv(w))):
-                    return WitnessTriple(u=u, v=v, w=w)
+    members = _members(mask)
+    flags = _bits(mask, group.order)
+    # [i, w]: members[i] + w in S; [j, w]: members[j] + w and members[j] - w
+    # both outside S
+    shifted_in = _products_in(group, flags, members, np.arange(group.order))
+    outside = ~shifted_in & ~_products_in(group, flags, members, group._inverse)
+    for i, u in enumerate(members):
+        hits = shifted_in[i] & outside
+        if hits.any():
+            j, w = np.unravel_index(np.argmax(hits), hits.shape)
+            return WitnessTriple(u=int(u), v=int(members[j]), w=int(w))
     return None
 
 
@@ -92,12 +95,9 @@ def witness_integral(group: Group, mask: int, triple: WitnessTriple) -> complex:
                + 2 * chi(v) - chi(v, w) - chi(v, w_inv))
 
     mu = mu_values(group, mask)
-    total = 0j
-    for x in group.elements():
-        cw = character_value(group, x, w)
-        f_x = (character_value(group, x, u) * (2 + 2 * cw + 0.5 * np.conj(cw))
-               + character_value(group, x, v) * (2 - cw - np.conj(cw)))
-        total += f_x * mu[x]
+    cu, cv, cw = character_values(group, np.array([u, v, w]))
+    f = cu * (2 + 2 * cw + 0.5 * np.conj(cw)) + cv * (2 - cw - np.conj(cw))
+    total = complex(f @ mu)
     if abs(total - formula) > 1e-10:
         raise ArithmeticError(
             f"test-function integral mismatch: formula {formula} vs numeric {total}")

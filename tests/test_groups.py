@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from idemnorm import (
@@ -19,7 +20,15 @@ from idemnorm import (
     translate_left,
     translate_right,
 )
-from idemnorm.groups import iter_elements, subgroup_generated
+from idemnorm.groups import character_values, subgroup_generated
+
+from conftest import (
+    oracle_is_subgroup,
+    oracle_stabilizer,
+    oracle_translate_left,
+    oracle_translate_right,
+    planted_subsets,
+)
 
 
 def test_make_abelian_orders():
@@ -59,9 +68,11 @@ def test_mixed_radix_round_trip(z2z4):
     assert z2z4.coords(4) == (1, 0)
 
 
-def test_abelian_mul_matches_table(z2z4):
-    table = z2z4.mul_table()
+def test_abelian_mul_matches_mul_array(z2z4):
+    everything = np.arange(z2z4.order)
+    table = z2z4.mul_array(everything[:, None], everything[None, :])
     for a in z2z4.elements():
+        assert z2z4.mul_array(a, everything).tolist() == table[a].tolist()
         for b in z2z4.elements():
             assert z2z4.mul(a, b) == table[a, b]
 
@@ -152,6 +163,15 @@ def test_character_value_is_bilinear(z6, z2z4):
                     left = character_value(g, x, g.mul(s, t))
                     right = character_value(g, x, s) * character_value(g, x, t)
                     assert left == pytest.approx(right, abs=1e-12)
+
+
+def test_character_values_match_character_value(z6, z2z4):
+    for g in (z6, z2z4):
+        rows = character_values(g, np.arange(g.order))
+        for s in g.elements():
+            expected = [character_value(g, x, s) for x in g.elements()]
+            np.testing.assert_allclose(character_values(g, s), expected, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(rows[s], expected, rtol=0, atol=1e-15)
 
 
 def test_character_value_rejects_cayley(s3):
@@ -254,6 +274,55 @@ def test_cayley_file_round_trip(tmp_path, s3):
                for a in range(6) for b in range(6))
 
 
-def test_iter_elements_matches_subset_elements():
+def test_subset_elements_matches_subset_mask(z6):
     mask = 0b101101
-    assert list(iter_elements(mask)) == subset_elements(mask) == [0, 2, 3, 5]
+    assert subset_elements(mask) == [0, 2, 3, 5]
+    assert subset_mask(z6, subset_elements(mask)) == mask
+    assert subset_elements(0) == []
+
+
+ORACLE_GROUPS = ("Z6", "Z8", "Z2xZ4", "S3", "D4", "Q8")
+
+
+@pytest.mark.parametrize("spec", ORACLE_GROUPS)
+def test_set_operations_match_oracles_on_every_subset(spec):
+    g = parse_group(spec)
+    for mask in range(1 << g.order):
+        assert stabilizer(g, mask) == oracle_stabilizer(g, mask)
+        assert is_subgroup(g, mask) == oracle_is_subgroup(g, mask)
+        for t in g.elements():
+            assert translate_left(g, t, mask) == oracle_translate_left(g, t, mask)
+            assert translate_right(g, mask, t) == oracle_translate_right(g, mask, t)
+
+
+@pytest.mark.parametrize("spec", ("Z1024", "Z32xZ32", "x".join(["Z2"] * 10)))
+def test_set_operations_match_oracles_on_large_groups(spec):
+    g = parse_group(spec)
+    # in Z32xZ32 and Z2^10 the elements 0..3n/8-1 are a union of cosets of a
+    # subgroup holding the smallest elements, so the first block of rows of
+    # is_subgroup and stabilizer leaves the answer open and later blocks decide
+    inputs = [("other", None, (1 << (3 * g.order // 8)) - 1)]
+    inputs += planted_subsets(g, 0, coset_size=256, union_size=32, random_size=341)
+    for kind, _, mask in inputs:
+        stab = stabilizer(g, mask)
+        assert stab == oracle_stabilizer(g, mask), kind
+        assert is_subgroup(g, stab) and oracle_is_subgroup(g, stab)
+        assert is_subgroup(g, mask) == oracle_is_subgroup(g, mask)
+        a = (mask & -mask).bit_length() - 1
+        moved = translate_left(g, g.inv(a), mask)
+        assert moved == oracle_translate_left(g, g.inv(a), mask)
+        assert is_subgroup(g, moved) == oracle_is_subgroup(g, moved) == (kind == "coset")
+        for t in (1, g.order // 3, g.order - 1):
+            assert translate_left(g, t, mask) == oracle_translate_left(g, t, mask)
+            assert translate_right(g, mask, t) == oracle_translate_right(g, mask, t)
+
+
+@pytest.mark.parametrize("spec", ("Z4096", "Z64xZ64"))
+def test_analyze_cosets_at_the_order_cap(spec):
+    g = parse_group(spec)
+    planted = planted_subsets(g, 0, coset_size=1024, union_size=256, random_size=1366)
+    assert sorted(kind for kind, _, _ in planted) == ["coset", "other", "two_cosets",
+                                                      "two_cosets"]
+    for kind, q, mask in planted:
+        analysis = analyze_cosets(g, mask)
+        assert (analysis.kind, analysis.q) == (kind, q)

@@ -1,5 +1,6 @@
 import json
 import math
+import random
 
 import pytest
 
@@ -8,6 +9,7 @@ from idemnorm import (
     canonical_form,
     classify,
     make_abelian_group,
+    parse_group,
     run_verification,
     subset_elements,
     subset_mask,
@@ -15,6 +17,8 @@ from idemnorm import (
     translate_left,
 )
 from idemnorm.sweep import orbit, pool_size
+
+from conftest import burnside_abelian, oracle_canonical_form, oracle_class_count, oracle_orbit
 
 
 def test_canonical_form_examples(z6):
@@ -199,3 +203,46 @@ def test_pool_size_clamps_workers():
     assert pool_size(4, None, 64) == 1
     assert pool_size(0, 8, 64) == 1
     assert pool_size(-3, 8, 64) == 1
+
+
+@pytest.mark.parametrize("spec", ("Z6", "Z8", "Z2xZ4", "S3", "D4", "Q8"))
+def test_canonical_form_and_orbit_match_oracles_on_every_subset(spec):
+    g = parse_group(spec)
+    for mask in range(1 << g.order):
+        assert orbit(g, mask) == oracle_orbit(g, mask)
+        assert canonical_form(g, mask) == oracle_canonical_form(g, mask)
+
+
+@pytest.mark.parametrize("spec", ("Z64", "Z2xZ2xZ2xZ2xZ2xZ2", "Z8xZ8"))
+def test_canonical_form_matches_oracle_at_order_64(spec):
+    g = parse_group(spec)
+    rng = random.Random(0)
+    for size in (1, 5, 32, 63):
+        mask = sum(1 << x for x in rng.sample(range(64), size))
+        assert canonical_form(g, mask) == oracle_canonical_form(g, mask)
+    assert canonical_form(g, (1 << 64) - 1) == (1 << 64) - 1
+
+
+def test_canonical_form_rejects_order_above_64():
+    with pytest.raises(ValueError, match="order 64"):
+        canonical_form(make_abelian_group([65]), 1)
+
+
+@pytest.mark.parametrize("spec", ("Z2xZ2xZ2xZ2", "Z4xZ4", "Z12", "D4", "Q8"))
+def test_class_count_matches_burnside(spec):
+    g = parse_group(spec)
+    reps = [m for m in range(1 << g.order) if canonical_form(g, m) == m]
+    assert sum(len(orbit(g, m)) for m in reps) == 1 << g.order
+    assert len(reps) == oracle_class_count(g)
+    if g.is_abelian:
+        assert len(reps) == burnside_abelian(g)
+
+
+def test_threshold_ordering_item_checks_three_clauses():
+    summary = run_verification([])
+    item = next(i for i in summary.items if i.name == "threshold_ordering")
+    assert item.passed
+    clauses = item.detail.split("; ")
+    assert clauses == ["1 < 2/sqrt3 < (1+sqrt2)/2 < sqrt26/4 < (sqrt17+1)/4 < 4/3",
+                       "(1+sqrt2)/2 < 4/pi < sqrt26/4",
+                       "(sqrt17+1)/4 < 9/7 < 4/3"]

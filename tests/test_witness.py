@@ -8,11 +8,14 @@ from idemnorm import (
     find_witness,
     make_abelian_group,
     make_witness,
+    parse_group,
     subset_mask,
     sup_norm_check,
     witness_integral,
     witness_norm_bound,
 )
+
+from conftest import oracle_find_witness
 
 
 def test_find_witness_absent_for_cosets(z6, z8):
@@ -34,6 +37,15 @@ def test_find_witness_frozen_outputs(z6, z8):
     assert (w.u, w.v, w.w) == (0, 1, 3)
     w8 = find_witness(z8, subset_mask(z8, [0, 1, 2, 4]))
     assert (w8.u, w8.v, w8.w) == (0, 1, 2)
+
+
+@pytest.mark.parametrize("spec", ("Z6", "Z8", "Z2xZ4", "Z3xZ3"))
+def test_find_witness_matches_oracle_on_every_subset(spec):
+    g = parse_group(spec)
+    for mask in range(1 << g.order):
+        found = find_witness(g, mask)
+        expected = oracle_find_witness(g, mask)
+        assert (None if found is None else (found.u, found.v, found.w)) == expected
 
 
 def test_make_witness_validates(z6, z8):
