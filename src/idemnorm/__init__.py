@@ -14,7 +14,6 @@ from .bs import (
     bs_norm,
     mu_values,
     predicted_norm,
-    reconstruct_indicator,
     two_coset_norm,
     verify_measure_form,
 )
@@ -24,8 +23,6 @@ from .groups import (
     GroupAxiomError,
     analyze_cosets,
     builtin_group,
-    character_value,
-    element_order,
     is_subgroup,
     load_cayley_file,
     load_cayley_group,
@@ -55,7 +52,6 @@ from .schur import (
     gamma2,
     operator_norm,
     orthogonal_witness,
-    schur_product,
     symmetric_eigenvalues,
     witness_lower_bound,
 )

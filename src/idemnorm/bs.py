@@ -21,8 +21,12 @@ from .groups import (
     CosetAnalysis,
     Group,
     _bits,
+    _block_rows,
+    _mask,
+    _members,
+    _pairing_numerators,
     analyze_cosets,
-    character_value,
+    character_values,
     subset_elements,
     subset_size,
     validate_mask,
@@ -58,22 +62,12 @@ def _indicator_tensor(group: Group, mask: int) -> np.ndarray:
 
 
 def mu_values(group: Group, mask: int) -> np.ndarray:
-    """Inverse transform of the indicator: mu(x) = (1/n) sum_{s in S} conj((x, s)).
-
-    Applying the forward character sum to the result reproduces the indicator
-    (see reconstruct_indicator), which pins the sign convention.
-    """
+    """Inverse transform of the indicator: mu(x) = (1/n) sum_{s in S} conj((x, s)),
+    one FFT over the coordinate tensor."""
     group._require_abelian()
     mask = validate_mask(group, mask)
     spectrum = np.fft.fftn(_indicator_tensor(group, mask))
     return spectrum.reshape(-1) / group.order
-
-
-def reconstruct_indicator(group: Group, mu: np.ndarray) -> np.ndarray:
-    """Forward character sum sum_x mu(x) (x, s), flattened over s."""
-    group._require_abelian()
-    tensor = np.asarray(mu, dtype=complex).reshape(group.factors)
-    return (np.fft.ifftn(tensor) * group.order).reshape(-1)
 
 
 def bs_norm(group: Group, mask: int) -> float:
@@ -114,20 +108,15 @@ def predicted_norm(analysis: CosetAnalysis) -> Optional[float]:
 
 
 def annihilator(group: Group, sub_mask: int) -> int:
-    """Bitmask of {x : (x, s) = 1 for all s in the subgroup}, computed exactly
-    in integer arithmetic."""
-    group._require_abelian()
-    n = group.order
-    members = subset_elements(sub_mask)
-    member_coords = [group.coords(s) for s in members]
-    weights = [n // f for f in group.factors]
-    out = 0
-    for x in group.elements():
-        xc = group.coords(x)
-        if all(sum(xj * sj * w for xj, sj, w in zip(xc, sc, weights)) % n == 0
-               for sc in member_coords):
-            out |= 1 << x
-    return out
+    """Bitmask of {x : (x, s) = 1 for all s in the subgroup}: the x whose
+    exact pairing numerator with every member is 0, a block of members at a
+    time."""
+    members = _members(validate_mask(group, sub_mask))
+    flags = np.ones(group.order, dtype=bool)
+    step = _block_rows(group, group.order)
+    for lo in range(0, len(members), step):
+        flags &= (_pairing_numerators(group, members[lo:lo + step]) == 0).all(axis=0)
+    return _mask(flags)
 
 
 @dataclass(frozen=True)
@@ -163,10 +152,8 @@ def verify_measure_form(group: Group, mask: int, tol: float = 1e-12) -> MeasureF
     ann = annihilator(group, lam)
     h_size = subset_size(ann)
     mu = mu_values(group, mask)
-    expected = np.zeros(group.order, dtype=complex)
-    for x in subset_elements(ann):
-        expected[x] = (np.conj(character_value(group, x, g1))
-                       + np.conj(character_value(group, x, g2))) / h_size
+    chi1, chi2 = character_values(group, np.array([g1, g2]))
+    expected = np.where(_bits(ann, group.order), (np.conj(chi1) + np.conj(chi2)) / h_size, 0)
     max_error = float(np.max(np.abs(mu - expected)))
     return MeasureFormResult(holds=max_error <= tol, subgroup=ann,
                              gamma1=g1, gamma2=g2, max_error=max_error)

@@ -114,10 +114,9 @@ def cmd_norm(args) -> int:
         "analysis": analysis.to_dict(),
         "predicted": predicted_norm(analysis),
     }
-    use_cb = args.cb or not group.is_abelian
     if group.is_abelian:
         payload["bs_norm"] = bs_norm(group, mask)
-    if use_cb:
+    if args.cb or not group.is_abelian:
         bounds = cb_norm(group, mask)
         payload["cb_lower"] = bounds.lower
         payload["cb_upper"] = bounds.upper
@@ -128,7 +127,7 @@ def cmd_norm(args) -> int:
 def cmd_sweep(args) -> int:
     group = parse_group(args.group)
     report = sweep(group, tol=DEFAULT_TOL_EXACT if args.tol is None else args.tol,
-                   use_cb=args.cb or None, workers=args.workers)
+                   workers=args.workers)
     print(f"sweep of {group.name} took {report.wall_time_s:.2f}s", file=sys.stderr)
     _emit(report.to_dict(), args.format, args.out, csv_text=report.to_csv())
     return EXIT_OK if not report.violations else EXIT_VIOLATION
@@ -208,8 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="classify every subset of a group")
     p_sweep.add_argument("-g", "--group", required=True)
-    p_sweep.add_argument("--cb", action="store_true",
-                         help="use exact cb norms even on abelian groups")
     common(p_sweep)
     tol_option(p_sweep)
     workers_option(p_sweep)

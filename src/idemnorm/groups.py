@@ -5,10 +5,13 @@ groups (elements are mixed-radix encoded coordinate tuples), and general
 finite groups given by a Cayley table (validated on load).  Elements are
 always dense indices 0..n-1 and subsets are bitmasks.
 
-All set operations rest on one vectorized primitive, Group.mul_array: the
-products of two broadcast index arrays, read from the Cayley table or summed
-in coordinates (abelian groups store no n x n table).  Bitmasks cross into
-index arrays and back through the helper pair _bits/_mask (np.unpackbits and
+The group law has one implementation, Group.mul_array: the products of two
+broadcast index arrays, read from the Cayley table or summed in coordinates
+over the n x k array Group._coords (abelian groups store no n x n table).
+The scalar Group.mul wraps it, and every set operation is built on it.  The
+character pairing of an abelian group has one exact integer form,
+_pairing_numerators, under character_values.  Bitmasks cross into index
+arrays and back through the helper pair _bits/_mask (np.unpackbits and
 np.packbits).
 """
 
@@ -63,7 +66,8 @@ class Group:
     """A finite group with elements 0..order-1.
 
     Abelian groups store their cyclic factors and do coordinate arithmetic;
-    Cayley groups store the full multiplication table.  Coordinate arrays,
+    Cayley groups store the full multiplication table.  Either way the
+    product is mul_array, and mul is its scalar wrapper.  Coordinate arrays,
     abelian inverses and translation tables are built on first use.
     Instances are immutable after construction (apart from those caches,
     whose builds are deterministic) and safe to share between threads.
@@ -92,7 +96,6 @@ class Group:
             strides = [1] * len(factors)
             for j in range(len(factors) - 2, -1, -1):
                 strides[j] = strides[j + 1] * factors[j + 1]
-            self._strides = tuple(strides)
             self._factor_array = np.array(factors, dtype=np.int64)
             self._stride_array = np.array(strides, dtype=np.int64)
             self.identity = 0
@@ -101,7 +104,6 @@ class Group:
         elif kind == CAYLEY:
             tab = np.asarray(table, dtype=np.int64)
             self.factors = ()
-            self._strides = ()
             n = _validate_cayley(tab, identity, cap)
             self.order = n
             self.identity = int(identity)
@@ -115,14 +117,7 @@ class Group:
     # -- core arithmetic ----------------------------------------------------
 
     def mul(self, a: int, b: int) -> int:
-        if self.kind == ABELIAN:
-            out = 0
-            for f, stride in zip(self.factors, self._strides):
-                out += (((a // stride) + (b // stride)) % f) * stride
-                a %= stride
-                b %= stride
-            return out
-        return int(self.table[a, b])
+        return int(self.mul_array(a, b))
 
     def mul_array(self, a, b) -> np.ndarray:
         """Products a*b of two index arrays (or an index and an array),
@@ -143,21 +138,13 @@ class Group:
     def elements(self) -> range:
         return range(self.order)
 
-    def coords(self, a: int) -> tuple[int, ...]:
-        """Mixed-radix coordinates of an abelian element."""
-        self._require_abelian()
-        out = []
-        for stride in self._strides:
-            out.append(a // stride)
-            a %= stride
-        return tuple(out)
-
     def index_of(self, coords: Sequence[int]) -> int:
         """Element index for abelian coordinates (reduced mod the factors)."""
         self._require_abelian()
         if len(coords) != len(self.factors):
             raise ValueError(f"expected {len(self.factors)} coordinates, got {len(coords)}")
-        return sum((int(c) % f) * s for c, f, s in zip(coords, self.factors, self._strides))
+        return int(np.dot([int(c) % f for c, f in zip(coords, self.factors)],
+                          self._stride_array))
 
     def _require_abelian(self) -> None:
         if self.kind != ABELIAN:
@@ -262,15 +249,29 @@ def load_cayley_group(table: Sequence[Sequence[int]], identity: int = 0,
 
 
 def load_cayley_file(path: str) -> Group:
-    """Read a Cayley table from JSON: {"n": int, "identity": int, "table": [[...]]}."""
+    """Read a Cayley table from JSON: {"n": int, "identity": int, "table": [[...]]}.
+
+    A file of any other shape raises GroupAxiomError (a ValueError)."""
     with open(path) as fh:
         data = json.load(fh)
-    table = data["table"]
-    n = int(data.get("n", len(table)))
+    if not isinstance(data, dict):
+        raise GroupAxiomError(f"{path}: expected a JSON object, got {type(data).__name__}")
+    table = data.get("table")
+    if not (isinstance(table, list)
+            and all(isinstance(row, list) and all(map(_is_int, row)) for row in table)):
+        raise GroupAxiomError(f"{path}: \"table\" must be a list of lists of integers")
+    n = data.get("n", len(table))
+    identity = data.get("identity", 0)
+    if not (_is_int(n) and _is_int(identity)):
+        raise GroupAxiomError(f"{path}: \"n\" and \"identity\" must be integers")
     if n != len(table):
         raise GroupAxiomError(f"declared order {n} does not match table size {len(table)}")
-    return load_cayley_group(table, int(data.get("identity", 0)),
-                             name=os.path.splitext(os.path.basename(path))[0])
+    return load_cayley_group(table, identity, name=os.path.splitext(os.path.basename(path))[0])
+
+
+def _is_int(value) -> bool:
+    """A JSON integer (bool is an int subclass in Python, but not one here)."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _symmetric_group_3() -> Group:
@@ -335,7 +336,7 @@ def parse_group(spec: str) -> Group:
     lowered = text.replace(" ", "").lower()
     if _ABELIAN_SPEC.match(lowered):
         return make_abelian_group([int(part[1:]) for part in lowered.split("x")])
-    if os.path.exists(text):
+    if os.path.isfile(text):
         return load_cayley_file(text)
     raise ValueError(f"cannot parse group spec {spec!r} "
                      "(expected e.g. Z6, Z2xZ4, S3, D4, Q8, or a JSON file path)")
@@ -452,16 +453,6 @@ def subgroup_generated(group: Group, generators: Sequence[int]) -> int:
     return _mask(flags)
 
 
-def element_order(group: Group, t: int) -> int:
-    """Smallest k >= 1 with t^k = e."""
-    k = 1
-    x = t
-    while x != group.identity:
-        x = group.mul(x, t)
-        k += 1
-    return k
-
-
 def stabilizer(group: Group, mask: int) -> int:
     """Two-sided stabilizer {t : S t = S and t S = S}; always a subgroup.
 
@@ -488,28 +479,22 @@ def stabilizer(group: Group, mask: int) -> int:
     return _index_mask(group, candidates)
 
 
-def character_value(group: Group, x: int, s: int) -> complex:
-    """Dual pairing of an abelian group with itself: exp(2 pi i sum x_j s_j / f_j).
-
-    Bilinear in both arguments; the phase is reduced exactly in integer
-    arithmetic before the single complex exponential.
-    """
-    group._require_abelian()
-    xs = group.coords(x)
-    ss = group.coords(s)
-    n = group.order
-    num = sum(xj * sj * (n // fj) for xj, sj, fj in zip(xs, ss, group.factors)) % n
-    return complex(np.exp(2j * np.pi * num / n))
-
-
-def character_values(group: Group, s) -> np.ndarray:
-    """(x, s) for every x, as the last axis, for an element or an index array
-    s; the phase is reduced exactly as in character_value."""
+def _pairing_numerators(group: Group, s) -> np.ndarray:
+    """Exact phases of the self-dual pairing of an abelian group: the integer
+    sum_j x_j s_j (n / f_j) mod n, so that (x, s) = exp(2 pi i num / n), for
+    every x as the last axis and an element or an index array s."""
     group._require_abelian()
     n = group.order
     coords = group._coords
-    num = ((coords[s] * (n // group._factor_array)).dot(coords.T)) % n
-    return np.exp(2j * np.pi * num / n)
+    return ((coords[s] * (n // group._factor_array)).dot(coords.T)) % n
+
+
+def character_values(group: Group, s) -> np.ndarray:
+    """(x, s) = exp(2 pi i sum_j x_j s_j / f_j) for every x, as the last
+    axis, for an element or an index array s.  Bilinear in both arguments;
+    the phase is reduced exactly in integer arithmetic before the single
+    complex exponential."""
+    return np.exp(2j * np.pi * _pairing_numerators(group, s) / group.order)
 
 
 # -- coset structure ----------------------------------------------------------

@@ -16,14 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .groups import (
-    Group,
-    _bits,
-    _products_in,
-    element_order,
-    subset_elements,
-    validate_mask,
-)
+from .groups import Group, _bits, _members, _products_in, validate_mask
 # gamma2 is not called here; it stays importable as multiplier.gamma2, which
 # perfbench's tracer test asserts is schur.gamma2
 from .schur import Gamma2Bounds, WitnessPair, _certify_blocks, gamma2, witness_lower_bound  # noqa: F401
@@ -140,25 +133,33 @@ def progression_check(group: Group, mask: int) -> list[ProgressionViolation]:
     abelian groups the two sides coincide and only "right" is emitted.
     """
     mask = validate_mask(group, mask)
-    violations = []
-    members = subset_elements(mask)
-    sides = ("right",) if group.is_abelian else ("right", "left")
-    for side in sides:
-        for s in members:
-            for t in group.elements():
-                first = group.mul(s, t) if side == "right" else group.mul(t, s)
-                if not (mask >> first) & 1:
-                    continue
-                order = element_order(group, t)
-                power = group.identity
-                for n in range(2, order):
-                    power = group.mul(power, t)  # power = t^(n-1)
-                    point = group.mul(s, group.mul(power, t)) if side == "right" \
-                        else group.mul(group.mul(t, power), s)
-                    if not (mask >> point) & 1:
-                        violations.append(ProgressionViolation(side=side, s=s, t=t, n=n))
-                        break
-    violations.sort(key=lambda v: (v.side, v.s, v.t, v.n))
+    members = _members(mask)
+    flags = _bits(mask, group.order)
+    everything = np.arange(group.order)
+
+    def in_s(powers: np.ndarray, side: str) -> np.ndarray:
+        # [i, j]: s_i t_j^n (right) or t_j^n s_i (left) lies in S, where
+        # powers[j] = t_j^n
+        if side == "right":
+            return _products_in(group, flags, members, powers)
+        return _products_in(group, flags, powers, members).T
+
+    violations = []  # sorted by side: "left" < "right"
+    for side in ("right",) if group.is_abelian else ("left", "right"):
+        # every pair (s, t) with st in S starts its progression; it drops out
+        # at its first failure, or when t^n = e (n has reached the order of t)
+        active = in_s(everything, side)
+        failed_at = np.zeros(active.shape, dtype=np.int64)
+        power, n = everything, 1
+        while active.any():
+            power, n = group.mul_array(power, everything), n + 1
+            active &= power != group.identity
+            failing = active & ~in_s(power, side)
+            failed_at[failing] = n
+            active &= ~failing
+        violations += [ProgressionViolation(side=side, s=int(members[i]), t=int(t),
+                                            n=int(failed_at[i, t]))
+                       for i, t in zip(*np.nonzero(failed_at))]
     return violations
 
 
@@ -172,10 +173,7 @@ def closure_claim_check(group: Group, mask: int) -> list[tuple[int, int]]:
     mask = validate_mask(group, mask)
     if not (mask >> group.identity) & 1:
         raise ValueError("closure claim requires the identity to belong to the subset")
-    members = subset_elements(mask)
-    out = []
-    for i, u in enumerate(members):
-        for v in members[i:]:
-            if not (mask >> group.mul(u, v)) & 1 and not (mask >> group.mul(v, u)) & 1:
-                out.append((u, v))
-    return out
+    members = _members(mask)
+    inside = _products_in(group, _bits(mask, group.order), members, members)  # [i, j]: uv in S
+    pairs = np.nonzero(np.triu(~inside & ~inside.T))
+    return [(int(members[i]), int(members[j])) for i, j in zip(*pairs)]

@@ -1,4 +1,4 @@
-"""Schur products and two-sided Schur-multiplier (gamma2) norm bounds.
+"""Two-sided Schur-multiplier (gamma2) norm bounds.
 
 The Schur norm of a matrix A is sup ||A o X|| / ||X|| over nonzero X (entrywise
 product, operator norms).  It equals the smallest c admitting Hermitian P, Q
@@ -43,15 +43,6 @@ def as_matrix(data, max_dim: int = MAX_MATRIX_DIM) -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")
     return a
-
-
-def schur_product(a, x) -> np.ndarray:
-    """Entrywise product of two matrices of equal shape."""
-    a = as_matrix(a)
-    x = as_matrix(x)
-    if a.shape != x.shape:
-        raise ValueError(f"shape mismatch {a.shape} vs {x.shape}")
-    return a * x
 
 
 def symmetric_eigenvalues(m) -> tuple[np.ndarray, np.ndarray]:

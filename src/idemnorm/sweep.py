@@ -35,8 +35,15 @@ from .groups import (
     parse_group,
     subset_elements,
     subset_mask,
+    translate_left,
 )
-from .multiplier import cb_norm, forbidden_pattern_search, multiplier_matrix
+from .multiplier import (
+    cb_norm,
+    closure_claim_check,
+    forbidden_pattern_search,
+    multiplier_matrix,
+    progression_check,
+)
 from .schur import (
     check_certificate,
     forbidden_pattern,
@@ -129,20 +136,21 @@ class ClassificationRecord:
         )
 
 
-def classify(group: Group, mask: int, tol: float = DEFAULT_TOL_EXACT,
-             use_cb: Optional[bool] = None) -> ClassificationRecord:
-    """Full per-subset report: structure, norm, prediction, witness, pattern."""
+def classify(group: Group, mask: int, tol: float = DEFAULT_TOL_EXACT) -> ClassificationRecord:
+    """Full per-subset report: structure, norm, prediction, witness, pattern.
+
+    The norm is the character sum on abelian groups and the cb norm
+    otherwise; on abelian groups the two coincide (Bozejko-Fendler 1984),
+    which the amenable_cross_check verify items confirm."""
     tol = validate_tol(tol)
-    if use_cb is None:
-        use_cb = not group.is_abelian
     analysis = analyze_cosets(group, mask)
-    if use_cb:
-        bounds = cb_norm(group, mask)
-        lower, upper, exact = bounds.lower, bounds.upper, False
-    else:
+    if group.is_abelian:
         value = bs_norm(group, mask)
         lower = upper = value
         exact = True
+    else:
+        bounds = cb_norm(group, mask)
+        lower, upper, exact = bounds.lower, bounds.upper, False
     predicted = predicted_norm(analysis)
     witness = find_witness(group, mask) if group.is_abelian else None
     bound = witness_norm_bound(group, mask, witness) if witness is not None else None
@@ -248,12 +256,12 @@ class SweepReport:
         return buf.getvalue()
 
 
-def _classify_chunk(group: Group, start: int, stop: int, tol: float,
-                    use_cb: bool) -> list[ClassificationRecord]:
+def _classify_chunk(group: Group, start: int, stop: int,
+                    tol: float) -> list[ClassificationRecord]:
     out = []
     for mask in range(start, stop):
         if canonical_form(group, mask) == mask:
-            out.append(classify(group, mask, tol, use_cb))
+            out.append(classify(group, mask, tol))
     return out
 
 
@@ -290,8 +298,8 @@ def pool_size(requested: int, cpus: Optional[int], chunks: int) -> int:
     return max(1, min(requested, cpus or 1, chunks))
 
 
-def sweep(group: Group, tol: float = DEFAULT_TOL_EXACT, use_cb: Optional[bool] = None,
-          workers: int = 1, order_cap: int = SWEEP_ORDER_CAP) -> SweepReport:
+def sweep(group: Group, tol: float = DEFAULT_TOL_EXACT, workers: int = 1,
+          order_cap: int = SWEEP_ORDER_CAP) -> SweepReport:
     """Classify every subset (one canonical representative per translation
     orbit) and check the classification theorems; see the module docstring for
     the violation rules.  Chunked over bitmask ranges when workers > 1 (capped
@@ -300,16 +308,14 @@ def sweep(group: Group, tol: float = DEFAULT_TOL_EXACT, use_cb: Optional[bool] =
     tol = validate_tol(tol)
     if group.order > order_cap:
         raise ValueError(f"full sweep capped at order {order_cap}, group has {group.order}")
-    if use_cb is None:
-        use_cb = not group.is_abelian
     started = time.perf_counter()
     total = 1 << group.order
     workers = pool_size(workers, os.cpu_count(), total)
     if workers == 1:
-        records = _classify_chunk(group, 0, total, tol, use_cb)
+        records = _classify_chunk(group, 0, total, tol)
     else:
         bounds = [total * i // workers for i in range(workers + 1)]
-        chunks = [(group, lo, hi, tol, use_cb) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
+        chunks = [(group, lo, hi, tol) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_classify_chunk_star, chunks))
         records = [rec for part in parts for rec in part]
@@ -336,7 +342,7 @@ def sweep(group: Group, tol: float = DEFAULT_TOL_EXACT, use_cb: Optional[bool] =
     return SweepReport(
         group_name=group.name,
         order=group.order,
-        mode="schur" if use_cb else "character_sum",
+        mode="character_sum" if group.is_abelian else "schur",
         tolerance=tol,
         records=records,
         violations=violations,
@@ -394,13 +400,43 @@ def _item(name: str, passed: bool, detail: str) -> VerificationItem:
     return VerificationItem(name=name, passed=bool(passed), detail=detail)
 
 
+def _proof_chain_item(group: Group, records: Sequence[ClassificationRecord]) -> VerificationItem:
+    """The paper's route to the forbidden pattern, class by class: translate
+    S to S' = a^-1 S (a its least element), so e lies in S'; when S' has the
+    progression property, every closure violation (u, v) must put the exact
+    pattern at rows (e, u^-1, v^-1) and columns (e, u, v) of the multiplier
+    matrix of S', and the class record must have found a pattern."""
+    e = group.identity
+    target = forbidden_pattern()
+    chains = 0
+    failures = []
+    for record in records:
+        if record.subset == 0:
+            continue
+        a = (record.subset & -record.subset).bit_length() - 1
+        moved = translate_left(group, group.inv(a), record.subset)
+        if progression_check(group, moved):
+            continue
+        violations = closure_claim_check(group, moved)
+        matrix = multiplier_matrix(group, moved) if violations else None
+        for u, v in violations:
+            chains += 1
+            rows, cols = (e, group.inv(u), group.inv(v)), (e, u, v)
+            if not (matrix[np.ix_(rows, cols)] == target).all() or record.pattern is None:
+                failures.append(f"S={subset_elements(record.subset)}: (u, v) = ({u}, {v})")
+    return _item(f"proof_chain_{group.name}", not failures,
+                 f"{chains} chains checked: " + ("; ".join(failures) or
+                 "progression property and a closure violation give the forbidden pattern"))
+
+
 def run_verification(group_specs: Optional[Sequence[str]] = None,
                      tol: float = DEFAULT_TOL_EXACT,
                      grid_points: int = 1_000_000,
                      workers: int = 1) -> VerificationSummary:
     """Run every headline check: constants, the envelope identity, the pattern
     witness and its Schur norm, closed-form cross checks, the 4/pi limit,
-    measure forms, amenable cross checks, and the classification sweeps."""
+    measure forms, amenable cross checks, the classification sweeps, and the
+    proof chain to the forbidden pattern."""
     tol = validate_tol(tol)
     specs = DEFAULT_GROUP_SPECS if group_specs is None else tuple(group_specs)
     groups = [parse_group(s) for s in specs]
@@ -522,6 +558,7 @@ def run_verification(group_specs: Optional[Sequence[str]] = None,
         items.append(_item(f"pattern_soundness_{group.name}", pattern_ok,
                            "; ".join(pattern_details) or
                            "hits exact, bounded below by 9/7; subgroups clean"))
+        items.append(_proof_chain_item(group, report.records))
 
         if group.is_abelian and group.order <= AMENABLE_CROSS_CHECK_MAX_ORDER:
             cross_ok = True

@@ -32,23 +32,17 @@ class WitnessTriple:
         return {"u": self.u, "v": self.v, "w": self.w}
 
 
-def _member(group: Group, mask: int, *parts: int) -> bool:
-    total = group.identity
-    for p in parts:
-        total = group.mul(total, p)
-    return bool((mask >> total) & 1)
-
-
 def make_witness(group: Group, mask: int, u: int, v: int, w: int) -> WitnessTriple:
     """Validated witness construction; raises if the membership pattern fails."""
     group._require_abelian()
     mask = validate_mask(group, mask)
-    w_inv = group.inv(w)
-    ok = (_member(group, mask, u) and _member(group, mask, v)
-          and _member(group, mask, u, w)
-          and not _member(group, mask, v, w)
-          and not _member(group, mask, v, w_inv))
-    if not ok:
+    if not all(0 <= x < group.order for x in (u, v, w)):
+        raise ValueError(f"(u={u}, v={v}, w={w}) has an element outside 0..{group.order - 1}")
+    e, w_inv = group.identity, group.inv(w)
+    # u, v, u+w in S; v+w, v-w outside
+    has_u, has_v, has_uw, has_vw, has_vw_inv = _bits(mask, group.order)[
+        group.mul_array([u, v, u, v, v], [e, e, w, w, w_inv])]
+    if not (has_u and has_v and has_uw and not has_vw and not has_vw_inv):
         raise ValueError(f"(u={u}, v={v}, w={w}) is not a valid witness for this subset")
     return WitnessTriple(u=u, v=v, w=w)
 
@@ -86,13 +80,11 @@ def witness_integral(group: Group, mask: int, triple: WitnessTriple) -> complex:
     """
     triple = make_witness(group, mask, triple.u, triple.v, triple.w)
     u, v, w = triple.u, triple.v, triple.w
-    w_inv = group.inv(w)
-
-    def chi(*parts: int) -> float:
-        return 1.0 if _member(group, mask, *parts) else 0.0
-
-    formula = (2 * chi(u) + 2 * chi(u, w) + 0.5 * chi(u, w_inv)
-               + 2 * chi(v) - chi(v, w) - chi(v, w_inv))
+    e, w_inv = group.identity, group.inv(w)
+    # chi(u), chi(u+w), chi(u-w), chi(v), chi(v+w), chi(v-w): halves, summed exactly
+    chi = _bits(mask, group.order)[group.mul_array([u, u, u, v, v, v],
+                                                   [e, w, w_inv, e, w, w_inv])]
+    formula = float(np.dot([2, 2, 0.5, 2, -1, -1], chi))
 
     mu = mu_values(group, mask)
     cu, cv, cw = character_values(group, np.array([u, v, w]))

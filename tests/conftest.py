@@ -1,12 +1,16 @@
 """Shared fixtures and brute-force oracles.
 
-The oracles deliberately avoid the library's fast paths: norms are computed by
-direct double loops over character values, the pattern search enumerates
-all ordered row/column triples, and translates, stabilizers, subgroup tests
-and canonical forms loop over bits with the scalar Group.mul, so they can
-arbitrate the optimized implementations.
+The oracles share no arithmetic with the library they judge.  oracle_mul is
+the group law by digit sums in pure Python (abelian groups) or by one lookup
+in the Cayley table, never Group.mul or mul_array; oracle_character_value is
+the pairing from those digits.  On them: norms by direct double loops over
+character values, the pattern search over all ordered row/column triples,
+and translates, stabilizers, subgroup tests, canonical forms, the witness
+search, the progression and closure checks and annihilators by loops over
+bits.
 """
 
+import functools
 import itertools
 import random
 
@@ -15,10 +19,10 @@ import pytest
 
 from idemnorm import (
     builtin_group,
-    character_value,
     make_abelian_group,
     subset_elements,
 )
+from idemnorm.multiplier import ProgressionViolation
 
 
 @pytest.fixture(scope="session")
@@ -61,11 +65,64 @@ def q8():
     return builtin_group("Q8")
 
 
+def oracle_coords(group, a):
+    """Mixed-radix coordinates of an abelian element, last coordinate fastest."""
+    digits = []
+    for f in reversed(group.factors):
+        a, digit = divmod(a, f)
+        digits.append(digit)
+    return tuple(reversed(digits))
+
+
+def oracle_mul(group, a, b):
+    """a*b by coordinate sums (abelian groups) or a table lookup (otherwise)."""
+    if not group.is_abelian:
+        return _cayley_rows(group)[a][b]
+    coords = _coord_rows(group)
+    out = 0
+    for f, x, y in zip(group.factors, coords[a], coords[b]):
+        out = out * f + (x + y) % f
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _cayley_rows(group):
+    return group.table.tolist()
+
+
+@functools.lru_cache(maxsize=None)
+def _coord_rows(group):
+    return [oracle_coords(group, a) for a in range(group.order)]
+
+
+def _pairing_numerator(group, x, s):
+    n = group.order
+    return sum(xj * sj * (n // fj) for xj, sj, fj in
+               zip(oracle_coords(group, x), oracle_coords(group, s), group.factors)) % n
+
+
+def oracle_character_value(group, x, s):
+    """(x, s) = exp(2 pi i sum_j x_j s_j / f_j), one element pair at a time."""
+    return complex(np.exp(2j * np.pi * _pairing_numerator(group, x, s) / group.order))
+
+
+def oracle_annihilator(group, sub_mask):
+    """Bitmask of the x with (x, s) = 1 for every s in the subgroup."""
+    members = _oracle_elements(group, sub_mask)
+    return sum(1 << x for x in range(group.order)
+               if all(_pairing_numerator(group, x, s) == 0 for s in members))
+
+
+def oracle_element_order(group, t):
+    """Smallest k >= 1 with t^k = e."""
+    return relative_order(group, t, {group.identity})
+
+
 def oracle_mu(group, mask):
     """mu by direct summation of conjugated character values."""
     n = group.order
     members = subset_elements(mask)
-    return np.array([sum(np.conj(character_value(group, x, s)) for s in members) / n
+    return np.array([sum(np.conj(oracle_character_value(group, x, s)) for s in members) / n
                      for x in range(n)], dtype=complex)
 
 
@@ -84,7 +141,7 @@ def oracle_pattern_search(group, mask):
     n = group.order
     for rows in itertools.permutations(range(n), 3):
         for cols in itertools.permutations(range(n), 3):
-            if all(((mask >> group.mul(group.inv(r), c)) & 1) == FORBIDDEN[i][j]
+            if all(((mask >> oracle_mul(group, group.inv(r), c)) & 1) == FORBIDDEN[i][j]
                    for i, r in enumerate(rows) for j, c in enumerate(cols)):
                 return rows, cols
     return None
@@ -105,7 +162,7 @@ def oracle_translate_left(group, t, mask):
     """Bitmask of t*S, one scalar product per element."""
     out = 0
     for s in _oracle_elements(group, mask):
-        out |= 1 << group.mul(t, s)
+        out |= 1 << oracle_mul(group, t, s)
     return out
 
 
@@ -113,7 +170,7 @@ def oracle_translate_right(group, mask, t):
     """Bitmask of S*t, one scalar product per element."""
     out = 0
     for s in _oracle_elements(group, mask):
-        out |= 1 << group.mul(s, t)
+        out |= 1 << oracle_mul(group, s, t)
     return out
 
 
@@ -122,7 +179,7 @@ def oracle_is_subgroup(group, mask):
     if not (mask >> group.identity) & 1:
         return False
     members = _oracle_elements(group, mask)
-    return all((mask >> group.mul(a, b)) & 1 for a in members for b in members)
+    return all((mask >> oracle_mul(group, a, b)) & 1 for a in members for b in members)
 
 
 def oracle_stabilizer(group, mask):
@@ -130,8 +187,8 @@ def oracle_stabilizer(group, mask):
     members = _oracle_elements(group, mask)
     out = 0
     for t in range(group.order):
-        if (all((mask >> group.mul(s, t)) & 1 for s in members)
-                and all((mask >> group.mul(t, s)) & 1 for s in members)):
+        if (all((mask >> oracle_mul(group, s, t)) & 1 for s in members)
+                and all((mask >> oracle_mul(group, t, s)) & 1 for s in members)):
             out |= 1 << t
     return out
 
@@ -153,9 +210,9 @@ def oracle_class_count(group):
     2^(cycles) over the maps x -> t x (abelian) or x -> t x u (otherwise)."""
     n = group.order
     if group.is_abelian:
-        maps = [[group.mul(t, x) for x in range(n)] for t in range(n)]
+        maps = [[oracle_mul(group, t, x) for x in range(n)] for t in range(n)]
     else:
-        maps = [[group.mul(group.mul(t, x), u) for x in range(n)]
+        maps = [[oracle_mul(group, oracle_mul(group, t, x), u) for x in range(n)]
                 for t in range(n) for u in range(n)]
     total = 0
     for image in maps:
@@ -180,7 +237,7 @@ def _closure(group, gens):
         fresh = []
         for x in frontier:
             for g in gens:
-                y = group.mul(x, g)
+                y = oracle_mul(group, x, g)
                 if y not in members:
                     members.add(y)
                     fresh.append(y)
@@ -202,7 +259,7 @@ def relative_order(group, c, sub):
     """Smallest q >= 1 with c^q in the subgroup."""
     q, x = 1, c
     while x not in sub:
-        x = group.mul(x, c)
+        x = oracle_mul(group, x, c)
         q += 1
     return q
 
@@ -216,7 +273,7 @@ def planted_subsets(group, seed, coset_size, union_size, random_size):
     out = []
     sub = random_subgroup(group, rng, coset_size)
     a = rng.randrange(group.order)
-    out.append(("coset", None, sum(1 << group.mul(a, h) for h in sub)))
+    out.append(("coset", None, sum(1 << oracle_mul(group, a, h) for h in sub)))
     if max(group.factors) > 2:
         for q in (4, 8):
             sub = random_subgroup(group, rng, union_size)
@@ -225,8 +282,8 @@ def planted_subsets(group, seed, coset_size, union_size, random_size):
                 if relative_order(group, c, sub) == q:
                     break
             a = rng.randrange(group.order)
-            b = group.mul(a, c)
-            out.append(("two_cosets", q, sum(1 << group.mul(r, h)
+            b = oracle_mul(group, a, c)
+            out.append(("two_cosets", q, sum(1 << oracle_mul(group, r, h)
                                                for r in (a, b) for h in sub)))
     members = rng.sample(range(group.order), random_size)
     out.append(("other", None, sum(1 << x for x in members)))
@@ -236,14 +293,7 @@ def planted_subsets(group, seed, coset_size, union_size, random_size):
 def burnside_abelian(group):
     """(1/n) sum_g 2^(n / ord g) for an abelian group."""
     n = group.order
-    orders = []
-    for g in range(n):
-        k, x = 1, g
-        while x != group.identity:
-            x = group.mul(x, g)
-            k += 1
-        orders.append(k)
-    total = sum(2 ** (n // k) for k in orders)
+    total = sum(2 ** (n // oracle_element_order(group, g)) for g in range(n))
     assert total % n == 0
     return total // n
 
@@ -255,8 +305,40 @@ def oracle_find_witness(group, mask):
     for u in members:
         for v in members:
             for w in range(group.order):
-                if ((mask >> group.mul(u, w)) & 1
-                        and not (mask >> group.mul(v, w)) & 1
-                        and not (mask >> group.mul(v, group.inv(w))) & 1):
+                if ((mask >> oracle_mul(group, u, w)) & 1
+                        and not (mask >> oracle_mul(group, v, w)) & 1
+                        and not (mask >> oracle_mul(group, v, group.inv(w))) & 1):
                     return u, v, w
     return None
+
+
+def oracle_progression_check(group, mask):
+    """Violations of the progression property by walking each progression
+    s t^n (and t^n s) one scalar product at a time, sorted by (side, s, t)."""
+    violations = []
+    members = _oracle_elements(group, mask)
+    sides = ("right",) if group.is_abelian else ("right", "left")
+    for side in sides:
+        for s in members:
+            for t in range(group.order):
+                first = oracle_mul(group, s, t) if side == "right" else oracle_mul(group, t, s)
+                if not (mask >> first) & 1:
+                    continue
+                power = group.identity
+                for n in range(2, oracle_element_order(group, t)):
+                    power = oracle_mul(group, power, t)  # power = t^(n-1)
+                    point = (oracle_mul(group, s, oracle_mul(group, power, t)) if side == "right"
+                             else oracle_mul(group, oracle_mul(group, t, power), s))
+                    if not (mask >> point) & 1:
+                        violations.append(ProgressionViolation(side=side, s=s, t=t, n=n))
+                        break
+    violations.sort(key=lambda v: (v.side, v.s, v.t, v.n))
+    return violations
+
+
+def oracle_closure_claim_check(group, mask):
+    """Pairs u <= v in S with uv and vu outside S, by a double loop."""
+    members = _oracle_elements(group, mask)
+    return [(u, v) for i, u in enumerate(members) for v in members[i:]
+            if not (mask >> oracle_mul(group, u, v)) & 1
+            and not (mask >> oracle_mul(group, v, u)) & 1]

@@ -11,7 +11,6 @@ from idemnorm import (
     make_abelian_group,
     mu_values,
     predicted_norm,
-    reconstruct_indicator,
     subset_elements,
     subset_mask,
     translate_left,
@@ -19,7 +18,7 @@ from idemnorm import (
     verify_measure_form,
 )
 
-from conftest import oracle_bs_norm, oracle_mu
+from conftest import all_subgroups, oracle_annihilator, oracle_bs_norm, oracle_mu
 
 
 def test_threshold_ordering():
@@ -56,14 +55,6 @@ def test_mu_matches_direct_character_sum(z6, z2z4):
     for g in (z6, z2z4):
         for mask in range(1 << g.order):
             np.testing.assert_allclose(mu_values(g, mask), oracle_mu(g, mask), atol=1e-12)
-
-
-def test_reconstruction_is_exact(z6):
-    n = z6.order
-    for mask in range(1 << n):
-        back = reconstruct_indicator(z6, mu_values(z6, mask))
-        indicator = np.array([(mask >> s) & 1 for s in range(n)], dtype=float)
-        assert np.max(np.abs(back - indicator)) <= 1e-12 * n
 
 
 def test_golden_norms():
@@ -156,6 +147,16 @@ def test_predicted_norm(z4, z6):
 def test_annihilator(z6):
     assert subset_elements(annihilator(z6, subset_mask(z6, [0, 3]))) == [0, 2, 4]
     assert subset_elements(annihilator(z6, subset_mask(z6, [0]))) == list(range(6))
+
+
+@pytest.mark.parametrize("factors", ([6], [2, 4], [3, 3]))
+def test_annihilator_matches_oracle_on_every_subgroup(factors):
+    g = make_abelian_group(factors)
+    for sub in all_subgroups(g):
+        ann = annihilator(g, sub)
+        assert ann == oracle_annihilator(g, sub)
+        # |H| |annihilator(H)| = |G|
+        assert len(subset_elements(sub)) * len(subset_elements(ann)) == g.order
 
 
 def test_measure_form_z4(z4):

@@ -5,6 +5,8 @@ import pytest
 
 from idemnorm.cli import main
 
+from conftest import oracle_mul
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -37,6 +39,17 @@ def test_norm_z6_013(capsys):
     payload = json.loads(out)
     assert payload["analysis"]["kind"] == "other"
     assert payload["bs_norm"] >= 4 / 3 - 1e-9
+
+
+def test_norm_cb_flag_adds_bracket_on_abelian_group(capsys):
+    code, out, _ = run_cli(capsys, "norm", "-g", "Z6", "-s", "0,1,3", "--format", "json")
+    assert code == 0
+    assert not any(key.startswith("cb_") for key in json.loads(out))
+    code, out, _ = run_cli(capsys, "norm", "-g", "Z6", "-s", "0,1,3", "--cb",
+                           "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["cb_lower"] - 1e-12 <= payload["bs_norm"] <= payload["cb_upper"] + 1e-12
 
 
 def test_norm_tuple_subset(capsys):
@@ -169,7 +182,7 @@ def test_group_from_cayley_file(tmp_path, capsys):
     path = tmp_path / "group.json"
     path.write_text(json.dumps({
         "n": 6, "identity": 0,
-        "table": [[int(s3.mul(a, b)) for b in range(6)] for a in range(6)],
+        "table": [[oracle_mul(s3, a, b) for b in range(6)] for a in range(6)],
     }))
     code, out, _ = run_cli(capsys, "norm", "-g", str(path), "-s", "0,3,4",
                            "--format", "json")
@@ -177,6 +190,21 @@ def test_group_from_cayley_file(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["analysis"]["kind"] == "coset"
     assert payload["cb_lower"] == pytest.approx(1.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("content", ['{"n": 3}', '{"table": 5}', '[1, 2]'])
+def test_malformed_cayley_file_exits_2(tmp_path, capsys, content):
+    path = tmp_path / "group.json"
+    path.write_text(content)
+    code, _, err = run_cli(capsys, "norm", "-g", str(path), "-s", "0")
+    assert code == 2
+    assert "table" in err or "object" in err
+
+
+def test_group_path_to_a_directory_exits_2(tmp_path, capsys):
+    code, _, err = run_cli(capsys, "norm", "-g", str(tmp_path), "-s", "0")
+    assert code == 2
+    assert "cannot parse group spec" in err
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -7,8 +8,6 @@ from idemnorm import (
     GroupAxiomError,
     analyze_cosets,
     builtin_group,
-    character_value,
-    element_order,
     is_subgroup,
     load_cayley_file,
     load_cayley_group,
@@ -23,7 +22,11 @@ from idemnorm import (
 from idemnorm.groups import character_values, subgroup_generated
 
 from conftest import (
+    oracle_character_value,
+    oracle_coords,
+    oracle_element_order,
     oracle_is_subgroup,
+    oracle_mul,
     oracle_stabilizer,
     oracle_translate_left,
     oracle_translate_right,
@@ -62,19 +65,30 @@ def test_order_cap_env_override(monkeypatch):
 
 def test_mixed_radix_round_trip(z2z4):
     for a in z2z4.elements():
-        assert z2z4.index_of(z2z4.coords(a)) == a
-    # last coordinate varies fastest
-    assert z2z4.coords(1) == (0, 1)
-    assert z2z4.coords(4) == (1, 0)
+        assert z2z4.index_of(oracle_coords(z2z4, a)) == a
+    # last coordinate varies fastest; coordinates are reduced mod the factors
+    assert z2z4.index_of((0, 1)) == 1
+    assert z2z4.index_of((1, 0)) == 4
+    assert z2z4.index_of((3, -1)) == 7
 
 
-def test_abelian_mul_matches_mul_array(z2z4):
-    everything = np.arange(z2z4.order)
-    table = z2z4.mul_array(everything[:, None], everything[None, :])
-    for a in z2z4.elements():
-        assert z2z4.mul_array(a, everything).tolist() == table[a].tolist()
-        for b in z2z4.elements():
-            assert z2z4.mul(a, b) == table[a, b]
+def _assert_mul_matches_oracle(g):
+    everything = np.arange(g.order)
+    table = g.mul_array(everything[:, None], everything[None, :])
+    for a in g.elements():
+        assert g.mul_array(a, everything).tolist() == table[a].tolist()
+        for b in g.elements():
+            assert table[a, b] == g.mul(a, b) == oracle_mul(g, a, b)
+
+
+def test_abelian_mul_matches_mul_array():
+    for spec in ("Z2xZ4", "Z3xZ3", "Z2xZ2xZ3"):
+        _assert_mul_matches_oracle(parse_group(spec))
+
+
+def test_cayley_mul_matches_mul_array():
+    for spec in ("S3", "D4", "Q8"):
+        _assert_mul_matches_oracle(parse_group(spec))
 
 
 def test_trivial_cayley_group():
@@ -127,18 +141,14 @@ def test_builtin_s3_is_nonabelian_of_order_6(s3):
 
 
 def test_builtin_q8_has_unique_involution(q8):
-    census = {}
-    for t in q8.elements():
-        census[element_order(q8, t)] = census.get(element_order(q8, t), 0) + 1
+    census = Counter(oracle_element_order(q8, t) for t in q8.elements())
     assert census == {1: 1, 2: 1, 4: 6}
 
 
 def test_builtin_d4_order_census(d4):
     # derived by hand from the presentation: e, r^2 and the four reflections
     # have order <= 2; r and r^3 have order 4
-    census = {}
-    for t in d4.elements():
-        census[element_order(d4, t)] = census.get(element_order(d4, t), 0) + 1
+    census = Counter(oracle_element_order(d4, t) for t in d4.elements())
     assert census == {1: 1, 2: 5, 4: 2}
 
 
@@ -148,35 +158,36 @@ def test_builtin_unknown_name():
 
 
 def test_character_values(z4, z2z4):
-    assert character_value(z4, 1, 2) == pytest.approx(-1)
-    assert character_value(z4, 0, 3) == pytest.approx(1)
+    assert character_values(z4, 2)[1] == pytest.approx(-1)
+    assert character_values(z4, 3)[0] == pytest.approx(1)
     x = z2z4.index_of((1, 1))
     s = z2z4.index_of((1, 2))
-    assert character_value(z2z4, x, s) == pytest.approx(1)
+    assert character_values(z2z4, s)[x] == pytest.approx(1)
 
 
 def test_character_value_is_bilinear(z6, z2z4):
     for g in (z6, z2z4):
-        for x in g.elements():
-            for s in g.elements():
-                for t in g.elements():
-                    left = character_value(g, x, g.mul(s, t))
-                    right = character_value(g, x, s) * character_value(g, x, t)
-                    assert left == pytest.approx(right, abs=1e-12)
+        rows = character_values(g, np.arange(g.order))
+        for s in g.elements():
+            for t in g.elements():
+                np.testing.assert_allclose(rows[oracle_mul(g, s, t)], rows[s] * rows[t],
+                                           rtol=0, atol=1e-12)
+        # symmetric in x and s
+        np.testing.assert_allclose(rows, rows.T, rtol=0, atol=0)
 
 
 def test_character_values_match_character_value(z6, z2z4):
-    for g in (z6, z2z4):
+    for g in (z6, z2z4, make_abelian_group([2, 2, 3])):
         rows = character_values(g, np.arange(g.order))
         for s in g.elements():
-            expected = [character_value(g, x, s) for x in g.elements()]
+            expected = [oracle_character_value(g, x, s) for x in g.elements()]
             np.testing.assert_allclose(character_values(g, s), expected, rtol=0, atol=1e-15)
             np.testing.assert_allclose(rows[s], expected, rtol=0, atol=1e-15)
 
 
 def test_character_value_rejects_cayley(s3):
     with pytest.raises(ValueError):
-        character_value(s3, 1, 2)
+        character_values(s3, 2)
 
 
 def test_stabilizer_examples(z6):
@@ -192,11 +203,15 @@ def test_stabilizer_is_subgroup(z6, s3):
             assert is_subgroup(g, stabilizer(g, mask))
 
 
-def test_element_orders(z6, s3):
-    assert element_order(z6, 0) == 1
-    assert element_order(z6, 1) == 6
-    transpositions = [t for t in s3.elements() if element_order(s3, t) == 2]
+def test_element_orders(z6, s3, d4, q8):
+    assert oracle_element_order(z6, 0) == 1
+    assert oracle_element_order(z6, 1) == 6
+    transpositions = [t for t in s3.elements() if oracle_element_order(s3, t) == 2]
     assert len(transpositions) == 3
+    # the cyclic subgroup <t> has ord(t) elements
+    for g in (z6, s3, d4, q8):
+        for t in g.elements():
+            assert len(subset_elements(subgroup_generated(g, [t]))) == oracle_element_order(g, t)
 
 
 def test_analyze_examples(z4, z6):
@@ -266,12 +281,26 @@ def test_cayley_file_round_trip(tmp_path, s3):
     path = tmp_path / "s3.json"
     path.write_text(json.dumps({
         "n": 6, "identity": s3.identity,
-        "table": [[int(s3.mul(a, b)) for b in range(6)] for a in range(6)],
+        "table": [[oracle_mul(s3, a, b) for b in range(6)] for a in range(6)],
     }))
     loaded = load_cayley_file(str(path))
     assert loaded.order == 6
-    assert all(loaded.mul(a, b) == s3.mul(a, b)
+    assert all(loaded.mul(a, b) == oracle_mul(s3, a, b)
                for a in range(6) for b in range(6))
+
+
+@pytest.mark.parametrize("content", [
+    {"table": [[0, "1"], [1, 0]]},
+    {"table": [[False]]},
+    {"table": [0, 1]},
+    {"table": [[0]], "n": "1"},
+    {"table": [[0]], "identity": None},
+])
+def test_load_cayley_file_rejects_malformed_json(tmp_path, content):
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps(content))
+    with pytest.raises(GroupAxiomError):
+        load_cayley_file(str(path))
 
 
 def test_subset_elements_matches_subset_mask(z6):

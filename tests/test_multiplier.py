@@ -14,6 +14,7 @@ from idemnorm import (
     is_subgroup,
     make_abelian_group,
     multiplier_matrix,
+    parse_group,
     progression_check,
     subset_elements,
     subset_mask,
@@ -22,7 +23,13 @@ from idemnorm import (
     witness_lower_bound,
 )
 
-from conftest import all_subgroups, oracle_pattern_search
+from conftest import (
+    all_subgroups,
+    oracle_closure_claim_check,
+    oracle_mul,
+    oracle_pattern_search,
+    oracle_progression_check,
+)
 
 
 def test_multiplier_identity_and_ones(z6):
@@ -44,7 +51,7 @@ def test_multiplier_rows_are_translates(s3, z6):
         assert set(np.unique(m)) <= {0.0, 1.0}
         for s in g.elements():
             row = {t for t in g.elements() if m[s, t] == 1.0}
-            assert row == {g.mul(s, x) for x in subset_elements(mask)}
+            assert row == {oracle_mul(g, s, x) for x in subset_elements(mask)}
 
 
 def test_cb_norm_subgroup_of_s3_is_one(s3):
@@ -133,12 +140,14 @@ def test_progression_violations_are_genuine(z6, s3):
         for mask in range(1 << g.order):
             for v in progression_check(g, mask):
                 assert (mask >> v.s) & 1
-                start = g.mul(v.s, v.t) if v.side == "right" else g.mul(v.t, v.s)
+                start = (oracle_mul(g, v.s, v.t) if v.side == "right"
+                         else oracle_mul(g, v.t, v.s))
                 assert (mask >> start) & 1
                 power = g.identity
                 for _ in range(v.n):
-                    power = g.mul(power, v.t)
-                point = g.mul(v.s, power) if v.side == "right" else g.mul(power, v.s)
+                    power = oracle_mul(g, power, v.t)
+                point = (oracle_mul(g, v.s, power) if v.side == "right"
+                         else oracle_mul(g, power, v.s))
                 assert not (mask >> point) & 1
 
 
@@ -146,6 +155,15 @@ def test_progression_s3_example(s3):
     # {e, (12), (13)} in one-line-notation indexing: e=0, (12)=2, (13)=5
     violations = progression_check(s3, subset_mask(s3, [0, 2, 5]))
     assert violations  # the checker output is the oracle; it must be nonempty
+
+
+@pytest.mark.parametrize("spec", ("Z6", "Z8", "Z2xZ4", "Z3xZ3", "S3", "D4", "Q8"))
+def test_progression_and_closure_match_oracles_on_every_subset(spec):
+    g = parse_group(spec)
+    for mask in range(1 << g.order):
+        assert progression_check(g, mask) == oracle_progression_check(g, mask)
+        if (mask >> g.identity) & 1:
+            assert closure_claim_check(g, mask) == oracle_closure_claim_check(g, mask)
 
 
 def test_closure_subgroup_clean(z6, s3):
@@ -199,7 +217,7 @@ def test_pattern_hit_for_closure_violation_example(z6):
     mask = subset_mask(z6, [0, 2, 3, 4])
     assert (2, 3) in closure_claim_check(z6, mask)
     for member in (2, 3):
-        assert (mask >> z6.mul(member, member)) & 1
+        assert (mask >> oracle_mul(z6, member, member)) & 1
     m = multiplier_matrix(z6, mask)
     np.testing.assert_array_equal(m[np.ix_((0, 4, 3), (0, 2, 3))], forbidden_pattern())
 

@@ -12,7 +12,6 @@ from idemnorm import (
     gamma2,
     operator_norm,
     orthogonal_witness,
-    schur_product,
     symmetric_eigenvalues,
     witness_lower_bound,
 )
@@ -26,24 +25,6 @@ def test_as_matrix_validation():
         as_matrix([[np.inf]])
     with pytest.raises(ValueError):
         as_matrix([1, 2, 3])
-
-
-def test_schur_product_examples():
-    a = np.array([[1.0, 2.0], [3.0, 4.0]])
-    np.testing.assert_array_equal(schur_product(a, np.ones((2, 2))), a)
-    np.testing.assert_array_equal(schur_product(np.zeros((2, 2)), a), np.zeros((2, 2)))
-    with pytest.raises(ValueError):
-        schur_product(a, np.ones((2, 3)))
-
-
-def test_schur_product_pattern_with_orthogonal_witness():
-    product = schur_product(forbidden_pattern(), orthogonal_witness().matrix)
-    expected = 0.5 * np.array([
-        [0, math.sqrt(2), math.sqrt(2)],
-        [math.sqrt(2), 1, 0],
-        [math.sqrt(2), 0, 1],
-    ])
-    np.testing.assert_allclose(product, expected, atol=1e-15)
 
 
 def test_operator_norm_examples():

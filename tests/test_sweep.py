@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import random
@@ -16,7 +17,7 @@ from idemnorm import (
     sweep,
     translate_left,
 )
-from idemnorm.sweep import orbit, pool_size
+from idemnorm.sweep import _proof_chain_item, orbit, pool_size
 
 from conftest import burnside_abelian, oracle_canonical_form, oracle_class_count, oracle_orbit
 
@@ -112,6 +113,12 @@ def test_sweep_s3_schur_mode(s3):
     assert report.subset_total == 64
     # the two classes of kind "other" with norm exactly 4/3 are collected
     assert sorted(subset_elements(m) for m in report.extremal) == [[0, 1, 2], [0, 1, 2, 3]]
+
+
+def test_sweep_mode_follows_group(z4, s3):
+    # on abelian groups the character-sum norm is the cb norm
+    assert sweep(z4).mode == "character_sum"
+    assert sweep(s3).mode == "schur"
 
 
 def test_sweep_witness_presence_bookkeeping(z6):
@@ -246,3 +253,19 @@ def test_threshold_ordering_item_checks_three_clauses():
     assert clauses == ["1 < 2/sqrt3 < (1+sqrt2)/2 < sqrt26/4 < (sqrt17+1)/4 < 4/3",
                        "(1+sqrt2)/2 < 4/pi < sqrt26/4",
                        "(sqrt17+1)/4 < 9/7 < 4/3"]
+
+
+def test_proof_chain_item_passes_on_nonabelian_groups():
+    summary = run_verification(["S3", "D4", "Q8"])
+    for name in ("S3", "D4", "Q8"):
+        item = next(i for i in summary.items if i.name == f"proof_chain_{name}")
+        assert item.passed, item.detail
+        assert int(item.detail.split()[0]) >= 1  # "<k> chains checked: ..."
+
+
+def test_proof_chain_item_fails_without_the_pattern(s3):
+    # a chain whose class record lost its pattern must fail the item
+    records = [dataclasses.replace(r, pattern=None) for r in sweep(s3).records]
+    item = _proof_chain_item(s3, records)
+    assert not item.passed
+    assert "(u, v)" in item.detail

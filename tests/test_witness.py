@@ -55,6 +55,9 @@ def test_make_witness_validates(z6, z8):
         make_witness(z6, mask6, 0, 0, 1)
     mask8 = subset_mask(z8, [0, 1, 2, 4])
     make_witness(z8, mask8, 1, 4, 1)
+    for outside in ((6, 3, 1), (0, -3, 1), (0, 3, 6)):
+        with pytest.raises(ValueError):
+            make_witness(z6, mask6, *outside)
 
 
 def test_witness_integral_values(z6, z8):
