@@ -153,7 +153,7 @@ def cmd_schur(args) -> int:
         _emit({"witness_lower_bound": value}, args.format, args.out)
         return EXIT_OK
     try:
-        bounds = gamma2(matrix, tol=args.tol or 1e-3)
+        bounds = gamma2(matrix, tol=1e-3 if args.tol is None else args.tol)
     except Gamma2ConvergenceError as exc:
         print(f"solver did not converge: bracket [{exc.lower}, {exc.upper}]", file=sys.stderr)
         return EXIT_NUMERIC

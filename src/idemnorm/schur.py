@@ -2,17 +2,20 @@
 
 The Schur norm of a matrix A is sup ||A o X|| / ||X|| over nonzero X (entrywise
 product, operator norms).  It equals the smallest c admitting Hermitian P, Q
-with [[P, A], [A*, Q]] positive semidefinite and all diagonal entries <= c.
-gamma2() exploits both sides: the upper bound is certified by such a (P, Q, c)
-triple found by bisection with alternating projections, and the lower bound is
+with [[P, A], [A*, Q]] positive semidefinite and all diagonal entries <= c,
+and, by duality, the largest nuclear norm ||D_p^1/2 A D_q^1/2||_S1 over
+diagonal weights p, q in the simplices.  gamma2() runs a multiplicative fixed
+point on those weights, one eigh per step, and turns a step into both proofs:
+an upper bound certified by such a (P, Q, c) triple, and a lower bound
 realized by an explicit witness pair (X, xi) through witness_lower_bound, so
 every reported bracket can be re-verified independently of the solver.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
 
 import numpy as np
 
@@ -45,9 +48,9 @@ def as_matrix(data, max_dim: int = MAX_MATRIX_DIM) -> np.ndarray:
     return a
 
 
-def symmetric_eigenvalues(m) -> tuple[np.ndarray, np.ndarray]:
+def symmetric_eigenvalues(m, max_dim: int = MAX_MATRIX_DIM) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and orthonormal eigenvectors of a Hermitian matrix."""
-    m = as_matrix(m)
+    m = as_matrix(m, max_dim=max_dim)
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     scale = max(1.0, float(np.max(np.abs(m))))
@@ -58,11 +61,20 @@ def symmetric_eigenvalues(m) -> tuple[np.ndarray, np.ndarray]:
 
 
 def operator_norm(x) -> float:
-    """Largest singular value, via the symmetric eigenproblem for X* X."""
+    """Largest singular value, via the symmetric eigenproblem for X* X.
+
+    X is first scaled by the power of two nearest 1 / max|x|, so the Gram
+    matrix neither overflows nor underflows; scaling by a power of two is
+    exact, so the value does not depend on it."""
     x = as_matrix(x)
+    peak = float(np.max(np.abs(x)))
+    if peak == 0.0:
+        return 0.0
+    exponent = max(math.frexp(peak)[1], -1000)  # 2^1000 is still finite
+    x = x * math.ldexp(1.0, -exponent)
     gram = x.conj().T @ x if x.shape[0] >= x.shape[1] else x @ x.conj().T
     w, _ = symmetric_eigenvalues(gram)
-    return float(np.sqrt(max(0.0, float(w[-1]))))
+    return math.ldexp(float(np.sqrt(max(0.0, float(w[-1])))), exponent)
 
 
 def forbidden_pattern() -> np.ndarray:
@@ -153,12 +165,13 @@ def check_certificate(a, p, q, c: float, tol: float = 1e-9) -> bool:
     if not diag_ok:
         return False
     block = np.block([[p, a], [a.conj().T, q]])
-    w, _ = symmetric_eigenvalues(block)
+    w, _ = symmetric_eigenvalues(block, max_dim=2 * MAX_MATRIX_DIM)
     return bool(w[0] >= -tol)
 
 
 class Gamma2ConvergenceError(RuntimeError):
-    """Raised when the bisection cannot close the bracket; carries the bounds."""
+    """Raised when STEP_CAP fixed-point steps do not close the bracket;
+    carries the certified bounds."""
 
     def __init__(self, lower: float, upper: float, message: str = ""):
         super().__init__(message or f"gamma2 did not converge: bracket [{lower}, {upper}]")
@@ -200,54 +213,7 @@ def _lists_to_matrix(rows) -> np.ndarray:
     return arr.astype(float)
 
 
-# -- alternating projections ---------------------------------------------------
-
-def _project_psd(m: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh((m + m.conj().T) / 2)
-    w = np.clip(w, 0.0, None)
-    return (v * w) @ v.conj().T
-
-
-def _project_affine(m: np.ndarray, a: np.ndarray, c: float) -> np.ndarray:
-    rows = a.shape[0]
-    out = (m + m.conj().T) / 2
-    out[:rows, rows:] = a
-    out[rows:, :rows] = a.conj().T
-    np.fill_diagonal(out, c)
-    return out
-
-
-def _alternating_projections(a: np.ndarray, c: float, start: Optional[np.ndarray],
-                             cap: int, feas_eps: float):
-    """Returns (status, affine_iterate, iterations); status in feasible /
-    infeasible / undecided.  The affine iterate always has exact A blocks and
-    diagonal exactly c, so certificates derived from it are sound regardless
-    of the status call."""
-    size = a.shape[0] + a.shape[1]
-    dtype = complex if np.iscomplexobj(a) else float
-    if start is None:
-        m = np.zeros((size, size), dtype=dtype)
-    else:
-        m = start.astype(dtype, copy=True)
-    m = _project_affine(m, a, c)
-    history: list[float] = []
-    for k in range(cap):
-        psd = _project_psd(m)
-        m = _project_affine(psd, a, c)
-        residual = float(np.linalg.norm(psd - m))
-        if residual <= feas_eps:
-            return "feasible", m, k + 1
-        history.append(residual)
-        if len(history) >= 60 and (k + 1) % 20 == 0:
-            if history[-1] > 0.9995 * history[-50] and history[-1] > 50 * feas_eps:
-                return "infeasible", m, k + 1
-    return "undecided", m, cap
-
-
-def _certified_upper(a: np.ndarray, affine_point: np.ndarray) -> tuple[float, Certificate]:
-    rows = a.shape[0]
-    return _certify_blocks(a, affine_point[:rows, :rows], affine_point[rows:, rows:])
-
+# -- certificates and witnesses ------------------------------------------------------
 
 def _certify_blocks(a: np.ndarray, p: np.ndarray, q: np.ndarray) -> tuple[float, Certificate]:
     """Certified level of the diagonal blocks p, q of a completion of a."""
@@ -265,221 +231,224 @@ def _certify_blocks(a: np.ndarray, p: np.ndarray, q: np.ndarray) -> tuple[float,
     return level, Certificate(p=p_shift, q=q_shift, c=level)
 
 
-# -- witness search --------------------------------------------------------------
-
-def _witness_value(a: np.ndarray, x: np.ndarray, xi: np.ndarray) -> float:
-    den = np.linalg.norm(x, 2) * np.linalg.norm(xi)
-    if den == 0.0:
-        return 0.0
-    return float(np.linalg.norm((a * x) @ xi) / den)
-
-
-def _entry_witness(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _entry_witness(a: np.ndarray) -> WitnessPair:
+    """X = e_ij at a largest entry and xi = e_j: it proves gamma2 >= max|a_ij|,
+    the exact value for the zero matrix and for rank-one matrices."""
     i, j = np.unravel_index(int(np.argmax(np.abs(a))), a.shape)
-    x = np.zeros_like(a)
+    x = np.zeros(a.shape)
     x[i, j] = 1.0
-    xi = np.zeros(a.shape[1], dtype=complex)
-    xi[j] = 1.0
-    return x, xi
+    return WitnessPair(x, x[i])
 
 
-def _ascend_witness(a: np.ndarray, x0: np.ndarray, iters: int = 400):
-    """Block-coordinate ascent on ||(A o X) xi|| / (||X|| ||xi||): alternate the
-    optimal xi (top right singular vector of A o X) with the optimal op-norm-one
-    X for fixed directions (polar factor of the weighted coupling matrix)."""
-    norm_x0 = np.linalg.norm(x0, 2)
-    if norm_x0 == 0.0:
-        return 0.0, None, None
-    x = x0 / norm_x0
-    best_val, best_x, best_xi = 0.0, None, None
-    for _ in range(iters):
-        u, s, vh = np.linalg.svd(a * x, full_matrices=False)
-        xi = vh[0].conj()
-        eta = u[:, 0]
-        coupling = np.outer(eta, xi.conj()) * a.conj()
-        uk, _, vhk = np.linalg.svd(coupling, full_matrices=False)
-        x_next = uk @ vhk
-        val = _witness_value(a, x_next, xi)
-        if val <= best_val + 1e-14:
+# -- the diagonal-weight fixed point ---------------------------------------------------
+
+STEP_CAP = 3000  # fixed-point steps (one eigh each) one gamma2 call may take, nested ones included
+_NESTED_CAP = 300  # steps one light-block completion may take
+_LIGHT = 1e-6  # a weight at most this fraction of the largest one is light
+_RANK_RTOL = 1e-14  # singular values below this fraction of the largest are dropped
+
+
+@dataclass(frozen=True)
+class _Step:
+    """One step at weights (p, q): B = D_p^1/2 b D_q^1/2 = U diag(sigma) V*,
+    with sigma its nonzero singular values."""
+
+    p: np.ndarray
+    q: np.ndarray
+    sigma: np.ndarray
+    u: np.ndarray
+    v: np.ndarray
+
+    @property
+    def value(self) -> float:
+        """f(p, q) = ||B||_S1, a lower bound on gamma2(b)."""
+        return float(np.sum(self.sigma))
+
+
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    return np.sum(np.abs(x) ** 2, axis=1)
+
+
+def _light(weights: np.ndarray) -> np.ndarray:
+    return weights <= _LIGHT * np.max(weights)
+
+
+def _ascent(b: np.ndarray, budget):
+    """The multiplicative fixed point on the diagonal weights of b, from
+    uniform weights: one _Step per item drawn from the shared iterator
+    `budget`.
+
+    Each step is one eigh of the Hermitian dilation [[0, B], [B*, 0]], whose
+    positive eigenpairs are (sigma_k, [u_k; v_k] / sqrt 2).  The next weights
+    are p = diag(U Sigma U*) / f and q = diag(V Sigma V*) / f with f the
+    step's value: the optimality conditions of the dual read as a fixed point.
+    """
+    m, n = b.shape
+    p = np.full(m, 1.0 / m)
+    q = np.full(n, 1.0 / n)
+    dilation = np.zeros((m + n, m + n), dtype=b.dtype)
+    for _ in budget:
+        half = np.sqrt(p)[:, None] * b * np.sqrt(q)
+        dilation[:m, m:] = half
+        dilation[m:, :m] = half.conj().T
+        w, vectors = np.linalg.eigh(dilation)
+        keep = w > _RANK_RTOL * w[-1]
+        step = _Step(p, q, w[keep], np.sqrt(2.0) * vectors[:m, keep],
+                     np.sqrt(2.0) * vectors[m:, keep])
+        yield step
+        root = np.sqrt(step.sigma)
+        p = _row_norms(step.u * root)
+        q = _row_norms(step.v * root)
+        p, q = p / np.sum(p), q / np.sum(q)
+
+
+def _heavy_level(step: _Step) -> float:
+    """The level the heavy rows and columns alone would certify: their
+    squared Gram-vector norms f p'_i / p_i, balanced between the two sides."""
+    root = np.sqrt(step.sigma)
+    heavy_r, heavy_c = ~_light(step.p), ~_light(step.q)
+    rows = _row_norms(step.u[heavy_r] * root) / step.p[heavy_r]
+    cols = _row_norms(step.v[heavy_c] * root) / step.q[heavy_c]
+    return float(np.sqrt(np.max(rows) * np.max(cols)))
+
+
+def _balanced(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """x t and y / t with equal largest squared row norm, and that norm."""
+    xn, yn = float(np.max(_row_norms(x))), float(np.max(_row_norms(y)))
+    t = (yn / xn) ** 0.25
+    return x * t, y / t, float(np.sqrt(xn * yn))
+
+
+def _gram_vectors(b: np.ndarray, step: _Step, rel: float, budget) -> tuple[np.ndarray, np.ndarray]:
+    """Gram vectors X, Y with X Y* = b and squared row norms close to the
+    step's value, so that [X; Y][X; Y]* = [[XX*, b], [b*, YY*]] certifies
+    gamma2(b) <= their largest squared row norm.
+
+    A heavy row takes x_i = (D_p^-1/2 U Sigma^1/2)_i, of squared norm f times
+    the ratio of its next weight to its weight, and a heavy column likewise.
+    On a light row that quotient is lost to rounding, so the row takes the
+    least-squares solution against the heavy columns' y, and a light column
+    the one against the heavy rows' x.  The light x light block that these
+    leave over is factored by a nested fixed point (_completion), within the
+    norm each light row and column has left under the heavy level.
+    """
+    m, n = b.shape
+    light_r, light_c = _light(step.p), _light(step.q)
+    heavy_r, heavy_c = ~light_r, ~light_c
+    root = np.sqrt(step.sigma)
+    x = np.zeros((m, root.size), dtype=step.u.dtype)
+    y = np.zeros((n, root.size), dtype=step.v.dtype)
+    x[heavy_r] = step.u[heavy_r] * root / np.sqrt(step.p[heavy_r])[:, None]
+    y[heavy_c] = step.v[heavy_c] * root / np.sqrt(step.q[heavy_c])[:, None]
+    if light_r.any():
+        x[light_r] = np.linalg.lstsq(y[heavy_c].conj(), b[np.ix_(light_r, heavy_c)].T,
+                                     rcond=None)[0].T
+    if light_c.any():
+        y[light_c] = np.linalg.lstsq(x[heavy_r], b[np.ix_(heavy_r, light_c)],
+                                     rcond=None)[0].conj().T
+    if not (light_r.any() and light_c.any()):
+        return x, y
+    rest = b[np.ix_(light_r, light_c)] - x[light_r] @ y[light_c].conj().T
+    level = max(float(np.max(_row_norms(x[heavy_r]))), float(np.max(_row_norms(y[heavy_c]))))
+    row_room = np.sqrt(np.maximum(level - _row_norms(x[light_r]), _LIGHT * level))
+    col_room = np.sqrt(np.maximum(level - _row_norms(y[light_c]), _LIGHT * level))
+    z, w = _completion(rest / row_room[:, None] / col_room, rel, budget)
+    extra_x = np.zeros((m, z.shape[1]), dtype=z.dtype)
+    extra_y = np.zeros((n, w.shape[1]), dtype=w.dtype)
+    extra_x[light_r] = z * row_room[:, None]
+    extra_y[light_c] = w * col_room[:, None]
+    return np.hstack([x, extra_x]), np.hstack([y, extra_y])
+
+
+def _completion(c: np.ndarray, rel: float, budget) -> tuple[np.ndarray, np.ndarray]:
+    """Gram vectors Z, W with Z W* = c and squared row norms at most 1 + rel,
+    from the fixed point on c, if it finds them within _NESTED_CAP steps.
+    Otherwise the best it found, or the SVD factors when it certified
+    nothing; either is exact, only looser."""
+    scale = float(np.max(np.abs(c)))
+    if scale == 0.0:
+        return np.zeros((c.shape[0], 0)), np.zeros((c.shape[1], 0))
+    b = c / scale
+    goal = (1.0 + rel) / scale
+    best_level, best = math.inf, None
+    for step in itertools.islice(_ascent(b, budget), _NESTED_CAP):
+        if step.value > goal:  # gamma2(c) > 1 + rel: the outer weights have not settled
             break
-        best_val, best_x, best_xi = val, x_next, xi
-        x = x_next
-    return best_val, best_x, best_xi
-
-
-def _gap_seed(a: np.ndarray, stalled: np.ndarray) -> Optional[np.ndarray]:
-    """Turn the negative part of a stalled affine iterate (the separating
-    direction between the PSD cone and the affine set) into a witness seed."""
-    rows = a.shape[0]
-    w, v = np.linalg.eigh((stalled + stalled.conj().T) / 2)
-    neg = w < 0
-    if not np.any(neg):
-        return None
-    basis = v[:, neg] * np.sqrt(-w[neg])
-    r, c = basis[:rows], basis[rows:]
-    rn = np.linalg.norm(r, axis=1)
-    cn = np.linalg.norm(c, axis=1)
-    rn = np.where(rn > 1e-14, rn, 1.0)
-    cn = np.where(cn > 1e-14, cn, 1.0)
-    return (r / rn[:, None]) @ (c / cn[:, None]).conj().T
-
-
-def _best_witness(a: np.ndarray, seeds: Sequence[np.ndarray]) -> tuple[float, WitnessPair]:
-    x, xi = _entry_witness(a)
-    best = _witness_value(a, x, xi), x, xi
-    for seed in seeds:
-        val, xs, xis = _ascend_witness(a, seed)
-        if xs is not None and val > best[0]:
-            best = val, xs, xis
-    val, xs, xis = best
-    witness = WitnessPair(xs, xis)
-    return witness_lower_bound(a, witness), witness
-
-
-# -- block-diagonal fast path -----------------------------------------------------
-
-def _support_components(a: np.ndarray) -> list[tuple[list[int], list[int]]]:
-    """Connected components of the bipartite support graph, as (rows, cols)."""
-    m, n = a.shape
-    support = np.abs(a) > 0
-    row_seen = [False] * m
-    col_seen = [False] * n
-    components = []
-    for r0 in range(m):
-        if row_seen[r0] or not support[r0].any():
+        if _heavy_level(step) > goal:
             continue
-        rows, cols = [], []
-        stack = [("r", r0)]
-        row_seen[r0] = True
-        while stack:
-            side, i = stack.pop()
-            if side == "r":
-                rows.append(i)
-                for j in np.nonzero(support[i])[0]:
-                    if not col_seen[j]:
-                        col_seen[j] = True
-                        stack.append(("c", int(j)))
-            else:
-                cols.append(i)
-                for j in np.nonzero(support[:, i])[0]:
-                    if not row_seen[j]:
-                        row_seen[j] = True
-                        stack.append(("r", int(j)))
-        components.append((sorted(rows), sorted(cols)))
-    return components
-
-
-def _rank_one_exact(a: np.ndarray) -> Optional[Gamma2Bounds]:
-    """Exact gamma2 when every support component is a rank-one block (this
-    covers the zero matrix, rank-one matrices, and coset multiplier matrices)."""
-    m, n = a.shape
-    components = _support_components(a)
-    p = np.zeros((m, m), dtype=a.dtype)
-    q = np.zeros((n, n), dtype=a.dtype)
-    value = 0.0
-    for rows, cols in components:
-        block = a[np.ix_(rows, cols)]
-        u, s, vh = np.linalg.svd(block)
-        if len(s) > 1 and s[1] > 1e-12 * s[0]:
-            return None
-        uvec = u[:, 0] * s[0]
-        vvec = vh[0].conj()
-        umax = float(np.max(np.abs(uvec)))
-        vmax = float(np.max(np.abs(vvec)))
-        if umax == 0.0 or vmax == 0.0:
-            continue
-        p[np.ix_(rows, rows)] = np.outer(uvec, uvec.conj()) * (vmax / umax)
-        q[np.ix_(cols, cols)] = np.outer(vvec, vvec.conj()) * (umax / vmax)
-        value = max(value, umax * vmax)
-    x, xi = _entry_witness(a)  # nonzero even for the zero matrix (argmax entry)
-    witness = WitnessPair(x, xi)
-    lower = witness_lower_bound(a, witness)
-    return Gamma2Bounds(lower=lower, upper=value,
-                        certificate=Certificate(p=p, q=q, c=value), witness=witness)
+        z, w, level = _balanced(*_gram_vectors(b, step, rel / 2, budget))
+        if level < best_level:
+            best_level, best = level, (z, w)
+        if level <= goal:
+            break
+    if best is None:
+        u, s, vh = np.linalg.svd(b, full_matrices=False)
+        best = u * np.sqrt(s), vh.conj().T * np.sqrt(s)
+    return best[0] * np.sqrt(scale), best[1] * np.sqrt(scale)
 
 
 # -- main entry --------------------------------------------------------------------
 
-def gamma2(a, tol: float = 1e-3, *, max_dim: int = MAX_MATRIX_DIM,
-           iteration_cap: int = 50_000) -> Gamma2Bounds:
-    """Two-sided Schur-norm bounds with upper - lower <= max(tol, 1e-3).
+def _proofs(a: np.ndarray, scale: float, step: _Step, rel: float,
+            budget) -> tuple[float, Certificate, float, WitnessPair]:
+    """Both proofs from one step on b = a / scale: the certified level of
+    the step's Gram vectors with its certificate, and the value of the
+    witness pair (conj(U V*), sqrt(q)), which is at least scale * f."""
+    x, y, _ = _balanced(*_gram_vectors(a / scale, step, rel, budget))
+    level, certificate = _certify_blocks(a, scale * (x @ x.conj().T), scale * (y @ y.conj().T))
+    witness = WitnessPair((step.u @ step.v.conj().T).conj(), np.sqrt(step.q))
+    return level, certificate, witness_lower_bound(a, witness), witness
 
-    Upper bound: bisection on the certificate level c, testing PSD feasibility
-    of the block completion by alternating projections between the PSD cone
-    and the affine set with fixed off-diagonal blocks and diagonal c; the
-    returned level is re-certified from the final iterate's eigenvalues, so it
-    does not depend on the feasibility heuristic.  Lower bound: the best of a
-    deterministic family of witness pairs (entry witness, polar and phase
-    seeds, and the separating direction recovered from the last infeasible
-    level), each polished by block-coordinate ascent.
+
+def gamma2(a, tol: float = 1e-3, *, max_dim: int = MAX_MATRIX_DIM) -> Gamma2Bounds:
+    """Two-sided Schur-norm bounds with upper - lower <= tol * min(1, upper):
+    an absolute gap for norms of 1 or more, a relative one below.
+
+    The solver is the fixed point of _ascent on the diagonal weights of the
+    dual gamma2(A) = max over p, q in the simplices of ||D_p^1/2 A D_q^1/2||_S1
+    (Linial-Shraibman 2009), run on A / max|a|.  A step whose heavy rows and
+    columns promise a closed bracket is turned into both proofs by _proofs:
+
+      * upper: the blocks XX* and YY* of the step's Gram vectors, re-certified
+        from their eigenvalues by _certify_blocks, so the level never
+        depends on the solver;
+      * lower: the witness pair (conj(U V*), sqrt(q)), evaluated by
+        witness_lower_bound.  The entry witness at the largest |a_ij| gives
+        the first lower bound, exact for zero and rank-one matrices.
 
     Raises ValueError for a tolerance outside [0, MAX_TOL), and
-    Gamma2ConvergenceError (carrying the bracket) if the gap cannot be closed
-    within the iteration budget.
+    Gamma2ConvergenceError, carrying the certified bracket, when STEP_CAP
+    steps do not close the gap.
     """
     a = as_matrix(a, max_dim=max_dim)
     tol = validate_tol(tol)
-    target_gap = max(tol, 1e-3)
-    fast = _rank_one_exact(a)
-    if fast is not None:
-        return fast
-
+    witness = _entry_witness(a)
+    lower = witness_lower_bound(a, witness)
     scale = float(np.max(np.abs(a)))
-    lo = scale
-    op_norm = operator_norm(a)
-    hi = op_norm
-    # [[c I, A], [A*, c I]] is PSD at c = ||A||_op: always-valid fallback certificate
-    m, n = a.shape
-    fallback = np.zeros((m + n, m + n), dtype=a.dtype)
-    fallback[:m, :m] = op_norm * np.eye(m)
-    fallback[m:, m:] = op_norm * np.eye(n)
-    fallback = _project_affine(fallback, a, op_norm)
-    best_upper, best_cert = _certified_upper(a, fallback)
-    feas_eps = max(tol * 1e-4, 1e-11) * max(1.0, scale)
-    warm: Optional[np.ndarray] = None
-    stalled: Optional[np.ndarray] = None
-    while hi - lo > tol / 2 and hi - lo > 1e-12:
-        c = (lo + hi) / 2
-        status, point, _ = _alternating_projections(a, c, warm, iteration_cap, feas_eps)
-        warm = point
-        if status == "feasible":
-            hi = c
-            upper, cert = _certified_upper(a, point)
-            if upper < best_upper:
-                best_upper, best_cert = upper, cert
-        else:
-            lo = c
-            stalled = point
-
-    seeds: list[np.ndarray] = []
-    u, _, vh = np.linalg.svd(a, full_matrices=False)
-    polar = u @ vh
-    seeds.append(polar)
-    seeds.append(polar.conj())
-    phase = np.where(np.abs(a) > 0, a / np.where(np.abs(a) > 0, np.abs(a), 1.0), 0.0)
-    seeds.append(phase.conj())
-    if stalled is not None:
-        gap = _gap_seed(a, stalled)
-        if gap is not None:
-            seeds.append(gap)
-    lower, witness = _best_witness(a, seeds)
-
-    upper = best_upper
+    if scale == 0.0:
+        m, n = a.shape
+        zero = Certificate(p=np.zeros((m, m)), q=np.zeros((n, n)), c=0.0)
+        return Gamma2Bounds(lower=0.0, upper=0.0, certificate=zero, witness=witness)
+    upper, certificate = math.inf, None
+    budget = iter(range(STEP_CAP))
+    for step in _ascent(a / scale, budget):
+        best = max(lower, scale * step.value)
+        gap = tol * min(1.0, best)
+        if scale * _heavy_level(step) - best > gap:
+            continue
+        level, cert, value, pair = _proofs(a, scale, step, gap / (2.0 * best), budget)
+        if level < upper:
+            upper, certificate = level, cert
+        if value > lower:
+            lower, witness = value, pair
+        if upper - lower <= tol * min(1.0, upper):
+            break
+    else:  # out of steps: certify the last one, then report the bracket
+        if upper == math.inf:
+            upper = _proofs(a, scale, step, 0.0, budget)[0]
+        raise Gamma2ConvergenceError(lower, upper)
     if lower > upper:
         if lower - upper > 1e-9 * max(1.0, upper):
             raise Gamma2ConvergenceError(lower, upper, "witness crossed the certified upper bound")
-        lower = upper  # float jitter only; keep the ordering exact
-    if upper - lower > target_gap:
-        # one polish round: try to certify just above the witness value
-        for frac in (0.25, 0.5, 0.75):
-            c = lower + (upper - lower) * frac
-            status, point, _ = _alternating_projections(a, c, warm, 4 * iteration_cap, feas_eps)
-            if status == "feasible":
-                cand, cert = _certified_upper(a, point)
-                if cand < upper:
-                    upper, best_cert = cand, cert
-                if upper - lower <= target_gap:
-                    break
-        if upper - lower > target_gap:
-            raise Gamma2ConvergenceError(lower, upper)
-    return Gamma2Bounds(lower=lower, upper=upper, certificate=best_cert, witness=witness)
+        upper = lower  # rounding only: the witness value stays exact
+    return Gamma2Bounds(lower=lower, upper=upper, certificate=certificate, witness=witness)

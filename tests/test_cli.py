@@ -113,6 +113,17 @@ def test_schur_f0(capsys):
     assert "certificate" in payload and "witness" in payload
 
 
+def test_schur_passes_tolerance_through(capsys):
+    code, out, _ = run_cli(capsys, "schur", "--f0", "--tol", "1e-9", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["upper"] - payload["lower"] <= 1e-9
+    # --tol 0 asks for an exact bracket, which rounding leaves open on 9/7
+    code, _, err = run_cli(capsys, "schur", "--f0", "--tol", "0")
+    assert code == 3
+    assert "bracket" in err
+
+
 def test_schur_f0_witness_only(capsys):
     code, out, _ = run_cli(capsys, "schur", "--f0", "--witness-only", "--format", "json")
     assert code == 0

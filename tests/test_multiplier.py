@@ -12,6 +12,7 @@ from idemnorm import (
     forbidden_pattern_search,
     gamma2,
     is_subgroup,
+    load_cayley_group,
     make_abelian_group,
     multiplier_matrix,
     parse_group,
@@ -253,9 +254,24 @@ def test_gamma2_brackets_exact_cb_norm(s3, d4, q8):
     cases += [(g, mask) for g in (d4, q8) for mask in ORDER_8_MASKS]
     for g, mask in cases:
         exact = cb_norm(g, mask)
-        bracket = gamma2(multiplier_matrix(g, mask), 1e-3)
-        assert bracket.upper - bracket.lower <= 1e-3
+        bracket = gamma2(multiplier_matrix(g, mask), 1e-8)
+        assert bracket.upper - bracket.lower <= 1e-8
         assert bracket.lower - 1e-9 <= exact.lower <= exact.upper <= bracket.upper + 1e-9
+
+
+def test_cb_norm_certificate_checks_at_order_64():
+    # D32 = <r, s | r^32, s^2, s r = r^-1 s>, with r^i s^j at index i + 32 j;
+    # check_certificate must take the 128 x 128 block
+    def mul(a, b):
+        i, j, k, l = a % 32, a // 32, b % 32, b // 32
+        return (i + (k if j == 0 else -k)) % 32 + 32 * (j ^ l)
+
+    group = load_cayley_group([[mul(a, b) for b in range(64)] for a in range(64)], 0)
+    for mask in (0b1011, (1 << 40) - 1 - 0b100100):
+        bounds = cb_norm(group, mask)
+        matrix = multiplier_matrix(group, mask)
+        assert check_certificate(matrix, bounds.certificate.p, bounds.certificate.q,
+                                 bounds.certificate.c, tol=1e-8)
 
 
 def test_cb_norm_two_sided_translation_invariant(s3, d4):

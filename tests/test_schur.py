@@ -33,6 +33,15 @@ def test_operator_norm_examples():
     assert operator_norm(np.ones((3, 3))) == pytest.approx(3.0, abs=1e-12)
 
 
+@pytest.mark.filterwarnings("error")
+def test_operator_norm_is_scale_safe():
+    # the Gram matrix of 1e200 I overflows unless X is scaled first
+    assert operator_norm(1e200 * np.eye(3)) == pytest.approx(1e200, rel=1e-12)
+    assert operator_norm(1e-200 * np.ones((2, 3))) == pytest.approx(
+        math.sqrt(6) * 1e-200, rel=1e-12)
+    assert operator_norm(np.zeros((2, 2))) == 0.0
+
+
 def test_operator_norm_matches_svd():
     rng = np.random.RandomState(7)
     for shape in ((4, 4), (3, 5), (6, 2)):
@@ -115,6 +124,15 @@ def test_check_certificate_rank_one():
     assert check_certificate(zero, zero, zero, 0.0, tol=1e-12)
 
 
+def test_check_certificate_takes_blocks_above_64():
+    # the (m + n) x (m + n) block of a 40 x 40 matrix is 80 x 80
+    ones = np.ones((40, 40))
+    bounds = gamma2(ones)
+    assert check_certificate(ones, bounds.certificate.p, bounds.certificate.q,
+                             bounds.certificate.c, tol=1e-9)
+    assert bounds.upper == pytest.approx(1.0, abs=1e-9)
+
+
 def test_check_certificate_rejects_too_small_level():
     pattern = forbidden_pattern()
     bounds = gamma2(pattern, 1e-3)
@@ -133,6 +151,17 @@ def test_gamma2_pattern_brackets_9_7():
                              bounds.certificate.q, bounds.certificate.c, tol=1e-8)
     recomputed = witness_lower_bound(forbidden_pattern(), bounds.witness)
     assert recomputed >= bounds.lower - 1e-12
+
+
+def test_gamma2_honors_tight_tolerance():
+    pattern = forbidden_pattern()
+    bounds = gamma2(pattern, 1e-8)
+    assert bounds.lower <= 9 / 7 <= bounds.upper
+    assert bounds.upper - bounds.lower <= 1e-8
+    assert check_certificate(pattern, bounds.certificate.p, bounds.certificate.q,
+                             bounds.certificate.c, tol=1e-9)
+    assert witness_lower_bound(pattern, bounds.witness) == pytest.approx(bounds.lower,
+                                                                         rel=1e-12)
 
 
 def test_gamma2_trivial_cases():
@@ -270,3 +299,56 @@ def test_gamma2_bounds_round_trip():
 def test_gamma2_rejects_bad_tolerance(tol):
     with pytest.raises(ValueError):
         gamma2(forbidden_pattern(), tol)
+
+
+SCALES = (1e-6, 1e-3, 1.0, 1e3, 1e6, 1e9)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("a", [forbidden_pattern(),
+                               np.random.RandomState(12).standard_normal((12, 12))],
+                         ids=["f0", "gaussian12"])
+def test_gamma2_is_scale_equivariant(a):
+    tol = 1e-3
+    base = gamma2(a, tol)
+    for c in SCALES:
+        bounds = gamma2(c * a, tol)
+        lower, upper = bounds.lower / c, bounds.upper / c
+        # the stop rule, upper - lower <= tol * min(1, upper), in units of c
+        assert upper - lower <= tol * min(1 / c, upper) * (1 + 1e-9)
+        assert lower <= base.upper + tol and base.lower - tol <= upper
+        assert witness_lower_bound(c * a, bounds.witness) == pytest.approx(bounds.lower,
+                                                                           rel=1e-9)
+
+
+def test_gamma2_eigh_budget(monkeypatch):
+    # every fixed-point step is one numpy.linalg.eigh call; a call at the
+    # default tolerance stays under a tenth of the benchmark's per-call budget
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    rng = np.random.RandomState(23)
+    for n in range(4, 13):
+        for _ in range(3):
+            a = rng.standard_normal((n, n))
+            calls.clear()
+            bounds = gamma2(a, 1e-3)
+            assert 0 < len(calls) < 1000
+            assert bounds.upper - bounds.lower <= 1e-3
+
+
+def test_gamma2_certifies_optima_with_zero_weights():
+    # on small Gaussians the optimal weights often vanish on some rows and
+    # columns; the certificate must still close a tight gap there
+    for n in range(4, 10):
+        for seed in range(6):
+            a = np.random.RandomState(seed).standard_normal((n, n))
+            bounds = gamma2(a, 1e-6)
+            assert bounds.upper - bounds.lower <= 1e-6
+            assert check_certificate(a, bounds.certificate.p, bounds.certificate.q,
+                                     bounds.certificate.c, tol=1e-8)
