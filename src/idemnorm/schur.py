@@ -5,15 +5,16 @@ product, operator norms).  It equals the smallest c admitting Hermitian P, Q
 with [[P, A], [A*, Q]] positive semidefinite and all diagonal entries <= c,
 and, by duality, the largest nuclear norm ||D_p^1/2 A D_q^1/2||_S1 over
 diagonal weights p, q in the simplices.  gamma2() runs a multiplicative fixed
-point on those weights, one eigh per step, and turns a step into both proofs:
-an upper bound certified by such a (P, Q, c) triple, and a lower bound
-realized by an explicit witness pair (X, xi) through witness_lower_bound, so
-every reported bracket can be re-verified independently of the solver.
+point on those weights, one eigh per step, with a floor that keeps every
+weight positive, and turns a step into both proofs: an upper bound certified
+by such a (P, Q, c) triple, built from one set of Gram vectors for all rows
+and columns, and a lower bound realized by an explicit witness pair (X, xi)
+through witness_lower_bound, so every reported bracket can be re-verified
+independently of the solver.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -60,6 +61,12 @@ def symmetric_eigenvalues(m, max_dim: int = MAX_MATRIX_DIM) -> tuple[np.ndarray,
     return w, v
 
 
+def _binary_exponent(x: np.ndarray) -> int:
+    """The exponent e with 2^(e-1) <= max|x| < 2^e (0 for x = 0): 2^-e x
+    has entries of order 1, and scaling by a power of two is exact."""
+    return max(math.frexp(float(np.max(np.abs(x))))[1], -1000)  # 2^1000 is still finite
+
+
 def operator_norm(x) -> float:
     """Largest singular value, via the symmetric eigenproblem for X* X.
 
@@ -67,10 +74,7 @@ def operator_norm(x) -> float:
     matrix neither overflows nor underflows; scaling by a power of two is
     exact, so the value does not depend on it."""
     x = as_matrix(x)
-    peak = float(np.max(np.abs(x)))
-    if peak == 0.0:
-        return 0.0
-    exponent = max(math.frexp(peak)[1], -1000)  # 2^1000 is still finite
+    exponent = _binary_exponent(x)
     x = x * math.ldexp(1.0, -exponent)
     gram = x.conj().T @ x if x.shape[0] >= x.shape[1] else x @ x.conj().T
     w, _ = symmetric_eigenvalues(gram)
@@ -124,14 +128,18 @@ def orthogonal_witness() -> WitnessPair:
 
 
 def witness_lower_bound(a, witness: WitnessPair) -> float:
-    """||(A o X) xi|| / (||X||_op ||xi||): a guaranteed Schur-norm lower bound."""
+    """||(A o X) xi|| / (||X||_op ||xi||): a guaranteed Schur-norm lower bound.
+
+    A is first scaled by the power of two nearest 1 / max|a|, as in
+    operator_norm, so the value neither overflows nor underflows."""
     a = as_matrix(a)
     x = witness.matrix
     if a.shape != x.shape:
         raise ValueError(f"witness shape {x.shape} does not match matrix {a.shape}")
-    numerator = float(np.linalg.norm((a * x) @ witness.vector))
+    exponent = _binary_exponent(a)
+    numerator = float(np.linalg.norm((a * math.ldexp(1.0, -exponent) * x) @ witness.vector))
     denominator = operator_norm(x) * float(np.linalg.norm(witness.vector))
-    return numerator / denominator
+    return math.ldexp(numerator / denominator, exponent)
 
 
 @dataclass(frozen=True)
@@ -242,185 +250,58 @@ def _entry_witness(a: np.ndarray) -> WitnessPair:
 
 # -- the diagonal-weight fixed point ---------------------------------------------------
 
-STEP_CAP = 3000  # fixed-point steps (one eigh each) one gamma2 call may take, nested ones included
-_NESTED_CAP = 300  # steps one light-block completion may take
-_LIGHT = 1e-6  # a weight at most this fraction of the largest one is light
+STEP_CAP = 3000  # fixed-point steps (one eigh each) one gamma2 call may take
 _RANK_RTOL = 1e-14  # singular values below this fraction of the largest are dropped
-
-
-@dataclass(frozen=True)
-class _Step:
-    """One step at weights (p, q): B = D_p^1/2 b D_q^1/2 = U diag(sigma) V*,
-    with sigma its nonzero singular values."""
-
-    p: np.ndarray
-    q: np.ndarray
-    sigma: np.ndarray
-    u: np.ndarray
-    v: np.ndarray
-
-    @property
-    def value(self) -> float:
-        """f(p, q) = ||B||_S1, a lower bound on gamma2(b)."""
-        return float(np.sum(self.sigma))
 
 
 def _row_norms(x: np.ndarray) -> np.ndarray:
     return np.sum(np.abs(x) ** 2, axis=1)
 
 
-def _light(weights: np.ndarray) -> np.ndarray:
-    return weights <= _LIGHT * np.max(weights)
-
-
-def _ascent(b: np.ndarray, budget):
-    """The multiplicative fixed point on the diagonal weights of b, from
-    uniform weights: one _Step per item drawn from the shared iterator
-    `budget`.
-
-    Each step is one eigh of the Hermitian dilation [[0, B], [B*, 0]], whose
-    positive eigenpairs are (sigma_k, [u_k; v_k] / sqrt 2).  The next weights
-    are p = diag(U Sigma U*) / f and q = diag(V Sigma V*) / f with f the
-    step's value: the optimality conditions of the dual read as a fixed point.
-    """
-    m, n = b.shape
-    p = np.full(m, 1.0 / m)
-    q = np.full(n, 1.0 / n)
-    dilation = np.zeros((m + n, m + n), dtype=b.dtype)
-    for _ in budget:
-        half = np.sqrt(p)[:, None] * b * np.sqrt(q)
-        dilation[:m, m:] = half
-        dilation[m:, :m] = half.conj().T
-        w, vectors = np.linalg.eigh(dilation)
-        keep = w > _RANK_RTOL * w[-1]
-        step = _Step(p, q, w[keep], np.sqrt(2.0) * vectors[:m, keep],
-                     np.sqrt(2.0) * vectors[m:, keep])
-        yield step
-        root = np.sqrt(step.sigma)
-        p = _row_norms(step.u * root)
-        q = _row_norms(step.v * root)
-        p, q = p / np.sum(p), q / np.sum(q)
-
-
-def _heavy_level(step: _Step) -> float:
-    """The level the heavy rows and columns alone would certify: their
-    squared Gram-vector norms f p'_i / p_i, balanced between the two sides."""
-    root = np.sqrt(step.sigma)
-    heavy_r, heavy_c = ~_light(step.p), ~_light(step.q)
-    rows = _row_norms(step.u[heavy_r] * root) / step.p[heavy_r]
-    cols = _row_norms(step.v[heavy_c] * root) / step.q[heavy_c]
-    return float(np.sqrt(np.max(rows) * np.max(cols)))
-
-
-def _balanced(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """x t and y / t with equal largest squared row norm, and that norm."""
-    xn, yn = float(np.max(_row_norms(x))), float(np.max(_row_norms(y)))
-    t = (yn / xn) ** 0.25
-    return x * t, y / t, float(np.sqrt(xn * yn))
-
-
-def _gram_vectors(b: np.ndarray, step: _Step, rel: float, budget) -> tuple[np.ndarray, np.ndarray]:
-    """Gram vectors X, Y with X Y* = b and squared row norms close to the
-    step's value, so that [X; Y][X; Y]* = [[XX*, b], [b*, YY*]] certifies
-    gamma2(b) <= their largest squared row norm.
-
-    A heavy row takes x_i = (D_p^-1/2 U Sigma^1/2)_i, of squared norm f times
-    the ratio of its next weight to its weight, and a heavy column likewise.
-    On a light row that quotient is lost to rounding, so the row takes the
-    least-squares solution against the heavy columns' y, and a light column
-    the one against the heavy rows' x.  The light x light block that these
-    leave over is factored by a nested fixed point (_completion), within the
-    norm each light row and column has left under the heavy level.
-    """
-    m, n = b.shape
-    light_r, light_c = _light(step.p), _light(step.q)
-    heavy_r, heavy_c = ~light_r, ~light_c
-    root = np.sqrt(step.sigma)
-    x = np.zeros((m, root.size), dtype=step.u.dtype)
-    y = np.zeros((n, root.size), dtype=step.v.dtype)
-    x[heavy_r] = step.u[heavy_r] * root / np.sqrt(step.p[heavy_r])[:, None]
-    y[heavy_c] = step.v[heavy_c] * root / np.sqrt(step.q[heavy_c])[:, None]
-    if light_r.any():
-        x[light_r] = np.linalg.lstsq(y[heavy_c].conj(), b[np.ix_(light_r, heavy_c)].T,
-                                     rcond=None)[0].T
-    if light_c.any():
-        y[light_c] = np.linalg.lstsq(x[heavy_r], b[np.ix_(heavy_r, light_c)],
-                                     rcond=None)[0].conj().T
-    if not (light_r.any() and light_c.any()):
-        return x, y
-    rest = b[np.ix_(light_r, light_c)] - x[light_r] @ y[light_c].conj().T
-    level = max(float(np.max(_row_norms(x[heavy_r]))), float(np.max(_row_norms(y[heavy_c]))))
-    row_room = np.sqrt(np.maximum(level - _row_norms(x[light_r]), _LIGHT * level))
-    col_room = np.sqrt(np.maximum(level - _row_norms(y[light_c]), _LIGHT * level))
-    z, w = _completion(rest / row_room[:, None] / col_room, rel, budget)
-    extra_x = np.zeros((m, z.shape[1]), dtype=z.dtype)
-    extra_y = np.zeros((n, w.shape[1]), dtype=w.dtype)
-    extra_x[light_r] = z * row_room[:, None]
-    extra_y[light_c] = w * col_room[:, None]
-    return np.hstack([x, extra_x]), np.hstack([y, extra_y])
-
-
-def _completion(c: np.ndarray, rel: float, budget) -> tuple[np.ndarray, np.ndarray]:
-    """Gram vectors Z, W with Z W* = c and squared row norms at most 1 + rel,
-    from the fixed point on c, if it finds them within _NESTED_CAP steps.
-    Otherwise the best it found, or the SVD factors when it certified
-    nothing; either is exact, only looser."""
-    scale = float(np.max(np.abs(c)))
-    if scale == 0.0:
-        return np.zeros((c.shape[0], 0)), np.zeros((c.shape[1], 0))
-    b = c / scale
-    goal = (1.0 + rel) / scale
-    best_level, best = math.inf, None
-    for step in itertools.islice(_ascent(b, budget), _NESTED_CAP):
-        if step.value > goal:  # gamma2(c) > 1 + rel: the outer weights have not settled
-            break
-        if _heavy_level(step) > goal:
-            continue
-        z, w, level = _balanced(*_gram_vectors(b, step, rel / 2, budget))
-        if level < best_level:
-            best_level, best = level, (z, w)
-        if level <= goal:
-            break
-    if best is None:
-        u, s, vh = np.linalg.svd(b, full_matrices=False)
-        best = u * np.sqrt(s), vh.conj().T * np.sqrt(s)
-    return best[0] * np.sqrt(scale), best[1] * np.sqrt(scale)
+def _balanced(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x t and y / t with equal largest squared row norm."""
+    t = (float(np.max(_row_norms(y))) / float(np.max(_row_norms(x)))) ** 0.25
+    return x * t, y / t
 
 
 # -- main entry --------------------------------------------------------------------
 
-def _proofs(a: np.ndarray, scale: float, step: _Step, rel: float,
-            budget) -> tuple[float, Certificate, float, WitnessPair]:
-    """Both proofs from one step on b = a / scale: the certified level of
-    the step's Gram vectors with its certificate, and the value of the
-    witness pair (conj(U V*), sqrt(q)), which is at least scale * f."""
-    x, y, _ = _balanced(*_gram_vectors(a / scale, step, rel, budget))
-    level, certificate = _certify_blocks(a, scale * (x @ x.conj().T), scale * (y @ y.conj().T))
-    witness = WitnessPair((step.u @ step.v.conj().T).conj(), np.sqrt(step.q))
-    return level, certificate, witness_lower_bound(a, witness), witness
-
-
-def gamma2(a, tol: float = 1e-3, *, max_dim: int = MAX_MATRIX_DIM) -> Gamma2Bounds:
+def gamma2(a, tol: float = 1e-3) -> Gamma2Bounds:
     """Two-sided Schur-norm bounds with upper - lower <= tol * min(1, upper):
     an absolute gap for norms of 1 or more, a relative one below.
 
-    The solver is the fixed point of _ascent on the diagonal weights of the
+    The solver is a multiplicative fixed point on the diagonal weights of the
     dual gamma2(A) = max over p, q in the simplices of ||D_p^1/2 A D_q^1/2||_S1
-    (Linial-Shraibman 2009), run on A / max|a|.  A step whose heavy rows and
-    columns promise a closed bracket is turned into both proofs by _proofs:
+    (Linial-Shraibman 2009), run on b = A / max|a| from uniform weights.  Each
+    step is one eigh of the Hermitian dilation [[0, B], [B*, 0]] of
+    B = D_p^1/2 b D_q^1/2 = U Sigma V*, whose positive eigenpairs are
+    (sigma_k, [u_k; v_k] / sqrt 2).  With f = sum(sigma) the step's value,
+    rows = diag(U Sigma U*) and cols = diag(V Sigma V*), the next weights are
 
-      * upper: the blocks XX* and YY* of the step's Gram vectors, re-certified
-        from their eigenvalues by _certify_blocks, so the level never
-        depends on the solver;
+        p = (1 - delta) rows / f + delta / m,   q likewise with cols and n,
+
+    with delta = max(gap / (4 best), machine eps).  The floor delta / m keeps
+    every weight away from 0, so the Gram vectors below are accurate on every
+    row and column, and at a fixed point they certify at most f / (1 - delta),
+    within a quarter of the gap above f.
+
+    A step whose Gram vectors promise a closed bracket, and the last step
+    allowed, is turned into both proofs:
+
+      * upper: Y = D_q^-1/2 V Sigma^1/2 and X, by least squares, with
+        X Y* = b; balanced, their blocks XX* and YY* are re-certified from
+        their eigenvalues by _certify_blocks, so the level never depends on
+        the solver;
       * lower: the witness pair (conj(U V*), sqrt(q)), evaluated by
-        witness_lower_bound.  The entry witness at the largest |a_ij| gives
-        the first lower bound, exact for zero and rank-one matrices.
+        witness_lower_bound, whose value is at least max|a| f.  The entry
+        witness at the largest |a_ij| gives the first lower bound, exact for
+        zero and rank-one matrices.
 
     Raises ValueError for a tolerance outside [0, MAX_TOL), and
     Gamma2ConvergenceError, carrying the certified bracket, when STEP_CAP
     steps do not close the gap.
     """
-    a = as_matrix(a, max_dim=max_dim)
+    a = as_matrix(a)
     tol = validate_tol(tol)
     witness = _entry_witness(a)
     lower = witness_lower_bound(a, witness)
@@ -429,23 +310,40 @@ def gamma2(a, tol: float = 1e-3, *, max_dim: int = MAX_MATRIX_DIM) -> Gamma2Boun
         m, n = a.shape
         zero = Certificate(p=np.zeros((m, m)), q=np.zeros((n, n)), c=0.0)
         return Gamma2Bounds(lower=0.0, upper=0.0, certificate=zero, witness=witness)
+    b = a / scale
+    m, n = b.shape
+    p, q = np.full(m, 1.0 / m), np.full(n, 1.0 / n)
+    dilation = np.zeros((m + n, m + n), dtype=b.dtype)
     upper, certificate = math.inf, None
-    budget = iter(range(STEP_CAP))
-    for step in _ascent(a / scale, budget):
-        best = max(lower, scale * step.value)
+    for step in range(STEP_CAP):
+        half = np.sqrt(p)[:, None] * b * np.sqrt(q)
+        dilation[:m, m:] = half
+        dilation[m:, :m] = half.conj().T
+        w, vectors = np.linalg.eigh(dilation)
+        keep = w > _RANK_RTOL * w[-1]
+        root = np.sqrt(w[keep])
+        u, v = np.sqrt(2.0) * vectors[:m, keep], np.sqrt(2.0) * vectors[m:, keep]
+        rows, cols = _row_norms(u * root), _row_norms(v * root)
+        best = max(lower, scale * float(np.sum(w[keep])))
         gap = tol * min(1.0, best)
-        if scale * _heavy_level(step) - best > gap:
-            continue
-        level, cert, value, pair = _proofs(a, scale, step, gap / (2.0 * best), budget)
-        if level < upper:
-            upper, certificate = level, cert
-        if value > lower:
-            lower, witness = value, pair
-        if upper - lower <= tol * min(1.0, upper):
-            break
-    else:  # out of steps: certify the last one, then report the bracket
-        if upper == math.inf:
-            upper = _proofs(a, scale, step, 0.0, budget)[0]
+        promise = scale * math.sqrt(np.max(rows / p) * np.max(cols / q)) - best
+        if promise <= gap or step == STEP_CAP - 1:
+            y = v * root / np.sqrt(q)[:, None]
+            x = np.linalg.lstsq(y.conj(), b.T, rcond=None)[0].T
+            x, y = _balanced(x, y)
+            level, cert = _certify_blocks(a, scale * (x @ x.conj().T), scale * (y @ y.conj().T))
+            pair = WitnessPair((u @ v.conj().T).conj(), np.sqrt(q))
+            value = witness_lower_bound(a, pair)
+            if level < upper:
+                upper, certificate = level, cert
+            if value > lower:
+                lower, witness = value, pair
+            if upper - lower <= tol * min(1.0, upper):
+                break
+        delta = max(gap / (4.0 * best), np.finfo(float).eps)
+        p = (1.0 - delta) * rows / np.sum(rows) + delta / m
+        q = (1.0 - delta) * cols / np.sum(cols) + delta / n
+    else:
         raise Gamma2ConvergenceError(lower, upper)
     if lower > upper:
         if lower - upper > 1e-9 * max(1.0, upper):

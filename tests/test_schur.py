@@ -6,6 +6,7 @@ import pytest
 
 from idemnorm import (
     Gamma2Bounds,
+    Gamma2ConvergenceError,
     WitnessPair,
     check_certificate,
     forbidden_pattern,
@@ -95,6 +96,13 @@ def test_witness_lower_bound_golden():
     assert value > (1 + math.sqrt(2)) / 2
 
 
+@pytest.mark.filterwarnings("error")
+def test_witness_lower_bound_is_scale_safe():
+    # ||(A o X) xi|| overflows for A = 1e200 F0 unless A is scaled first
+    assert witness_lower_bound(1e200 * forbidden_pattern(), orthogonal_witness()) == \
+        pytest.approx(math.sqrt(26) / 4 * 1e200, rel=1e-12)
+
+
 def test_witness_lower_bound_weak_example():
     xi = np.zeros(3)
     xi[0] = 1.0
@@ -164,6 +172,7 @@ def test_gamma2_honors_tight_tolerance():
                                                                          rel=1e-12)
 
 
+@pytest.mark.filterwarnings("error")
 def test_gamma2_trivial_cases():
     assert gamma2(np.ones((3, 3))).upper == pytest.approx(1.0, abs=1e-6)
     assert gamma2(np.ones((3, 3))).lower == pytest.approx(1.0, abs=1e-6)
@@ -173,6 +182,16 @@ def test_gamma2_trivial_cases():
     ident = gamma2(np.eye(4))
     assert ident.lower == pytest.approx(1.0, abs=1e-9)
     assert ident.upper == pytest.approx(1.0, abs=1e-9)
+    # a zero row drives its weight to the floor: at tol 0 the floor is the
+    # machine epsilon alone, and no step may divide by a vanished weight
+    a = np.array([[1.0, 2.0, 0.0], [0.0, 0.0, 0.0], [3.0, -1.0, 1.0]])
+    try:
+        bounds = gamma2(a, 0.0)
+    except Gamma2ConvergenceError as exc:
+        assert math.isfinite(exc.lower) and math.isfinite(exc.upper)
+        assert 3.0 <= exc.lower <= exc.upper
+    else:
+        assert bounds.lower == 3.0 and bounds.upper == 3.0
 
 
 def test_gamma2_rank_one_exact():
@@ -301,7 +320,7 @@ def test_gamma2_rejects_bad_tolerance(tol):
         gamma2(forbidden_pattern(), tol)
 
 
-SCALES = (1e-6, 1e-3, 1.0, 1e3, 1e6, 1e9)
+SCALES = (1e-200, 1e-170, 1e-6, 1e-3, 1.0, 1e3, 1e6, 1e9)
 
 
 @pytest.mark.filterwarnings("error")
@@ -352,3 +371,28 @@ def test_gamma2_certifies_optima_with_zero_weights():
             assert bounds.upper - bounds.lower <= 1e-6
             assert check_certificate(a, bounds.certificate.p, bounds.certificate.q,
                                      bounds.certificate.c, tol=1e-8)
+
+
+def test_gamma2_step_cap_reports_a_tight_bracket():
+    # this Gaussian's optimal weights vanish slowly; a call that runs out of
+    # steps must still report the bracket of its last steps, not a loose one
+    a = np.random.RandomState(500).standard_normal((5, 5))
+    reference = gamma2(a, 1e-6)
+    try:
+        bounds = gamma2(a, 1e-9)
+    except Gamma2ConvergenceError as exc:
+        assert exc.upper - exc.lower <= 1e-6
+        assert exc.lower <= reference.upper and reference.lower <= exc.upper
+    else:
+        assert bounds.upper - bounds.lower <= 1e-9
+
+
+def test_gamma2_least_squares_closes_tight_gaps():
+    # X by least squares against Y closes this Gaussian at 1e-9 in a few
+    # hundred steps; X = D_p^-1/2 U Sigma^1/2, read off the step, loses the
+    # rows of small weight to rounding and runs into the step cap
+    a = np.random.RandomState(1101).standard_normal((11, 11))
+    bounds = gamma2(a, 1e-9)
+    assert bounds.upper - bounds.lower <= 1e-9
+    assert check_certificate(a, bounds.certificate.p, bounds.certificate.q,
+                             bounds.certificate.c, tol=1e-8)
