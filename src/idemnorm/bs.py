@@ -27,7 +27,6 @@ from .groups import (
     _pairing_numerators,
     analyze_cosets,
     character_values,
-    subset_elements,
     subset_size,
     validate_mask,
 )
@@ -129,15 +128,6 @@ class MeasureFormResult:
     gamma1: int
     gamma2: int
     max_error: float
-
-    def to_dict(self) -> dict:
-        return {
-            "holds": self.holds,
-            "subgroup": subset_elements(self.subgroup),
-            "gamma1": self.gamma1,
-            "gamma2": self.gamma2,
-            "max_error": self.max_error,
-        }
 
 
 def verify_measure_form(group: Group, mask: int, tol: float = 1e-12) -> MeasureFormResult:

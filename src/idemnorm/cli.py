@@ -78,7 +78,7 @@ def parse_tol(text: str) -> float:
 def _emit(payload: dict, fmt: str, out_path: Optional[str], csv_text: Optional[str] = None) -> None:
     if fmt == "json":
         rendered = json.dumps(payload, indent=2, sort_keys=True)
-    elif fmt == "csv" and csv_text is not None:
+    elif fmt == "csv":
         rendered = csv_text.rstrip("\n")
     else:
         rendered = "\n".join(_text_lines(payload))
@@ -126,8 +126,7 @@ def cmd_norm(args) -> int:
 
 def cmd_sweep(args) -> int:
     group = parse_group(args.group)
-    report = sweep(group, tol=DEFAULT_TOL_EXACT if args.tol is None else args.tol,
-                   workers=args.workers)
+    report = sweep(group, tol=DEFAULT_TOL_EXACT if args.tol is None else args.tol)
     print(f"sweep of {group.name} took {report.wall_time_s:.2f}s", file=sys.stderr)
     _emit(report.to_dict(), args.format, args.out, csv_text=report.to_csv())
     return EXIT_OK if not report.violations else EXIT_VIOLATION
@@ -171,7 +170,6 @@ def cmd_verify(args) -> int:
     summary = run_verification(
         group_specs=specs,
         tol=DEFAULT_TOL_EXACT if args.tol is None else args.tol,
-        workers=args.workers,
     )
     for item in summary.items:
         marker = "PASS" if item.passed else "FAIL"
@@ -187,15 +185,12 @@ def build_parser() -> argparse.ArgumentParser:
                     "with certificates and exhaustive theorem sweeps.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--format", choices=("text", "json", "csv"), default="text")
+    def common(p, formats=("text", "json")):
+        p.add_argument("--format", choices=formats, default="text")
         p.add_argument("--out", help="write the report to this path instead of stdout")
 
     def tol_option(p):
         p.add_argument("--tol", type=parse_tol, default=None)
-
-    def workers_option(p):
-        p.add_argument("--workers", type=int, default=1)
 
     p_norm = sub.add_parser("norm", help="norm and structure of one subset")
     p_norm.add_argument("-g", "--group", required=True)
@@ -207,9 +202,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="classify every subset of a group")
     p_sweep.add_argument("-g", "--group", required=True)
-    common(p_sweep)
+    common(p_sweep, formats=("text", "json", "csv"))
     tol_option(p_sweep)
-    workers_option(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_schur = sub.add_parser("schur", help="gamma2 bounds of a matrix")
@@ -227,7 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
                                            f"(default: {','.join(DEFAULT_GROUP_SPECS)})")
     common(p_verify)
     tol_option(p_verify)
-    workers_option(p_verify)
     p_verify.set_defaults(func=cmd_verify)
     return parser
 

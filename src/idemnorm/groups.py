@@ -27,7 +27,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-DEFAULT_MAX_ORDER = 4096
+# largest group order any constructor accepts
+GROUP_ORDER_CAP = 4096
 
 # entries per block of products, counting every coordinate of an abelian
 # product: bounds the temporaries of mul_array
@@ -38,20 +39,6 @@ TRANSLATION_TABLE_MAX_ORDER = 64
 
 ABELIAN = "abelian"
 CAYLEY = "cayley"
-
-
-def max_order() -> int:
-    """Order cap for group construction; IDEMNORM_MAX_ORDER overrides."""
-    value = os.environ.get("IDEMNORM_MAX_ORDER")
-    if value is None:
-        return DEFAULT_MAX_ORDER
-    try:
-        cap = int(value)
-    except ValueError as exc:
-        raise ValueError(f"IDEMNORM_MAX_ORDER must be an integer, got {value!r}") from exc
-    if cap < 1:
-        raise ValueError(f"IDEMNORM_MAX_ORDER must be positive, got {cap}")
-    return cap
 
 
 class GroupAxiomError(ValueError):
@@ -75,8 +62,7 @@ class Group:
 
     def __init__(self, kind: str, *, factors: Sequence[int] = (),
                  table: Optional[np.ndarray] = None, identity: int = 0,
-                 name: Optional[str] = None, order_cap: Optional[int] = None):
-        cap = max_order() if order_cap is None else order_cap
+                 name: Optional[str] = None):
         self.kind = kind
         if kind == ABELIAN:
             factors = tuple(int(f) for f in factors)
@@ -88,8 +74,8 @@ class Group:
             order = 1
             for f in factors:
                 order *= f
-                if order > cap:
-                    raise ValueError(f"group order {order}+ exceeds cap {cap}")
+                if order > GROUP_ORDER_CAP:
+                    raise ValueError(f"group order {order}+ exceeds cap {GROUP_ORDER_CAP}")
             self.factors = factors
             self.order = order
             # mixed-radix strides, last coordinate fastest
@@ -104,7 +90,7 @@ class Group:
         elif kind == CAYLEY:
             tab = np.asarray(table, dtype=np.int64)
             self.factors = ()
-            n = _validate_cayley(tab, identity, cap)
+            n = _validate_cayley(tab, identity)
             self.order = n
             self.identity = int(identity)
             self.table = tab
@@ -205,14 +191,14 @@ class Group:
         return f"Group({self.name}, order={self.order})"
 
 
-def _validate_cayley(table: np.ndarray, identity: int, cap: int) -> int:
+def _validate_cayley(table: np.ndarray, identity: int) -> int:
     if table.ndim != 2 or table.shape[0] != table.shape[1]:
         raise GroupAxiomError(f"Cayley table must be square, got shape {table.shape}")
     n = table.shape[0]
     if n < 1:
         raise GroupAxiomError("Cayley table must be nonempty")
-    if n > cap:
-        raise ValueError(f"group order {n} exceeds cap {cap}")
+    if n > GROUP_ORDER_CAP:
+        raise ValueError(f"group order {n} exceeds cap {GROUP_ORDER_CAP}")
     if table.min() < 0 or table.max() >= n:
         bad = np.argwhere((table < 0) | (table >= n))[0]
         raise GroupAxiomError(
@@ -519,17 +505,6 @@ class CosetAnalysis:
             "rep_b": self.rep_b,
             "q": self.q,
         }
-
-    @staticmethod
-    def from_dict(data: dict) -> "CosetAnalysis":
-        sub = data.get("subgroup")
-        return CosetAnalysis(
-            kind=data["kind"],
-            subgroup=None if sub is None else sum(1 << int(i) for i in sub),
-            rep_a=data.get("rep_a"),
-            rep_b=data.get("rep_b"),
-            q=data.get("q"),
-        )
 
 
 def analyze_cosets(group: Group, mask: int) -> CosetAnalysis:

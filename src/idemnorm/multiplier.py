@@ -120,9 +120,6 @@ class ProgressionViolation:
     t: int
     n: int
 
-    def to_dict(self) -> dict:
-        return {"side": self.side, "s": self.s, "t": self.t, "n": self.n}
-
 
 def progression_check(group: Group, mask: int) -> list[ProgressionViolation]:
     """All violations of the progression property, sorted by (side, s, t).

@@ -22,6 +22,9 @@ import numpy as np
 
 MAX_MATRIX_DIM = 64
 MAX_TOL = 0.1
+# largest |entry| gamma2 takes: its blocks and eigenproblems reach about
+# 2^11 max|a| at the 64 x 64 cap, which stays finite below 2^1024
+MAX_ENTRY = 2.0 ** 1000
 
 _HERMITIAN_RTOL = 1e-12
 
@@ -297,12 +300,18 @@ def gamma2(a, tol: float = 1e-3) -> Gamma2Bounds:
         witness at the largest |a_ij| gives the first lower bound, exact for
         zero and rank-one matrices.
 
-    Raises ValueError for a tolerance outside [0, MAX_TOL), and
-    Gamma2ConvergenceError, carrying the certified bracket, when STEP_CAP
-    steps do not close the gap.
+    Raises ValueError for a tolerance outside [0, MAX_TOL) or an entry whose
+    real or imaginary part exceeds MAX_ENTRY, and Gamma2ConvergenceError,
+    carrying the certified bracket, when STEP_CAP steps do not close the gap.
     """
     a = as_matrix(a)
     tol = validate_tol(tol)
+    # real and imaginary parts, because |a_ij| itself can overflow
+    largest = float(np.max(np.abs(a.view(float))))
+    if largest > MAX_ENTRY:
+        raise ValueError(f"matrix entries reach {largest:.3e}, above the {MAX_ENTRY:.3e} "
+                         "(2^1000) that gamma2 takes; divide the matrix by a constant, "
+                         "which divides its norm by the same constant")
     witness = _entry_witness(a)
     lower = witness_lower_bound(a, witness)
     scale = float(np.max(np.abs(a)))

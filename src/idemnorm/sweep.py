@@ -17,15 +17,13 @@ from __future__ import annotations
 
 import csv
 import io
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .bs import THRESHOLDS, bs_norm, predicted_norm, two_coset_norm, verify_measure_form
+from .bs import THRESHOLDS, bs_norm, mu_values, predicted_norm, two_coset_norm, verify_measure_form
 from .groups import (
     CosetAnalysis,
     Group,
@@ -52,7 +50,14 @@ from .schur import (
     validate_tol,
     witness_lower_bound,
 )
-from .witness import WitnessTriple, find_witness, sup_norm_check, witness_integral, witness_norm_bound
+from .witness import (
+    SUP_NORM_F,
+    WitnessTriple,
+    _witness_integral,
+    find_witness,
+    sup_norm_check,
+    witness_integral,
+)
 
 SWEEP_ORDER_CAP = 24
 DEFAULT_TOL_EXACT = 1e-9
@@ -113,28 +118,6 @@ class ClassificationRecord:
                        [list(self.pattern[0]), list(self.pattern[1])],
         }
 
-    @staticmethod
-    def from_dict(data: dict) -> "ClassificationRecord":
-        witness = data.get("witness")
-        pattern = data.get("pattern")
-        return ClassificationRecord(
-            subset=sum(1 << int(i) for i in data["subset"]),
-            orbit_size=int(data["orbit_size"]),
-            analysis=CosetAnalysis.from_dict(data["analysis"]),
-            norm_lower=float(data["norm_lower"]),
-            norm_upper=float(data["norm_upper"]),
-            norm_exact=bool(data["norm_exact"]),
-            predicted=None if data.get("predicted") is None else float(data["predicted"]),
-            below_coset_bound=bool(data["below_coset_bound"]),
-            in_open_interval=bool(data["in_open_interval"]),
-            extremal_other=bool(data["extremal_other"]),
-            witness=None if witness is None else WitnessTriple(**witness),
-            witness_bound=(None if data.get("witness_bound") is None
-                           else float(data["witness_bound"])),
-            pattern=None if pattern is None else
-                    (tuple(pattern[0]), tuple(pattern[1])),
-        )
-
 
 def classify(group: Group, mask: int, tol: float = DEFAULT_TOL_EXACT) -> ClassificationRecord:
     """Full per-subset report: structure, norm, prediction, witness, pattern.
@@ -144,16 +127,19 @@ def classify(group: Group, mask: int, tol: float = DEFAULT_TOL_EXACT) -> Classif
     which the amenable_cross_check verify items confirm."""
     tol = validate_tol(tol)
     analysis = analyze_cosets(group, mask)
+    witness = bound = None
     if group.is_abelian:
-        value = bs_norm(group, mask)
-        lower = upper = value
+        # one transform serves the norm (bs_norm) and the witness integral
+        mu = mu_values(group, mask)
+        lower = upper = float(np.abs(mu).sum())
         exact = True
+        witness = find_witness(group, mask)
+        if witness is not None:
+            bound = abs(_witness_integral(group, mask, witness, mu)) / SUP_NORM_F
     else:
         bounds = cb_norm(group, mask)
         lower, upper, exact = bounds.lower, bounds.upper, False
     predicted = predicted_norm(analysis)
-    witness = find_witness(group, mask) if group.is_abelian else None
-    bound = witness_norm_bound(group, mask, witness) if witness is not None else None
     pattern = forbidden_pattern_search(group, mask)
     c1, c2 = THRESHOLDS.coset_bound, THRESHOLDS.two_coset_bound
     return ClassificationRecord(
@@ -198,8 +184,8 @@ class SweepReport:
     witness_presence: dict
     wall_time_s: Optional[float] = None
 
-    def to_dict(self, include_timing: bool = False) -> dict:
-        out = {
+    def to_dict(self) -> dict:
+        return {
             "group": self.group_name,
             "order": self.order,
             "mode": self.mode,
@@ -211,28 +197,6 @@ class SweepReport:
             "extremal": [subset_elements(m) for m in self.extremal],
             "witness_presence": self.witness_presence,
         }
-        if include_timing:
-            out["wall_time_s"] = self.wall_time_s
-        return out
-
-    @staticmethod
-    def from_dict(data: dict) -> "SweepReport":
-        return SweepReport(
-            group_name=data["group"],
-            order=int(data["order"]),
-            mode=data["mode"],
-            tolerance=float(data["tolerance"]),
-            records=[ClassificationRecord.from_dict(r) for r in data["records"]],
-            violations=[SweepViolation(rule=v["rule"],
-                                       subset=sum(1 << int(i) for i in v["subset"]),
-                                       detail=v["detail"])
-                        for v in data["violations"]],
-            kind_totals=data["kind_totals"],
-            subset_total=int(data["subset_total"]),
-            extremal=[sum(1 << int(i) for i in elems) for elems in data["extremal"]],
-            witness_presence=data["witness_presence"],
-            wall_time_s=data.get("wall_time_s"),
-        )
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -254,15 +218,6 @@ class SweepReport:
                 int(r.extremal_other),
             ])
         return buf.getvalue()
-
-
-def _classify_chunk(group: Group, start: int, stop: int,
-                    tol: float) -> list[ClassificationRecord]:
-    out = []
-    for mask in range(start, stop):
-        if canonical_form(group, mask) == mask:
-            out.append(classify(group, mask, tol))
-    return out
 
 
 def _violations_for(group: Group, record: ClassificationRecord, tol: float) -> list[SweepViolation]:
@@ -291,34 +246,16 @@ def _violations_for(group: Group, record: ClassificationRecord, tol: float) -> l
     return out
 
 
-def pool_size(requested: int, cpus: Optional[int], chunks: int) -> int:
-    """Worker processes to start: the requested count, capped by the CPUs
-    (os.cpu_count(), None when unknown) and by the chunks there are to hand
-    out; at least 1, which means no pool."""
-    return max(1, min(requested, cpus or 1, chunks))
-
-
-def sweep(group: Group, tol: float = DEFAULT_TOL_EXACT, workers: int = 1,
-          order_cap: int = SWEEP_ORDER_CAP) -> SweepReport:
+def sweep(group: Group, tol: float = DEFAULT_TOL_EXACT) -> SweepReport:
     """Classify every subset (one canonical representative per translation
-    orbit) and check the classification theorems; see the module docstring for
-    the violation rules.  Chunked over bitmask ranges when workers > 1 (capped
-    by pool_size), with a deterministic merge, so worker count never changes
-    the report."""
+    orbit, in increasing bitmask order) and check the classification
+    theorems; see the module docstring for the violation rules."""
     tol = validate_tol(tol)
-    if group.order > order_cap:
-        raise ValueError(f"full sweep capped at order {order_cap}, group has {group.order}")
+    if group.order > SWEEP_ORDER_CAP:
+        raise ValueError(f"full sweep capped at order {SWEEP_ORDER_CAP}, group has {group.order}")
     started = time.perf_counter()
-    total = 1 << group.order
-    workers = pool_size(workers, os.cpu_count(), total)
-    if workers == 1:
-        records = _classify_chunk(group, 0, total, tol)
-    else:
-        bounds = [total * i // workers for i in range(workers + 1)]
-        chunks = [(group, lo, hi, tol) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_classify_chunk_star, chunks))
-        records = [rec for part in parts for rec in part]
+    records = [classify(group, mask, tol) for mask in range(1 << group.order)
+               if canonical_form(group, mask) == mask]
 
     violations = []
     kind_totals: dict = {}
@@ -354,10 +291,6 @@ def sweep(group: Group, tol: float = DEFAULT_TOL_EXACT, workers: int = 1,
     )
 
 
-def _classify_chunk_star(args) -> list[ClassificationRecord]:
-    return _classify_chunk(*args)
-
-
 # -- one-shot verification ------------------------------------------------------
 
 DEFAULT_GROUP_SPECS = ("Z3", "Z4", "Z5", "Z6", "Z7", "Z8", "Z9", "Z10",
@@ -375,11 +308,6 @@ class VerificationItem:
     def to_dict(self) -> dict:
         return {"name": self.name, "passed": self.passed, "detail": self.detail}
 
-    @staticmethod
-    def from_dict(data: dict) -> "VerificationItem":
-        return VerificationItem(name=data["name"], passed=bool(data["passed"]),
-                                detail=data["detail"])
-
 
 @dataclass(frozen=True)
 class VerificationSummary:
@@ -388,12 +316,6 @@ class VerificationSummary:
 
     def to_dict(self) -> dict:
         return {"items": [i.to_dict() for i in self.items], "passed": self.passed}
-
-    @staticmethod
-    def from_dict(data: dict) -> "VerificationSummary":
-        return VerificationSummary(
-            items=tuple(VerificationItem.from_dict(i) for i in data["items"]),
-            passed=bool(data["passed"]))
 
 
 def _item(name: str, passed: bool, detail: str) -> VerificationItem:
@@ -430,9 +352,7 @@ def _proof_chain_item(group: Group, records: Sequence[ClassificationRecord]) -> 
 
 
 def run_verification(group_specs: Optional[Sequence[str]] = None,
-                     tol: float = DEFAULT_TOL_EXACT,
-                     grid_points: int = 1_000_000,
-                     workers: int = 1) -> VerificationSummary:
+                     tol: float = DEFAULT_TOL_EXACT) -> VerificationSummary:
     """Run every headline check: constants, the envelope identity, the pattern
     witness and its Schur norm, closed-form cross checks, the 4/pi limit,
     measure forms, amenable cross checks, the classification sweeps, and the
@@ -456,7 +376,7 @@ def run_verification(group_specs: Optional[Sequence[str]] = None,
                        "; ".join(text if holds else f"violated: {text}"
                                  for text, holds in clauses)))
 
-    env = sup_norm_check(grid_points)
+    env = sup_norm_check(1_000_000)
     items.append(_item(
         "envelope_constant_9_2",
         abs(env.max_f - 4.5) <= 1e-12 and env.max_identity_error <= 1e-12,
@@ -504,7 +424,7 @@ def run_verification(group_specs: Optional[Sequence[str]] = None,
                        f"monotone approach from both sides: {mono_ok}"))
 
     for group in groups:
-        report = sweep(group, tol=tol, workers=workers)
+        report = sweep(group, tol=tol)
         items.append(_item(
             f"sweep_{group.name}",
             not report.violations and report.subset_total == (1 << group.order),
@@ -523,10 +443,9 @@ def run_verification(group_specs: Optional[Sequence[str]] = None,
                             f"S={subset_elements(record.subset)}: err={result.max_error:.2e}")
                 if record.witness is not None:
                     integral = witness_integral(group, record.subset, record.witness)
-                    bound = witness_norm_bound(group, record.subset, record.witness)
                     if abs(integral - 6.0) > 1e-10 and abs(integral - 6.5) > 1e-10:
                         witness_ok = False
-                    if bound - 1e-9 > record.norm_lower:
+                    if record.witness_bound - 1e-9 > record.norm_lower:
                         witness_ok = False
             items.append(_item(f"measure_form_{group.name}", measure_ok,
                                "; ".join(measure_details) or

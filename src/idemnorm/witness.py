@@ -78,6 +78,11 @@ def witness_integral(group: Group, mask: int, triple: WitnessTriple) -> complex:
     (b) Numerically: sum_x f(x) mu(x) over the whole group.
     The two paths must agree to 1e-10; disagreement raises ArithmeticError.
     """
+    return _witness_integral(group, mask, triple, mu_values(group, mask))
+
+
+def _witness_integral(group: Group, mask: int, triple: WitnessTriple, mu: np.ndarray) -> complex:
+    """witness_integral with mu = mu_values(group, mask) already computed."""
     triple = make_witness(group, mask, triple.u, triple.v, triple.w)
     u, v, w = triple.u, triple.v, triple.w
     e, w_inv = group.identity, group.inv(w)
@@ -86,7 +91,6 @@ def witness_integral(group: Group, mask: int, triple: WitnessTriple) -> complex:
                                                    [e, w, w_inv, e, w, w_inv])]
     formula = float(np.dot([2, 2, 0.5, 2, -1, -1], chi))
 
-    mu = mu_values(group, mask)
     cu, cv, cw = character_values(group, np.array([u, v, w]))
     f = cu * (2 + 2 * cw + 0.5 * np.conj(cw)) + cv * (2 - cw - np.conj(cw))
     total = complex(f @ mu)
@@ -107,11 +111,8 @@ class SupNormCheck:
     max_f: float
     max_identity_error: float
 
-    def to_dict(self) -> dict:
-        return {"max_f": self.max_f, "max_identity_error": self.max_identity_error}
 
-
-def sup_norm_check(grid_points: int) -> SupNormCheck:
+def sup_norm_check(points: int) -> SupNormCheck:
     """Grid verification that the test-function envelope is constant.
 
     On a uniform theta grid this checks (a) the algebraic identity
@@ -119,9 +120,9 @@ def sup_norm_check(grid_points: int) -> SupNormCheck:
     perfect square since 5/2 + 2 cos t >= 1/2 > 0), and (b) that
     |2 + 2 e^{it} + (1/2) e^{-it}| + |2 - e^{it} - e^{-it}| is identically 9/2.
     """
-    if grid_points < 3:
+    if points < 3:
         raise ValueError("need at least 3 grid points")
-    theta = np.linspace(0.0, 2 * np.pi, grid_points, endpoint=False)
+    theta = np.linspace(0.0, 2 * np.pi, points, endpoint=False)
     cos_t = np.cos(theta)
     radicand = 25.0 / 4.0 + 10.0 * cos_t + 4.0 * cos_t ** 2
     identity_error = float(np.max(np.abs(np.sqrt(radicand) - (2.5 + 2.0 * cos_t))))

@@ -90,12 +90,6 @@ def test_sweep_cap_exits_2(capsys):
     assert "cap" in err
 
 
-def test_sweep_workers_byte_identical(capsys):
-    _, out1, _ = run_cli(capsys, "sweep", "-g", "Z5", "--format", "json")
-    _, out2, _ = run_cli(capsys, "sweep", "-g", "Z5", "--format", "json", "--workers", "3")
-    assert out1 == out2
-
-
 def test_sweep_csv_format(capsys):
     code, out, _ = run_cli(capsys, "sweep", "-g", "Z4", "--format", "csv")
     assert code == 0
@@ -226,3 +220,30 @@ def test_bad_tolerance_exits_2(capsys, argv, tol):
         main([*argv, "--tol", tol])
     assert exc.value.code == 2
     assert "tol" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [("sweep", "-g", "Z4"), ("verify", "--groups", "Z3")])
+def test_workers_option_is_gone(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--workers", "2"])
+    assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [("norm", "-g", "Z4", "-s", "0,1"), ("schur", "--f0"),
+                                  ("verify", "--groups", "Z3")])
+def test_csv_format_only_on_sweep(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--format", "csv"])
+    assert exc.value.code == 2
+    assert "csv" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error")
+def test_schur_badly_scaled_literal_exits_2(capsys):
+    big = 1.7e308
+    literal = json.dumps([[big, big, big], [big, big, 0], [big, 0, big]])
+    code, out, err = run_cli(capsys, "schur", literal)
+    assert code == 2
+    assert not out
+    assert "1.700e+308" in err and "2^1000" in err

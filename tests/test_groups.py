@@ -19,7 +19,7 @@ from idemnorm import (
     translate_left,
     translate_right,
 )
-from idemnorm.groups import character_values, subgroup_generated
+from idemnorm.groups import GROUP_ORDER_CAP, character_values, subgroup_generated
 
 from conftest import (
     oracle_character_value,
@@ -48,19 +48,23 @@ def test_make_abelian_rejects_small_factor():
 
 
 def test_make_abelian_rejects_overflow():
-    with pytest.raises(ValueError, match="cap"):
-        make_abelian_group([4096, 2])
+    for factors in ([4096, 2], [4097], [64, 65]):
+        with pytest.raises(ValueError, match="exceeds cap 4096"):
+            make_abelian_group(factors)
 
 
 def test_order_cap_env_override(monkeypatch):
+    # IDEMNORM_MAX_ORDER no longer exists: a stale setting neither lowers,
+    # raises nor breaks the fixed cap GROUP_ORDER_CAP
+    assert GROUP_ORDER_CAP == 4096
     monkeypatch.setenv("IDEMNORM_MAX_ORDER", "10")
-    with pytest.raises(ValueError, match="cap"):
-        make_abelian_group([16])
+    assert make_abelian_group([16]).order == 16
     monkeypatch.setenv("IDEMNORM_MAX_ORDER", "20000")
-    assert make_abelian_group([16384 // 2, 2]).order == 16384
+    assert make_abelian_group([64, 64]).order == 4096
+    with pytest.raises(ValueError, match="exceeds cap 4096"):
+        make_abelian_group([16384 // 2, 2])
     monkeypatch.setenv("IDEMNORM_MAX_ORDER", "zero")
-    with pytest.raises(ValueError):
-        make_abelian_group([4])
+    assert make_abelian_group([4]).order == 4
 
 
 def test_mixed_radix_round_trip(z2z4):

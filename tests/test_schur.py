@@ -320,6 +320,34 @@ def test_gamma2_rejects_bad_tolerance(tol):
         gamma2(forbidden_pattern(), tol)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("a", [
+    1e308 * forbidden_pattern(),
+    np.full((3, 3), 1.7e308),
+    2.0 ** 1001 * np.eye(2),
+    np.array([[1.0, 1.5e308j], [0.0, 1.0]]),
+], ids=["f0_1e308", "literal_1.7e308", "eye_2^1001", "complex_1.5e308"])
+def test_gamma2_rejects_badly_scaled_input(a):
+    # its blocks and eigenproblems would overflow; the message names the scale
+    with pytest.raises(ValueError, match=r"entries reach .*2\^1000"):
+        gamma2(a)
+
+
+@pytest.mark.filterwarnings("error")
+def test_gamma2_takes_entries_up_to_the_bound():
+    # 1e300 F0 is inside the bound: the absolute gap cannot close at that
+    # size, so the call ends at the step cap with a bracket tight relative
+    # to the norm, and no intermediate overflows
+    for a in (1e300 * forbidden_pattern(), 2.0 ** 1000 * np.eye(2)):
+        try:
+            bounds = gamma2(a)
+            lower, upper = bounds.lower, bounds.upper
+        except Gamma2ConvergenceError as exc:
+            lower, upper = exc.lower, exc.upper
+        assert math.isfinite(upper)
+        assert upper - lower <= 1e-12 * upper
+
+
 SCALES = (1e-200, 1e-170, 1e-6, 1e-3, 1.0, 1e3, 1e6, 1e9)
 
 

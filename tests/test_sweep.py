@@ -1,12 +1,11 @@
 import dataclasses
-import json
 import math
 import random
 
+import numpy as np
 import pytest
 
 from idemnorm import (
-    ClassificationRecord,
     canonical_form,
     classify,
     make_abelian_group,
@@ -17,7 +16,7 @@ from idemnorm import (
     sweep,
     translate_left,
 )
-from idemnorm.sweep import _proof_chain_item, orbit, pool_size
+from idemnorm.sweep import _proof_chain_item, orbit
 
 from conftest import burnside_abelian, oracle_canonical_form, oracle_class_count, oracle_orbit
 
@@ -144,40 +143,12 @@ def test_sweep_zero_tolerance_reports_boundary(z4):
     assert any(subset_elements(v.subset) == [0, 1] for v in report.violations)
 
 
-def test_sweep_workers_deterministic(z5):
-    one = sweep(z5, workers=1)
-    three = sweep(z5, workers=3)
-    assert json.dumps(one.to_dict(), sort_keys=True) == json.dumps(three.to_dict(),
-                                                                   sort_keys=True)
-
-
-def test_record_round_trip(z6):
-    for mask in (0, subset_mask(z6, [0, 1]), subset_mask(z6, [0, 1, 3]),
-                 subset_mask(z6, [0, 2, 3, 4])):
-        record = classify(z6, mask)
-        back = ClassificationRecord.from_dict(json.loads(json.dumps(record.to_dict())))
-        assert back == record
-
-
 def test_report_round_trip_and_csv(z6):
     report = sweep(z6)
-    data = json.loads(json.dumps(report.to_dict()))
-    back = type(report).from_dict(data)
-    assert back.records == report.records
-    assert back.violations == report.violations
-    assert back.to_dict() == report.to_dict()
     csv_text = report.to_csv()
     lines = csv_text.strip().splitlines()
     assert len(lines) == 1 + len(report.records)
     assert lines[0].startswith("subset,kind,q,norm_lower")
-
-
-def test_verification_summary_round_trip():
-    from idemnorm import VerificationSummary
-
-    summary = run_verification([])
-    back = VerificationSummary.from_dict(json.loads(json.dumps(summary.to_dict())))
-    assert back == summary
 
 
 def test_run_verification_single_group():
@@ -201,15 +172,6 @@ def test_bad_tolerance_raises(z4, tol):
         classify(z4, 1, tol=tol)
     with pytest.raises(ValueError):
         run_verification([], tol=tol)
-
-
-def test_pool_size_clamps_workers():
-    assert pool_size(3, 2, 64) == 2
-    assert pool_size(10_000, 8, 1 << 24) == 8
-    assert pool_size(5, 64, 3) == 3
-    assert pool_size(4, None, 64) == 1
-    assert pool_size(0, 8, 64) == 1
-    assert pool_size(-3, 8, 64) == 1
 
 
 @pytest.mark.parametrize("spec", ("Z6", "Z8", "Z2xZ4", "S3", "D4", "Q8"))
@@ -269,3 +231,14 @@ def test_proof_chain_item_fails_without_the_pattern(s3):
     item = _proof_chain_item(s3, records)
     assert not item.passed
     assert "(u, v)" in item.detail
+
+
+def test_sweep_transforms_each_abelian_class_once(monkeypatch):
+    # bs_norm and the witness integral share one mu_values per class
+    calls = []
+    fftn = np.fft.fftn
+    monkeypatch.setattr(np.fft, "fftn", lambda *a, **k: calls.append(1) or fftn(*a, **k))
+    report = sweep(parse_group("Z2xZ7"))
+    assert len(report.records) == 1182
+    assert sum(r.witness is not None for r in report.records) > 0
+    assert len(calls) <= len(report.records)
