@@ -6,16 +6,18 @@ with [[P, A], [A*, Q]] positive semidefinite and all diagonal entries <= c,
 and, by duality, the largest nuclear norm ||D_p^1/2 A D_q^1/2||_S1 over
 diagonal weights p, q in the simplices.  gamma2() runs a multiplicative fixed
 point on those weights, one eigh per step, with a floor that keeps every
-weight positive, and turns a step into both proofs: an upper bound certified
-by such a (P, Q, c) triple, built from one set of Gram vectors for all rows
-and columns, and a lower bound realized by an explicit witness pair (X, xi)
-through witness_lower_bound, so every reported bracket can be re-verified
-independently of the solver.
+weight positive and safeguarded Anderson mixing of the log-weights, so that
+weights vanishing at the optimum do not slow it down.  It turns a step into
+both proofs: an upper bound certified by such a (P, Q, c) triple, built from
+one set of Gram vectors for all rows and columns, and a lower bound realized
+by an explicit witness pair (X, xi) through witness_lower_bound, so every
+reported bracket can be re-verified independently of the solver.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -254,6 +256,7 @@ def _entry_witness(a: np.ndarray) -> WitnessPair:
 # -- the diagonal-weight fixed point ---------------------------------------------------
 
 STEP_CAP = 3000  # fixed-point steps (one eigh each) one gamma2 call may take
+ANDERSON_DEPTH = 6  # differences of past steps the weight update mixes in
 _RANK_RTOL = 1e-14  # singular values below this fraction of the largest are dropped
 
 
@@ -267,11 +270,27 @@ def _balanced(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x * t, y / t
 
 
+def _gap(tol: float, value: float) -> float:
+    """The bracket width the stop rule accepts at value: tol * min(1, value),
+    and for tol > 0 at least 16 ulps of value, which rounding alone can leave
+    open once the absolute gap drops below them (about 1e12 at tol 1e-3)."""
+    return max(tol * min(1.0, value), 16.0 * math.ulp(value)) if tol else 0.0
+
+
+def _floored(log_weights: np.ndarray, delta: float) -> np.ndarray:
+    """The point of the simplex with these log-weights, up to a constant,
+    mixed with the floor as in the plain update."""
+    weights = np.exp(log_weights - np.max(log_weights))
+    return (1.0 - delta) * weights / np.sum(weights) + delta / weights.size
+
+
 # -- main entry --------------------------------------------------------------------
 
 def gamma2(a, tol: float = 1e-3) -> Gamma2Bounds:
     """Two-sided Schur-norm bounds with upper - lower <= tol * min(1, upper):
-    an absolute gap for norms of 1 or more, a relative one below.
+    an absolute gap for norms of 1 or more, a relative one below.  For
+    tol > 0 the gap is at least 16 ulps of upper, which rounding alone can
+    leave open above about 1e12 at tol 1e-3; tol = 0 asks for an exact bracket.
 
     The solver is a multiplicative fixed point on the diagonal weights of the
     dual gamma2(A) = max over p, q in the simplices of ||D_p^1/2 A D_q^1/2||_S1
@@ -287,6 +306,20 @@ def gamma2(a, tol: float = 1e-3) -> Gamma2Bounds:
     every weight away from 0, so the Gram vectors below are accurate on every
     row and column, and at a fixed point they certify at most f / (1 - delta),
     within a quarter of the gap above f.
+
+    This plain update converges sublinearly where an optimal weight tends to
+    0 slowly, so the weights tried are Anderson-mixed (Walker-Ni 2011).  With
+    x = (log p, log q), g(x) the log of the plain update and r = g(x) - x,
+    the last ANDERSON_DEPTH differences dR, dG of accepted steps give
+
+        gamma = argmin || W (r - dR gamma) ||,   x+ = g(x) - dG gamma,
+
+    where W = diag(sqrt(p), sqrt(q)) weighs the fit in the Fisher-Rao metric
+    of the simplices, so that weights at the floor do not steer it; x+ is
+    mapped back by exp, normalized on each simplex and floored as above.  A
+    safeguard keeps the mixing from wandering: a mixed point whose f falls
+    below the last accepted point's is dropped with the history, and the
+    plain update of that point is taken instead, whatever its value.
 
     A step whose Gram vectors promise a closed bracket, and the last step
     allowed, is turned into both proofs:
@@ -324,6 +357,8 @@ def gamma2(a, tol: float = 1e-3) -> Gamma2Bounds:
     p, q = np.full(m, 1.0 / m), np.full(n, 1.0 / n)
     dilation = np.zeros((m + n, m + n), dtype=b.dtype)
     upper, certificate = math.inf, None
+    accepted = None  # (value, residual, image, plain update) of the last accepted point
+    history = deque(maxlen=ANDERSON_DEPTH)  # differences of residuals and images
     for step in range(STEP_CAP):
         half = np.sqrt(p)[:, None] * b * np.sqrt(q)
         dilation[:m, m:] = half
@@ -333,8 +368,9 @@ def gamma2(a, tol: float = 1e-3) -> Gamma2Bounds:
         root = np.sqrt(w[keep])
         u, v = np.sqrt(2.0) * vectors[:m, keep], np.sqrt(2.0) * vectors[m:, keep]
         rows, cols = _row_norms(u * root), _row_norms(v * root)
-        best = max(lower, scale * float(np.sum(w[keep])))
-        gap = tol * min(1.0, best)
+        value = float(np.sum(w[keep]))
+        best = max(lower, scale * value)
+        gap = _gap(tol, best)
         promise = scale * math.sqrt(np.max(rows / p) * np.max(cols / q)) - best
         if promise <= gap or step == STEP_CAP - 1:
             y = v * root / np.sqrt(q)[:, None]
@@ -342,16 +378,39 @@ def gamma2(a, tol: float = 1e-3) -> Gamma2Bounds:
             x, y = _balanced(x, y)
             level, cert = _certify_blocks(a, scale * (x @ x.conj().T), scale * (y @ y.conj().T))
             pair = WitnessPair((u @ v.conj().T).conj(), np.sqrt(q))
-            value = witness_lower_bound(a, pair)
+            witnessed = witness_lower_bound(a, pair)
             if level < upper:
                 upper, certificate = level, cert
-            if value > lower:
-                lower, witness = value, pair
-            if upper - lower <= tol * min(1.0, upper):
+            if witnessed > lower:
+                lower, witness = witnessed, pair
+            if upper - lower <= _gap(tol, upper):
                 break
+        if history and value < accepted[0]:
+            # the mixed point lost value: drop it and the history, and take
+            # the plain update of the last accepted point
+            history.clear()
+            p, q = accepted[3]
+            accepted = None
+            continue
         delta = max(gap / (4.0 * best), np.finfo(float).eps)
-        p = (1.0 - delta) * rows / np.sum(rows) + delta / m
-        q = (1.0 - delta) * cols / np.sum(cols) + delta / n
+        plain = ((1.0 - delta) * rows / np.sum(rows) + delta / m,
+                 (1.0 - delta) * cols / np.sum(cols) + delta / n)
+        point = np.concatenate((p, q))
+        image = np.log(np.concatenate(plain))
+        residual = image - np.log(point)
+        if accepted is not None:
+            history.append((residual - accepted[1], image - accepted[2]))
+        accepted = (value, residual, image, plain)
+        if history:
+            # the fit in the Fisher-Rao metric, sum w (d log w)^2: weights
+            # near the floor would otherwise dominate it
+            d_residual, d_image = (np.column_stack(d) for d in zip(*history))
+            metric = np.sqrt(point)
+            mixed = image - d_image @ np.linalg.lstsq(d_residual * metric[:, None],
+                                                      residual * metric, rcond=None)[0]
+            p, q = _floored(mixed[:m], delta), _floored(mixed[m:], delta)
+        else:
+            p, q = plain
     else:
         raise Gamma2ConvergenceError(lower, upper)
     if lower > upper:

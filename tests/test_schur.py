@@ -335,9 +335,9 @@ def test_gamma2_rejects_badly_scaled_input(a):
 
 @pytest.mark.filterwarnings("error")
 def test_gamma2_takes_entries_up_to_the_bound():
-    # 1e300 F0 is inside the bound: the absolute gap cannot close at that
-    # size, so the call ends at the step cap with a bracket tight relative
-    # to the norm, and no intermediate overflows
+    # 1e300 F0 is inside the bound: the bracket is tight relative to the
+    # norm, whether the call closes or ends at the step cap, and no
+    # intermediate overflows
     for a in (1e300 * forbidden_pattern(), 2.0 ** 1000 * np.eye(2)):
         try:
             bounds = gamma2(a)
@@ -424,3 +424,79 @@ def test_gamma2_least_squares_closes_tight_gaps():
     assert bounds.upper - bounds.lower <= 1e-9
     assert check_certificate(a, bounds.certificate.p, bounds.certificate.q,
                              bounds.certificate.c, tol=1e-8)
+
+
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    """A list that grows by one entry per numpy.linalg.eigh call."""
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return calls
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("c", [1e13, 1e200])
+def test_gamma2_closes_where_rounding_exceeds_the_gap(c):
+    # at 1e-3 the absolute gap is below the rounding of a norm above about
+    # 1e12, so the stop rule accepts 16 ulps there instead of running to the cap
+    a = c * forbidden_pattern()
+    bounds = gamma2(a)
+    assert bounds.upper - bounds.lower <= 16 * math.ulp(bounds.upper)
+    assert bounds.lower == pytest.approx(9 / 7 * c, rel=1e-14)
+    assert bounds.upper == pytest.approx(9 / 7 * c, rel=1e-14)
+    assert witness_lower_bound(a, bounds.witness) == bounds.lower
+
+
+TAIL_GAUSSIANS = [np.random.RandomState(100 * n + s).standard_normal((n, n))
+                  for n in range(4, 13) for s in range(3)]
+TAIL_GAUSSIANS.append(np.random.RandomState(500).standard_normal((5, 5)))
+
+
+def test_gamma2_closes_the_sublinear_tail(eigh_calls):
+    # optimal weights that vanish slowly make the plain fixed point sublinear:
+    # on these it needs up to 1,125 eigh calls at 1e-6, and 18,213 in all at
+    # 1e-9, where two reach the step cap; the mixed weights close every one
+    tight = 0
+    for a in TAIL_GAUSSIANS:
+        eigh_calls.clear()
+        bounds = gamma2(a, 1e-6)
+        assert len(eigh_calls) <= 600
+        assert bounds.upper - bounds.lower <= 1e-6
+        eigh_calls.clear()
+        bounds = gamma2(a, 1e-9)
+        tight += len(eigh_calls)
+        assert bounds.upper - bounds.lower <= 1e-9
+        assert check_certificate(a, bounds.certificate.p, bounds.certificate.q,
+                                 bounds.certificate.c, tol=1e-8)
+        assert witness_lower_bound(a, bounds.witness) == pytest.approx(bounds.lower, rel=1e-12)
+    assert tight <= 3000
+
+
+@pytest.mark.parametrize("kind", ["zero-one", "sign", "gaussian"])
+def test_gamma2_steps_are_equivariant(kind, eigh_calls):
+    # a permuted or transposed copy takes exactly as many steps to the same
+    # upper end; the witness vector is the square root of the column weights,
+    # so a transposed copy's lower end comes from a different witness
+    rng = np.random.RandomState(0)
+    a = {"zero-one": lambda: rng.randint(0, 2, size=(8, 8)).astype(float),
+         "sign": lambda: rng.choice([-1.0, 1.0], size=(8, 8)),
+         "gaussian": lambda: rng.standard_normal((8, 8))}[kind]()
+    rows, cols = rng.permutation(8), rng.permutation(8)
+    eigh_calls.clear()
+    base = gamma2(a, 1e-3)
+    steps = len(eigh_calls)
+    for copy, transposed in ((a[rows], False), (a[:, cols], False), (a.T, True)):
+        eigh_calls.clear()
+        other = gamma2(copy, 1e-3)
+        assert len(eigh_calls) == steps
+        assert other.upper == pytest.approx(base.upper, rel=1e-12)
+        if transposed:
+            assert base.upper - 1e-3 <= other.lower <= base.upper
+        else:
+            assert other.lower == pytest.approx(base.lower, rel=1e-12)
