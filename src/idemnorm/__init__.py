@@ -33,7 +33,6 @@ from .groups import (
     subset_elements,
     subset_mask,
     translate_left,
-    translate_right,
 )
 from .multiplier import (
     cb_norm,

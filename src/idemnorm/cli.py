@@ -128,7 +128,8 @@ def cmd_sweep(args) -> int:
     group = parse_group(args.group)
     report = sweep(group, tol=DEFAULT_TOL_EXACT if args.tol is None else args.tol)
     print(f"sweep of {group.name} took {report.wall_time_s:.2f}s", file=sys.stderr)
-    _emit(report.to_dict(), args.format, args.out, csv_text=report.to_csv())
+    csv_text = report.to_csv() if args.format == "csv" else None
+    _emit(report.to_dict(), args.format, args.out, csv_text=csv_text)
     return EXIT_OK if not report.violations else EXIT_VIOLATION
 
 

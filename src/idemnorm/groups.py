@@ -8,7 +8,9 @@ always dense indices 0..n-1 and subsets are bitmasks.
 The group law has one implementation, Group.mul_array: the products of two
 broadcast index arrays, read from the Cayley table or summed in coordinates
 over the n x k array Group._coords (abelian groups store no n x n table).
-The scalar Group.mul wraps it, and every set operation is built on it.  The
+The scalar Group.mul wraps it, and every set operation is built on it; up
+to order 64 some read the translation byte table that it fills, which gives
+every translate of a subset as one uint64 bitmask (_translates).  The
 character pairing of an abelian group has one exact integer form,
 _pairing_numerators, under character_values.  Bitmasks cross into index
 arrays and back through the helper pair _bits/_mask (np.unpackbits and
@@ -401,9 +403,15 @@ def translate_left(group: Group, t: int, mask: int) -> int:
     return _index_mask(group, group.mul_array(t, _members(mask)))
 
 
-def translate_right(group: Group, mask: int, t: int) -> int:
-    """Bitmask of S*t."""
-    return _index_mask(group, group.mul_array(_members(mask), t))
+def _translates(group: Group, mask: int) -> np.ndarray:
+    """Every translate of S (uint64 bitmasks, one per translation), as an OR
+    of the rows of the group's translation table that the bytes of S select:
+    entry t is t + S on abelian groups, entry t n + u is t S u otherwise."""
+    table = group.translation_table
+    out = table[0, mask & 255]
+    for b in range(1, len(table)):
+        out = out | table[b, (mask >> 8 * b) & 255]
+    return out
 
 
 def is_subgroup(group: Group, mask: int) -> bool:
@@ -443,12 +451,16 @@ def stabilizer(group: Group, mask: int) -> int:
     """Two-sided stabilizer {t : S t = S and t S = S}; always a subgroup.
 
     For the empty set this is the whole group.  For abelian groups the two
-    one-sided conditions coincide.  S t = S puts s0 t in S, so the candidates
-    are s0^-1 S.  Each is checked exactly, s t and t s against the flags of S
-    for a block of s in S at a time, until S is exhausted or only the
-    identity (which always stabilizes) is left.
+    one-sided conditions coincide, and up to order 64 the stabilizer is read
+    off the translates: {t : t + S = S}, one uint64 comparison per t.
+    Otherwise S t = S puts s0 t in S, so the candidates are s0^-1 S.  Each
+    is checked exactly, s t and t s against the flags of S for a block of s
+    in S at a time, until S is exhausted or only the identity (which always
+    stabilizes) is left.
     """
     mask = validate_mask(group, mask)
+    if group.is_abelian and group.order <= TRANSLATION_TABLE_MAX_ORDER:
+        return _mask(_translates(group, mask) == np.uint64(mask))
     if mask == 0:
         return (1 << group.order) - 1
     members = _members(mask)
@@ -510,22 +522,29 @@ class CosetAnalysis:
 def analyze_cosets(group: Group, mask: int) -> CosetAnalysis:
     """Classify S as empty / coset / two-coset union / other.
 
-    A coset is recognised by the a^-1 S subgroup test, so cosets of arbitrary
-    subgroups are found (not just cosets of the stabilizer).  The two-coset
-    kind requires S to be exactly two left cosets of its two-sided stabilizer
-    T with T normal in the span <T, a^-1 b>, which makes the relative order q
-    independent of the representatives; q >= 3 always (q <= 2 would make S a
-    single coset of a larger subgroup, caught by the coset test first).
+    S is a union of left cosets of its two-sided stabilizer T, so |T| = |S|
+    makes S the coset a T (a the least element of S), and then a^-1 S = T.
+    On abelian groups the converse holds, so this is the whole coset test.
+    On other groups the left coset a H has the two-sided stabilizer
+    H & a H a^-1, which is smaller when a does not normalize H, so the a^-1 S
+    subgroup test runs first and finds cosets of arbitrary subgroups.  The two-coset kind requires S to
+    be exactly two left cosets of T with T normal in the span <T, a^-1 b>,
+    which makes the relative order q independent of the representatives;
+    q >= 3 always (q <= 2 would make S a single coset of a larger subgroup,
+    caught by the coset test first).
     """
     mask = validate_mask(group, mask)
     if mask == 0:
         return CosetAnalysis(kind="empty")
     a = (mask & -mask).bit_length() - 1
-    h = translate_left(group, group.inv(a), mask)
-    if is_subgroup(group, h):
-        return CosetAnalysis(kind="coset", subgroup=h, rep_a=a)
+    if not group.is_abelian:
+        h = translate_left(group, group.inv(a), mask)
+        if is_subgroup(group, h):
+            return CosetAnalysis(kind="coset", subgroup=h, rep_a=a)
     stab = stabilizer(group, mask)
     stab_size = subset_size(stab)
+    if subset_size(mask) == stab_size:
+        return CosetAnalysis(kind="coset", subgroup=stab, rep_a=a)
     if subset_size(mask) == 2 * stab_size:
         rest = mask & ~translate_left(group, a, stab)
         if subset_size(rest) == stab_size:

@@ -16,7 +16,8 @@ from typing import Optional
 
 import numpy as np
 
-from .groups import Group, _bits, _members, _products_in, validate_mask
+from .groups import (TRANSLATION_TABLE_MAX_ORDER, Group, _bits, _members, _products_in,
+                     _translates, validate_mask)
 # gamma2 is not called here; it stays importable as multiplier.gamma2, which
 # perfbench's tracer test asserts is schur.gamma2
 from .schur import Gamma2Bounds, WitnessPair, _certify_blocks, gamma2, witness_lower_bound  # noqa: F401
@@ -71,43 +72,37 @@ def cb_norm(group: Group, mask: int) -> Gamma2Bounds:
 
 def forbidden_pattern_search(group: Group, mask: int) -> Optional[tuple[tuple[int, int, int], tuple[int, int, int]]]:
     """First (in lexicographic order) row and column triples whose submatrix of
-    the multiplier matrix equals the forbidden pattern exactly, or None.
+    the multiplier matrix equals the forbidden pattern exactly, or None
+    (groups of order up to 64).
 
-    Rows are scanned ascending; for fixed rows the admissible columns for the
-    three pattern columns are disjoint bitmask intersections, so the smallest
-    member of each gives the lexicographically least column triple.
+    M(g s, g t) = M(s, t), so any hit moves to one whose first row is
+    element 0, and the first hit has r1 = 0.  Each row of M is one uint64
+    bitmask (the translate s S), and one pass over all (r2, r3) forms the
+    three column classes m1 & m2 & m3, m1 & m2 & ~m3 and m1 & m3 & ~m2;
+    they are disjoint, so the least member of each gives the least column
+    triple.  A class is empty when r2 = r3, r2 = 0 or r3 = 0, so every hit
+    has distinct rows.
     """
     mask = validate_mask(group, mask)
     n = group.order
-    if mask == 0:
+    if n > TRANSLATION_TABLE_MAX_ORDER:
+        raise ValueError(f"pattern search supports orders up to "
+                         f"{TRANSLATION_TABLE_MAX_ORDER}, got {n}")
+    if group.is_abelian:
+        rows = _translates(group, mask)
+    else:
+        bits = np.left_shift(np.uint64(1), np.arange(n, dtype=np.uint64))
+        rows = _row_flags(group, mask).astype(np.uint64) @ bits
+    both = rows[0] & rows  # [r2]: m1 & m2
+    col1 = both[:, None] & rows
+    col2 = both[:, None] & ~rows
+    col3 = both & ~rows[:, None]
+    hits = (col1 != 0) & (col2 != 0) & (col3 != 0)
+    if not hits.any():
         return None
-    full = (1 << n) - 1
-    packed = np.packbits(_row_flags(group, mask), axis=1, bitorder="little")
-    row_masks = [int.from_bytes(row.tobytes(), "little") for row in packed]
-    for r1 in range(n):
-        m1 = row_masks[r1]
-        if not m1:
-            continue
-        for r2 in range(n):
-            if r2 == r1:
-                continue
-            m2 = row_masks[r2]
-            c1_base = m1 & m2
-            if not c1_base:
-                continue
-            for r3 in range(n):
-                if r3 == r1 or r3 == r2:
-                    continue
-                m3 = row_masks[r3]
-                col1 = c1_base & m3
-                col2 = m1 & m2 & ~m3 & full
-                col3 = m1 & m3 & ~m2 & full
-                if col1 and col2 and col3:
-                    c1 = (col1 & -col1).bit_length() - 1
-                    c2 = (col2 & -col2).bit_length() - 1
-                    c3 = (col3 & -col3).bit_length() - 1
-                    return (r1, r2, r3), (c1, c2, c3)
-    return None
+    r2, r3 = np.unravel_index(np.argmax(hits), hits.shape)
+    c1, c2, c3 = (int(c[r2, r3]) for c in (col1, col2, col3))
+    return (0, int(r2), int(r3)), tuple((c & -c).bit_length() - 1 for c in (c1, c2, c3))
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,7 @@ from .bs import THRESHOLDS, bs_norm, mu_values, predicted_norm, two_coset_norm, 
 from .groups import (
     CosetAnalysis,
     Group,
+    _translates,
     analyze_cosets,
     is_subgroup,
     make_abelian_group,
@@ -61,16 +62,6 @@ from .witness import (
 
 SWEEP_ORDER_CAP = 24
 DEFAULT_TOL_EXACT = 1e-9
-
-
-def _translates(group: Group, mask: int) -> np.ndarray:
-    """Every translate of S (uint64 bitmasks, one per translation), as an OR
-    of the rows of the group's translation table that the bytes of S select."""
-    table = group.translation_table
-    out = table[0, mask & 255]
-    for b in range(1, len(table)):
-        out = out | table[b, (mask >> 8 * b) & 255]
-    return out
 
 
 def orbit(group: Group, mask: int) -> set[int]:

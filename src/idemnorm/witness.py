@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .bs import mu_values
-from .groups import Group, _bits, _members, _products_in, character_values, validate_mask
+from .groups import Group, _bits, _translates, character_values, validate_mask
 
 SUP_NORM_F = 4.5
 
@@ -34,39 +34,60 @@ class WitnessTriple:
 
 def make_witness(group: Group, mask: int, u: int, v: int, w: int) -> WitnessTriple:
     """Validated witness construction; raises if the membership pattern fails."""
+    _memberships(group, mask, u, v, w)
+    return WitnessTriple(u=u, v=v, w=w)
+
+
+def _memberships(group: Group, mask: int, u: int, v: int, w: int) -> np.ndarray:
+    """chi_S at u, u+w, u-w, v, v+w, v-w, from one gather; raises ValueError
+    unless (u, v, w) is a witness for S."""
     group._require_abelian()
     mask = validate_mask(group, mask)
     if not all(0 <= x < group.order for x in (u, v, w)):
         raise ValueError(f"(u={u}, v={v}, w={w}) has an element outside 0..{group.order - 1}")
     e, w_inv = group.identity, group.inv(w)
+    chi = _bits(mask, group.order)[group.mul_array([u, u, u, v, v, v],
+                                                   [e, w, w_inv, e, w, w_inv])]
     # u, v, u+w in S; v+w, v-w outside
-    has_u, has_v, has_uw, has_vw, has_vw_inv = _bits(mask, group.order)[
-        group.mul_array([u, v, u, v, v], [e, e, w, w, w_inv])]
-    if not (has_u and has_v and has_uw and not has_vw and not has_vw_inv):
+    if not (chi[0] and chi[1] and chi[3] and not chi[4] and not chi[5]):
         raise ValueError(f"(u={u}, v={v}, w={w}) is not a valid witness for this subset")
-    return WitnessTriple(u=u, v=v, w=w)
+    return chi
 
 
 def find_witness(group: Group, mask: int) -> Optional[WitnessTriple]:
-    """First witness in lexicographic (u, v, w) order, or None.
+    """First witness in lexicographic (u, v, w) order, or None (abelian
+    groups of order up to 64).
 
-    Cosets never admit one, and neither does any union of two cosets observed
-    in the bundled sweeps; sets outside those classes frequently do.
+    Read off the translates T[t] = t + S: for each w the admissible u form
+    A_w = S & T[-w] (u + w in S) and the admissible v form
+    B_w = S minus (T[-w] | T[w]) (v + w and v - w outside S).  The least u
+    is the least element of the union of the A_w over the w with both sets
+    nonempty, v is the least element of the B_w among those w with u in
+    A_w, and w the first of them with v in B_w.
+
+    Cosets never admit a witness, and neither does any union of two cosets
+    observed in the bundled sweeps; sets outside those classes frequently do.
     """
     group._require_abelian()
     mask = validate_mask(group, mask)
-    members = _members(mask)
-    flags = _bits(mask, group.order)
-    # [i, w]: members[i] + w in S; [j, w]: members[j] + w and members[j] - w
-    # both outside S
-    shifted_in = _products_in(group, flags, members, np.arange(group.order))
-    outside = ~shifted_in & ~_products_in(group, flags, members, group._inverse)
-    for i, u in enumerate(members):
-        hits = shifted_in[i] & outside
-        if hits.any():
-            j, w = np.unravel_index(np.argmax(hits), hits.shape)
-            return WitnessTriple(u=int(u), v=int(members[j]), w=int(w))
-    return None
+    translates = _translates(group, mask)
+    s = np.uint64(mask)
+    back = translates[group._inverse]  # [w]: S - w
+    a = s & back
+    b = s & ~(back | translates)
+    usable = (a != 0) & (b != 0)
+    if not usable.any():
+        return None
+    u = _lowest(int(np.bitwise_or.reduce(a[usable])))
+    usable &= ((a >> np.uint64(u)) & np.uint64(1)) != 0
+    v = _lowest(int(np.bitwise_or.reduce(b[usable])))
+    w = int(np.argmax(usable & (((b >> np.uint64(v)) & np.uint64(1)) != 0)))
+    return WitnessTriple(u=u, v=v, w=w)
+
+
+def _lowest(mask: int) -> int:
+    """Least element of a nonempty bitmask."""
+    return (mask & -mask).bit_length() - 1
 
 
 def witness_integral(group: Group, mask: int, triple: WitnessTriple) -> complex:
@@ -83,12 +104,9 @@ def witness_integral(group: Group, mask: int, triple: WitnessTriple) -> complex:
 
 def _witness_integral(group: Group, mask: int, triple: WitnessTriple, mu: np.ndarray) -> complex:
     """witness_integral with mu = mu_values(group, mask) already computed."""
-    triple = make_witness(group, mask, triple.u, triple.v, triple.w)
     u, v, w = triple.u, triple.v, triple.w
-    e, w_inv = group.identity, group.inv(w)
-    # chi(u), chi(u+w), chi(u-w), chi(v), chi(v+w), chi(v-w): halves, summed exactly
-    chi = _bits(mask, group.order)[group.mul_array([u, u, u, v, v, v],
-                                                   [e, w, w_inv, e, w, w_inv])]
+    # the weights are halves, so the membership sum is exact
+    chi = _memberships(group, mask, u, v, w)
     formula = float(np.dot([2, 2, 0.5, 2, -1, -1], chi))
 
     cu, cv, cw = character_values(group, np.array([u, v, w]))

@@ -4,6 +4,7 @@ import math
 import pytest
 
 from idemnorm.cli import main
+from idemnorm.sweep import SweepReport
 
 from conftest import oracle_mul
 
@@ -82,6 +83,17 @@ def test_sweep_z6(capsys):
     assert payload["subset_total"] == 64
     assert "wall_time_s" not in payload  # deterministic stdout; timing on stderr
     assert "took" in err
+
+
+@pytest.mark.parametrize("fmt", ("json", "text"))
+def test_sweep_builds_csv_only_when_asked(capsys, monkeypatch, fmt):
+    def refuse(report):
+        raise AssertionError("to_csv called for a non-CSV format")
+
+    monkeypatch.setattr(SweepReport, "to_csv", refuse)
+    code, out, _ = run_cli(capsys, "sweep", "-g", "Z4", "--format", fmt)
+    assert code == 0
+    assert "kind_totals" in out
 
 
 def test_sweep_cap_exits_2(capsys):

@@ -17,7 +17,6 @@ from idemnorm import (
     subset_elements,
     subset_mask,
     translate_left,
-    translate_right,
 )
 from idemnorm.groups import GROUP_ORDER_CAP, character_values, subgroup_generated
 
@@ -248,7 +247,7 @@ def test_analyze_translation_covariant(z6, s3):
         for mask in range(1 << g.order):
             a = analyze_cosets(g, mask)
             for t in g.elements():
-                for moved in (translate_left(g, t, mask), translate_right(g, mask, t)):
+                for moved in (translate_left(g, t, mask), oracle_translate_right(g, mask, t)):
                     b = analyze_cosets(g, moved)
                     assert (a.kind, a.q) == (b.kind, b.q)
 
@@ -270,7 +269,6 @@ def test_translate_round_trip(s3):
     mask = subset_mask(s3, [0, 2, 5])
     for t in s3.elements():
         assert translate_left(s3, s3.inv(t), translate_left(s3, t, mask)) == mask
-        assert translate_right(s3, translate_right(s3, mask, t), s3.inv(t)) == mask
 
 
 def test_parse_group():
@@ -325,7 +323,6 @@ def test_set_operations_match_oracles_on_every_subset(spec):
         assert is_subgroup(g, mask) == oracle_is_subgroup(g, mask)
         for t in g.elements():
             assert translate_left(g, t, mask) == oracle_translate_left(g, t, mask)
-            assert translate_right(g, mask, t) == oracle_translate_right(g, mask, t)
 
 
 @pytest.mark.parametrize("spec", ("Z1024", "Z32xZ32", "x".join(["Z2"] * 10)))
@@ -347,7 +344,6 @@ def test_set_operations_match_oracles_on_large_groups(spec):
         assert is_subgroup(g, moved) == oracle_is_subgroup(g, moved) == (kind == "coset")
         for t in (1, g.order // 3, g.order - 1):
             assert translate_left(g, t, mask) == oracle_translate_left(g, t, mask)
-            assert translate_right(g, mask, t) == oracle_translate_right(g, mask, t)
 
 
 @pytest.mark.parametrize("spec", ("Z4096", "Z64xZ64"))

@@ -1,10 +1,12 @@
 import math
+import random
 
 import numpy as np
 import pytest
 
 from idemnorm import (
     bs_norm,
+    builtin_group,
     cb_norm,
     check_certificate,
     closure_claim_check,
@@ -20,7 +22,6 @@ from idemnorm import (
     subset_elements,
     subset_mask,
     translate_left,
-    translate_right,
     witness_lower_bound,
 )
 
@@ -30,6 +31,7 @@ from conftest import (
     oracle_mul,
     oracle_pattern_search,
     oracle_progression_check,
+    oracle_translate_right,
 )
 
 
@@ -121,6 +123,36 @@ def test_pattern_search_on_nonabelian(s3, q8):
     for g in (s3, q8):
         for mask in range(0, 1 << g.order, 7):  # sampled; full oracle is slow
             assert forbidden_pattern_search(g, mask) == oracle_pattern_search(g, mask)
+
+
+def _relabelled_s3():
+    """S3 with element x renamed 5 - x, so that its identity is 5, not 0."""
+    s3 = builtin_group("S3")
+    assert s3.identity == 0
+    table = [[0] * 6 for _ in range(6)]
+    for a in range(6):
+        for b in range(6):
+            table[5 - a][5 - b] = 5 - oracle_mul(s3, a, b)
+    return load_cayley_group(table, 5, name="S3'")
+
+
+# subsets sampled per group: the oracle takes about a second on a subset
+# of order 9 without a hit
+PATTERN_SAMPLES = {"Z2xZ4": 8, "Z3xZ3": 4, "S3'": 32}
+
+
+@pytest.mark.parametrize("spec", PATTERN_SAMPLES)
+def test_pattern_search_matches_oracle_on_sampled_subsets(spec):
+    # the first hit starts at row 0, which is not the identity of S3'
+    g = _relabelled_s3() if spec == "S3'" else parse_group(spec)
+    rng = random.Random(12)
+    for mask in rng.sample(range(1 << g.order), PATTERN_SAMPLES[spec]):
+        assert forbidden_pattern_search(g, mask) == oracle_pattern_search(g, mask)
+
+
+def test_pattern_search_rejects_order_65():
+    with pytest.raises(ValueError):
+        forbidden_pattern_search(make_abelian_group([65]), 0b111)
 
 
 def test_progression_subgroup_clean(z6, s3):
@@ -281,6 +313,6 @@ def test_cb_norm_two_sided_translation_invariant(s3, d4):
             base = cb_norm(g, mask)
             for a in g.elements():
                 for b in g.elements():
-                    moved = cb_norm(g, translate_right(g, translate_left(g, a, mask), b))
+                    moved = cb_norm(g, oracle_translate_right(g, translate_left(g, a, mask), b))
                     assert moved.lower == pytest.approx(base.lower, abs=1e-12)
                     assert moved.upper == pytest.approx(base.upper, abs=1e-12)

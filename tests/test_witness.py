@@ -39,7 +39,7 @@ def test_find_witness_frozen_outputs(z6, z8):
     assert (w8.u, w8.v, w8.w) == (0, 1, 2)
 
 
-@pytest.mark.parametrize("spec", ("Z6", "Z8", "Z2xZ4", "Z3xZ3"))
+@pytest.mark.parametrize("spec", ("Z6", "Z8", "Z2xZ4", "Z3xZ3", "Z2xZ2xZ2", "Z12"))
 def test_find_witness_matches_oracle_on_every_subset(spec):
     g = parse_group(spec)
     for mask in range(1 << g.order):
@@ -136,3 +136,8 @@ def test_sup_norm_check_rejects_tiny_grid():
 def test_find_witness_rejects_cayley(s3):
     with pytest.raises(ValueError):
         find_witness(s3, 0b111)
+
+
+def test_find_witness_rejects_order_65():
+    with pytest.raises(ValueError):
+        find_witness(make_abelian_group([65]), 0b1011)
