@@ -10,6 +10,7 @@ fixed inputs and flags; timing goes to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -179,7 +180,10 @@ def cmd_verify(args) -> int:
     return EXIT_OK if summary.passed else EXIT_VIOLATION
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing keeps no state
+    in it, so every call of main shares one."""
     parser = argparse.ArgumentParser(
         prog="idemnorm",
         description="Norms of subset indicator functions on finite groups, "

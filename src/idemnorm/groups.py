@@ -10,8 +10,12 @@ broadcast index arrays, read from the Cayley table or summed in coordinates
 over the n x k array Group._coords (abelian groups store no n x n table).
 The scalar Group.mul wraps it, and every set operation is built on it; up
 to order 64 some read the translation byte table that it fills, which gives
-every translate of a subset as one uint64 bitmask (_translates).  The
-character pairing of an abelian group has one exact integer form,
+every translate of a subset as one uint64 bitmask (_translates).  Subgroups
+are closed by one routine, _adjoin, which extends a subgroup by one more
+generator, seeded with that generator's repeated squares so that a cyclic
+subgroup closes in O(log order) levels; subgroup_generated and the
+stabilizer, which grows from generators it has checked, both go through
+it.  The character pairing of an abelian group has one exact integer form,
 _pairing_numerators, under character_values.  Bitmasks cross into index
 arrays and back through the helper pair _bits/_mask (np.unpackbits and
 np.packbits).
@@ -427,23 +431,48 @@ def is_subgroup(group: Group, mask: int) -> bool:
                for lo in range(0, len(members), step))
 
 
+def _adjoin(group: Group, flags: np.ndarray, steps: list[int], t: int) -> None:
+    """Extend a subgroup H to <H, t> in place.
+
+    H is given by its membership flags and by `steps`, a list of elements
+    that generate it; both are updated for <H, t>.  The new steps are the
+    repeated squares t, t^2, t^4, ... that lie outside H, t^(2^i) for
+    2^i < order: every power of t is then a product of at most
+    log2(order) of them.  The closure is a breadth-first search from every
+    element of H under right multiplication by the steps.  It reaches
+    H t^k within popcount(k) levels, so a cyclic subgroup takes
+    O(log order) levels, and it reaches all of <H, t> because the steps
+    generate it and inverses are positive powers in a finite group.
+    """
+    if flags[t]:
+        return
+    square = t
+    for _ in range((group.order - 1).bit_length()):
+        if flags[square]:
+            break
+        steps.append(square)
+        square = group.mul(square, square)
+    multipliers = np.array(steps)
+    frontier = np.flatnonzero(flags)
+    step = _block_rows(group, len(multipliers))
+    while len(frontier):
+        reached = np.zeros_like(flags)
+        for lo in range(0, len(frontier), step):
+            reached[group.mul_array(frontier[lo:lo + step, None], multipliers)] = True
+        reached &= ~flags
+        flags |= reached
+        frontier = np.flatnonzero(reached)
+
+
 def subgroup_generated(group: Group, generators: Sequence[int]) -> int:
-    """Bitmask of the subgroup generated by the given elements: the closure
-    of {e} under right multiplication by them (in a finite group inverses
-    are positive powers)."""
-    gens = np.array([int(x) for x in generators], dtype=np.int64)
+    """Bitmask of the subgroup generated by the given elements: {e}
+    extended by one generator at a time (_adjoin, seeded with the
+    generator's repeated squares), so <g> takes O(log order) levels."""
     flags = np.zeros(group.order, dtype=bool)
     flags[group.identity] = True
-    frontier = np.array([group.identity])
-    step = _block_rows(group, len(gens))
-    while len(frontier):
-        fresh = []
-        for lo in range(0, len(frontier), step):
-            products = group.mul_array(frontier[lo:lo + step, None], gens).ravel()
-            new = np.unique(products[~flags[products]])
-            flags[new] = True
-            fresh.append(new)
-        frontier = np.concatenate(fresh)
+    steps: list[int] = []
+    for g in generators:
+        _adjoin(group, flags, steps, int(g))
     return _mask(flags)
 
 
@@ -453,28 +482,49 @@ def stabilizer(group: Group, mask: int) -> int:
     For the empty set this is the whole group.  For abelian groups the two
     one-sided conditions coincide, and up to order 64 the stabilizer is read
     off the translates: {t : t + S = S}, one uint64 comparison per t.
-    Otherwise S t = S puts s0 t in S, so the candidates are s0^-1 S.  Each
-    is checked exactly, s t and t s against the flags of S for a block of s
-    in S at a time, until S is exhausted or only the identity (which always
-    stabilizes) is left.
+
+    Otherwise S and its complement have the same stabilizer, so S is
+    replaced by the smaller of the two.  S t = S puts s0 t in S, so the
+    candidates are s0^-1 S.  The stabilizer is grown as a subgroup H from
+    {e}.  The least candidate t left is checked exactly against every s in
+    S: s t in S, and on Cayley groups t s in S too.
+    - If t passes, H becomes <H, t> (_adjoin) and leaves the candidates,
+      so at most log2|stab| checks pass.
+    - If t fails, a member s with s t (or t s) outside S refutes it, and
+      every candidate that s refutes is dropped, one product each.  These
+      include the coset t H (or H t), since s t h lies in S h = S for h in
+      H; on a random set they are most of the candidates.
+    When no candidate is left, H is the stabilizer.
     """
     mask = validate_mask(group, mask)
     if group.is_abelian and group.order <= TRANSLATION_TABLE_MAX_ORDER:
         return _mask(_translates(group, mask) == np.uint64(mask))
+    if 2 * subset_size(mask) > group.order:
+        mask ^= (1 << group.order) - 1
     if mask == 0:
         return (1 << group.order) - 1
     members = _members(mask)
     flags = _bits(mask, group.order)
-    candidates = group.mul_array(group._inverse[members[0]], members)
-    lo = 0
-    while lo < len(members) and len(candidates) > 1:
-        block = members[lo:lo + _block_rows(group, len(candidates)), None]
-        keep = flags[group.mul_array(block, candidates)].all(axis=0)
-        if not group.is_abelian:
-            keep &= flags[group.mul_array(candidates, block)].all(axis=0)
-        candidates = candidates[keep]
-        lo += len(block)
-    return _index_mask(group, candidates)
+    alive = np.zeros(group.order, dtype=bool)
+    alive[group.mul_array(group._inverse[members[0]], members)] = True
+    stab = np.zeros(group.order, dtype=bool)
+    stab[group.identity] = True
+    alive[group.identity] = False
+    steps: list[int] = []
+    while alive.any():
+        t = int(np.argmax(alive))
+        right = flags[group.mul_array(members, t)]
+        left = right if group.is_abelian else flags[group.mul_array(t, members)]
+        if right.all() and left.all():
+            _adjoin(group, stab, steps, t)
+            alive &= ~stab
+        elif not right.all():
+            live = np.flatnonzero(alive)
+            alive[live] = flags[group.mul_array(members[np.argmin(right)], live)]
+        else:
+            live = np.flatnonzero(alive)
+            alive[live] = flags[group.mul_array(live, members[np.argmin(left)])]
+    return _mask(stab)
 
 
 def _pairing_numerators(group: Group, s) -> np.ndarray:

@@ -246,8 +246,13 @@ def _closure(group, gens):
 
 
 def random_subgroup(group, rng, size):
-    """A subgroup with `size` elements, spanned by random elements."""
-    gens_needed = size.bit_length() - 1 if group.factors and max(group.factors) == 2 else 2
+    """A subgroup with `size` elements (a power of two), spanned by random
+    elements: at least two, and up to log(size) / log(largest factor), the
+    number that Z2^k and Z4^k need."""
+    gens_needed = 2
+    if group.factors:
+        per_gen = max(group.factors).bit_length() - 1
+        gens_needed = max(2, -(-(size.bit_length() - 1) // per_gen))
     while True:
         gens = [rng.randrange(group.order) for _ in range(rng.randint(1, gens_needed))]
         sub = _closure(group, gens)
@@ -267,15 +272,15 @@ def relative_order(group, c, sub):
 def planted_subsets(group, seed, coset_size, union_size, random_size):
     """Seeded (kind, q, mask) inputs: a coset of a subgroup of order
     coset_size, unions of two cosets of a subgroup of order union_size with
-    relative order q in {4, 8} (where the group has elements of order 4), and
-    a random set of random_size elements."""
+    relative order q in {4, 8} (each q that is at most the largest cyclic
+    factor), and a random set of random_size elements."""
     rng = random.Random(seed)
     out = []
     sub = random_subgroup(group, rng, coset_size)
     a = rng.randrange(group.order)
     out.append(("coset", None, sum(1 << oracle_mul(group, a, h) for h in sub)))
-    if max(group.factors) > 2:
-        for q in (4, 8):
+    for q in (4, 8):
+        if q <= max(group.factors):
             sub = random_subgroup(group, rng, union_size)
             while True:
                 c = rng.randrange(group.order)

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from idemnorm.cli import main
+from idemnorm.cli import build_parser, main
 from idemnorm.sweep import SweepReport
 
 from conftest import oracle_mul
@@ -259,3 +259,28 @@ def test_schur_badly_scaled_literal_exits_2(capsys):
     assert code == 2
     assert not out
     assert "1.700e+308" in err and "2^1000" in err
+
+
+def _code_and_stdout(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse rejects the arguments
+        code = exc.code
+    return code, capsys.readouterr().out
+
+
+def test_parser_is_built_once_and_keeps_no_state_between_calls(capsys):
+    assert build_parser() is build_parser()
+    calls = [("norm", "-g", "Z6", "-s", "0,2,4"),
+             ("sweep", "-g", "Z4", "--workers", "1"),
+             ("schur", "--f0"),
+             ("sweep", "-g", "Z4", "--format", "csv"),
+             ("norm", "-g", "Z6", "-s", "0,2,4")]
+    shared = [_code_and_stdout(capsys, argv) for argv in calls]
+    fresh = []
+    for argv in calls:
+        build_parser.cache_clear()
+        fresh.append(_code_and_stdout(capsys, argv))
+    assert shared == fresh
+    assert [code for code, _ in shared] == [0, 2, 0, 0, 0]
+    assert shared[0] == shared[4] and "kind: coset" in shared[0][1]

@@ -18,7 +18,13 @@ from idemnorm import (
     subset_mask,
     translate_left,
 )
-from idemnorm.groups import GROUP_ORDER_CAP, character_values, subgroup_generated
+from idemnorm.groups import (
+    GROUP_ORDER_CAP,
+    Group,
+    character_values,
+    subgroup_generated,
+    subset_size,
+)
 
 from conftest import (
     oracle_character_value,
@@ -325,12 +331,14 @@ def test_set_operations_match_oracles_on_every_subset(spec):
             assert translate_left(g, t, mask) == oracle_translate_left(g, t, mask)
 
 
-@pytest.mark.parametrize("spec", ("Z1024", "Z32xZ32", "x".join(["Z2"] * 10)))
+@pytest.mark.parametrize("spec", ("Z1024", "Z32xZ32", "x".join(["Z2"] * 10),
+                                  "x".join(["Z4"] * 5), "Z2xZ512"))
 def test_set_operations_match_oracles_on_large_groups(spec):
     g = parse_group(spec)
     # in Z32xZ32 and Z2^10 the elements 0..3n/8-1 are a union of cosets of a
     # subgroup holding the smallest elements, so the first block of rows of
-    # is_subgroup and stabilizer leaves the answer open and later blocks decide
+    # is_subgroup leaves the answer open and later blocks decide, and
+    # stabilizer adjoins the smallest elements before a candidate fails
     inputs = [("other", None, (1 << (3 * g.order // 8)) - 1)]
     inputs += planted_subsets(g, 0, coset_size=256, union_size=32, random_size=341)
     for kind, _, mask in inputs:
@@ -344,6 +352,78 @@ def test_set_operations_match_oracles_on_large_groups(spec):
         assert is_subgroup(g, moved) == oracle_is_subgroup(g, moved) == (kind == "coset")
         for t in (1, g.order // 3, g.order - 1):
             assert translate_left(g, t, mask) == oracle_translate_left(g, t, mask)
+
+
+def _dihedral(n):
+    """The dihedral group of order 2n: r^i s^j has index i + n j, and
+    s r = r^-1 s."""
+    j, i = np.divmod(np.arange(2 * n), n)
+    sign = np.where(j == 0, 1, -1)
+    table = (i[:, None] + sign[:, None] * i) % n + n * (j[:, None] ^ j)
+    return load_cayley_group(table, 0, name=f"D{n}")
+
+
+def test_two_sided_stabilizer_matches_oracle_on_a_cayley_group_of_order_128():
+    n = 64
+    g = _dihedral(n)
+    assert g.order == 128 and not g.is_abelian
+    r, s = 1, n
+    # <r^4, s> is not normal: r s r^-1 = r^2 s lies outside it
+    sub = subgroup_generated(g, [4, s])
+    assert subset_size(sub) == 32 and not (sub >> g.mul(g.mul(r, s), g.inv(r))) & 1
+    cosets = [translate_left(g, a, sub) for a in (0, r, 3, n + 5)]
+    pair = subgroup_generated(g, [s])  # {e, s}
+    cosets += [translate_left(g, a, pair) for a in (r, 7, n + 2)]
+    unions = [cosets[0] | cosets[1], cosets[1] | cosets[2], cosets[4] | cosets[5],
+              cosets[4] | cosets[6]]
+    rng = np.random.default_rng(13)
+    randoms = [subset_mask(g, rng.choice(g.order, size, replace=False)) for size in (20, 50)]
+    for mask in cosets + unions + randoms:
+        assert stabilizer(g, mask) == oracle_stabilizer(g, mask), subset_elements(mask)
+    # the one-sided stabilizer of a left coset a K is K; the two-sided one is
+    # K meet a K a^-1, here <r^4>
+    assert subset_size(stabilizer(g, cosets[1])) == 16
+
+
+def _count_products(monkeypatch):
+    """Count the calls of Group.mul_array and the product entries they form."""
+    counts = {"calls": 0, "entries": 0}
+    mul_array = Group.mul_array
+
+    def counted(self, a, b):
+        out = mul_array(self, a, b)
+        counts["calls"] += 1
+        counts["entries"] += np.size(out)
+        return out
+
+    monkeypatch.setattr(Group, "mul_array", counted)
+    return counts
+
+
+@pytest.mark.parametrize("spec", ("Z1024", "Z32xZ32", "x".join(["Z2"] * 10)))
+def test_stabilizer_forms_few_products(spec, monkeypatch):
+    g = parse_group(spec)
+    planted = planted_subsets(g, 0, coset_size=256, union_size=32, random_size=341)
+    # all but the identity: its stabilizer is {e}, read off the complement
+    planted.append(("all but e", None, ((1 << g.order) - 1) ^ 1))
+    counts = _count_products(monkeypatch)
+    for kind, _, mask in planted:
+        counts["entries"] = 0
+        stab = stabilizer(g, mask)
+        # checking every candidate s0^-1 S against all of S forms |S|^2
+        # products, 65,536 on a coset of 256 elements
+        bound = 4 * subset_size(mask) * (g.order.bit_length() - 1)
+        assert counts["entries"] <= bound, (kind, counts["entries"], bound)
+    assert stab == 1
+
+
+def test_subgroup_generated_takes_logarithmically_many_levels(monkeypatch):
+    g = parse_group("Z1024")
+    counts = _count_products(monkeypatch)
+    assert subgroup_generated(g, [1]) == (1 << 1024) - 1
+    # one product per square of the generator and one per level; a search
+    # by the generator alone would take 1024 levels
+    assert counts["calls"] <= 3 * 10
 
 
 @pytest.mark.parametrize("spec", ("Z4096", "Z64xZ64"))
