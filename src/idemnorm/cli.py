@@ -12,8 +12,10 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import re
 import sys
+from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
 
 import numpy as np
@@ -77,8 +79,12 @@ def parse_tol(text: str) -> float:
 
 
 def _emit(payload: dict, fmt: str, out_path: Optional[str], csv_text: Optional[str] = None) -> None:
+    """Write a report to out_path (printing the path) or to stdout.  JSON is
+    rendered by _json_text, byte for byte as json.dumps(payload, indent=2,
+    sort_keys=True) would, without the pure-Python encoder that json.dumps
+    falls back to whenever it indents."""
     if fmt == "json":
-        rendered = json.dumps(payload, indent=2, sort_keys=True)
+        rendered = _json_text(payload, "")
     elif fmt == "csv":
         rendered = csv_text.rstrip("\n")
     else:
@@ -89,6 +95,87 @@ def _emit(payload: dict, fmt: str, out_path: Optional[str], csv_text: Optional[s
         print(out_path)
     else:
         print(rendered)
+
+
+def _json_text(value, indent: str) -> str:
+    """JSON of value, nested at the given indent, exactly as json.dumps(...,
+    indent=2, sort_keys=True) writes it: types tested as json tests them,
+    keys sorted as (key, value) pairs, NaN and infinities as json spells
+    them, and a TypeError for anything json would refuse (circular
+    containers excepted).  Scalars of the exact built-in types skip the
+    isinstance chain through one dict lookup."""
+    write = _JSON_SCALARS.get(type(value))
+    if write is not None:
+        return write(value)
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _json_float(value)
+    inner = indent + "  "
+    separator = ",\n" + inner
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if all(type(x) is int for x in value):
+            body = separator.join(map(int.__repr__, value))
+        elif all(type(x) is float and math.isfinite(x) for x in value):
+            body = separator.join(map(float.__repr__, value))
+        else:
+            body = separator.join([_json_text(x, inner) for x in value])
+        return f"[\n{inner}{body}\n{indent}]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        lines = []
+        for key, item in sorted(value.items()):
+            key = encode_basestring_ascii(key) if type(key) is str else _json_key(key)
+            # scalar values inline, one call fewer per item of a record
+            write = _JSON_SCALARS.get(type(item))
+            lines.append(f"{key}: {write(item) if write else _json_text(item, inner)}")
+        body = separator.join(lines)
+        return f"{{\n{inner}{body}\n{indent}}}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _json_float(value: float) -> str:
+    if value != value:
+        return "NaN"
+    if value == math.inf:
+        return "Infinity"
+    if value == -math.inf:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+_JSON_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _json_float,
+    bool: ("false", "true").__getitem__,
+    type(None): lambda value: "null",
+}
+
+
+def _json_key(key) -> str:
+    """A dict key as json writes it: the string itself, or the JSON of a
+    float, bool, None or int key, as a quoted string."""
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    if isinstance(key, float):
+        text = _json_float(key)
+    elif key is True:
+        text = "true"
+    elif key is False:
+        text = "false"
+    elif key is None:
+        text = "null"
+    elif isinstance(key, int):
+        text = int.__repr__(key)
+    else:
+        raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+    return encode_basestring_ascii(text)
 
 
 def _text_lines(payload: dict, prefix: str = "") -> list[str]:

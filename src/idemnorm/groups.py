@@ -378,6 +378,11 @@ def _members(mask: int) -> np.ndarray:
     return np.flatnonzero(_bits(mask, mask.bit_length()))
 
 
+def _lowest(mask: int) -> int:
+    """Least element of a nonempty bitmask."""
+    return (mask & -mask).bit_length() - 1
+
+
 def _index_mask(group: Group, elements: np.ndarray) -> int:
     """Bitmask of an index array."""
     flags = np.zeros(group.order, dtype=bool)
@@ -586,7 +591,7 @@ def analyze_cosets(group: Group, mask: int) -> CosetAnalysis:
     mask = validate_mask(group, mask)
     if mask == 0:
         return CosetAnalysis(kind="empty")
-    a = (mask & -mask).bit_length() - 1
+    a = _lowest(mask)
     if not group.is_abelian:
         h = translate_left(group, group.inv(a), mask)
         if is_subgroup(group, h):
@@ -598,7 +603,7 @@ def analyze_cosets(group: Group, mask: int) -> CosetAnalysis:
     if subset_size(mask) == 2 * stab_size:
         rest = mask & ~translate_left(group, a, stab)
         if subset_size(rest) == stab_size:
-            b = (rest & -rest).bit_length() - 1
+            b = _lowest(rest)
             c = group.mul(group.inv(a), b)
             if group.is_abelian or _is_normal_in(
                     group, stab, subgroup_generated(group, subset_elements(stab) + [c])):

@@ -16,8 +16,8 @@ from typing import Optional
 
 import numpy as np
 
-from .groups import (TRANSLATION_TABLE_MAX_ORDER, Group, _bits, _members, _products_in,
-                     _translates, validate_mask)
+from .groups import (TRANSLATION_TABLE_MAX_ORDER, Group, _bits, _lowest, _members,
+                     _products_in, _translates, validate_mask)
 # gamma2 is not called here; it stays importable as multiplier.gamma2, which
 # perfbench's tracer test asserts is schur.gamma2
 from .schur import Gamma2Bounds, WitnessPair, _certify_blocks, gamma2, witness_lower_bound  # noqa: F401
@@ -76,12 +76,17 @@ def forbidden_pattern_search(group: Group, mask: int) -> Optional[tuple[tuple[in
     (groups of order up to 64).
 
     M(g s, g t) = M(s, t), so any hit moves to one whose first row is
-    element 0, and the first hit has r1 = 0.  Each row of M is one uint64
-    bitmask (the translate s S), and one pass over all (r2, r3) forms the
-    three column classes m1 & m2 & m3, m1 & m2 & ~m3 and m1 & m3 & ~m2;
-    they are disjoint, so the least member of each gives the least column
-    triple.  A class is empty when r2 = r3, r2 = 0 or r3 = 0, so every hit
-    has distinct rows.
+    element 0, and the first hit has r1 = 0.  Each row of M is a bitmask
+    (the translate s S), and rows (0, r2, r3) carry the pattern exactly when
+    the traces A = m0 & m2 and B = m0 & m3 give three nonempty column
+    classes A & B, A - B and B - A, that is, when A and B properly overlap;
+    the classes are disjoint, so the least member of each gives the least
+    column triple.  S is therefore pattern-free exactly when its traces
+    m0 & m form a laminar family (any two nested or disjoint).  The search
+    keeps the distinct nonzero traces in order of first appearance; the
+    first that properly overlaps another is the trace of the least r2, and
+    the first trace it overlaps in that order is the trace of the least r3.  A trace never
+    properly overlaps itself or m0 & m0 = m0, so every hit has distinct rows.
     """
     mask = validate_mask(group, mask)
     n = group.order
@@ -89,20 +94,19 @@ def forbidden_pattern_search(group: Group, mask: int) -> Optional[tuple[tuple[in
         raise ValueError(f"pattern search supports orders up to "
                          f"{TRANSLATION_TABLE_MAX_ORDER}, got {n}")
     if group.is_abelian:
-        rows = _translates(group, mask)
+        rows = _translates(group, mask).tolist()
     else:
         bits = np.left_shift(np.uint64(1), np.arange(n, dtype=np.uint64))
-        rows = _row_flags(group, mask).astype(np.uint64) @ bits
-    both = rows[0] & rows  # [r2]: m1 & m2
-    col1 = both[:, None] & rows
-    col2 = both[:, None] & ~rows
-    col3 = both & ~rows[:, None]
-    hits = (col1 != 0) & (col2 != 0) & (col3 != 0)
-    if not hits.any():
-        return None
-    r2, r3 = np.unravel_index(np.argmax(hits), hits.shape)
-    c1, c2, c3 = (int(c[r2, r3]) for c in (col1, col2, col3))
-    return (0, int(r2), int(r3)), tuple((c & -c).bit_length() - 1 for c in (c1, c2, c3))
+        rows = (_row_flags(group, mask).astype(np.uint64) @ bits).tolist()
+    first = rows[0]
+    traces = [first & row for row in rows]
+    distinct = [t for t in dict.fromkeys(traces) if t]
+    for a in distinct:
+        b = next((b for b in distinct if a & b and a & ~b and b & ~a), 0)
+        if b:
+            return ((0, traces.index(a), traces.index(b)),
+                    tuple(_lowest(c) for c in (a & b, a & ~b, b & ~a)))
+    return None
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,7 @@ from .bs import THRESHOLDS, bs_norm, mu_values, predicted_norm, two_coset_norm, 
 from .groups import (
     CosetAnalysis,
     Group,
+    _lowest,
     _translates,
     analyze_cosets,
     is_subgroup,
@@ -71,8 +72,14 @@ def orbit(group: Group, mask: int) -> set[int]:
 
 
 def canonical_form(group: Group, mask: int) -> int:
-    """Smallest bitmask in the translation orbit of S; idempotent."""
-    return int(_translates(group, mask).min())
+    """Smallest bitmask in the translation orbit of S; idempotent.  An
+    abelian group has n translates, at most 24 at the sweep cap, and their
+    least is cheaper to take over Python ints than by a numpy reduction; a
+    Cayley group has n^2 two-sided translates, where numpy is faster."""
+    translates = _translates(group, mask)
+    if group.is_abelian:
+        return min(translates.tolist())
+    return int(translates.min())
 
 
 @dataclass(frozen=True)
@@ -326,7 +333,7 @@ def _proof_chain_item(group: Group, records: Sequence[ClassificationRecord]) -> 
     for record in records:
         if record.subset == 0:
             continue
-        a = (record.subset & -record.subset).bit_length() - 1
+        a = _lowest(record.subset)
         moved = translate_left(group, group.inv(a), record.subset)
         if progression_check(group, moved):
             continue

@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .bs import mu_values
-from .groups import Group, _bits, _translates, character_values, validate_mask
+from .groups import Group, _lowest, _translates, character_values, validate_mask
 
 SUP_NORM_F = 4.5
 
@@ -38,16 +38,16 @@ def make_witness(group: Group, mask: int, u: int, v: int, w: int) -> WitnessTrip
     return WitnessTriple(u=u, v=v, w=w)
 
 
-def _memberships(group: Group, mask: int, u: int, v: int, w: int) -> np.ndarray:
-    """chi_S at u, u+w, u-w, v, v+w, v-w, from one gather; raises ValueError
-    unless (u, v, w) is a witness for S."""
+def _memberships(group: Group, mask: int, u: int, v: int, w: int) -> list[int]:
+    """chi_S at u, u+w, u-w, v, v+w, v-w (0 or 1), from one mul_array call;
+    raises ValueError unless (u, v, w) is a witness for S."""
     group._require_abelian()
     mask = validate_mask(group, mask)
     if not all(0 <= x < group.order for x in (u, v, w)):
         raise ValueError(f"(u={u}, v={v}, w={w}) has an element outside 0..{group.order - 1}")
     e, w_inv = group.identity, group.inv(w)
-    chi = _bits(mask, group.order)[group.mul_array([u, u, u, v, v, v],
-                                                   [e, w, w_inv, e, w, w_inv])]
+    points = group.mul_array([u, u, u, v, v, v], [e, w, w_inv, e, w, w_inv]).tolist()
+    chi = [mask >> x & 1 for x in points]
     # u, v, u+w in S; v+w, v-w outside
     if not (chi[0] and chi[1] and chi[3] and not chi[4] and not chi[5]):
         raise ValueError(f"(u={u}, v={v}, w={w}) is not a valid witness for this subset")
@@ -58,36 +58,39 @@ def find_witness(group: Group, mask: int) -> Optional[WitnessTriple]:
     """First witness in lexicographic (u, v, w) order, or None (abelian
     groups of order up to 64).
 
-    Read off the translates T[t] = t + S: for each w the admissible u form
-    A_w = S & T[-w] (u + w in S) and the admissible v form
-    B_w = S minus (T[-w] | T[w]) (v + w and v - w outside S).  The least u
-    is the least element of the union of the A_w over the w with both sets
-    nonempty, v is the least element of the B_w among those w with u in
-    A_w, and w the first of them with v in B_w.
+    Read off the translates T[t] = t + S, taken once as Python ints: for
+    each w the admissible u form A_w = S & T[-w] (u + w in S) and the
+    admissible v form B_w = S minus (T[-w] | T[w]) (v + w and v - w outside
+    S).  The least u is the least element of the union of the A_w over the
+    w with both sets nonempty, v is the least element of the B_w among
+    those w with u in A_w, and w the first of them with v in B_w.
 
     Cosets never admit a witness, and neither does any union of two cosets
     observed in the bundled sweeps; sets outside those classes frequently do.
     """
     group._require_abelian()
     mask = validate_mask(group, mask)
-    translates = _translates(group, mask)
-    s = np.uint64(mask)
-    back = translates[group._inverse]  # [w]: S - w
-    a = s & back
-    b = s & ~(back | translates)
-    usable = (a != 0) & (b != 0)
-    if not usable.any():
+    translates = _translates(group, mask).tolist()
+    candidates = []  # (A_w, B_w, w) with both sets nonempty, w ascending
+    us = 0
+    for w, w_inv in enumerate(group._inverse.tolist()):
+        back = translates[w_inv]  # S - w
+        a = mask & back
+        if a:
+            b = mask & ~(back | translates[w])
+            if b:
+                candidates.append((a, b, w))
+                us |= a
+    if not us:
         return None
-    u = _lowest(int(np.bitwise_or.reduce(a[usable])))
-    usable &= ((a >> np.uint64(u)) & np.uint64(1)) != 0
-    v = _lowest(int(np.bitwise_or.reduce(b[usable])))
-    w = int(np.argmax(usable & (((b >> np.uint64(v)) & np.uint64(1)) != 0)))
+    u = _lowest(us)
+    candidates = [(b, w) for a, b, w in candidates if a >> u & 1]
+    vs = 0
+    for b, _ in candidates:
+        vs |= b
+    v = _lowest(vs)
+    w = next(w for b, w in candidates if b >> v & 1)
     return WitnessTriple(u=u, v=v, w=w)
-
-
-def _lowest(mask: int) -> int:
-    """Least element of a nonempty bitmask."""
-    return (mask & -mask).bit_length() - 1
 
 
 def witness_integral(group: Group, mask: int, triple: WitnessTriple) -> complex:
@@ -106,8 +109,8 @@ def _witness_integral(group: Group, mask: int, triple: WitnessTriple, mu: np.nda
     """witness_integral with mu = mu_values(group, mask) already computed."""
     u, v, w = triple.u, triple.v, triple.w
     # the weights are halves, so the membership sum is exact
-    chi = _memberships(group, mask, u, v, w)
-    formula = float(np.dot([2, 2, 0.5, 2, -1, -1], chi))
+    in_u, in_uw, in_u_w, in_v, in_vw, in_v_w = _memberships(group, mask, u, v, w)
+    formula = 2 * in_u + 2 * in_uw + 0.5 * in_u_w + 2 * in_v - in_vw - in_v_w
 
     cu, cv, cw = character_values(group, np.array([u, v, w]))
     f = cu * (2 + 2 * cw + 0.5 * np.conj(cw)) + cv * (2 - cw - np.conj(cw))

@@ -273,7 +273,8 @@ def planted_subsets(group, seed, coset_size, union_size, random_size):
     """Seeded (kind, q, mask) inputs: a coset of a subgroup of order
     coset_size, unions of two cosets of a subgroup of order union_size with
     relative order q in {4, 8} (each q that is at most the largest cyclic
-    factor), and a random set of random_size elements."""
+    factor), and a random set of random_size elements.  Raises ValueError
+    when no element has relative order q over the drawn subgroup."""
     rng = random.Random(seed)
     out = []
     sub = random_subgroup(group, rng, coset_size)
@@ -282,6 +283,9 @@ def planted_subsets(group, seed, coset_size, union_size, random_size):
     for q in (4, 8):
         if q <= max(group.factors):
             sub = random_subgroup(group, rng, union_size)
+            if not any(relative_order(group, c, sub) == q for c in range(group.order)):
+                raise ValueError(f"no element of {group.name} has relative order {q} "
+                                 f"over the drawn subgroup of order {union_size}")
             while True:
                 c = rng.randrange(group.order)
                 if relative_order(group, c, sub) == q:

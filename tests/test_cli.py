@@ -1,9 +1,12 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
-from idemnorm.cli import build_parser, main
+from idemnorm import cli
+from idemnorm.cli import _json_text, build_parser, main
+from idemnorm.schur import WitnessPair
 from idemnorm.sweep import SweepReport
 
 from conftest import oracle_mul
@@ -284,3 +287,68 @@ def test_parser_is_built_once_and_keeps_no_state_between_calls(capsys):
     assert shared == fresh
     assert [code for code, _ in shared] == [0, 2, 0, 0, 0]
     assert shared[0] == shared[4] and "kind: coset" in shared[0][1]
+
+
+def _dumps(value):
+    return json.dumps(value, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "-g", "Z6"],
+    ["sweep", "-g", "D4"],
+    ["norm", "-g", "Z32xZ32", "-s", "(0,0),(0,16),(16,0),(16,16),(1,3)"],
+    ["schur", "--f0"],
+    ["verify"],
+])
+def test_json_reports_are_the_bytes_of_json_dumps(argv, monkeypatch, capsys):
+    payloads = []
+    emit = cli._emit
+
+    def recording(payload, *args, **kwargs):
+        payloads.append(payload)
+        emit(payload, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "_emit", recording)
+    assert main(argv + ["--format", "json"]) == 0
+    [payload] = payloads
+    # verify prints one line per item before the report
+    assert capsys.readouterr().out.endswith(_dumps(payload) + "\n")
+
+
+def test_json_writer_on_a_complex_witness():
+    # a complex witness is stored as [re, im] pairs, three levels of lists
+    phases = np.exp(2j * np.pi * np.arange(9).reshape(3, 3) / 7)
+    payload = {"witness": WitnessPair(phases, np.ones(3)).to_dict()}
+    assert len(payload["witness"]["matrix"][0][0]) == 2
+    assert _json_text(payload, "") == _dumps(payload)
+
+
+JSON_EDGE_CASES = [
+    math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e22, 1.0, 0.1, 2 ** 70, -3,
+    True, False, None, [True, 1, False, 0], [1, True], [1.0, 1], [1.5, math.nan],
+    [math.inf, -math.inf], [-0.0, 5e-324, 1e22],
+    [], {}, [[]], [{}], {"a": []}, {"a": {}}, [[], [[]], {"b": [{}]}],
+    (1, 2), [(1, (2.5, None))], {"t": ()},
+    np.float64(1.5), [np.float64(2.0), 1.0], {"x": np.float64(math.nan)},
+    "plain", 'quote " and back\\slash', "tab\tnew\nline\x00\x1f\x7f",
+    "caf\u00e9 \u2603 \U0001F600",
+    {"z": 1, "a": {"y": [1, {"b": None, "a": [0.5]}]}, "m": "s"},
+    {"\u00e9": "\u00fc", "\"": "\n"},
+    {1: "int key", 3: 4}, {1.5: 1, -math.inf: 2, math.nan: 3}, {True: 1}, {None: 3},
+]
+
+
+@pytest.mark.parametrize("value", JSON_EDGE_CASES, ids=range(len(JSON_EDGE_CASES)))
+def test_json_writer_matches_json_dumps(value):
+    assert _json_text(value, "") == _dumps(value)
+    nested = {"outer": [value, {"inner": value}]}
+    assert _json_text(nested, "") == _dumps(nested)
+
+
+@pytest.mark.parametrize("value", [np.int64(3), [np.bool_(True)], {(1, 2): 3},
+                                   {1: 2, "a": 3}, object(), {"s": {1, 2}}])
+def test_json_writer_refuses_what_json_refuses(value):
+    with pytest.raises(TypeError):
+        _dumps(value)
+    with pytest.raises(TypeError):
+        _json_text(value, "")

@@ -1,4 +1,5 @@
 import json
+import time
 from collections import Counter
 
 import numpy as np
@@ -435,3 +436,13 @@ def test_analyze_cosets_at_the_order_cap(spec):
     for kind, q, mask in planted:
         analysis = analyze_cosets(g, mask)
         assert (analysis.kind, analysis.q) == (kind, q)
+
+
+def test_planted_subsets_rejects_an_unreachable_relative_order():
+    # the only subgroup of order 256 in Z1024 is <4>, so relative orders over
+    # it stop at 4 and q = 8 cannot be planted; the draw must not loop forever
+    started = time.perf_counter()
+    with pytest.raises(ValueError, match="relative order 8"):
+        planted_subsets(parse_group("Z1024"), 0, coset_size=256, union_size=256,
+                        random_size=341)
+    assert time.perf_counter() - started < 10

@@ -1,0 +1,139 @@
+"""The witness and pattern searches against their earlier numpy forms.
+
+find_witness and forbidden_pattern_search scan Python ints; the references
+below are the numpy array passes they replaced, kept here as oracles.  The
+two must return the same triple (or None) on every subset of the small
+groups and on seeded random subsets up to the order-64 cap, where the
+brute-force oracles in conftest are too slow to run.
+"""
+
+import random
+
+import numpy as np
+import pytest
+
+from idemnorm import (
+    find_witness,
+    forbidden_pattern_search,
+    load_cayley_group,
+    parse_group,
+)
+from idemnorm.groups import _translates
+from idemnorm.multiplier import _row_flags
+
+
+def numpy_find_witness(group, mask):
+    """First witness in lexicographic (u, v, w) order, from whole-array
+    operations on the uint64 translates: A_w = S & (S - w) and
+    B_w = S minus ((S - w) | (S + w)) for every w at once."""
+    translates = _translates(group, mask)
+    s = np.uint64(mask)
+    back = translates[group._inverse]
+    a = s & back
+    b = s & ~(back | translates)
+    usable = (a != 0) & (b != 0)
+    if not usable.any():
+        return None
+    u = _lowest(int(np.bitwise_or.reduce(a[usable])))
+    usable &= ((a >> np.uint64(u)) & np.uint64(1)) != 0
+    v = _lowest(int(np.bitwise_or.reduce(b[usable])))
+    w = int(np.argmax(usable & (((b >> np.uint64(v)) & np.uint64(1)) != 0)))
+    return u, v, w
+
+
+def numpy_pattern_search(group, mask):
+    """First forbidden-pattern hit with r1 = 0, from the three column classes
+    of every (r2, r3) formed as n-by-n uint64 arrays."""
+    n = group.order
+    if group.is_abelian:
+        rows = _translates(group, mask)
+    else:
+        bits = np.left_shift(np.uint64(1), np.arange(n, dtype=np.uint64))
+        rows = _row_flags(group, mask).astype(np.uint64) @ bits
+    both = rows[0] & rows
+    col1 = both[:, None] & rows
+    col2 = both[:, None] & ~rows
+    col3 = both & ~rows[:, None]
+    hits = (col1 != 0) & (col2 != 0) & (col3 != 0)
+    if not hits.any():
+        return None
+    r2, r3 = np.unravel_index(np.argmax(hits), hits.shape)
+    c1, c2, c3 = (int(c[r2, r3]) for c in (col1, col2, col3))
+    return (0, int(r2), int(r3)), tuple(_lowest(c) for c in (c1, c2, c3))
+
+
+def _lowest(mask):
+    return (mask & -mask).bit_length() - 1
+
+
+def _dihedral(m):
+    """Dihedral group of order 2m, r^i s^j at index i + m j."""
+    def mul(a, b):
+        i, j, k, l = a % m, a // m, b % m, b // m
+        return (i + (k if j == 0 else -k)) % m + m * (j ^ l)
+
+    return load_cayley_group([[mul(a, b) for b in range(2 * m)] for a in range(2 * m)], 0,
+                             name=f"D{m}")
+
+
+def _group(spec):
+    return _dihedral(32) if spec == "D32" else parse_group(spec)
+
+
+def _witness(group, mask):
+    found = find_witness(group, mask)
+    return None if found is None else (found.u, found.v, found.w)
+
+
+def _disagreements(group, masks):
+    """Masks on which a search and its numpy form disagree."""
+    return [mask for mask in masks
+            if forbidden_pattern_search(group, mask) != numpy_pattern_search(group, mask)
+            or group.is_abelian and _witness(group, mask) != numpy_find_witness(group, mask)]
+
+
+@pytest.mark.parametrize("spec", ["Z6", "Z8", "Z2xZ4", "Z3xZ3", "Z10", "S3", "D4", "Q8"])
+def test_searches_match_numpy_forms_on_every_subset(spec):
+    group = parse_group(spec)
+    assert _disagreements(group, range(1 << group.order)) == []
+
+
+def _random_masks(order, count, seed):
+    """Seeded subsets of every density: each draws its size uniformly from
+    0..order, so sparse sets without a witness or a pattern are common."""
+    rng = random.Random(seed)
+    return [sum(1 << x for x in rng.sample(range(order), rng.randint(0, order)))
+            for _ in range(count)]
+
+
+@pytest.mark.parametrize("spec", ["Z24", "Z64", "Z8xZ8", "Z2xZ2xZ2xZ2xZ2xZ2", "D32"])
+def test_searches_match_numpy_forms_on_random_subsets(spec):
+    group = _group(spec)
+    masks = _random_masks(group.order, 400, seed=group.order)
+    assert _disagreements(group, masks) == []
+    # both outcomes of the pattern search are exercised
+    found = [forbidden_pattern_search(group, mask) is not None for mask in masks]
+    assert any(found) and not all(found)
+
+
+@pytest.mark.parametrize("spec", ["Z64", "Z8xZ8", "Z2xZ2xZ2xZ2xZ2xZ2", "D32"])
+def test_searches_match_numpy_forms_on_order_64_cosets(spec):
+    # subgroups and their translates are pattern-free and witness-free, the
+    # case where both searches scan every row
+    group = _group(spec)
+    rng = random.Random(64)
+    masks = []
+    for _ in range(20):
+        gens = rng.sample(range(group.order), rng.randint(1, 3))
+        members = {group.identity}
+        while True:
+            grown = members | {group.mul(x, g) for x in members for g in gens}
+            if grown == members:
+                break
+            members = grown
+        t = rng.randrange(group.order)
+        masks.append(sum(1 << group.mul(t, x) for x in members))
+    assert _disagreements(group, masks) == []
+    assert all(forbidden_pattern_search(group, mask) is None for mask in masks)
+    if group.is_abelian:
+        assert all(find_witness(group, mask) is None for mask in masks)
