@@ -118,22 +118,14 @@ def _json_text(value, indent: str) -> str:
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        if all(type(x) is int for x in value):
-            body = separator.join(map(int.__repr__, value))
-        elif all(type(x) is float and math.isfinite(x) for x in value):
-            body = separator.join(map(float.__repr__, value))
-        else:
-            body = separator.join([_json_text(x, inner) for x in value])
+        body = separator.join([_json_text(x, inner) for x in value])
         return f"[\n{inner}{body}\n{indent}]"
     if isinstance(value, dict):
         if not value:
             return "{}"
         lines = []
         for key, item in sorted(value.items()):
-            key = encode_basestring_ascii(key) if type(key) is str else _json_key(key)
-            # scalar values inline, one call fewer per item of a record
-            write = _JSON_SCALARS.get(type(item))
-            lines.append(f"{key}: {write(item) if write else _json_text(item, inner)}")
+            lines.append(f"{_json_key(key)}: {_json_text(item, inner)}")
         body = separator.join(lines)
         return f"{{\n{inner}{body}\n{indent}}}"
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")

@@ -72,14 +72,8 @@ def orbit(group: Group, mask: int) -> set[int]:
 
 
 def canonical_form(group: Group, mask: int) -> int:
-    """Smallest bitmask in the translation orbit of S; idempotent.  An
-    abelian group has n translates, at most 24 at the sweep cap, and their
-    least is cheaper to take over Python ints than by a numpy reduction; a
-    Cayley group has n^2 two-sided translates, where numpy is faster."""
-    translates = _translates(group, mask)
-    if group.is_abelian:
-        return min(translates.tolist())
-    return int(translates.min())
+    """Smallest bitmask in the translation orbit of S; idempotent."""
+    return int(_translates(group, mask).min())
 
 
 @dataclass(frozen=True)

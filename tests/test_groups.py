@@ -1,5 +1,4 @@
 import json
-import time
 from collections import Counter
 
 import numpy as np
@@ -440,9 +439,7 @@ def test_analyze_cosets_at_the_order_cap(spec):
 
 def test_planted_subsets_rejects_an_unreachable_relative_order():
     # the only subgroup of order 256 in Z1024 is <4>, so relative orders over
-    # it stop at 4 and q = 8 cannot be planted; the draw must not loop forever
-    started = time.perf_counter()
+    # it stop at 4 and q = 8 cannot be planted; the draw must raise, not loop
     with pytest.raises(ValueError, match="relative order 8"):
         planted_subsets(parse_group("Z1024"), 0, coset_size=256, union_size=256,
                         random_size=341)
-    assert time.perf_counter() - started < 10
