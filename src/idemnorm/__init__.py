@@ -29,7 +29,6 @@ from .groups import (
     make_abelian_group,
     parse_group,
     stabilizer,
-    subgroup_generated,
     subset_elements,
     subset_mask,
     translate_left,
@@ -67,7 +66,6 @@ from .witness import (
     SupNormCheck,
     WitnessTriple,
     find_witness,
-    make_witness,
     sup_norm_check,
     witness_integral,
     witness_norm_bound,

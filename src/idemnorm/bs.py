@@ -27,7 +27,6 @@ from .groups import (
     _pairing_numerators,
     analyze_cosets,
     character_values,
-    subset_size,
     validate_mask,
 )
 
@@ -140,7 +139,7 @@ def verify_measure_form(group: Group, mask: int, tol: float = 1e-12) -> MeasureF
     lam = analysis.subgroup
     g1, g2 = analysis.rep_a, analysis.rep_b
     ann = annihilator(group, lam)
-    h_size = subset_size(ann)
+    h_size = ann.bit_count()
     mu = mu_values(group, mask)
     chi1, chi2 = character_values(group, np.array([g1, g2]))
     expected = np.where(_bits(ann, group.order), (np.conj(chi1) + np.conj(chi2)) / h_size, 0)

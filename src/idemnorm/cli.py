@@ -3,7 +3,8 @@
 Subcommands: norm (one subset), sweep (all subsets of a group), schur
 (gamma2 bounds of a literal matrix), verify (the full check battery).
 Exit codes: 0 success / verified, 1 violation or failed check, 2 usage or
-parse error, 3 numerical failure.  All output on stdout is deterministic for
+parse error (an --out path that cannot be opened included), 3 numerical
+failure.  All output on stdout is deterministic for
 fixed inputs and flags; timing goes to stderr.
 """
 
@@ -41,22 +42,18 @@ EXIT_NUMERIC = 3
 _TUPLE_RE = re.compile(r"\(([^()]*)\)")
 
 
-class CliError(Exception):
-    pass
-
-
 def parse_subset(group: Group, text: str) -> int:
     """Subset spec: comma-separated indices "0,1,3" or coordinate tuples
     "(0,1),(1,2)" for abelian groups (mixed-radix order of the factors)."""
     text = text.strip()
     if not text:
-        raise CliError("empty subset spec")
+        raise ValueError("empty subset spec")
     if "(" in text:
         if not group.is_abelian:
-            raise CliError("coordinate tuples only apply to abelian groups")
+            raise ValueError("coordinate tuples only apply to abelian groups")
         chunks = _TUPLE_RE.findall(text)
         if not chunks or _TUPLE_RE.sub("", text).strip(", \t"):
-            raise CliError(f"malformed tuple subset spec {text!r}")
+            raise ValueError(f"malformed tuple subset spec {text!r}")
         indices = []
         for chunk in chunks:
             coords = [int(part) for part in chunk.split(",") if part.strip()]
@@ -65,7 +62,7 @@ def parse_subset(group: Group, text: str) -> int:
     try:
         indices = [int(part) for part in text.split(",") if part.strip()]
     except ValueError as exc:
-        raise CliError(f"bad subset spec {text!r}: {exc}") from exc
+        raise ValueError(f"bad subset spec {text!r}: {exc}") from exc
     return subset_mask(group, indices)
 
 
@@ -237,9 +234,6 @@ def cmd_schur(args) -> int:
     except Gamma2ConvergenceError as exc:
         print(f"solver did not converge: bracket [{exc.lower}, {exc.upper}]", file=sys.stderr)
         return EXIT_NUMERIC
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_USAGE
     _emit(bounds.to_dict(), args.format, args.out)
     return EXIT_OK
 
@@ -314,10 +308,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE
 

@@ -10,15 +10,16 @@ broadcast index arrays, read from the Cayley table or summed in coordinates
 over the n x k array Group._coords (abelian groups store no n x n table).
 The scalar Group.mul wraps it, and every set operation is built on it; up
 to order 64 some read the translation byte table that it fills, which gives
-every translate of a subset as one uint64 bitmask (_translates).  Subgroups
-are closed by one routine, _adjoin, which extends a subgroup by one more
-generator, seeded with that generator's repeated squares so that a cyclic
-subgroup closes in O(log order) levels; subgroup_generated and the
-stabilizer, which grows from generators it has checked, both go through
-it.  The character pairing of an abelian group has one exact integer form,
-_pairing_numerators, under character_values.  Bitmasks cross into index
-arrays and back through the helper pair _bits/_mask (np.unpackbits and
-np.packbits).
+every translate of a subset as one uint64 bitmask (_translates).  The
+stabilizer grows from generators it has checked, closed by _adjoin, which
+extends a subgroup by one more generator, seeded with that generator's
+repeated squares so that a cyclic subgroup closes in O(log order) levels.
+analyze_cosets names cosets and unions of two left cosets a T, b T of the
+stabilizer T; the second kind needs T normal in <T, a^-1 b>, which is one
+conjugation.  The character pairing of an abelian group has one exact
+integer form, _pairing_numerators, under character_values.  Bitmasks cross
+into index arrays and back through the helper pair _bits/_mask
+(np.unpackbits and np.packbits).
 """
 
 from __future__ import annotations
@@ -126,9 +127,6 @@ class Group:
     @property
     def is_abelian(self) -> bool:
         return self.kind == ABELIAN
-
-    def elements(self) -> range:
-        return range(self.order)
 
     def index_of(self, coords: Sequence[int]) -> int:
         """Element index for abelian coordinates (reduced mod the factors)."""
@@ -358,10 +356,6 @@ def subset_elements(mask: int) -> list[int]:
     return _members(mask).tolist()
 
 
-def subset_size(mask: int) -> int:
-    return bin(mask).count("1")
-
-
 def _bits(mask: int, n: int) -> np.ndarray:
     """Membership flags of the elements 0..n-1 in a bitmask (np.unpackbits)."""
     raw = np.frombuffer(mask.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
@@ -437,7 +431,8 @@ def is_subgroup(group: Group, mask: int) -> bool:
 
 
 def _adjoin(group: Group, flags: np.ndarray, steps: list[int], t: int) -> None:
-    """Extend a subgroup H to <H, t> in place.
+    """Extend a subgroup H to <H, t> in place; stabilizer grows its result
+    through this, one checked generator t at a time.
 
     H is given by its membership flags and by `steps`, a list of elements
     that generate it; both are updated for <H, t>.  The new steps are the
@@ -469,18 +464,6 @@ def _adjoin(group: Group, flags: np.ndarray, steps: list[int], t: int) -> None:
         frontier = np.flatnonzero(reached)
 
 
-def subgroup_generated(group: Group, generators: Sequence[int]) -> int:
-    """Bitmask of the subgroup generated by the given elements: {e}
-    extended by one generator at a time (_adjoin, seeded with the
-    generator's repeated squares), so <g> takes O(log order) levels."""
-    flags = np.zeros(group.order, dtype=bool)
-    flags[group.identity] = True
-    steps: list[int] = []
-    for g in generators:
-        _adjoin(group, flags, steps, int(g))
-    return _mask(flags)
-
-
 def stabilizer(group: Group, mask: int) -> int:
     """Two-sided stabilizer {t : S t = S and t S = S}; always a subgroup.
 
@@ -504,7 +487,7 @@ def stabilizer(group: Group, mask: int) -> int:
     mask = validate_mask(group, mask)
     if group.is_abelian and group.order <= TRANSLATION_TABLE_MAX_ORDER:
         return _mask(_translates(group, mask) == np.uint64(mask))
-    if 2 * subset_size(mask) > group.order:
+    if 2 * mask.bit_count() > group.order:
         mask ^= (1 << group.order) - 1
     if mask == 0:
         return (1 << group.order) - 1
@@ -577,16 +560,22 @@ class CosetAnalysis:
 def analyze_cosets(group: Group, mask: int) -> CosetAnalysis:
     """Classify S as empty / coset / two-coset union / other.
 
-    S is a union of left cosets of its two-sided stabilizer T, so |T| = |S|
-    makes S the coset a T (a the least element of S), and then a^-1 S = T.
-    On abelian groups the converse holds, so this is the whole coset test.
-    On other groups the left coset a H has the two-sided stabilizer
-    H & a H a^-1, which is smaller when a does not normalize H, so the a^-1 S
-    subgroup test runs first and finds cosets of arbitrary subgroups.  The two-coset kind requires S to
-    be exactly two left cosets of T with T normal in the span <T, a^-1 b>,
-    which makes the relative order q independent of the representatives;
-    q >= 3 always (q <= 2 would make S a single coset of a larger subgroup,
-    caught by the coset test first).
+    S is a union of left cosets of its two-sided stabilizer T (S t = S for
+    t in T), so |T| = |S| makes S the coset a T (a the least element of S),
+    and then a^-1 S = T.  On abelian groups the converse holds, so this is
+    the whole coset test.  On other groups the left coset a H has the
+    two-sided stabilizer H & a H a^-1, which is smaller when a does not
+    normalize H, so the a^-1 S subgroup test runs first and finds cosets of
+    arbitrary subgroups.
+
+    When |S| = 2|T|, S is the two left cosets a T and b T (b the least
+    element outside a T).  The two-coset kind requires T normal in the span
+    <T, c> with c = a^-1 b, which makes the relative order q (least q >= 1
+    with c^q in T) independent of the representatives.  Elements of T
+    normalize T, and c^-1 is a positive power of c in a finite group, so T
+    is normal in <T, c> exactly when c T c^-1 = T: one conjugation.  Then
+    q >= 3: q = 1 would put b in a T, and q = 2 would make K = T u c T a
+    subgroup with S = a K, which the coset test catches first.
     """
     mask = validate_mask(group, mask)
     if mask == 0:
@@ -597,35 +586,17 @@ def analyze_cosets(group: Group, mask: int) -> CosetAnalysis:
         if is_subgroup(group, h):
             return CosetAnalysis(kind="coset", subgroup=h, rep_a=a)
     stab = stabilizer(group, mask)
-    stab_size = subset_size(stab)
-    if subset_size(mask) == stab_size:
+    if mask.bit_count() == stab.bit_count():
         return CosetAnalysis(kind="coset", subgroup=stab, rep_a=a)
-    if subset_size(mask) == 2 * stab_size:
-        rest = mask & ~translate_left(group, a, stab)
-        if subset_size(rest) == stab_size:
-            b = _lowest(rest)
-            c = group.mul(group.inv(a), b)
-            if group.is_abelian or _is_normal_in(
-                    group, stab, subgroup_generated(group, subset_elements(stab) + [c])):
-                q = 1
-                p = c
-                while not (stab >> p) & 1:
-                    p = group.mul(p, c)
-                    q += 1
-                if q >= 3:
-                    return CosetAnalysis(kind="two_cosets", subgroup=stab,
-                                         rep_a=a, rep_b=b, q=q)
+    if mask.bit_count() == 2 * stab.bit_count():
+        b = _lowest(mask & ~translate_left(group, a, stab))
+        c = group.mul(group.inv(a), b)
+        conjugates = group.mul_array(group.mul_array(c, _members(stab)), group.inv(c))
+        if _index_mask(group, conjugates) == stab:
+            q = 1
+            p = c
+            while not (stab >> p) & 1:
+                p = group.mul(p, c)
+                q += 1
+            return CosetAnalysis(kind="two_cosets", subgroup=stab, rep_a=a, rep_b=b, q=q)
     return CosetAnalysis(kind="other", subgroup=stab)
-
-
-def _is_normal_in(group: Group, sub_mask: int, span_mask: int) -> bool:
-    """x T x^-1 within T for every x in the span, a block of x at a time."""
-    subs = _members(sub_mask)
-    flags = _bits(sub_mask, group.order)
-    span = _members(span_mask)
-    step = _block_rows(group, len(subs))
-    for lo in range(0, len(span), step):
-        x = span[lo:lo + step, None]
-        if not flags[group.mul_array(group.mul_array(x, subs), group._inverse[x])].all():
-            return False
-    return True

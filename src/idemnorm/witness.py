@@ -32,12 +32,6 @@ class WitnessTriple:
         return {"u": self.u, "v": self.v, "w": self.w}
 
 
-def make_witness(group: Group, mask: int, u: int, v: int, w: int) -> WitnessTriple:
-    """Validated witness construction; raises if the membership pattern fails."""
-    _memberships(group, mask, u, v, w)
-    return WitnessTriple(u=u, v=v, w=w)
-
-
 def _memberships(group: Group, mask: int, u: int, v: int, w: int) -> list[int]:
     """chi_S at u, u+w, u-w, v, v+w, v-w (0 or 1), from one mul_array call;
     raises ValueError unless (u, v, w) is a witness for S."""

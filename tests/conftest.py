@@ -7,7 +7,8 @@ the pairing from those digits.  On them: norms by direct double loops over
 character values, the pattern search over all ordered row/column triples,
 and translates, stabilizers, subgroup tests, canonical forms, the witness
 search, the progression and closure checks and annihilators by loops over
-bits.
+bits.  oracle_analyze_cosets keeps the coset analysis's first two-coset
+rule, normality of the stabilizer in the whole span <T, a^-1 b>.
 """
 
 import functools
@@ -19,6 +20,7 @@ import pytest
 
 from idemnorm import (
     builtin_group,
+    load_cayley_group,
     make_abelian_group,
     subset_elements,
 )
@@ -63,6 +65,26 @@ def d4():
 @pytest.fixture(scope="session")
 def q8():
     return builtin_group("Q8")
+
+
+def dihedral_group(m):
+    """The dihedral group D_m of order 2m: r^i s^j has index i + m j, and
+    s r = r^-1 s."""
+    j, i = np.divmod(np.arange(2 * m), m)
+    sign = np.where(j == 0, 1, -1)
+    table = (i[:, None] + sign[:, None] * i) % m + m * (j[:, None] ^ j)
+    return load_cayley_group(table, 0, name=f"D{m}")
+
+
+def dicyclic_group(m):
+    """The dicyclic group Dic_m of order 4m (Dic_2 = Q8): a^i x^j has index
+    i + 2m j, with a^(2m) = e, x^2 = a^m and x a = a^-1 x."""
+    j, i = np.divmod(np.arange(4 * m), 2 * m)
+    sign = np.where(j == 0, 1, -1)
+    turns = j[:, None] + j  # 2 when both factors hold an x: x^2 = a^m
+    table = ((i[:, None] + sign[:, None] * i + m * (turns == 2)) % (2 * m)
+             + 2 * m * (turns % 2))
+    return load_cayley_group(table, 0, name=f"Dic{m}")
 
 
 def oracle_coords(group, a):
@@ -243,6 +265,41 @@ def _closure(group, gens):
                     fresh.append(y)
         frontier = fresh
     return members
+
+
+def oracle_analyze_cosets(group, mask):
+    """(kind, subgroup, rep_a, rep_b, q) as analyze_cosets reports them, by
+    the rule as first written: S is two cosets of its stabilizer T when
+    |S| = 2|T|, S minus a T has |T| elements, T is normal in the whole span
+    <T, a^-1 b> (built by _closure and conjugated element by element) and
+    the relative order q is at least 3."""
+    def inv(x):
+        return next(y for y in range(group.order) if oracle_mul(group, x, y) == group.identity)
+
+    if mask == 0:
+        return ("empty", None, None, None, None)
+    a = _oracle_elements(group, mask)[0]
+    if not group.is_abelian:
+        h = oracle_translate_left(group, inv(a), mask)
+        if oracle_is_subgroup(group, h):
+            return ("coset", h, a, None, None)
+    stab = oracle_stabilizer(group, mask)
+    subs = _oracle_elements(group, stab)
+    size = len(_oracle_elements(group, mask))
+    if size == len(subs):
+        return ("coset", stab, a, None, None)
+    if size == 2 * len(subs):
+        rest = _oracle_elements(group, mask & ~oracle_translate_left(group, a, stab))
+        if len(rest) == len(subs):
+            b = rest[0]
+            c = oracle_mul(group, inv(a), b)
+            span = _closure(group, subs + [c])
+            if all((stab >> oracle_mul(group, oracle_mul(group, x, t), inv(x))) & 1
+                   for x in span for t in subs):
+                q = relative_order(group, c, set(subs))
+                if q >= 3:
+                    return ("two_cosets", stab, a, b, q)
+    return ("other", stab, None, None, None)
 
 
 def random_subgroup(group, rng, size):

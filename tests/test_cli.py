@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 
@@ -6,6 +7,7 @@ import pytest
 
 from idemnorm import cli
 from idemnorm.cli import _json_text, build_parser, main
+from idemnorm.groups import CosetAnalysis
 from idemnorm.schur import WitnessPair
 from idemnorm.sweep import SweepReport
 
@@ -78,6 +80,21 @@ def test_norm_bad_subset_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("group, spec, message", [
+    ("Z4", "", "empty subset spec"),
+    ("Z4", "  ", "empty subset spec"),
+    ("Z2xZ4", "(0,1),x", "malformed tuple subset spec '(0,1),x'"),
+    ("Z2xZ4", "(0,1", "malformed tuple subset spec '(0,1'"),
+    ("Z4", "0,a", "bad subset spec '0,a': invalid literal for int()"),
+    ("S3", "(0,1)", "coordinate tuples only apply to abelian groups"),
+])
+def test_bad_subset_spec_exits_2_with_one_line(capsys, group, spec, message):
+    code, out, err = run_cli(capsys, "norm", "-g", group, "-s", spec)
+    assert code == 2
+    assert not out
+    assert err.startswith(message) and err.count("\n") == 1
+
+
 def test_sweep_z6(capsys):
     code, out, err = run_cli(capsys, "sweep", "-g", "Z6", "--format", "json")
     assert code == 0
@@ -86,6 +103,50 @@ def test_sweep_z6(capsys):
     assert payload["subset_total"] == 64
     assert "wall_time_s" not in payload  # deterministic stdout; timing on stderr
     assert "took" in err
+
+
+def test_sweep_reports_a_predicted_norm_mismatch(capsys, monkeypatch):
+    sweep_module = importlib.import_module("idemnorm.sweep")
+    closed_form = sweep_module.predicted_norm
+
+    def off_by_a_quarter(analysis):
+        value = closed_form(analysis)
+        return None if value is None else value + 0.25
+
+    monkeypatch.setattr(sweep_module, "predicted_norm", off_by_a_quarter)
+    code, out, _ = run_cli(capsys, "sweep", "-g", "Z6", "--format", "json")
+    assert code == 1
+    payload = json.loads(out)
+    violations = payload["violations"]
+    predicted = [r for r in payload["records"] if r["predicted"] is not None]
+    assert len(violations) == len(predicted) > 0
+    assert {v["rule"] for v in violations} == {"predicted_norm_mismatch"}
+    # the first class is the empty set, whose norm is 0
+    assert violations[0] == {"rule": "predicted_norm_mismatch", "subset": [],
+                             "detail": "kind=empty: bracket [0.0, 0.0] misses predicted 0.25"}
+
+
+def test_sweep_reports_a_two_coset_class_labelled_other(capsys, monkeypatch):
+    sweep_module = importlib.import_module("idemnorm.sweep")
+    analyze = sweep_module.analyze_cosets
+
+    def relabel(group, mask):
+        analysis = analyze(group, mask)
+        if analysis.kind == "two_cosets":
+            return CosetAnalysis(kind="other", subgroup=analysis.subgroup)
+        return analysis
+
+    monkeypatch.setattr(sweep_module, "analyze_cosets", relabel)
+    code, out, _ = run_cli(capsys, "sweep", "-g", "Z6", "--format", "json")
+    assert code == 1
+    payload = json.loads(out)
+    assert "two_cosets" not in payload["kind_totals"]
+    flagged = [v for v in payload["violations"] if v["rule"] == "open_interval_not_two_cosets"]
+    assert flagged
+    for v in flagged:
+        assert v["detail"].startswith("kind=other with norm in (")
+        record = next(r for r in payload["records"] if r["subset"] == v["subset"])
+        assert record["in_open_interval"] and record["analysis"]["kind"] == "other"
 
 
 @pytest.mark.parametrize("fmt", ("json", "text"))
@@ -165,6 +226,13 @@ def test_schur_requires_input(capsys):
     assert code == 2
 
 
+def test_schur_witness_only_requires_f0(capsys):
+    code, out, err = run_cli(capsys, "schur", "[[1]]", "--witness-only")
+    assert code == 2
+    assert not out
+    assert err == "--witness-only applies to --f0\n"
+
+
 def test_verify_single_group(capsys):
     code, out, _ = run_cli(capsys, "verify", "--groups", "Z3", "--format", "json")
     assert code == 0
@@ -187,6 +255,19 @@ def test_out_file(tmp_path, capsys):
     assert out.strip() == str(target)
     payload = json.loads(target.read_text())
     assert payload["violations"] == []
+
+
+@pytest.mark.parametrize("argv", [("norm", "-g", "Z4", "-s", "0"), ("sweep", "-g", "Z6")])
+def test_out_path_that_cannot_be_opened_exits_2(tmp_path, capsys, argv):
+    target = tmp_path / "missing" / "r.json"
+    code, out, err = run_cli(capsys, *argv, "--format", "json", "--out", str(target))
+    assert code == 2
+    assert not out
+    # sweep first reports its time on stderr; the error is one more line
+    last = err.splitlines()[-1]
+    assert "No such file or directory" in last and str(target) in last
+    assert err.count("\n") == (2 if argv[0] == "sweep" else 1)
+    assert not target.parent.exists()
 
 
 def test_norm_text_format_mentions_kind(capsys):
@@ -219,6 +300,22 @@ def test_malformed_cayley_file_exits_2(tmp_path, capsys, content):
     code, _, err = run_cli(capsys, "norm", "-g", str(path), "-s", "0")
     assert code == 2
     assert "table" in err or "object" in err
+
+
+@pytest.mark.parametrize("content, message", [
+    ({"table": [[0, 1]]}, "Cayley table must be square"),
+    ({"table": []}, "Cayley table must be square"),
+    ({"identity": 2, "table": [[0, 1], [1, 0]]}, "identity index 2 out of range"),
+    ({"n": 3, "table": [[0, 1], [1, 0]]}, "declared order 3 does not match table size 2"),
+    ({"table": [[0, 1], [1, 1]]}, "element 1 has no two-sided inverse"),
+])
+def test_cayley_file_failing_an_axiom_exits_2(tmp_path, capsys, content, message):
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps(content))
+    code, out, err = run_cli(capsys, "norm", "-g", str(path), "-s", "0")
+    assert code == 2
+    assert not out
+    assert err.startswith(message) and err.count("\n") == 1
 
 
 def test_group_path_to_a_directory_exits_2(tmp_path, capsys):

@@ -1,4 +1,6 @@
 import json
+import random
+import re
 from collections import Counter
 
 import numpy as np
@@ -22,11 +24,14 @@ from idemnorm.groups import (
     GROUP_ORDER_CAP,
     Group,
     character_values,
-    subgroup_generated,
-    subset_size,
+    validate_mask,
 )
 
 from conftest import (
+    _closure,
+    dicyclic_group,
+    dihedral_group,
+    oracle_analyze_cosets,
     oracle_character_value,
     oracle_coords,
     oracle_element_order,
@@ -73,7 +78,7 @@ def test_order_cap_env_override(monkeypatch):
 
 
 def test_mixed_radix_round_trip(z2z4):
-    for a in z2z4.elements():
+    for a in range(z2z4.order):
         assert z2z4.index_of(oracle_coords(z2z4, a)) == a
     # last coordinate varies fastest; coordinates are reduced mod the factors
     assert z2z4.index_of((0, 1)) == 1
@@ -84,9 +89,9 @@ def test_mixed_radix_round_trip(z2z4):
 def _assert_mul_matches_oracle(g):
     everything = np.arange(g.order)
     table = g.mul_array(everything[:, None], everything[None, :])
-    for a in g.elements():
+    for a in range(g.order):
         assert g.mul_array(a, everything).tolist() == table[a].tolist()
-        for b in g.elements():
+        for b in range(g.order):
             assert table[a, b] == g.mul(a, b) == oracle_mul(g, a, b)
 
 
@@ -130,15 +135,41 @@ def test_out_of_range_entry_rejected():
         load_cayley_group([[0, 1], [1, 2]], 0)
 
 
+@pytest.mark.parametrize("table, identity, message", [
+    ([[0, 1]], 0, "Cayley table must be square"),
+    (np.zeros((0, 0), dtype=int), 0, "Cayley table must be nonempty"),
+    ([[0, 1], [1, 0]], 2, "identity index 2 out of range"),
+    ([[0, 1], [1, 0]], -1, "identity index -1 out of range"),
+    ([[0, 1], [1, 1]], 0, "element 1 has no two-sided inverse"),
+])
+def test_malformed_cayley_tables_are_rejected(table, identity, message):
+    with pytest.raises(GroupAxiomError, match=re.escape(message)):
+        load_cayley_group(table, identity)
+
+
+def test_cayley_file_declaring_another_order_is_rejected(tmp_path):
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps({"n": 3, "table": [[0, 1], [1, 0]]}))
+    with pytest.raises(GroupAxiomError, match="declared order 3 does not match table size 2"):
+        load_cayley_file(str(path))
+
+
+@pytest.mark.parametrize("mask", [-1, 1 << 6, (1 << 7) - 1])
+def test_validate_mask_rejects_masks_out_of_range(z6, mask):
+    with pytest.raises(ValueError, match="out of range for order 6"):
+        validate_mask(z6, mask)
+    assert validate_mask(z6, (1 << 6) - 1) == 63
+
+
 def test_cayley_axioms_hold_for_builtins():
     for name in ("S3", "D4", "Q8"):
         g = builtin_group(name)
         e = g.identity
-        for a in g.elements():
+        for a in range(g.order):
             assert g.mul(a, g.inv(a)) == e
             assert g.mul(g.inv(a), a) == e
-            for b in g.elements():
-                for c in g.elements():
+            for b in range(g.order):
+                for c in range(g.order):
                     assert g.mul(g.mul(a, b), c) == g.mul(a, g.mul(b, c))
 
 
@@ -146,18 +177,18 @@ def test_builtin_s3_is_nonabelian_of_order_6(s3):
     assert s3.order == 6
     assert not s3.is_abelian
     assert any(s3.mul(a, b) != s3.mul(b, a)
-               for a in s3.elements() for b in s3.elements())
+               for a in range(s3.order) for b in range(s3.order))
 
 
 def test_builtin_q8_has_unique_involution(q8):
-    census = Counter(oracle_element_order(q8, t) for t in q8.elements())
+    census = Counter(oracle_element_order(q8, t) for t in range(q8.order))
     assert census == {1: 1, 2: 1, 4: 6}
 
 
 def test_builtin_d4_order_census(d4):
     # derived by hand from the presentation: e, r^2 and the four reflections
     # have order <= 2; r and r^3 have order 4
-    census = Counter(oracle_element_order(d4, t) for t in d4.elements())
+    census = Counter(oracle_element_order(d4, t) for t in range(d4.order))
     assert census == {1: 1, 2: 5, 4: 2}
 
 
@@ -177,8 +208,8 @@ def test_character_values(z4, z2z4):
 def test_character_value_is_bilinear(z6, z2z4):
     for g in (z6, z2z4):
         rows = character_values(g, np.arange(g.order))
-        for s in g.elements():
-            for t in g.elements():
+        for s in range(g.order):
+            for t in range(g.order):
                 np.testing.assert_allclose(rows[oracle_mul(g, s, t)], rows[s] * rows[t],
                                            rtol=0, atol=1e-12)
         # symmetric in x and s
@@ -188,8 +219,8 @@ def test_character_value_is_bilinear(z6, z2z4):
 def test_character_values_match_character_value(z6, z2z4):
     for g in (z6, z2z4, make_abelian_group([2, 2, 3])):
         rows = character_values(g, np.arange(g.order))
-        for s in g.elements():
-            expected = [oracle_character_value(g, x, s) for x in g.elements()]
+        for s in range(g.order):
+            expected = [oracle_character_value(g, x, s) for x in range(g.order)]
             np.testing.assert_allclose(character_values(g, s), expected, rtol=0, atol=1e-15)
             np.testing.assert_allclose(rows[s], expected, rtol=0, atol=1e-15)
 
@@ -215,12 +246,14 @@ def test_stabilizer_is_subgroup(z6, s3):
 def test_element_orders(z6, s3, d4, q8):
     assert oracle_element_order(z6, 0) == 1
     assert oracle_element_order(z6, 1) == 6
-    transpositions = [t for t in s3.elements() if oracle_element_order(s3, t) == 2]
+    transpositions = [t for t in range(s3.order) if oracle_element_order(s3, t) == 2]
     assert len(transpositions) == 3
-    # the cyclic subgroup <t> has ord(t) elements
+    # the cyclic subgroup <t> has ord(t) elements, and is its own stabilizer
     for g in (z6, s3, d4, q8):
-        for t in g.elements():
-            assert len(subset_elements(subgroup_generated(g, [t]))) == oracle_element_order(g, t)
+        for t in range(g.order):
+            cyclic = _closure(g, [t])
+            assert len(cyclic) == oracle_element_order(g, t)
+            assert stabilizer(g, subset_mask(g, cyclic)) == subset_mask(g, cyclic)
 
 
 def test_analyze_examples(z4, z6):
@@ -252,7 +285,7 @@ def test_analyze_translation_covariant(z6, s3):
     for g in (z6, s3):
         for mask in range(1 << g.order):
             a = analyze_cosets(g, mask)
-            for t in g.elements():
+            for t in range(g.order):
                 for moved in (translate_left(g, t, mask), oracle_translate_right(g, mask, t)):
                     b = analyze_cosets(g, moved)
                     assert (a.kind, a.q) == (b.kind, b.q)
@@ -262,18 +295,13 @@ def test_analyze_coset_matches_brute_force(s3):
     subgroups = [m for m in range(1 << s3.order) if is_subgroup(s3, m)]
     for mask in range(1, 1 << s3.order):
         brute = any(translate_left(s3, a, h) == mask
-                    for h in subgroups for a in s3.elements())
+                    for h in subgroups for a in range(s3.order))
         assert (analyze_cosets(s3, mask).kind == "coset") == brute
-
-
-def test_subgroup_generated(z6, q8):
-    assert subgroup_generated(z6, [2]) == subset_mask(z6, [0, 2, 4])
-    assert subset_elements(subgroup_generated(q8, [2])) == [0, 1, 2, 3]
 
 
 def test_translate_round_trip(s3):
     mask = subset_mask(s3, [0, 2, 5])
-    for t in s3.elements():
+    for t in range(s3.order):
         assert translate_left(s3, s3.inv(t), translate_left(s3, t, mask)) == mask
 
 
@@ -311,6 +339,69 @@ def test_load_cayley_file_rejects_malformed_json(tmp_path, content):
         load_cayley_file(str(path))
 
 
+def _analysis(group, mask):
+    a = analyze_cosets(group, mask)
+    return (a.kind, a.subgroup, a.rep_a, a.rep_b, a.q)
+
+
+@pytest.mark.parametrize("spec", ("S3", "D4", "Q8"))
+def test_analyze_cosets_matches_the_span_rule_on_every_subset(spec):
+    # S3 minus {e, s} is the two left cosets r T, r^2 T of its stabilizer
+    # T = {e, s}, which is not normal in <T, r> = S3: kind "other"
+    g = parse_group(spec)
+    for mask in range(1 << g.order):
+        assert _analysis(g, mask) == oracle_analyze_cosets(g, mask), subset_elements(mask)
+
+
+def _planted_cosets_and_unions(group, seed, count):
+    """Seeded inputs: for random subgroups H, normal or not, a left coset
+    a H, a union a H | b H of two left cosets, a double coset H g H and a
+    random set."""
+    rng = random.Random(seed)
+    n = group.order
+    out = []
+    for _ in range(count):
+        sub = _closure(group, [rng.randrange(n) for _ in range(rng.randint(1, 2))])
+        a, b, g = (rng.randrange(n) for _ in range(3))
+        left_a = {oracle_mul(group, a, h) for h in sub}
+        left_b = {oracle_mul(group, b, h) for h in sub}
+        double = {oracle_mul(group, oracle_mul(group, h, g), k) for h in sub for k in sub}
+        out += [subset_mask(group, x) for x in (left_a, left_a | left_b, double)]
+        out.append(subset_mask(group, rng.sample(range(n), rng.randint(1, n - 1))))
+    return out
+
+
+@pytest.mark.parametrize("build, seed, count", [
+    (lambda: dihedral_group(8), 8, 100),
+    (lambda: dicyclic_group(4), 4, 100),
+    (lambda: dihedral_group(32), 32, 60),
+], ids=("D8", "Dic4", "D32"))
+def test_analyze_cosets_matches_the_span_rule_on_planted_sets(build, seed, count):
+    g = build()
+    m = g.order // 2
+    r, s = 1, m
+    # {e, s} | r {e, s} and {e, s} r {e, s}, with {e, s} a non-normal
+    # subgroup of D_m (in Dic_m the index m holds x, of order 4).  In D_m
+    # the second is r T | r^-1 T for its stabilizer T = {e, s}, which
+    # c = r^-2 does not normalize: the conjugation makes it "other"
+    fixed = [subset_mask(g, {0, s, r, g.mul(r, s)}),
+             subset_mask(g, {r, g.mul(r, s), g.mul(s, r), g.mul(g.mul(s, r), s)})]
+    kinds = Counter()
+    for mask in fixed + _planted_cosets_and_unions(g, seed, count):
+        expected = oracle_analyze_cosets(g, mask)
+        assert _analysis(g, mask) == expected, subset_elements(mask)
+        kinds[expected[0]] += 1
+    assert set(kinds) == {"coset", "two_cosets", "other"}, kinds
+
+
+def test_dicyclic_group_order_census():
+    assert Counter(oracle_element_order(dicyclic_group(2), t) for t in range(8)) == {
+        1: 1, 2: 1, 4: 6}
+    # Dic4: a^4 is the only involution; a, a^3, a^5, a^7 have order 8
+    assert Counter(oracle_element_order(dicyclic_group(4), t) for t in range(16)) == {
+        1: 1, 2: 1, 4: 10, 8: 4}
+
+
 def test_subset_elements_matches_subset_mask(z6):
     mask = 0b101101
     assert subset_elements(mask) == [0, 2, 3, 5]
@@ -327,7 +418,7 @@ def test_set_operations_match_oracles_on_every_subset(spec):
     for mask in range(1 << g.order):
         assert stabilizer(g, mask) == oracle_stabilizer(g, mask)
         assert is_subgroup(g, mask) == oracle_is_subgroup(g, mask)
-        for t in g.elements():
+        for t in range(g.order):
             assert translate_left(g, t, mask) == oracle_translate_left(g, t, mask)
 
 
@@ -354,25 +445,16 @@ def test_set_operations_match_oracles_on_large_groups(spec):
             assert translate_left(g, t, mask) == oracle_translate_left(g, t, mask)
 
 
-def _dihedral(n):
-    """The dihedral group of order 2n: r^i s^j has index i + n j, and
-    s r = r^-1 s."""
-    j, i = np.divmod(np.arange(2 * n), n)
-    sign = np.where(j == 0, 1, -1)
-    table = (i[:, None] + sign[:, None] * i) % n + n * (j[:, None] ^ j)
-    return load_cayley_group(table, 0, name=f"D{n}")
-
-
 def test_two_sided_stabilizer_matches_oracle_on_a_cayley_group_of_order_128():
     n = 64
-    g = _dihedral(n)
+    g = dihedral_group(n)
     assert g.order == 128 and not g.is_abelian
     r, s = 1, n
     # <r^4, s> is not normal: r s r^-1 = r^2 s lies outside it
-    sub = subgroup_generated(g, [4, s])
-    assert subset_size(sub) == 32 and not (sub >> g.mul(g.mul(r, s), g.inv(r))) & 1
+    sub = subset_mask(g, _closure(g, [4, s]))
+    assert sub.bit_count() == 32 and not (sub >> g.mul(g.mul(r, s), g.inv(r))) & 1
     cosets = [translate_left(g, a, sub) for a in (0, r, 3, n + 5)]
-    pair = subgroup_generated(g, [s])  # {e, s}
+    pair = subset_mask(g, _closure(g, [s]))  # {e, s}
     cosets += [translate_left(g, a, pair) for a in (r, 7, n + 2)]
     unions = [cosets[0] | cosets[1], cosets[1] | cosets[2], cosets[4] | cosets[5],
               cosets[4] | cosets[6]]
@@ -382,7 +464,7 @@ def test_two_sided_stabilizer_matches_oracle_on_a_cayley_group_of_order_128():
         assert stabilizer(g, mask) == oracle_stabilizer(g, mask), subset_elements(mask)
     # the one-sided stabilizer of a left coset a K is K; the two-sided one is
     # K meet a K a^-1, here <r^4>
-    assert subset_size(stabilizer(g, cosets[1])) == 16
+    assert stabilizer(g, cosets[1]).bit_count() == 16
 
 
 def _count_products(monkeypatch):
@@ -412,17 +494,20 @@ def test_stabilizer_forms_few_products(spec, monkeypatch):
         stab = stabilizer(g, mask)
         # checking every candidate s0^-1 S against all of S forms |S|^2
         # products, 65,536 on a coset of 256 elements
-        bound = 4 * subset_size(mask) * (g.order.bit_length() - 1)
+        bound = 4 * mask.bit_count() * (g.order.bit_length() - 1)
         assert counts["entries"] <= bound, (kind, counts["entries"], bound)
     assert stab == 1
 
 
-def test_subgroup_generated_takes_logarithmically_many_levels(monkeypatch):
+def test_stabilizer_adjoins_a_cyclic_generator_in_logarithmically_many_levels(monkeypatch):
     g = parse_group("Z1024")
+    evens = subset_mask(g, range(0, 1024, 2))
     counts = _count_products(monkeypatch)
-    assert subgroup_generated(g, [1]) == (1 << 1024) - 1
-    # one product per square of the generator and one per level; a search
-    # by the generator alone would take 1024 levels
+    # the first candidate, 2, passes and is adjoined: <2> is the whole set
+    assert stabilizer(g, evens) == evens
+    # one product per square of the generator and one per level of _adjoin,
+    # besides the candidates and the check; a search by the generator alone
+    # would take 512 levels
     assert counts["calls"] <= 3 * 10
 
 

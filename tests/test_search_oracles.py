@@ -15,11 +15,12 @@ import pytest
 from idemnorm import (
     find_witness,
     forbidden_pattern_search,
-    load_cayley_group,
     parse_group,
 )
 from idemnorm.groups import _translates
 from idemnorm.multiplier import _row_flags
+
+from conftest import dihedral_group
 
 
 def numpy_find_witness(group, mask):
@@ -66,18 +67,8 @@ def _lowest(mask):
     return (mask & -mask).bit_length() - 1
 
 
-def _dihedral(m):
-    """Dihedral group of order 2m, r^i s^j at index i + m j."""
-    def mul(a, b):
-        i, j, k, l = a % m, a // m, b % m, b // m
-        return (i + (k if j == 0 else -k)) % m + m * (j ^ l)
-
-    return load_cayley_group([[mul(a, b) for b in range(2 * m)] for a in range(2 * m)], 0,
-                             name=f"D{m}")
-
-
 def _group(spec):
-    return _dihedral(32) if spec == "D32" else parse_group(spec)
+    return dihedral_group(32) if spec == "D32" else parse_group(spec)
 
 
 def _witness(group, mask):

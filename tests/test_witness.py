@@ -3,11 +3,11 @@ import math
 import pytest
 
 from idemnorm import (
+    WitnessTriple,
     analyze_cosets,
     bs_norm,
     find_witness,
     make_abelian_group,
-    make_witness,
     parse_group,
     subset_mask,
     sup_norm_check,
@@ -48,26 +48,14 @@ def test_find_witness_matches_oracle_on_every_subset(spec):
         assert (None if found is None else (found.u, found.v, found.w)) == expected
 
 
-def test_make_witness_validates(z6, z8):
-    mask6 = subset_mask(z6, [0, 1, 3])
-    make_witness(z6, mask6, 0, 3, 1)  # a valid triple
-    with pytest.raises(ValueError):
-        make_witness(z6, mask6, 0, 0, 1)
-    mask8 = subset_mask(z8, [0, 1, 2, 4])
-    make_witness(z8, mask8, 1, 4, 1)
-    for outside in ((6, 3, 1), (0, -3, 1), (0, 3, 6)):
-        with pytest.raises(ValueError):
-            make_witness(z6, mask6, *outside)
-
-
 def test_witness_integral_values(z6, z8):
     mask6 = subset_mask(z6, [0, 1, 3])
     # u - w = -1 = 5 lies outside S, so the integral is plainly 6
-    t = make_witness(z6, mask6, 0, 3, 1)
+    t = WitnessTriple(0, 3, 1)
     assert witness_integral(z6, mask6, t) == pytest.approx(6.0, abs=1e-12)
     # u - w = 0 lies inside S, which adds the extra 1/2
     mask8 = subset_mask(z8, [0, 1, 2, 4])
-    t8 = make_witness(z8, mask8, 1, 4, 1)
+    t8 = WitnessTriple(1, 4, 1)
     assert witness_integral(z8, mask8, t8) == pytest.approx(6.5, abs=1e-12)
 
 
@@ -83,10 +71,10 @@ def test_witness_integral_is_6_or_13_2_everywhere(z6, z8):
 
 def test_witness_bound_values(z6, z8):
     mask6 = subset_mask(z6, [0, 1, 3])
-    t = make_witness(z6, mask6, 0, 3, 1)
+    t = WitnessTriple(0, 3, 1)
     assert witness_norm_bound(z6, mask6, t) == pytest.approx(4 / 3, abs=1e-12)
     mask8 = subset_mask(z8, [0, 1, 2, 4])
-    t8 = make_witness(z8, mask8, 1, 4, 1)
+    t8 = WitnessTriple(1, 4, 1)
     assert witness_norm_bound(z8, mask8, t8) == pytest.approx(13 / 9, abs=1e-12)
 
 
@@ -104,10 +92,12 @@ def test_witness_bound_is_sound(z6, z8):
 
 def test_witness_bound_rejects_invalid_triple(z6):
     mask = subset_mask(z6, [0, 1, 3])
-    from idemnorm import WitnessTriple
-
-    with pytest.raises(ValueError):
-        witness_integral(z6, mask, WitnessTriple(u=0, v=0, w=0))
+    # (0, 0, w) breaks the membership pattern; the others leave 0..5
+    for triple in ((0, 0, 0), (0, 0, 1), (6, 3, 1), (0, -3, 1), (0, 3, 6)):
+        with pytest.raises(ValueError):
+            witness_integral(z6, mask, WitnessTriple(*triple))
+        with pytest.raises(ValueError):
+            witness_norm_bound(z6, mask, WitnessTriple(*triple))
 
 
 def test_sup_norm_check_small_grid():
