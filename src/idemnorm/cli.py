@@ -3,21 +3,22 @@
 Subcommands: norm (one subset), sweep (all subsets of a group), schur
 (gamma2 bounds of a literal matrix), verify (the full check battery).
 Exit codes: 0 success / verified, 1 violation or failed check, 2 usage or
-parse error (an --out path that cannot be opened included), 3 numerical
-failure.  All output on stdout is deterministic for
+parse error (an --out path that cannot be opened included: it is opened
+before any work), 3 numerical failure.  All output on stdout is deterministic for
 fixed inputs and flags; timing goes to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
 import re
 import sys
 from json.encoder import encode_basestring_ascii
-from typing import Optional, Sequence
+from typing import Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -75,8 +76,8 @@ def parse_tol(text: str) -> float:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
-def _emit(payload: dict, fmt: str, out_path: Optional[str], csv_text: Optional[str] = None) -> None:
-    """Write a report to out_path (printing the path) or to stdout.  JSON is
+def _emit(payload: dict, fmt: str, out: Optional[TextIO], csv_text: Optional[str] = None) -> None:
+    """Write a report to the open --out file (printing its path) or to stdout.  JSON is
     rendered by _json_text, byte for byte as json.dumps(payload, indent=2,
     sort_keys=True) would, without the pure-Python encoder that json.dumps
     falls back to whenever it indents."""
@@ -86,10 +87,9 @@ def _emit(payload: dict, fmt: str, out_path: Optional[str], csv_text: Optional[s
         rendered = csv_text.rstrip("\n")
     else:
         rendered = "\n".join(_text_lines(payload))
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(rendered + "\n")
-        print(out_path)
+    if out is not None:
+        out.write(rendered + "\n")
+        print(out.name)
     else:
         print(rendered)
 
@@ -307,7 +307,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # --out is opened before any work, so that a path that cannot be
+        # written stops the run at once
+        with open(args.out, "w") if args.out else contextlib.nullcontext() as out:
+            args.out = out
+            return args.func(args)
     except (ValueError, OSError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE

@@ -17,7 +17,10 @@ repeated squares so that a cyclic subgroup closes in O(log order) levels.
 analyze_cosets names cosets and unions of two left cosets a T, b T of the
 stabilizer T; the second kind needs T normal in <T, a^-1 b>, which is one
 conjugation.  The character pairing of an abelian group has one exact
-integer form, _pairing_numerators, under character_values.  Bitmasks cross
+integer form, _pairing_numerators, under character_values.
+Group.cyclic_layout lists the elements as g^d h_i over the right cosets of
+one cyclic subgroup <g>, the order in which multiplier matrices are block
+circulant (cb_norm).  Bitmasks cross
 into index arrays and back through the helper pair _bits/_mask
 (np.unpackbits and np.packbits).
 """
@@ -56,13 +59,28 @@ class GroupAxiomError(ValueError):
         self.triple = triple
 
 
+@dataclass(frozen=True)
+class CyclicLayout:
+    """The elements of a group as g^d h_i, with g the least element of the
+    largest order m, and h_1 < ... < h_k the least elements of the right
+    cosets <g> h.  A matrix M(x, y) = f(x^-1 y) is then block circulant:
+    the block of (g^a h_i, g^b h_j) depends on b - a alone."""
+
+    generator: int
+    cycle_order: int
+    cosets: np.ndarray  # h_1..h_k
+    gather: np.ndarray  # [d, i, j] = h_i^-1 g^d h_j, shape (m, k, k)
+    flat: np.ndarray    # [x, y] = the flat index of x^-1 y in gather, shape (n, n)
+
+
 class Group:
     """A finite group with elements 0..order-1.
 
     Abelian groups store their cyclic factors and do coordinate arithmetic;
     Cayley groups store the full multiplication table.  Either way the
     product is mul_array, and mul is its scalar wrapper.  Coordinate arrays,
-    abelian inverses and translation tables are built on first use.
+    abelian inverses, translation tables and the cyclic layout are built on
+    first use.
     Instances are immutable after construction (apart from those caches,
     whose builds are deterministic) and safe to share between threads.
     """
@@ -191,16 +209,48 @@ class Group:
             table[b, 1 << j:2 << j] = table[b, :1 << j] | single[x]
         return table
 
+    @functools.cached_property
+    def cyclic_layout(self) -> "CyclicLayout":
+        """The elements laid out as g^d h_i over the right cosets <g> h_i
+        of a cyclic subgroup; see CyclicLayout."""
+        n = self.order
+        everything = np.arange(n)
+        orders = np.zeros(n, dtype=np.int64)
+        power, d = everything, 1
+        while not orders.all():  # power = x^d
+            orders[(power == self.identity) & (orders == 0)] = d
+            power, d = self.mul_array(power, everything), d + 1
+        generator = int(np.argmax(orders))  # the least element of maximal order
+        m = int(orders[generator])
+        cycle = [self.identity]
+        for _ in range(m - 1):
+            cycle.append(self.mul(cycle[-1], generator))
+        right = self.mul_array(np.array(cycle)[:, None], everything)  # [d, x] = g^d x
+        cosets = np.unique(right.min(axis=0))               # least element of each <g> x
+        k = len(cosets)
+        spread = right[:, cosets]                           # [d, i] = g^d h_i
+        shift = np.empty(n, dtype=np.int64)
+        coset = np.empty(n, dtype=np.int64)
+        shift[spread] = np.arange(m)[:, None]
+        coset[spread] = np.arange(k)
+        gather = self.mul_array(self._inverse[cosets][None, :, None], spread[:, None, :])
+        # x = g^a h_i and y = g^b h_j give x^-1 y = h_i^-1 g^(b-a) h_j
+        flat = (((shift[None, :] - shift[:, None]) % m) * k * k
+                + coset[:, None] * k + coset[None, :])
+        return CyclicLayout(generator=generator, cycle_order=m, cosets=cosets,
+                            gather=gather, flat=flat)
+
     def __repr__(self) -> str:
         return f"Group({self.name}, order={self.order})"
 
 
 def _validate_cayley(table: np.ndarray, identity: int) -> int:
+    # before the shape: the empty JSON list [] reaches here as shape (0,)
+    if table.size == 0:
+        raise GroupAxiomError("Cayley table must be nonempty")
     if table.ndim != 2 or table.shape[0] != table.shape[1]:
         raise GroupAxiomError(f"Cayley table must be square, got shape {table.shape}")
     n = table.shape[0]
-    if n < 1:
-        raise GroupAxiomError("Cayley table must be nonempty")
     if n > GROUP_ORDER_CAP:
         raise ValueError(f"group order {n} exceeds cap {GROUP_ORDER_CAP}")
     if table.min() < 0 or table.max() >= n:

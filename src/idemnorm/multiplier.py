@@ -4,13 +4,17 @@ plus the combinatorial detectors that explain large norms: the forbidden
 
 The multiplier matrix of S is M(s, t) = chi_S(s^-1 t); its Schur norm equals
 the completely bounded multiplier norm of chi_S.  cb_norm computes it in
-closed form from one SVD of M and returns it as a bracket of width ~1e-14
-whose certificate and witness re-check independently, so the iterative
-gamma2 solver is never run on a group.
+closed form, on every group, from the block circulant form of M over the
+group's cyclic layout (Group.cyclic_layout): one rfft, one batched SVD of
+the k-by-k blocks and one batched eigenvalue check, never a decomposition
+of M itself.  It returns a bracket of width ~1e-14 whose certificate and
+witness re-check independently, so the iterative gamma2 solver is never run
+on a group.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -20,7 +24,8 @@ from .groups import (TRANSLATION_TABLE_MAX_ORDER, Group, _bits, _lowest, _member
                      _products_in, _translates, validate_mask)
 # gamma2 is not called here; it stays importable as multiplier.gamma2, which
 # perfbench's tracer test asserts is schur.gamma2
-from .schur import Gamma2Bounds, WitnessPair, _certify_blocks, gamma2, witness_lower_bound  # noqa: F401
+from .schur import (Gamma2Bounds, WitnessPair, _completion_slack, _hermitian,  # noqa: F401
+                    _shifted_certificate, gamma2)
 
 CB_ORDER_CAP = 64
 
@@ -48,25 +53,50 @@ def cb_norm(group: Group, mask: int) -> Gamma2Bounds:
 
     On a finite group cb multipliers coincide with the Fourier algebra
     (Bozejko-Fendler 1984, Eymard 1964), so the norm is ||M||_S1 / |G|, the
-    nuclear norm of the multiplier matrix over the group order.  With one
-    SVD M = U diag(s) V*:
+    nuclear norm of the multiplier matrix over the group order.  M commutes
+    with left translation, so in the group's cyclic layout (g^d h_i, g of
+    order m, k = n / m cosets) it is block circulant with k-by-k blocks
+    C_d[i, j] = chi_S(h_i^-1 g^d h_j).  The DFT along d makes it block
+    diagonal: B_f = sum_d C_d w^(-df), and B_(m-f) = conj(B_f) because C_d
+    is real, so rfft gives the floor(m/2) + 1 blocks that determine the
+    rest.  With one batched SVD B_f = U_f diag(s_f) V_f*:
 
-      * upper: P = U diag(s) U* and Q = V diag(s) V* make [[P, M], [M*, Q]]
-        PSD; M commutes with left translation, so both diagonals are constant
-        and equal sum(s) / |G|;
-      * lower: X = conj(U V*) is unitary and, with xi uniform,
-        <xi, (M o X) xi> = tr(M V U*) / |G| = sum(s) / |G|.
+      * upper: sum(s_f) over the whole spectrum, over |G|.  The blocks
+        P_f = U_f diag(s_f) U_f* and Q_f = V_f diag(s_f) V_f* complete
+        every [[P_f, B_f], [B_f*, Q_f]] to a PSD matrix (re-certified against
+        rounding by one batched eigenvalue check), and irfft turns them into
+        the block circulants P and Q, whose diagonals are constant and equal
+        that sum;
+      * lower: X = conj(U V*), the real block circulant with blocks
+        U_f V_f*, has ||X|| <= 1, and with xi uniform
+        <xi, (M o X) xi> = tr(M X^T) / |G| = the same sum, which bounds
+        ||(M o X) xi|| / (||X|| ||xi||) from below.  (M o X) 1 repeats one
+        k-vector m times and ||X|| is the largest singular value of its
+        blocks, so no n-by-n matrix is decomposed.
     """
     mask = validate_mask(group, mask)
     if group.order > CB_ORDER_CAP:
         raise ValueError(f"cb_norm supports orders up to {CB_ORDER_CAP}, got {group.order}")
-    matrix = multiplier_matrix(group, mask)
-    u, s, vh = np.linalg.svd(matrix)
-    # the diagonal blocks of the PSD completion [U; V] diag(s) [U; V]*,
-    # re-certified against rounding by the solver's own eigenvalue shift
-    upper, certificate = _certify_blocks(matrix, (u * s) @ u.conj().T, (vh.conj().T * s) @ vh)
-    witness = WitnessPair((u @ vh).conj(), np.ones(group.order))
-    lower = min(witness_lower_bound(matrix, witness), upper)
+    layout = group.cyclic_layout
+    m, k = layout.cycle_order, len(layout.cosets)
+    circulant = _bits(mask, group.order)[layout.gather].astype(float)  # C_d
+    blocks = np.fft.rfft(circulant, axis=0)  # B_f
+    u, s, vh = np.linalg.svd(blocks)
+    p = _hermitian((u * s[:, None, :]) @ u.conj().swapaxes(1, 2))
+    q = _hermitian((vh.conj().swapaxes(1, 2) * s[:, None, :]) @ vh)
+    slack = _completion_slack(p, blocks, q)
+    # the real block circulants with these blocks; irfft keeps only the real
+    # part of the self-conjugate blocks f = 0 and f = m/2, which is all
+    # there is for B, P and Q (and a real part of a PSD completion of a real
+    # block is one too), but U V* is free on the null space of B_f, so ||X||
+    # is taken from the blocks of the X returned
+    p_d, q_d, x_d = np.fft.irfft(np.stack((p, q, u @ vh)), n=m, axis=1)
+    x_norm = float(np.linalg.svd(np.fft.rfft(x_d, axis=0), compute_uv=False).max())
+    upper, certificate = _shifted_certificate(*(b.reshape(-1)[layout.flat] for b in (p_d, q_d)),
+                                              slack)
+    row = np.einsum("dij,dij->i", circulant, x_d)
+    lower = min(float(np.linalg.norm(row)) / (x_norm * math.sqrt(k)), upper)
+    witness = WitnessPair(x_d.reshape(-1)[layout.flat], np.ones(group.order))
     return Gamma2Bounds(lower=lower, upper=upper, certificate=certificate, witness=witness)
 
 

@@ -230,12 +230,28 @@ def _lists_to_matrix(rows) -> np.ndarray:
 
 def _certify_blocks(a: np.ndarray, p: np.ndarray, q: np.ndarray) -> tuple[float, Certificate]:
     """Certified level of the diagonal blocks p, q of a completion of a."""
-    p = (p + p.conj().T) / 2
-    q = (q + q.conj().T) / 2
-    block = np.block([[p, a], [a.conj().T, q]])
-    w = np.linalg.eigvalsh((block + block.conj().T) / 2)
-    slack = max(0.0, -float(w[0]))
-    diag_max = max(float(np.max(np.real(np.diag(p)))), float(np.max(np.real(np.diag(q)))))
+    p = _hermitian(p)
+    q = _hermitian(q)
+    return _shifted_certificate(p, q, _completion_slack(p, a, q))
+
+
+def _hermitian(x: np.ndarray) -> np.ndarray:
+    """(X + X*) / 2, for one matrix or a stack of them."""
+    return (x + x.conj().swapaxes(-1, -2)) / 2
+
+
+def _completion_slack(p: np.ndarray, a: np.ndarray, q: np.ndarray) -> float:
+    """How far [[p, a], [a*, q]] falls short of PSD, for Hermitian p and q:
+    minus its least eigenvalue, or 0.  For stacks of blocks, the shortfall
+    of the worst."""
+    block = np.concatenate((np.concatenate((p, a), axis=-1),
+                            np.concatenate((a.conj().swapaxes(-1, -2), q), axis=-1)), axis=-2)
+    return max(0.0, -float(np.linalg.eigvalsh(block).min()))
+
+
+def _shifted_certificate(p: np.ndarray, q: np.ndarray, slack: float) -> tuple[float, Certificate]:
+    """The certificate (p + slack I, q + slack I) and its level."""
+    diag_max = float(max(p.diagonal().real.max(), q.diagonal().real.max()))
     # shift the blocks by the eigenvalue deficit so the stored certificate is
     # PSD on the nose and proves the level it carries
     level = diag_max + slack

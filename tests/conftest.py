@@ -8,7 +8,9 @@ character values, the pattern search over all ordered row/column triples,
 and translates, stabilizers, subgroup tests, canonical forms, the witness
 search, the progression and closure checks and annihilators by loops over
 bits.  oracle_analyze_cosets keeps the coset analysis's first two-coset
-rule, normality of the stabilizer in the whole span <T, a^-1 b>.
+rule, normality of the stabilizer in the whole span <T, a^-1 b>, and
+oracle_cb_norm the first cb norm, one dense SVD of the whole multiplier
+matrix.
 """
 
 import functools
@@ -155,6 +157,28 @@ def oracle_bs_norm(group, mask):
 
 
 FORBIDDEN = ((1, 1, 1), (1, 1, 0), (1, 0, 1))
+
+
+def oracle_multiplier_matrix(group, mask):
+    """M(s, t) = chi_S(s^-1 t), one scalar product per entry."""
+    quotients = _quotient_rows(group)
+    return np.array([[(mask >> x) & 1 for x in row] for row in quotients], dtype=float)
+
+
+@functools.lru_cache(maxsize=None)
+def _quotient_rows(group):
+    """[s][t] = s^-1 t, with s^-1 found by search."""
+    n = group.order
+    inverse = [next(y for y in range(n) if oracle_mul(group, x, y) == group.identity)
+               for x in range(n)]
+    return tuple(tuple(oracle_mul(group, inverse[s], t) for t in range(n)) for s in range(n))
+
+
+def oracle_cb_norm(group, mask):
+    """||M||_S1 / |G| from one dense SVD of the whole n-by-n multiplier
+    matrix: the cb multiplier norm of chi_S on a finite group."""
+    matrix = oracle_multiplier_matrix(group, mask)
+    return float(np.linalg.svd(matrix, compute_uv=False).sum()) / group.order
 
 
 def oracle_pattern_search(group, mask):

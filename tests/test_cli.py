@@ -263,10 +263,10 @@ def test_out_path_that_cannot_be_opened_exits_2(tmp_path, capsys, argv):
     code, out, err = run_cli(capsys, *argv, "--format", "json", "--out", str(target))
     assert code == 2
     assert not out
-    # sweep first reports its time on stderr; the error is one more line
-    last = err.splitlines()[-1]
-    assert "No such file or directory" in last and str(target) in last
-    assert err.count("\n") == (2 if argv[0] == "sweep" else 1)
+    # the path is opened before any work: the error is the only line, and
+    # sweep never reports its time
+    assert "No such file or directory" in err and str(target) in err
+    assert err.count("\n") == 1 and "took" not in err
     assert not target.parent.exists()
 
 
@@ -304,7 +304,7 @@ def test_malformed_cayley_file_exits_2(tmp_path, capsys, content):
 
 @pytest.mark.parametrize("content, message", [
     ({"table": [[0, 1]]}, "Cayley table must be square"),
-    ({"table": []}, "Cayley table must be square"),
+    ({"table": []}, "Cayley table must be nonempty"),
     ({"identity": 2, "table": [[0, 1], [1, 0]]}, "identity index 2 out of range"),
     ({"n": 3, "table": [[0, 1], [1, 0]]}, "declared order 3 does not match table size 2"),
     ({"table": [[0, 1], [1, 1]]}, "element 1 has no two-sided inverse"),

@@ -141,6 +141,8 @@ def test_out_of_range_entry_rejected():
     ([[0, 1], [1, 0]], 2, "identity index 2 out of range"),
     ([[0, 1], [1, 0]], -1, "identity index -1 out of range"),
     ([[0, 1], [1, 1]], 0, "element 1 has no two-sided inverse"),
+    # what load_cayley_file passes on for {"table": []}
+    ([], 0, "Cayley table must be nonempty"),
 ])
 def test_malformed_cayley_tables_are_rejected(table, identity, message):
     with pytest.raises(GroupAxiomError, match=re.escape(message)):
@@ -400,6 +402,33 @@ def test_dicyclic_group_order_census():
     # Dic4: a^4 is the only involution; a, a^3, a^5, a^7 have order 8
     assert Counter(oracle_element_order(dicyclic_group(4), t) for t in range(16)) == {
         1: 1, 2: 1, 4: 10, 8: 4}
+
+
+@pytest.mark.parametrize("build", [
+    lambda: load_cayley_group([[0]]),
+    lambda: make_abelian_group([2, 4]),
+    lambda: builtin_group("S3"),
+    lambda: builtin_group("Q8"),
+    lambda: dicyclic_group(3),
+    lambda: dihedral_group(8),
+], ids=("trivial", "Z2xZ4", "S3", "Q8", "Dic3", "D8"))
+def test_cyclic_layout_matches_its_definition(build):
+    g = build()
+    n, layout = g.order, g.cyclic_layout
+    orders = [oracle_element_order(g, t) for t in range(n)]
+    m = max(orders)
+    assert (layout.generator, layout.cycle_order) == (orders.index(m), m)
+    cycle = [g.identity]
+    for _ in range(m - 1):
+        cycle.append(oracle_mul(g, cycle[-1], layout.generator))
+    cosets = sorted({min(oracle_mul(g, c, x) for c in cycle) for x in range(n)})
+    assert layout.cosets.tolist() == cosets
+    inverse = [next(y for y in range(n) if oracle_mul(g, x, y) == g.identity) for x in range(n)]
+    assert layout.gather.tolist() == [
+        [[oracle_mul(g, inverse[hi], oracle_mul(g, c, hj)) for hj in cosets] for hi in cosets]
+        for c in cycle]
+    assert layout.gather.reshape(-1)[layout.flat].tolist() == [
+        [oracle_mul(g, inverse[x], y) for y in range(n)] for x in range(n)]
 
 
 def test_subset_elements_matches_subset_mask(z6):

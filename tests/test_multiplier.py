@@ -27,8 +27,12 @@ from idemnorm import (
 
 from conftest import (
     all_subgroups,
+    dicyclic_group,
+    dihedral_group,
+    oracle_cb_norm,
     oracle_closure_claim_check,
     oracle_mul,
+    oracle_multiplier_matrix,
     oracle_pattern_search,
     oracle_progression_check,
     oracle_translate_right,
@@ -268,15 +272,69 @@ def test_cb_norm_certificates_verify(z6):
 ORDER_8_MASKS = tuple(range(7, 256, 16))
 
 
+def _assert_cb_norm_exact(group, mask):
+    """cb_norm agrees with the dense SVD within 1e-12 max(1, value), its
+    certificate checks at 1e-9, and its witness gives back its lower end;
+    the certificate and witness matrices are real, as M is."""
+    bounds = cb_norm(group, mask)
+    assert not any(np.iscomplexobj(x) for x in (bounds.certificate.p, bounds.certificate.q,
+                                                 bounds.witness.matrix))
+    matrix = oracle_multiplier_matrix(group, mask)
+    value = oracle_cb_norm(group, mask)
+    assert abs(bounds.lower - value) <= 1e-12 * max(1.0, value)
+    assert abs(bounds.upper - value) <= 1e-12 * max(1.0, value)
+    assert check_certificate(matrix, bounds.certificate.p, bounds.certificate.q,
+                             bounds.certificate.c, tol=1e-9)
+    witnessed = witness_lower_bound(matrix, bounds.witness)
+    assert abs(witnessed - bounds.lower) <= 1e-12 * max(1.0, value)
+    return value
+
+
 def test_cb_norm_is_exact_with_certificate_and_witness(s3, d4, q8):
     for g in (s3, d4, q8):
         for mask in range(1 << g.order):
-            bounds = cb_norm(g, mask)
-            matrix = multiplier_matrix(g, mask)
-            assert bounds.upper - bounds.lower <= 1e-12
-            assert check_certificate(matrix, bounds.certificate.p, bounds.certificate.q,
-                                     bounds.certificate.c, tol=1e-9)
-            assert witness_lower_bound(matrix, bounds.witness) >= bounds.lower - 1e-12
+            _assert_cb_norm_exact(g, mask)
+
+
+def _seeded_masks(group, seed, count=6):
+    """count random masks at densities 1/4, 1/2 and 3/4 in turn, the right
+    coset <g> of the cyclic layout's generator, and the whole group."""
+    rng = random.Random(seed)
+    masks = [sum(1 << x for x in range(group.order) if rng.random() < (1 + i % 3) / 4)
+             for i in range(count)]
+    cycle, x = 0, group.identity
+    while not (cycle >> x) & 1:
+        cycle |= 1 << x
+        x = oracle_mul(group, x, group.cyclic_layout.generator)
+    return masks + [cycle, (1 << group.order) - 1]
+
+
+CB_NONABELIAN = {"D8": lambda: dihedral_group(8), "D16": lambda: dihedral_group(16),
+                 "D32": lambda: dihedral_group(32)}
+CB_NONABELIAN.update({f"Dic{m}": (lambda m=m: dicyclic_group(m)) for m in range(4, 9)})
+
+
+@pytest.mark.parametrize("name", CB_NONABELIAN)
+def test_cb_norm_matches_the_dense_oracle_on_seeded_sets(name):
+    group = CB_NONABELIAN[name]()
+    for mask in _seeded_masks(group, 16):
+        _assert_cb_norm_exact(group, mask)
+
+
+@pytest.mark.parametrize("factors", [(2,) * 6, (8, 8), (4, 4, 4)],
+                         ids=["Z2^6", "Z8xZ8", "Z4^3"])
+def test_cb_norm_matches_the_dense_oracle_and_bs_norm_on_abelian_groups(factors):
+    # Z2^6 lays out as 32 blocks of 2, the most cosets at the order cap
+    group = make_abelian_group(factors)
+    for mask in _seeded_masks(group, 16):
+        value = _assert_cb_norm_exact(group, mask)
+        assert abs(bs_norm(group, mask) - value) <= 1e-12 * max(1.0, value)
+
+
+def test_cb_norm_on_the_group_of_order_one():
+    group = load_cayley_group([[0]])
+    for mask in (0, 1):
+        assert _assert_cb_norm_exact(group, mask) == mask
 
 
 def test_gamma2_brackets_exact_cb_norm(s3, d4, q8):
