@@ -4,8 +4,8 @@ Subcommands: norm (one subset), sweep (all subsets of a group), schur
 (gamma2 bounds of a literal matrix), verify (the full check battery).
 Exit codes: 0 success / verified, 1 violation or failed check, 2 usage or
 parse error (an --out path that cannot be opened included: it is opened
-before any work), 3 numerical failure.  All output on stdout is deterministic for
-fixed inputs and flags; timing goes to stderr.
+before any work), 3 numerical failure.  All output on stdout is
+deterministic for fixed inputs and flags; timing goes to stderr.
 """
 
 from __future__ import annotations
@@ -77,10 +77,10 @@ def parse_tol(text: str) -> float:
 
 
 def _emit(payload: dict, fmt: str, out: Optional[TextIO], csv_text: Optional[str] = None) -> None:
-    """Write a report to the open --out file (printing its path) or to stdout.  JSON is
-    rendered by _json_text, byte for byte as json.dumps(payload, indent=2,
-    sort_keys=True) would, without the pure-Python encoder that json.dumps
-    falls back to whenever it indents."""
+    """Write a report to the open --out file (printing its path) or to
+    stdout.  JSON is rendered by _json_text, byte for byte as
+    json.dumps(payload, indent=2, sort_keys=True) would, without the
+    pure-Python encoder that json.dumps falls back to whenever it indents."""
     if fmt == "json":
         rendered = _json_text(payload, "")
     elif fmt == "csv":

@@ -20,9 +20,8 @@ conjugation.  The character pairing of an abelian group has one exact
 integer form, _pairing_numerators, under character_values.
 Group.cyclic_layout lists the elements as g^d h_i over the right cosets of
 one cyclic subgroup <g>, the order in which multiplier matrices are block
-circulant (cb_norm).  Bitmasks cross
-into index arrays and back through the helper pair _bits/_mask
-(np.unpackbits and np.packbits).
+circulant (cb_norm).  Bitmasks cross into index arrays and back through the
+helper pair _bits/_mask (np.unpackbits and np.packbits).
 """
 
 from __future__ import annotations
@@ -226,9 +225,10 @@ class Group:
         for _ in range(m - 1):
             cycle.append(self.mul(cycle[-1], generator))
         right = self.mul_array(np.array(cycle)[:, None], everything)  # [d, x] = g^d x
-        cosets = np.unique(right.min(axis=0))               # least element of each <g> x
+        # h_1 < ... < h_k: the elements that are the least of their coset <g> x
+        cosets = np.flatnonzero(right.min(axis=0) == everything)
         k = len(cosets)
-        spread = right[:, cosets]                           # [d, i] = g^d h_i
+        spread = right[:, cosets]  # [d, i] = g^d h_i
         shift = np.empty(n, dtype=np.int64)
         coset = np.empty(n, dtype=np.int64)
         shift[spread] = np.arange(m)[:, None]

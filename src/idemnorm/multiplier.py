@@ -85,18 +85,19 @@ def cb_norm(group: Group, mask: int) -> Gamma2Bounds:
     p = _hermitian((u * s[:, None, :]) @ u.conj().swapaxes(1, 2))
     q = _hermitian((vh.conj().swapaxes(1, 2) * s[:, None, :]) @ vh)
     slack = _completion_slack(p, blocks, q)
-    # the real block circulants with these blocks; irfft keeps only the real
-    # part of the self-conjugate blocks f = 0 and f = m/2, which is all
-    # there is for B, P and Q (and a real part of a PSD completion of a real
-    # block is one too), but U V* is free on the null space of B_f, so ||X||
-    # is taken from the blocks of the X returned
-    p_d, q_d, x_d = np.fft.irfft(np.stack((p, q, u @ vh)), n=m, axis=1)
-    x_norm = float(np.linalg.svd(np.fft.rfft(x_d, axis=0), compute_uv=False).max())
-    upper, certificate = _shifted_certificate(*(b.reshape(-1)[layout.flat] for b in (p_d, q_d)),
-                                              slack)
-    row = np.einsum("dij,dij->i", circulant, x_d)
+    # the real block circulants with these blocks.  irfft keeps only the
+    # real part of the self-conjugate blocks f = 0 and f = m/2: that is all
+    # there is of them for B, P and Q (and the real part of a PSD completion
+    # of a real block is one too), but U V* is free on the null space of
+    # B_f, so ||X|| is taken from the blocks of the X returned
+    circulants = np.fft.irfft(np.stack((p, q, u @ vh)), n=m, axis=1)
+    x_blocks = circulants[2]
+    x_norm = float(np.linalg.svd(np.fft.rfft(x_blocks, axis=0), compute_uv=False).max())
+    p, q, x = circulants.reshape(3, -1)[:, layout.flat]  # in element order
+    upper, certificate = _shifted_certificate(p, q, slack)
+    row = np.einsum("dij,dij->i", circulant, x_blocks)
     lower = min(float(np.linalg.norm(row)) / (x_norm * math.sqrt(k)), upper)
-    witness = WitnessPair(x_d.reshape(-1)[layout.flat], np.ones(group.order))
+    witness = WitnessPair(x, np.ones(group.order))
     return Gamma2Bounds(lower=lower, upper=upper, certificate=certificate, witness=witness)
 
 
