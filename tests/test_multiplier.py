@@ -297,8 +297,8 @@ def test_cb_norm_is_exact_with_certificate_and_witness(s3, d4, q8):
 
 
 def _seeded_masks(group, seed, count=6):
-    """count random masks at densities 1/4, 1/2 and 3/4 in turn, the right
-    coset <g> of the cyclic layout's generator, and the whole group."""
+    """count random masks at densities 1/4, 1/2 and 3/4 in turn, the
+    subgroup <g> of the cyclic layout's generator, and the whole group."""
     rng = random.Random(seed)
     masks = [sum(1 << x for x in range(group.order) if rng.random() < (1 + i % 3) / 4)
              for i in range(count)]
