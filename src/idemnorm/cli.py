@@ -4,7 +4,8 @@ Subcommands: norm (one subset), sweep (all subsets of a group), schur
 (gamma2 bounds of a literal matrix), verify (the full check battery).
 Exit codes: 0 success / verified, 1 violation or failed check, 2 usage or
 parse error (an --out path that cannot be opened included: it is opened
-before any work), 3 numerical failure.  All output on stdout is
+before any work, and a failed run leaves an existing file unchanged),
+3 numerical failure.  All output on stdout is
 deterministic for fixed inputs and flags; timing goes to stderr.
 """
 
@@ -88,6 +89,7 @@ def _emit(payload: dict, fmt: str, out: Optional[TextIO], csv_text: Optional[str
     else:
         rendered = "\n".join(_text_lines(payload))
     if out is not None:
+        out.truncate(0)
         out.write(rendered + "\n")
         print(out.name)
     else:
@@ -308,8 +310,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         # --out is opened before any work, so that a path that cannot be
-        # written stops the run at once
-        with open(args.out, "w") if args.out else contextlib.nullcontext() as out:
+        # written stops the run at once; in append mode, so that a run that
+        # fails leaves an existing report as it was (_emit truncates)
+        with open(args.out, "a") if args.out else contextlib.nullcontext() as out:
             args.out = out
             return args.func(args)
     except (ValueError, OSError) as exc:

@@ -65,9 +65,6 @@ class CyclicLayout:
     cosets <g> h.  A matrix M(x, y) = f(x^-1 y) is then block circulant:
     the block of (g^a h_i, g^b h_j) depends on b - a alone."""
 
-    generator: int
-    cycle_order: int
-    cosets: np.ndarray  # h_1..h_k
     gather: np.ndarray  # [d, i, j] = h_i^-1 g^d h_j, shape (m, k, k)
     flat: np.ndarray    # [x, y] = the flat index of x^-1 y in gather, shape (n, n)
 
@@ -237,8 +234,7 @@ class Group:
         # x = g^a h_i and y = g^b h_j give x^-1 y = h_i^-1 g^(b-a) h_j
         flat = (((shift[None, :] - shift[:, None]) % m) * k * k
                 + coset[:, None] * k + coset[None, :])
-        return CyclicLayout(generator=generator, cycle_order=m, cosets=cosets,
-                            gather=gather, flat=flat)
+        return CyclicLayout(gather=gather, flat=flat)
 
     def __repr__(self) -> str:
         return f"Group({self.name}, order={self.order})"

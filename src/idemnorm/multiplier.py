@@ -66,7 +66,9 @@ def cb_norm(group: Group, mask: int) -> Gamma2Bounds:
         every [[P_f, B_f], [B_f*, Q_f]] to a PSD matrix (re-certified against
         rounding by one batched eigenvalue check), and irfft turns them into
         the block circulants P and Q, whose diagonals are constant and equal
-        that sum;
+        that sum.  The slack is measured on the blocks, so the stored P and
+        Q are PSD up to the rounding of irfft, far inside check_certificate's
+        tolerance;
       * lower: X = conj(U V*), the real block circulant with blocks
         U_f V_f*, has ||X|| <= 1, and with xi uniform
         <xi, (M o X) xi> = tr(M X^T) / |G| = the same sum, which bounds
@@ -78,7 +80,7 @@ def cb_norm(group: Group, mask: int) -> Gamma2Bounds:
     if group.order > CB_ORDER_CAP:
         raise ValueError(f"cb_norm supports orders up to {CB_ORDER_CAP}, got {group.order}")
     layout = group.cyclic_layout
-    m, k = layout.cycle_order, len(layout.cosets)
+    m, k, _ = layout.gather.shape
     circulant = _bits(mask, group.order)[layout.gather].astype(float)  # C_d
     blocks = np.fft.rfft(circulant, axis=0)  # B_f
     u, s, vh = np.linalg.svd(blocks)

@@ -252,8 +252,9 @@ def _completion_slack(p: np.ndarray, a: np.ndarray, q: np.ndarray) -> float:
 def _shifted_certificate(p: np.ndarray, q: np.ndarray, slack: float) -> tuple[float, Certificate]:
     """The certificate (p + slack I, q + slack I) and its level."""
     diag_max = float(max(p.diagonal().real.max(), q.diagonal().real.max()))
-    # shift the blocks by the eigenvalue deficit so the stored certificate is
-    # PSD on the nose and proves the level it carries
+    # shift the blocks by the eigenvalue deficit, measured on the blocks the
+    # slack was taken from: for _certify_blocks those are p and q themselves,
+    # so the stored certificate is PSD on the nose and proves its level
     level = diag_max + slack
     p_shift = p + slack * np.eye(p.shape[0], dtype=p.dtype)
     q_shift = q + slack * np.eye(q.shape[0], dtype=q.dtype)

@@ -257,6 +257,28 @@ def test_out_file(tmp_path, capsys):
     assert payload["violations"] == []
 
 
+def test_out_file_replaces_a_longer_report(tmp_path, capsys):
+    target = tmp_path / "report.json"
+    target.write_text("x" * 100000)
+    code, _, _ = run_cli(capsys, "norm", "-g", "Z4", "-s", "0", "--format", "json",
+                         "--out", str(target))
+    assert code == 0
+    assert json.loads(target.read_text())["bs_norm"] == 1
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("norm", "-g", "BAD", "-s", "0"), 2),
+    (("norm", "-g", "Z4", "-s", "0,9"), 2),
+    (("sweep", "-g", "no-such-group.json"), 2),
+    (("schur", "--f0", "--tol", "0"), 3),
+])
+def test_failed_run_keeps_an_existing_out_file(tmp_path, capsys, argv, code):
+    target = tmp_path / "report.json"
+    target.write_text("old report\n")
+    assert run_cli(capsys, *argv, "--format", "json", "--out", str(target))[0] == code
+    assert target.read_text() == "old report\n"
+
+
 @pytest.mark.parametrize("argv", [("norm", "-g", "Z4", "-s", "0"), ("sweep", "-g", "Z6")])
 def test_out_path_that_cannot_be_opened_exits_2(tmp_path, capsys, argv):
     target = tmp_path / "missing" / "r.json"

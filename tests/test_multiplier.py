@@ -277,6 +277,7 @@ def _assert_cb_norm_exact(group, mask):
     certificate checks at 1e-9, and its witness gives back its lower end;
     the certificate and witness matrices are real, as M is."""
     bounds = cb_norm(group, mask)
+    assert bounds.upper - bounds.lower <= 1e-12
     assert not any(np.iscomplexobj(x) for x in (bounds.certificate.p, bounds.certificate.q,
                                                  bounds.witness.matrix))
     matrix = oracle_multiplier_matrix(group, mask)
@@ -298,14 +299,12 @@ def test_cb_norm_is_exact_with_certificate_and_witness(s3, d4, q8):
 
 def _seeded_masks(group, seed, count=6):
     """count random masks at densities 1/4, 1/2 and 3/4 in turn, the
-    subgroup <g> of the cyclic layout's generator, and the whole group."""
+    cyclic subgroup h_1^-1 <g> h_1 that the corner entries of the cyclic
+    layout's blocks run through, and the whole group."""
     rng = random.Random(seed)
     masks = [sum(1 << x for x in range(group.order) if rng.random() < (1 + i % 3) / 4)
              for i in range(count)]
-    cycle, x = 0, group.identity
-    while not (cycle >> x) & 1:
-        cycle |= 1 << x
-        x = oracle_mul(group, x, group.cyclic_layout.generator)
+    cycle = sum(1 << int(x) for x in set(group.cyclic_layout.gather[:, 0, 0].tolist()))
     return masks + [cycle, (1 << group.order) - 1]
 
 
