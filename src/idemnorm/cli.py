@@ -42,14 +42,19 @@ EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
 _TUPLE_RE = re.compile(r"\(([^()]*)\)")
+# a field start (the spec's, a tuple's or a comma) with only blanks to its end
+_BLANK_FIELD_RE = re.compile(r"(?:^|[(,])\s*(?:[,)]|$)")
 
 
 def parse_subset(group: Group, text: str) -> int:
     """Subset spec: comma-separated indices "0,1,3" or coordinate tuples
-    "(0,1),(1,2)" for abelian groups (mixed-radix order of the factors)."""
+    "(0,1),(1,2)" for abelian groups (mixed-radix order of the factors).
+    A blank field, as in "0,,1", "1," or "(0,,1)", is an error."""
     text = text.strip()
     if not text:
         raise ValueError("empty subset spec")
+    if _BLANK_FIELD_RE.search(text):
+        raise ValueError(f"empty field in subset spec {text!r}")
     if "(" in text:
         if not group.is_abelian:
             raise ValueError("coordinate tuples only apply to abelian groups")
@@ -58,11 +63,11 @@ def parse_subset(group: Group, text: str) -> int:
             raise ValueError(f"malformed tuple subset spec {text!r}")
         indices = []
         for chunk in chunks:
-            coords = [int(part) for part in chunk.split(",") if part.strip()]
+            coords = [int(part) for part in chunk.split(",")]
             indices.append(group.index_of(coords))
         return subset_mask(group, indices)
     try:
-        indices = [int(part) for part in text.split(",") if part.strip()]
+        indices = [int(part) for part in text.split(",")]
     except ValueError as exc:
         raise ValueError(f"bad subset spec {text!r}: {exc}") from exc
     return subset_mask(group, indices)
@@ -80,8 +85,9 @@ def parse_tol(text: str) -> float:
 def _emit(payload: dict, fmt: str, out: Optional[TextIO], csv_text: Optional[str] = None) -> None:
     """Write a report to the open --out file (printing its path) or to
     stdout.  JSON is rendered by _json_text, byte for byte as
-    json.dumps(payload, indent=2, sort_keys=True) would, without the
-    pure-Python encoder that json.dumps falls back to whenever it indents."""
+    json.dumps(payload, indent=2, sort_keys=True) would for the value types
+    reports hold, without the pure-Python encoder that json.dumps falls
+    back to whenever it indents."""
     if fmt == "json":
         rendered = _json_text(payload, "")
     elif fmt == "csv":
@@ -97,37 +103,31 @@ def _emit(payload: dict, fmt: str, out: Optional[TextIO], csv_text: Optional[str
 
 
 def _json_text(value, indent: str) -> str:
-    """JSON of value, nested at the given indent, exactly as json.dumps(...,
-    indent=2, sort_keys=True) writes it: types tested as json tests them,
-    keys sorted as (key, value) pairs, NaN and infinities as json spells
-    them, and a TypeError for anything json would refuse (circular
-    containers excepted).  Scalars of the exact built-in types skip the
-    isinstance chain through one dict lookup."""
-    write = _JSON_SCALARS.get(type(value))
+    """JSON of a report value, nested at the given indent, exactly as
+    json.dumps(..., indent=2, sort_keys=True) writes it.  Reports hold only
+    dicts with str keys, lists, str, int, float, bool and None, each of
+    exactly that type, so one lookup on the exact type picks the writer;
+    anything else (a tuple, a numpy scalar, a subclass, a key that is not a
+    str) raises TypeError.  NaN and the infinities are spelled as json
+    spells them."""
+    kind = type(value)
+    write = _JSON_SCALARS.get(kind)
     if write is not None:
         return write(value)
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        return _json_float(value)
     inner = indent + "  "
     separator = ",\n" + inner
-    if isinstance(value, (list, tuple)):
+    if kind is list:
         if not value:
             return "[]"
         body = separator.join([_json_text(x, inner) for x in value])
         return f"[\n{inner}{body}\n{indent}]"
-    if isinstance(value, dict):
+    if kind is dict:
         if not value:
             return "{}"
-        lines = []
-        for key, item in sorted(value.items()):
-            lines.append(f"{_json_key(key)}: {_json_text(item, inner)}")
-        body = separator.join(lines)
+        body = separator.join([f"{encode_basestring_ascii(key)}: {_json_text(item, inner)}"
+                               for key, item in sorted(value.items())])
         return f"{{\n{inner}{body}\n{indent}}}"
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def _json_float(value: float) -> str:
@@ -147,26 +147,6 @@ _JSON_SCALARS = {
     bool: ("false", "true").__getitem__,
     type(None): lambda value: "null",
 }
-
-
-def _json_key(key) -> str:
-    """A dict key as json writes it: the string itself, or the JSON of a
-    float, bool, None or int key, as a quoted string."""
-    if isinstance(key, str):
-        return encode_basestring_ascii(key)
-    if isinstance(key, float):
-        text = _json_float(key)
-    elif key is True:
-        text = "true"
-    elif key is False:
-        text = "false"
-    elif key is None:
-        text = "null"
-    elif isinstance(key, int):
-        text = int.__repr__(key)
-    else:
-        raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-    return encode_basestring_ascii(text)
 
 
 def _text_lines(payload: dict, prefix: str = "") -> list[str]:

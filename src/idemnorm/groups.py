@@ -29,6 +29,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import operator
 import os
 import re
 from dataclasses import dataclass
@@ -86,7 +87,7 @@ class Group:
                  name: Optional[str] = None):
         self.kind = kind
         if kind == ABELIAN:
-            factors = tuple(int(f) for f in factors)
+            factors = tuple(_as_index(f, "cyclic factor") for f in factors)
             if not factors:
                 raise ValueError("abelian group needs at least one factor")
             for f in factors:
@@ -109,12 +110,13 @@ class Group:
             self.table = None
             self.name = name or "x".join(f"Z{f}" for f in factors)
         elif kind == CAYLEY:
-            tab = np.asarray(table, dtype=np.int64)
+            tab = np.asarray(table)
             self.factors = ()
+            identity = _as_index(identity, "identity index")
             n = _validate_cayley(tab, identity)
             self.order = n
-            self.identity = int(identity)
-            self.table = tab
+            self.identity = identity
+            self.table = tab.astype(np.int64, copy=False)
             self.name = name or f"cayley{n}"
             # a table without two-sided inverses is rejected on load
             self._inverse = self._build_inverse()
@@ -244,6 +246,8 @@ def _validate_cayley(table: np.ndarray, identity: int) -> int:
     # before the shape: the empty JSON list [] reaches here as shape (0,)
     if table.size == 0:
         raise GroupAxiomError("Cayley table must be nonempty")
+    if table.dtype.kind not in "iu":
+        raise GroupAxiomError(f"Cayley table entries must be integers, got dtype {table.dtype}")
     if table.ndim != 2 or table.shape[0] != table.shape[1]:
         raise GroupAxiomError(f"Cayley table must be square, got shape {table.shape}")
     n = table.shape[0]
@@ -280,7 +284,7 @@ def make_abelian_group(factors: Sequence[int]) -> Group:
 
 def load_cayley_group(table: Sequence[Sequence[int]], identity: int = 0,
                       name: Optional[str] = None) -> Group:
-    """Build a group from an explicit multiplication table, checking all axioms."""
+    """Build a group from an integer multiplication table, checking all axioms."""
     return Group(CAYLEY, table=np.asarray(table), identity=identity, name=name)
 
 
@@ -303,6 +307,14 @@ def load_cayley_file(path: str) -> Group:
     if n != len(table):
         raise GroupAxiomError(f"declared order {n} does not match table size {len(table)}")
     return load_cayley_group(table, identity, name=os.path.splitext(os.path.basename(path))[0])
+
+
+def _as_index(value, what: str) -> int:
+    """operator.index(value), which refuses floats, with a ValueError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
 
 
 def _is_int(value) -> bool:

@@ -456,12 +456,11 @@ def run_verification(group_specs: Optional[Sequence[str]] = None,
                 if not exact:
                     pattern_ok = False
                     pattern_details.append(f"S={subset_elements(record.subset)}: inexact hit")
-                if group.order <= 64:
-                    cb = cb_norm(group, record.subset)
-                    if cb.lower < t.pattern_norm - tol:
-                        pattern_ok = False
-                        pattern_details.append(
-                            f"S={subset_elements(record.subset)}: lower {cb.lower!r} < 9/7 - tol")
+                cb = cb_norm(group, record.subset)
+                if cb.lower < t.pattern_norm - tol:
+                    pattern_ok = False
+                    pattern_details.append(
+                        f"S={subset_elements(record.subset)}: lower {cb.lower!r} < 9/7 - tol")
         for sub in range(1 << group.order):
             if is_subgroup(group, sub) and forbidden_pattern_search(group, sub) is not None:
                 pattern_ok = False

@@ -87,6 +87,11 @@ def test_norm_bad_subset_exits_2(capsys):
     ("Z2xZ4", "(0,1", "malformed tuple subset spec '(0,1'"),
     ("Z4", "0,a", "bad subset spec '0,a': invalid literal for int()"),
     ("S3", "(0,1)", "coordinate tuples only apply to abelian groups"),
+    ("Z2xZ4", ",", "empty field in subset spec ','"),
+    ("Z2xZ4", "0,,1", "empty field in subset spec '0,,1'"),
+    ("Z2xZ4", "1,", "empty field in subset spec '1,'"),
+    ("Z2xZ4", "(0,,1)", "empty field in subset spec '(0,,1)'"),
+    ("Z2xZ4", "(0,1),,(1,1)", "empty field in subset spec '(0,1),,(1,1)'"),
 ])
 def test_bad_subset_spec_exits_2_with_one_line(capsys, group, spec, message):
     code, out, err = run_cli(capsys, "norm", "-g", group, "-s", spec)
@@ -418,6 +423,9 @@ def _dumps(value):
     ["norm", "-g", "Z32xZ32", "-s", "(0,0),(0,16),(16,0),(16,16),(1,3)"],
     ["schur", "--f0"],
     ["verify"],
+    ["norm", "-g", "S3", "-s", "0,1"],
+    ["norm", "-g", "Z6", "-s", "0,1,3", "--cb"],
+    ["schur", "[[1,1],[1,-1]]"],
 ])
 def test_json_reports_are_the_bytes_of_json_dumps(argv, monkeypatch, capsys):
     payloads = []
@@ -447,13 +455,15 @@ JSON_EDGE_CASES = [
     True, False, None, [True, 1, False, 0], [1, True], [1.0, 1], [1.5, math.nan],
     [math.inf, -math.inf], [-0.0, 5e-324, 1e22],
     [], {}, [[]], [{}], {"a": []}, {"a": {}}, [[], [[]], {"b": [{}]}],
-    (1, 2), [(1, (2.5, None))], {"t": ()},
-    np.float64(1.5), [np.float64(2.0), 1.0], {"x": np.float64(math.nan)},
     "plain", 'quote " and back\\slash', "tab\tnew\nline\x00\x1f\x7f",
     "caf\u00e9 \u2603 \U0001F600",
     {"z": 1, "a": {"y": [1, {"b": None, "a": [0.5]}]}, "m": "s"},
     {"\u00e9": "\u00fc", "\"": "\n"},
-    {1: "int key", 3: 4}, {1.5: 1, -math.inf: 2, math.nan: 3}, {True: 1}, {None: 3},
+    "", {"": ""}, [2 ** 64, -(2 ** 63), 0], {"b": True, "a": 1, "c": 1.0, "d": None},
+    "\u2028\u2029\ud800", [[[[1]]]], [1e-7, 1e16, 123456789.125, -2.5e-300],
+    {"\x7f": 1, "\x00": 0}, {"B": 1, "a": 2, "_": 3, "10": 4, "9": 5},
+    {"records": [{"analysis": {"kind": "coset", "q": None, "subgroup": [0, 2]},
+                  "norm_exact": True, "norm_lower": 1.0000000000000002}], "violations": []},
 ]
 
 
@@ -462,6 +472,18 @@ def test_json_writer_matches_json_dumps(value):
     assert _json_text(value, "") == _dumps(value)
     nested = {"outer": [value, {"inner": value}]}
     assert _json_text(nested, "") == _dumps(nested)
+
+
+# json.dumps writes these, but no report holds a tuple, a numpy scalar or a
+# key that is not a str, so the report writer refuses them
+@pytest.mark.parametrize("value", [
+    (1, 2), [(1, (2.5, None))], {"t": ()},
+    np.float64(1.5), [np.float64(2.0), 1.0], {"x": np.float64(math.nan)},
+    {1: "int key", 3: 4}, {1.5: 1, -math.inf: 2, math.nan: 3}, {True: 1}, {None: 3},
+])
+def test_json_writer_refuses_types_reports_do_not_hold(value):
+    with pytest.raises(TypeError):
+        _json_text(value, "")
 
 
 @pytest.mark.parametrize("value", [np.int64(3), [np.bool_(True)], {(1, 2): 3},

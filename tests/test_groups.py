@@ -55,6 +55,9 @@ def test_make_abelian_rejects_small_factor():
         make_abelian_group([1, 4])
     with pytest.raises(ValueError):
         make_abelian_group([])
+    # a float factor is refused, not truncated to Z4
+    with pytest.raises(ValueError, match="cyclic factor must be an integer, got 4.9"):
+        make_abelian_group([4.9])
 
 
 def test_make_abelian_rejects_overflow():
@@ -143,10 +146,20 @@ def test_out_of_range_entry_rejected():
     ([[0, 1], [1, 1]], 0, "element 1 has no two-sided inverse"),
     # what load_cayley_file passes on for {"table": []}
     ([], 0, "Cayley table must be nonempty"),
+    # refused, not truncated to the table of Z2
+    ([[0, 1.7], [1.2, 0.4]], 0, "Cayley table entries must be integers, got dtype float64"),
+    ([[False, True], [True, False]], 0, "Cayley table entries must be integers, got dtype bool"),
 ])
 def test_malformed_cayley_tables_are_rejected(table, identity, message):
     with pytest.raises(GroupAxiomError, match=re.escape(message)):
         load_cayley_group(table, identity)
+
+
+def test_cayley_identity_must_be_an_integer():
+    with pytest.raises(ValueError, match="identity index must be an integer, got 0.0"):
+        load_cayley_group([[0, 1], [1, 0]], 0.0)
+    # Z2 with 1 as its identity: a numpy integer is an integer
+    assert load_cayley_group([[1, 0], [0, 1]], np.int64(1)).identity == 1
 
 
 def test_cayley_file_declaring_another_order_is_rejected(tmp_path):
