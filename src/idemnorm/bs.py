@@ -25,6 +25,7 @@ from .groups import (
     _mask,
     _members,
     _pairing_numerators,
+    _spectrum,
     analyze_cosets,
     character_values,
     validate_mask,
@@ -55,17 +56,13 @@ THRESHOLDS = Thresholds(
 )
 
 
-def _indicator_tensor(group: Group, mask: int) -> np.ndarray:
-    return _bits(mask, group.order).astype(float).reshape(group.factors)
-
-
 def mu_values(group: Group, mask: int) -> np.ndarray:
     """Inverse transform of the indicator: mu(x) = (1/n) sum_{s in S} conj((x, s)),
-    one FFT over the coordinate tensor."""
+    the fftn of the indicator over the coordinate tensor (groups._spectrum,
+    with a butterfly on each length-2 axis)."""
     group._require_abelian()
     mask = validate_mask(group, mask)
-    spectrum = np.fft.fftn(_indicator_tensor(group, mask))
-    return spectrum.reshape(-1) / group.order
+    return _spectrum(group, mask) / group.order
 
 
 def bs_norm(group: Group, mask: int) -> float:

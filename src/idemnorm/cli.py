@@ -42,6 +42,8 @@ EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
 _TUPLE_RE = re.compile(r"\(([^()]*)\)")
+# the whole tuple spec: tuples with a comma, and blanks, between each two
+_TUPLE_LIST_RE = re.compile(r"\([^()]*\)(?:\s*,\s*\([^()]*\))*")
 # a field start (the spec's, a tuple's or a comma) with only blanks to its end
 _BLANK_FIELD_RE = re.compile(r"(?:^|[(,])\s*(?:[,)]|$)")
 
@@ -49,7 +51,8 @@ _BLANK_FIELD_RE = re.compile(r"(?:^|[(,])\s*(?:[,)]|$)")
 def parse_subset(group: Group, text: str) -> int:
     """Subset spec: comma-separated indices "0,1,3" or coordinate tuples
     "(0,1),(1,2)" for abelian groups (mixed-radix order of the factors).
-    A blank field, as in "0,,1", "1," or "(0,,1)", is an error."""
+    A blank field, as in "0,,1", "1," or "(0,,1)", is an error, and so are
+    tuples with no comma between them, as in "(0,1)(1,1)"."""
     text = text.strip()
     if not text:
         raise ValueError("empty subset spec")
@@ -58,11 +61,10 @@ def parse_subset(group: Group, text: str) -> int:
     if "(" in text:
         if not group.is_abelian:
             raise ValueError("coordinate tuples only apply to abelian groups")
-        chunks = _TUPLE_RE.findall(text)
-        if not chunks or _TUPLE_RE.sub("", text).strip(", \t"):
+        if not _TUPLE_LIST_RE.fullmatch(text):
             raise ValueError(f"malformed tuple subset spec {text!r}")
         indices = []
-        for chunk in chunks:
+        for chunk in _TUPLE_RE.findall(text):
             coords = [int(part) for part in chunk.split(",")]
             indices.append(group.index_of(coords))
         return subset_mask(group, indices)

@@ -10,10 +10,15 @@ broadcast index arrays, read from the Cayley table or summed in coordinates
 over the n x k array Group._coords (abelian groups store no n x n table).
 The scalar Group.mul wraps it, and every set operation is built on it; up
 to order 64 some read the translation byte table that it fills, which gives
-every translate of a subset as one uint64 bitmask (_translates).  The
-stabilizer grows from generators it has checked, closed by _adjoin, which
-extends a subgroup by one more generator, seeded with that generator's
-repeated squares so that a cyclic subgroup closes in O(log order) levels.
+every translate of a subset as one uint64 bitmask (_translates).  The group
+transform of an abelian group is _spectrum_of, the fftn over the coordinate
+tensor computed one axis at a time, with a butterfly on each length-2 axis;
+it gives mu (bs.mu_values) and, above order 64, the abelian stabilizer,
+read off the integer autocorrelation |S & (S - t)| from two transforms.  On
+Cayley groups the stabilizer grows from generators it has checked, closed
+by _adjoin, which extends a subgroup by one more generator, seeded with that
+generator's repeated squares so that a cyclic subgroup closes in
+O(log order) levels.
 analyze_cosets names cosets and unions of two left cosets a T, b T of the
 stabilizer T; the second kind needs T normal in <T, a^-1 b>, which is one
 conjugation.  The character pairing of an abelian group has one exact
@@ -393,17 +398,18 @@ def parse_group(spec: str) -> Group:
 # -- subsets as bitmasks ------------------------------------------------------
 
 def validate_mask(group: Group, mask: int) -> int:
-    mask = int(mask)
+    """The mask as an int, refusing floats and masks beyond the group's order."""
+    mask = _as_index(mask, "subset mask")
     if mask < 0 or mask >> group.order:
         raise ValueError(f"subset mask {mask:#x} out of range for order {group.order}")
     return mask
 
 
 def subset_mask(group: Group, indices: Sequence[int]) -> int:
-    """Bitmask for a collection of element indices."""
+    """Bitmask for a collection of element indices (integers, not floats)."""
     mask = 0
     for i in indices:
-        i = int(i)
+        i = _as_index(i, "element index")
         if not 0 <= i < group.order:
             raise ValueError(f"element index {i} out of range for order {group.order}")
         mask |= 1 << i
@@ -522,18 +528,61 @@ def _adjoin(group: Group, flags: np.ndarray, steps: list[int], t: int) -> None:
         frontier = np.flatnonzero(reached)
 
 
+def _spectrum(group: Group, mask: int) -> np.ndarray:
+    """np.fft.fftn of the indicator of S over the coordinate tensor of an
+    abelian group, flattened in element order; see _spectrum_of."""
+    return _spectrum_of(group, _bits(mask, group.order).astype(float))
+
+
+def _spectrum_of(group: Group, values: np.ndarray) -> np.ndarray:
+    """np.fft.fftn of a value per element over the coordinate tensor,
+    flattened, bit for bit: one 1-D transform per axis, last axis first as
+    fftn takes them, each over a (-1, f, inner) view.  A length-2 axis is the
+    butterfly (a + b, a - b), which is what pocketfft computes for length 2,
+    without numpy's per-line cost on n/2 lines of two."""
+    out, inner = values, 1
+    for f in reversed(group.factors):
+        lines = out.reshape(-1, f, inner)
+        if f == 2:
+            a, b = lines[:, 0], lines[:, 1]
+            out = np.stack((a + b, a - b), axis=1)
+        else:
+            out = np.fft.fft(lines, axis=1)
+        inner *= f
+    return out.reshape(-1).astype(complex, copy=False)
+
+
+def _autocorrelation(group: Group, mask: int) -> np.ndarray:
+    """|S & (S - t)| for every t of an abelian group, rounded to integers.
+
+    The transform of |fft(1_S)|^2 is n times the autocorrelation at -t,
+    which equals the one at t, so no inverse transform is needed.  Every
+    value must lie within 0.25 of an integer, or ArithmeticError is raised."""
+    spectrum = _spectrum(group, mask)
+    power = spectrum.real ** 2 + spectrum.imag ** 2
+    counts = _spectrum_of(group, power).real / group.order
+    rounded = np.rint(counts)
+    error = np.abs(counts - rounded).max()
+    if error > 0.25:
+        raise ArithmeticError(f"autocorrelation on {group.name} is {error:.3g} "
+                              "away from an integer")
+    return rounded
+
+
 def stabilizer(group: Group, mask: int) -> int:
     """Two-sided stabilizer {t : S t = S and t S = S}; always a subgroup.
 
     For the empty set this is the whole group.  For abelian groups the two
-    one-sided conditions coincide, and up to order 64 the stabilizer is read
-    off the translates: {t : t + S = S}, one uint64 comparison per t.
+    one-sided conditions coincide, and the stabilizer is {t : t + S = S},
+    the t with |S & (S - t)| = |S|.  Up to order 64 it is read off the
+    translates, one uint64 comparison per t; above that, off the
+    autocorrelation (_autocorrelation, two transforms).
 
-    Otherwise S and its complement have the same stabilizer, so S is
+    On Cayley groups S and its complement have the same stabilizer, so S is
     replaced by the smaller of the two.  S t = S puts s0 t in S, so the
     candidates are s0^-1 S.  The stabilizer is grown as a subgroup H from
     {e}.  The least candidate t left is checked exactly against every s in
-    S: s t in S, and on Cayley groups t s in S too.
+    S: s t in S and t s in S.
     - If t passes, H becomes <H, t> (_adjoin) and leaves the candidates,
       so at most log2|stab| checks pass.
     - If t fails, a member s with s t (or t s) outside S refutes it, and
@@ -543,8 +592,10 @@ def stabilizer(group: Group, mask: int) -> int:
     When no candidate is left, H is the stabilizer.
     """
     mask = validate_mask(group, mask)
-    if group.is_abelian and group.order <= TRANSLATION_TABLE_MAX_ORDER:
-        return _mask(_translates(group, mask) == np.uint64(mask))
+    if group.is_abelian:
+        if group.order <= TRANSLATION_TABLE_MAX_ORDER:
+            return _mask(_translates(group, mask) == np.uint64(mask))
+        return _mask(_autocorrelation(group, mask) == mask.bit_count())
     if 2 * mask.bit_count() > group.order:
         mask ^= (1 << group.order) - 1
     if mask == 0:
@@ -560,7 +611,7 @@ def stabilizer(group: Group, mask: int) -> int:
     while alive.any():
         t = int(np.argmax(alive))
         right = flags[group.mul_array(members, t)]
-        left = right if group.is_abelian else flags[group.mul_array(t, members)]
+        left = flags[group.mul_array(t, members)]
         if right.all() and left.all():
             _adjoin(group, stab, steps, t)
             alive &= ~stab

@@ -65,6 +65,10 @@ def test_norm_tuple_subset(capsys):
     payload = json.loads(out)
     assert payload["subset"] == [0, 1]
     assert payload["analysis"]["kind"] == "two_cosets"
+    # blanks around the comma between two tuples are allowed
+    code, spaced, _ = run_cli(capsys, "norm", "-g", "Z2xZ4", "-s", " (0,0) , (0,1) ",
+                              "--format", "json")
+    assert code == 0 and spaced == out
 
 
 def test_norm_bad_group_exits_2(capsys):
@@ -92,6 +96,8 @@ def test_norm_bad_subset_exits_2(capsys):
     ("Z2xZ4", "1,", "empty field in subset spec '1,'"),
     ("Z2xZ4", "(0,,1)", "empty field in subset spec '(0,,1)'"),
     ("Z2xZ4", "(0,1),,(1,1)", "empty field in subset spec '(0,1),,(1,1)'"),
+    ("Z2xZ4", "(0,1)(1,1)", "malformed tuple subset spec '(0,1)(1,1)'"),
+    ("Z2xZ4", "(0,1) (1,1)", "malformed tuple subset spec '(0,1) (1,1)'"),
 ])
 def test_bad_subset_spec_exits_2_with_one_line(capsys, group, spec, message):
     code, out, err = run_cli(capsys, "norm", "-g", group, "-s", spec)

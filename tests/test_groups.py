@@ -20,9 +20,13 @@ from idemnorm import (
     subset_mask,
     translate_left,
 )
+from idemnorm import groups
 from idemnorm.groups import (
     GROUP_ORDER_CAP,
     Group,
+    _bits,
+    _spectrum,
+    _spectrum_of,
     character_values,
     validate_mask,
 )
@@ -41,6 +45,7 @@ from conftest import (
     oracle_translate_left,
     oracle_translate_right,
     planted_subsets,
+    random_subgroup,
 )
 
 
@@ -174,6 +179,17 @@ def test_validate_mask_rejects_masks_out_of_range(z6, mask):
     with pytest.raises(ValueError, match="out of range for order 6"):
         validate_mask(z6, mask)
     assert validate_mask(z6, (1 << 6) - 1) == 63
+
+
+def test_masks_and_indices_must_be_integers():
+    z4 = make_abelian_group([4])
+    # floats are refused, not truncated to the mask 6 or 3
+    with pytest.raises(ValueError, match="element index must be an integer, got 1.7"):
+        subset_mask(z4, [1.7, 2.2])
+    with pytest.raises(ValueError, match="subset mask must be an integer, got 3.9"):
+        validate_mask(z4, 3.9)
+    assert subset_mask(z4, np.array([1, 2])) == 6
+    assert validate_mask(z4, np.int64(3)) == 3
 
 
 def test_cayley_axioms_hold_for_builtins():
@@ -523,33 +539,96 @@ def _count_products(monkeypatch):
     return counts
 
 
-@pytest.mark.parametrize("spec", ("Z1024", "Z32xZ32", "x".join(["Z2"] * 10)))
-def test_stabilizer_forms_few_products(spec, monkeypatch):
-    g = parse_group(spec)
-    planted = planted_subsets(g, 0, coset_size=256, union_size=32, random_size=341)
+@pytest.mark.parametrize("build", (lambda: dihedral_group(128), lambda: dihedral_group(256),
+                                   lambda: dicyclic_group(128)), ids=("D128", "D256", "Dic128"))
+def test_stabilizer_forms_few_products(build, monkeypatch):
+    # abelian stabilizers form no products; Cayley groups grow theirs
+    g = build()
+    n = g.order
+    rng = random.Random(0)
+    planted = []
+    for size in (n // 4, 32):
+        sub = random_subgroup(g, rng, size)
+        a, b = rng.randrange(n), rng.randrange(n)
+        left_a = {oracle_mul(g, a, h) for h in sub}
+        left_b = {oracle_mul(g, b, h) for h in sub}
+        planted += [("coset", subset_mask(g, left_a)), ("union", subset_mask(g, left_a | left_b))]
+    planted.append(("random", subset_mask(g, rng.sample(range(n), n // 3))))
     # all but the identity: its stabilizer is {e}, read off the complement
-    planted.append(("all but e", None, ((1 << g.order) - 1) ^ 1))
+    planted.append(("all but e", ((1 << n) - 1) ^ 1))
     counts = _count_products(monkeypatch)
-    for kind, _, mask in planted:
+    for kind, mask in planted:
         counts["entries"] = 0
         stab = stabilizer(g, mask)
         # checking every candidate s0^-1 S against all of S forms |S|^2
-        # products, 65,536 on a coset of 256 elements
-        bound = 4 * mask.bit_count() * (g.order.bit_length() - 1)
+        # products, 16,384 on a coset of 128 elements
+        bound = 4 * mask.bit_count() * (n.bit_length() - 1)
         assert counts["entries"] <= bound, (kind, counts["entries"], bound)
     assert stab == 1
 
 
 def test_stabilizer_adjoins_a_cyclic_generator_in_logarithmically_many_levels(monkeypatch):
-    g = parse_group("Z1024")
-    evens = subset_mask(g, range(0, 1024, 2))
+    g = dihedral_group(256)
+    rotations = subset_mask(g, range(256))  # <r>, normal, of order 256
     counts = _count_products(monkeypatch)
-    # the first candidate, 2, passes and is adjoined: <2> is the whole set
-    assert stabilizer(g, evens) == evens
+    # the first candidate, r, passes and is adjoined: <r> is the whole set
+    assert stabilizer(g, rotations) == rotations
     # one product per square of the generator and one per level of _adjoin,
     # besides the candidates and the check; a search by the generator alone
-    # would take 512 levels
-    assert counts["calls"] <= 3 * 10
+    # would take 256 levels
+    assert counts["calls"] <= 3 * (g.order.bit_length() - 1)
+
+
+SPECTRUM_SHAPES = ("x".join(["Z2"] * 10), "x".join(["Z2"] * 12), "Z2xZ7", "Z2xZ2xZ3",
+                   "Z2xZ8xZ2", "x".join(["Z4"] * 5), "Z2xZ512", "Z32xZ32", "Z4096")
+
+
+@pytest.mark.parametrize("spec", SPECTRUM_SHAPES)
+def test_spectrum_is_fftn_bit_for_bit(spec):
+    g = parse_group(spec)
+    rng = np.random.default_rng(g.order)
+    full = (1 << g.order) - 1
+    masks = [0, full, 1 << (g.order - 1)]
+    masks += [int.from_bytes(rng.bytes(g.order // 8 + 1), "little") & full for _ in range(5)]
+    for mask in masks:
+        expected = np.fft.fftn(_bits(mask, g.order).astype(float).reshape(g.factors))
+        got = _spectrum(g, mask)
+        assert got.dtype == expected.dtype == np.complex128
+        assert np.array_equal(got.view(np.uint8), expected.reshape(-1).view(np.uint8))
+    values = rng.standard_normal(g.order)
+    assert np.array_equal(_spectrum_of(g, values).view(np.uint8),
+                          np.fft.fftn(values.reshape(g.factors)).reshape(-1).view(np.uint8))
+
+
+@pytest.mark.parametrize("spec", ("Z65", "x".join(["Z2"] * 7), "Z8xZ16", "Z3xZ27"))
+def test_abelian_stabilizer_matches_oracle_above_order_64(spec):
+    g = parse_group(spec)
+    full = (1 << g.order) - 1
+    planted = _planted_cosets_and_unions(g, g.order, 12)
+    for mask in planted + [full ^ mask for mask in planted] + [0, full]:
+        assert stabilizer(g, mask) == oracle_stabilizer(g, mask), subset_elements(mask)
+
+
+def test_stabilizer_refuses_a_non_integral_autocorrelation(monkeypatch):
+    g = parse_group("x".join(["Z2"] * 7))
+    mask = subset_mask(g, range(0, 128, 4))
+    spectrum_of = groups._spectrum_of
+
+    def shift_the_second_transform(shift):
+        calls = []
+
+        def shifted(group, values):
+            calls.append(1)
+            return spectrum_of(group, values) + (shift * group.order if len(calls) == 2 else 0)
+        monkeypatch.setattr(groups, "_spectrum_of", shifted)
+
+    # the autocorrelation is the second transform over n, so every count
+    # moves by the shift: 0.2 still rounds back, 0.3 is refused
+    shift_the_second_transform(0.2)
+    assert stabilizer(g, mask) == mask
+    shift_the_second_transform(0.3)
+    with pytest.raises(ArithmeticError, match="away from an integer"):
+        stabilizer(g, mask)
 
 
 @pytest.mark.parametrize("spec", ("Z4096", "Z64xZ64"))
