@@ -22,7 +22,8 @@ O(log order) levels.
 analyze_cosets names cosets and unions of two left cosets a T, b T of the
 stabilizer T; the second kind needs T normal in <T, a^-1 b>, which is one
 conjugation.  The character pairing of an abelian group has one exact
-integer form, _pairing_numerators, under character_values.
+integer form, _pairing_numerators, under character_values; up to order 64
+Group.character_table caches it for every element.
 Group.cyclic_layout lists the elements as g^d h_i over the right cosets of
 one cyclic subgroup <g>, the order in which multiplier matrices are block
 circulant (cb_norm).  Bitmasks cross into index arrays and back through the
@@ -81,8 +82,8 @@ class Group:
     Abelian groups store their cyclic factors and do coordinate arithmetic;
     Cayley groups store the full multiplication table.  Either way the
     product is mul_array, and mul is its scalar wrapper.  Coordinate arrays,
-    abelian inverses, translation tables and the cyclic layout are built on
-    first use.
+    abelian inverses, translation tables, the character table and the cyclic
+    layout are built on first use; the two tables stop at order 64.
     Instances are immutable after construction (apart from those caches,
     whose builds are deterministic) and safe to share between threads.
     """
@@ -150,12 +151,13 @@ class Group:
         return self.kind == ABELIAN
 
     def index_of(self, coords: Sequence[int]) -> int:
-        """Element index for abelian coordinates (reduced mod the factors)."""
+        """Element index for abelian coordinates: integers (floats are
+        refused with ValueError), reduced mod the factors."""
         self._require_abelian()
         if len(coords) != len(self.factors):
             raise ValueError(f"expected {len(self.factors)} coordinates, got {len(coords)}")
-        return int(np.dot([int(c) % f for c, f in zip(coords, self.factors)],
-                          self._stride_array))
+        return sum(_as_index(c, "coordinate") % f * stride
+                   for c, f, stride in zip(coords, self.factors, self._stride_array.tolist()))
 
     def _require_abelian(self) -> None:
         if self.kind != ABELIAN:
@@ -211,6 +213,15 @@ class Group:
             b, j = divmod(x, 8)
             table[b, 1 << j:2 << j] = table[b, :1 << j] | single[x]
         return table
+
+    @functools.cached_property
+    def character_table(self) -> np.ndarray:
+        """The pairing of an abelian group of order up to 64 as an n x n
+        complex table, [s, x] = (x, s): character_values of every element."""
+        if self.order > TRANSLATION_TABLE_MAX_ORDER:
+            raise ValueError(f"character tables stop at order "
+                             f"{TRANSLATION_TABLE_MAX_ORDER}, group has {self.order}")
+        return character_values(self, np.arange(self.order))
 
     @functools.cached_property
     def cyclic_layout(self) -> "CyclicLayout":
@@ -416,8 +427,22 @@ def subset_mask(group: Group, indices: Sequence[int]) -> int:
     return mask
 
 
+# _BYTE_BITS[v]: the positions of the set bits of the byte v, ascending
+_BYTE_BITS = tuple(tuple(j for j in range(8) if v >> j & 1) for v in range(256))
+
+
 def subset_elements(mask: int) -> list[int]:
-    return _members(mask).tolist()
+    """Elements of a bitmask, ascending: read a byte at a time from
+    _BYTE_BITS up to 64 bits, through np.unpackbits above that."""
+    if mask >> 64:  # also every negative mask
+        return _members(mask).tolist()
+    out = []
+    base = 0
+    while mask:
+        out += [base + j for j in _BYTE_BITS[mask & 255]]
+        mask >>= 8
+        base += 8
+    return out
 
 
 def _bits(mask: int, n: int) -> np.ndarray:

@@ -7,6 +7,12 @@ S.  Pairing mu against the fixed test function
 
 gives an integral of modulus 6 or 13/2 while sup|f| = 9/2 identically, so any
 witness forces bs_norm(S) >= 6/(9/2) = 4/3.
+
+Everything here but sup_norm_check takes abelian groups of order up to 64.
+The search and the memberships read the translates of S from the group's
+translation table; the numeric integral reads the characters from its
+character table, so the two sides of witness_integral share no table and
+no group product.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .bs import mu_values
-from .groups import Group, _lowest, _translates, character_values, validate_mask
+from .groups import Group, _lowest, _translates, validate_mask
 
 SUP_NORM_F = 4.5
 
@@ -33,15 +39,16 @@ class WitnessTriple:
 
 
 def _memberships(group: Group, mask: int, u: int, v: int, w: int) -> list[int]:
-    """chi_S at u, u+w, u-w, v, v+w, v-w (0 or 1), from one mul_array call;
-    raises ValueError unless (u, v, w) is a witness for S."""
+    """chi_S at u, u+w, u-w, v, v+w, v-w (0 or 1), read as the bits u and v
+    of S, S - w and S + w (translates of S, order up to 64); raises
+    ValueError unless (u, v, w) is a witness for S."""
     group._require_abelian()
     mask = validate_mask(group, mask)
     if not all(0 <= x < group.order for x in (u, v, w)):
         raise ValueError(f"(u={u}, v={v}, w={w}) has an element outside 0..{group.order - 1}")
-    e, w_inv = group.identity, group.inv(w)
-    points = group.mul_array([u, u, u, v, v, v], [e, w, w_inv, e, w, w_inv]).tolist()
-    chi = [mask >> x & 1 for x in points]
+    back, ahead = _translates(group, mask)[[group.inv(w), w]].tolist()  # S - w, S + w
+    chi = [mask >> u & 1, back >> u & 1, ahead >> u & 1,
+           mask >> v & 1, back >> v & 1, ahead >> v & 1]
     # u, v, u+w in S; v+w, v-w outside
     if not (chi[0] and chi[1] and chi[3] and not chi[4] and not chi[5]):
         raise ValueError(f"(u={u}, v={v}, w={w}) is not a valid witness for this subset")
@@ -88,12 +95,16 @@ def find_witness(group: Group, mask: int) -> Optional[WitnessTriple]:
 
 
 def witness_integral(group: Group, mask: int, triple: WitnessTriple) -> complex:
-    """Integral of the test function against mu, computed two independent ways.
+    """Integral of the test function against mu, computed two independent ways
+    (abelian groups of order up to 64).
 
     (a) Membership formula: 2 chi(u) + 2 chi(u+w) + (1/2) chi(u-w) + 2 chi(v)
         - chi(v+w) - chi(v-w); for a valid witness this is 6 or 13/2 depending
-        on whether u-w lies in S.
-    (b) Numerically: sum_x f(x) mu(x) over the whole group.
+        on whether u-w lies in S.  The memberships are bits of the translates
+        of S (Group.translation_table).
+    (b) Numerically: sum_x f(x) mu(x) over the whole group, with f built from
+        the characters (x,u), (x,v), (x,w) of Group.character_table and never
+        from group products, so that a wrong group law shows as a mismatch.
     The two paths must agree to 1e-10; disagreement raises ArithmeticError.
     """
     return _witness_integral(group, mask, triple, mu_values(group, mask))
@@ -106,7 +117,8 @@ def _witness_integral(group: Group, mask: int, triple: WitnessTriple, mu: np.nda
     in_u, in_uw, in_u_w, in_v, in_vw, in_v_w = _memberships(group, mask, u, v, w)
     formula = 2 * in_u + 2 * in_uw + 0.5 * in_u_w + 2 * in_v - in_vw - in_v_w
 
-    cu, cv, cw = character_values(group, np.array([u, v, w]))
+    table = group.character_table
+    cu, cv, cw = table[u], table[v], table[w]
     f = cu * (2 + 2 * cw + 0.5 * np.conj(cw)) + cv * (2 - cw - np.conj(cw))
     total = complex(f @ mu)
     if abs(total - formula) > 1e-10:
@@ -117,7 +129,7 @@ def _witness_integral(group: Group, mask: int, triple: WitnessTriple, mu: np.nda
 
 def witness_norm_bound(group: Group, mask: int, triple: WitnessTriple) -> float:
     """|integral| / (9/2); always >= 4/3 for a valid witness, and always a
-    lower bound for bs_norm(S)."""
+    lower bound for bs_norm(S) (abelian groups of order up to 64)."""
     return abs(witness_integral(group, mask, triple)) / SUP_NORM_F
 
 

@@ -92,6 +92,11 @@ def test_mixed_radix_round_trip(z2z4):
     assert z2z4.index_of((0, 1)) == 1
     assert z2z4.index_of((1, 0)) == 4
     assert z2z4.index_of((3, -1)) == 7
+    assert type(z2z4.index_of((np.int64(1), 3))) is int
+    # float coordinates are refused, not truncated
+    for coords in ((1.7, 2.9), (1, 2.0), (np.float64(1), 0)):
+        with pytest.raises(ValueError, match="coordinate must be an integer"):
+            z2z4.index_of(coords)
 
 
 def _assert_mul_matches_oracle(g):
@@ -254,11 +259,14 @@ def test_character_values_match_character_value(z6, z2z4):
             expected = [oracle_character_value(g, x, s) for x in range(g.order)]
             np.testing.assert_allclose(character_values(g, s), expected, rtol=0, atol=1e-15)
             np.testing.assert_allclose(rows[s], expected, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(g.character_table[s], expected, rtol=0, atol=1e-15)
 
 
 def test_character_value_rejects_cayley(s3):
     with pytest.raises(ValueError):
         character_values(s3, 2)
+    with pytest.raises(ValueError, match="abelian"):
+        s3.character_table
 
 
 def test_stabilizer_examples(z6):
@@ -464,6 +472,15 @@ def test_subset_elements_matches_subset_mask(z6):
     assert subset_elements(mask) == [0, 2, 3, 5]
     assert subset_mask(z6, subset_elements(mask)) == mask
     assert subset_elements(0) == []
+    # both sides of the 64-bit switch between the byte table and np.unpackbits
+    rng = random.Random(0)
+    big = make_abelian_group([1024])
+    for bits in (1, 63, 64, 65, 1024):
+        for mask in (1 << (bits - 1), (1 << bits) - 1, rng.getrandbits(bits - 1) | 1 << (bits - 1)):
+            elements = subset_elements(mask)
+            assert elements == [x for x in range(bits) if mask >> x & 1]
+            assert all(type(x) is int for x in elements)
+            assert subset_mask(big, elements) == mask
 
 
 ORACLE_GROUPS = ("Z6", "Z8", "Z2xZ4", "S3", "D4", "Q8")

@@ -32,6 +32,9 @@ def test_canonical_form_idempotent(z6, s3):
     for g in (z6, s3):
         for mask in range(1 << g.order):
             c = canonical_form(g, mask)
+            # a Python int from both reductions (z6 has 6 translates, s3 has
+            # 36): the JSON writer refuses numpy scalars
+            assert type(c) is int
             assert canonical_form(g, c) == c
 
 
@@ -190,6 +193,7 @@ def test_canonical_form_matches_oracle_at_order_64(spec):
         mask = sum(1 << x for x in rng.sample(range(64), size))
         assert canonical_form(g, mask) == oracle_canonical_form(g, mask)
     assert canonical_form(g, (1 << 64) - 1) == (1 << 64) - 1
+    assert type(canonical_form(g, (1 << 64) - 1)) is int
 
 
 def test_canonical_form_rejects_order_above_64():

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from idemnorm import (
@@ -8,12 +9,14 @@ from idemnorm import (
     bs_norm,
     find_witness,
     make_abelian_group,
+    mu_values,
     parse_group,
     subset_mask,
     sup_norm_check,
     witness_integral,
     witness_norm_bound,
 )
+from idemnorm.witness import _witness_integral
 
 from conftest import oracle_find_witness
 
@@ -129,5 +132,41 @@ def test_find_witness_rejects_cayley(s3):
 
 
 def test_find_witness_rejects_order_65():
-    with pytest.raises(ValueError):
-        find_witness(make_abelian_group([65]), 0b1011)
+    g = make_abelian_group([65])
+    mask = 0b1011
+    with pytest.raises(ValueError, match="order 64"):
+        find_witness(g, mask)
+    # (0, 3, 1) is a witness for {0, 1, 3}: only the order is refused
+    for check in (witness_integral, witness_norm_bound):
+        with pytest.raises(ValueError, match="order 64"):
+            check(g, mask, WitnessTriple(0, 3, 1))
+    with pytest.raises(ValueError, match="character tables stop at order 64"):
+        g.character_table
+    assert make_abelian_group([64]).character_table.shape == (64, 64)
+
+
+def test_witness_integral_rejects_a_perturbed_mu(z6):
+    # the numeric side must agree with the membership formula: mu off by
+    # 1e-6 at one point, where f = 9/2, moves the integral by 4.5e-6
+    mask = subset_mask(z6, [0, 1, 3])
+    triple = WitnessTriple(0, 3, 1)
+    mu = mu_values(z6, mask)
+    assert _witness_integral(z6, mask, triple, mu) == 6.0
+    mu[0] += 1e-6
+    with pytest.raises(ArithmeticError, match="mismatch"):
+        _witness_integral(z6, mask, triple, mu)
+
+
+def test_witness_integral_catches_a_corrupt_translation_table():
+    # the memberships come from the translation table and the numeric side
+    # from the character table, so a flipped translate bit cannot fool both:
+    # here S + 1 gains 0, which puts u - w = 5 in S and turns 6 into 13/2
+    g = make_abelian_group([6])
+    mask = subset_mask(g, [0, 1, 3])
+    triple = WitnessTriple(0, 3, 1)
+    assert witness_integral(g, mask, triple) == 6.0
+    table = g.translation_table.copy()
+    table[0, mask, 1] ^= np.uint64(1)
+    g.translation_table = table
+    with pytest.raises(ArithmeticError, match="mismatch"):
+        witness_integral(g, mask, triple)
