@@ -50,6 +50,7 @@ from .schur import (
     gamma2,
     operator_norm,
     orthogonal_witness,
+    pattern_norm_identities,
     symmetric_eigenvalues,
     witness_lower_bound,
 )

@@ -52,10 +52,14 @@ def parse_subset(group: Group, text: str) -> int:
     """Subset spec: comma-separated indices "0,1,3" or coordinate tuples
     "(0,1),(1,2)" for abelian groups (mixed-radix order of the factors).
     A blank field, as in "0,,1", "1," or "(0,,1)", is an error, and so are
-    tuples with no comma between them, as in "(0,1)(1,1)"."""
+    tuples with no comma between them, as in "(0,1)(1,1)", and a spec that
+    int() would misread: "1_0" as 10, or a digit that is not ASCII."""
     text = text.strip()
     if not text:
         raise ValueError("empty subset spec")
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"bad subset spec {text!r}: "
+                         "fields must be ASCII integers without underscores")
     if _BLANK_FIELD_RE.search(text):
         raise ValueError(f"empty field in subset spec {text!r}")
     if "(" in text:
@@ -97,7 +101,8 @@ def _emit(payload: dict, fmt: str, out: Optional[TextIO], csv_text: Optional[str
     else:
         rendered = "\n".join(_text_lines(payload))
     if out is not None:
-        out.truncate(0)
+        if out.tell():  # opened in append mode: a nonzero end means an old report
+            out.truncate(0)
         out.write(rendered + "\n")
         print(out.name)
     else:

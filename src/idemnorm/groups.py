@@ -387,7 +387,8 @@ def builtin_group(name: str) -> Group:
     return _BUILTINS[key]()
 
 
-_ABELIAN_SPEC = re.compile(r"^z\d+(xz\d+)*$")
+# [0-9], not \d: \d matches every Unicode digit, so "Z\u0663" would read as Z3
+_ABELIAN_SPEC = re.compile(r"^z[0-9]+(xz[0-9]+)*$")
 
 
 def parse_group(spec: str) -> Group:

@@ -12,6 +12,11 @@ both proofs: an upper bound certified by such a (P, Q, c) triple, built from
 one set of Gram vectors for all rows and columns, and a lower bound realized
 by an explicit witness pair (X, xi) through witness_lower_bound, so every
 reported bracket can be re-verified independently of the solver.
+
+The forbidden 3x3 pattern needs no solver: pattern_norm_identities proves its
+norm 9/7 exactly, by four identities on small integer matrices that are
+instances of the same two proofs, a certificate with diagonal 9/7 and an
+orthogonal witness of value 9/7.
 """
 
 from __future__ import annotations
@@ -90,6 +95,48 @@ def forbidden_pattern() -> np.ndarray:
     """The 3x3 zero-one pattern whose Schur norm is 9/7; any matrix containing
     it as a submatrix has Schur norm at least 9/7 > (1 + sqrt 2)/2."""
     return np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 0.0], [1.0, 0.0, 1.0]])
+
+
+# The integer data of pattern_norm_identities: the certificate's C, its Gram
+# factor G and weights, and the witness's R, T, a and b.
+_PATTERN_PROOF = {
+    "c": np.array([[9, 5, 5], [5, 9, 2], [5, 2, 9]], dtype=np.int64),
+    "g": np.array([[9, 5, 5, 7, 7, 7], [0, 8, -1, 4, 4, -5], [0, 0, 7, 4, -4, 3]],
+                  dtype=np.int64),
+    "weights": np.array([8, 7, 9], dtype=np.int64),
+    "r": np.array([[1, 0, 0], [0, 3, -4], [0, -4, 3]], dtype=np.int64),
+    "t": np.array([[0, 2, 2], [2, 0, 0], [2, 0, 0]], dtype=np.int64),
+    "a": np.array([3, 0, 0], dtype=np.int64),
+    "b": np.array([0, 1, 1], dtype=np.int64),
+}
+
+
+def pattern_norm_identities() -> dict[str, bool]:
+    """The four integer identities that prove ||A||_S = 9/7 exactly for
+    A = forbidden_pattern(), each with whether it holds.
+
+      * certificate: 72 [[C, 7A], [7A^T, C]] = G^T diag(w) G with w > 0 and
+        diag C = 9, so P = Q = C / 7 make [[P, A], [A^T, Q]] PSD with
+        diagonal 9/7, and ||A||_S <= 9/7;
+      * witness_gram and witness_cross: R^T R + 6 T^T T = 49 I and
+        R^T T + T^T R = 0, so X = (R + sqrt6 T) / 7 has X^T X = I;
+      * witness_value: (A o R) a + 6 (A o T) b = 9 a and (A o R) b + (A o T) a
+        = 9 b with (a, b) nonzero, so xi = a + sqrt6 b has (A o X) xi =
+        (9/7) xi, and ||A||_S >= ||(A o X) xi|| / (||X|| ||xi||) = 9/7.
+
+    Every product is of small int64 matrices, so no step rounds."""
+    a = forbidden_pattern().astype(np.int64)
+    c, g, w, r, t, u, v = (_PATTERN_PROOF[k] for k in ("c", "g", "weights", "r", "t", "a", "b"))
+    block = np.block([[c, 7 * a], [7 * a.T, c]])
+    return {
+        "certificate": bool(np.all(w > 0) and np.all(np.diag(c) == 9)
+                            and np.array_equal(72 * block, g.T @ (w[:, None] * g))),
+        "witness_gram": np.array_equal(r.T @ r + 6 * t.T @ t, 49 * np.eye(3, dtype=np.int64)),
+        "witness_cross": not np.any(r.T @ t + t.T @ r),
+        "witness_value": bool(np.any(u) or np.any(v))
+                         and np.array_equal((a * r) @ u + 6 * (a * t) @ v, 9 * u)
+                         and np.array_equal((a * r) @ v + (a * t) @ u, 9 * v),
+    }
 
 
 @dataclass(frozen=True)

@@ -45,10 +45,9 @@ from .multiplier import (
     progression_check,
 )
 from .schur import (
-    check_certificate,
     forbidden_pattern,
-    gamma2,
     orthogonal_witness,
+    pattern_norm_identities,
     validate_tol,
     witness_lower_bound,
 )
@@ -358,7 +357,9 @@ def run_verification(group_specs: Optional[Sequence[str]] = None,
     """Run every headline check: constants, the envelope identity, the pattern
     witness and its Schur norm, closed-form cross checks, the 4/pi limit,
     measure forms, amenable cross checks, the classification sweeps, and the
-    proof chain to the forbidden pattern."""
+    proof chain to the forbidden pattern.  The pattern's norm 9/7 is decided
+    by the integer identities of pattern_norm_identities alone: no solver
+    runs, and tol does not enter."""
     tol = validate_tol(tol)
     specs = DEFAULT_GROUP_SPECS if group_specs is None else tuple(group_specs)
     groups = [parse_group(s) for s in specs]
@@ -392,14 +393,11 @@ def run_verification(group_specs: Optional[Sequence[str]] = None,
         and fixed_value > t.coset_bound,
         f"witness value {fixed_value!r} vs sqrt(26)/4 = {t.pattern_witness_value!r}"))
 
-    bounds = gamma2(pattern, 1e-3)
-    cert_ok = check_certificate(pattern, bounds.certificate.p, bounds.certificate.q,
-                                bounds.certificate.c, tol=1e-8)
+    identities = pattern_norm_identities()
     items.append(_item(
-        "pattern_schur_norm",
-        bounds.lower >= t.pattern_norm - 1e-3 and bounds.upper <= t.pattern_norm + 1e-3
-        and cert_ok,
-        f"bracket [{bounds.lower!r}, {bounds.upper!r}] around 9/7, certificate ok={cert_ok}"))
+        "pattern_schur_norm", all(identities.values()),
+        "exactly 9/7 by four integer identities: " + "; ".join(
+            f"{name} {'holds' if holds else 'FAILS'}" for name, holds in identities.items())))
 
     closed_form_ok = True
     details = []

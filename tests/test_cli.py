@@ -98,6 +98,11 @@ def test_norm_bad_subset_exits_2(capsys):
     ("Z2xZ4", "(0,1),,(1,1)", "empty field in subset spec '(0,1),,(1,1)'"),
     ("Z2xZ4", "(0,1)(1,1)", "malformed tuple subset spec '(0,1)(1,1)'"),
     ("Z2xZ4", "(0,1) (1,1)", "malformed tuple subset spec '(0,1) (1,1)'"),
+    # int() reads "1_0" as 10 and "\u0663" (Arabic-Indic three) as 3
+    ("Z16", "1_0,3", "bad subset spec '1_0,3'"),
+    ("Z4xZ4", "(1_0,0),(\u0663,1)", "bad subset spec '(1_0,0),(\u0663,1)'"),
+    ("Z4xZ4", "(1,0),(\u0663,1)", "bad subset spec '(1,0),(\u0663,1)'"),
+    ("Z16", "\u0663", "bad subset spec '\u0663'"),
 ])
 def test_bad_subset_spec_exits_2_with_one_line(capsys, group, spec, message):
     code, out, err = run_cli(capsys, "norm", "-g", group, "-s", spec)

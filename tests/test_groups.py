@@ -350,6 +350,10 @@ def test_parse_group():
     assert parse_group("q8").name == "Q8"
     with pytest.raises(ValueError):
         parse_group("Zx")
+    # \d would match the Arabic-Indic three and read it as Z3
+    for spec in ("Z\u0663", "Z2xZ\u0663", "Z1_0"):
+        with pytest.raises(ValueError, match="cannot parse group spec"):
+            parse_group(spec)
 
 
 def test_cayley_file_round_trip(tmp_path, s3):

@@ -13,9 +13,11 @@ from idemnorm import (
     gamma2,
     operator_norm,
     orthogonal_witness,
+    pattern_norm_identities,
     symmetric_eigenvalues,
     witness_lower_bound,
 )
+from idemnorm import schur
 from idemnorm.schur import as_matrix
 
 
@@ -81,6 +83,68 @@ def test_forbidden_pattern_entries():
     assert p[0, 0] == 1.0
     np.testing.assert_array_equal(p, p.T)
     assert p.sum() == 7
+
+
+PATTERN_IDENTITIES = ("certificate", "witness_gram", "witness_cross", "witness_value")
+
+
+def test_pattern_norm_identities_hold():
+    assert pattern_norm_identities() == dict.fromkeys(PATTERN_IDENTITIES, True)
+
+
+def _pattern_proof_entries():
+    return [(name, index) for name, array in schur._PATTERN_PROOF.items()
+            for index in np.ndindex(array.shape)]
+
+
+@pytest.mark.parametrize("name, index", _pattern_proof_entries())
+def test_pattern_norm_identities_fail_on_any_changed_entry(monkeypatch, name, index):
+    mutated = schur._PATTERN_PROOF[name].copy()
+    mutated[index] += 1
+    monkeypatch.setitem(schur._PATTERN_PROOF, name, mutated)
+    assert not all(pattern_norm_identities().values())
+
+
+def _mutations():
+    proof = schur._PATTERN_PROOF
+    c, g, w, r, t = (proof[k] for k in ("c", "g", "weights", "r", "t"))
+    six = 6 * np.eye(6, dtype=np.int64)
+    t_flipped = t.copy()
+    t_flipped[0] *= -1  # keeps T^T T, so only the cross term sees it
+    zero = np.zeros(3, dtype=np.int64)
+    return [
+        # the identity holds, but a weight is negative
+        ({"g": np.vstack([g, g[:1], g[:1]]), "weights": np.r_[w, 1, -1]}, {"certificate"}),
+        # the identity holds, but the diagonal is 16/7
+        ({"c": c + 7 * np.eye(3, dtype=np.int64), "g": np.vstack([g, six]),
+          "weights": np.r_[w, [14] * 6]}, {"certificate"}),
+        ({"r": 2 * r, "t": 2 * t}, {"witness_gram", "witness_value"}),
+        ({"t": t_flipped}, {"witness_cross", "witness_value"}),
+        # a and b moved along (0, 1, -1), the kernel of A o T: each breaks
+        # one of the two parts of (A o X) xi = (9/7) xi and keeps the other
+        ({"a": np.array([3, 1, -1], dtype=np.int64)}, {"witness_value"}),
+        ({"b": np.array([0, 2, 0], dtype=np.int64)}, {"witness_value"}),
+        # (A o X) 0 = (9/7) 0 proves nothing
+        ({"a": zero, "b": zero}, {"witness_value"}),
+    ]
+
+
+@pytest.mark.parametrize("changes, failing", _mutations())
+def test_pattern_norm_identities_name_what_fails(monkeypatch, changes, failing):
+    for name, array in changes.items():
+        monkeypatch.setitem(schur._PATTERN_PROOF, name, array)
+    identities = pattern_norm_identities()
+    assert {name for name, holds in identities.items() if not holds} == failing
+
+
+def test_pattern_norm_proof_passes_the_float_checkers():
+    proof = schur._PATTERN_PROOF
+    pattern = forbidden_pattern()
+    level = proof["c"] / 7
+    assert check_certificate(pattern, level, level, 9 / 7, tol=1e-12)
+    witness = WitnessPair((proof["r"] + math.sqrt(6) * proof["t"]) / 7,
+                          proof["a"] + math.sqrt(6) * proof["b"])
+    assert witness_lower_bound(pattern, witness) == pytest.approx(9 / 7, abs=1e-12)
 
 
 def test_orthogonal_witness_structure():

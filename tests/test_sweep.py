@@ -15,7 +15,7 @@ from idemnorm import (
     sweep,
     translate_left,
 )
-from idemnorm import groups
+from idemnorm import groups, multiplier, schur
 from idemnorm.sweep import _proof_chain_item, orbit
 
 from conftest import burnside_abelian, oracle_canonical_form, oracle_class_count, oracle_orbit
@@ -165,6 +165,29 @@ def test_run_verification_empty_group_list():
     summary = run_verification([])
     assert summary.passed
     assert all(not item.name.startswith("sweep_") for item in summary.items)
+
+
+def test_run_verification_proves_9_7_without_the_solver(monkeypatch):
+    def no_solver(*args, **kwargs):
+        raise AssertionError("verify must not run gamma2")
+
+    monkeypatch.setattr(schur, "gamma2", no_solver)
+    monkeypatch.setattr(multiplier, "gamma2", no_solver)
+    assert run_verification([]).passed
+    # the other items compare floats with tol; this one does not
+    for tol in (0.0, 1e-9, 0.09):
+        item = next(i for i in run_verification([], tol=tol).items
+                    if i.name == "pattern_schur_norm")
+        assert item.passed and "FAILS" not in item.detail
+
+
+def test_run_verification_fails_pattern_item_on_a_broken_identity(monkeypatch):
+    broken = schur._PATTERN_PROOF["a"] + 1
+    monkeypatch.setitem(schur._PATTERN_PROOF, "a", broken)
+    summary = run_verification([])
+    item = next(i for i in summary.items if i.name == "pattern_schur_norm")
+    assert not summary.passed and not item.passed
+    assert "witness_value FAILS" in item.detail
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0, 0.1])
