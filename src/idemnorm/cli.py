@@ -6,7 +6,8 @@ Exit codes: 0 success / verified, 1 violation or failed check, 2 usage or
 parse error (an --out path that cannot be opened included: it is opened
 before any work, and a failed run leaves an existing file unchanged),
 3 numerical failure.  All output on stdout is
-deterministic for fixed inputs and flags; timing goes to stderr.
+deterministic for fixed inputs and flags; timing and verify's PASS/FAIL
+item lines go to stderr, so stdout holds only the report.
 """
 
 from __future__ import annotations
@@ -203,9 +204,6 @@ def cmd_schur(args) -> int:
     if args.f0:
         matrix = forbidden_pattern()
     else:
-        if args.matrix is None:
-            print("provide a JSON matrix literal or --f0", file=sys.stderr)
-            return EXIT_USAGE
         try:
             matrix = np.array(json.loads(args.matrix), dtype=float)
         except (ValueError, TypeError) as exc:
@@ -237,7 +235,7 @@ def cmd_verify(args) -> int:
     )
     for item in summary.items:
         marker = "PASS" if item.passed else "FAIL"
-        print(f"{marker} {item.name}: {item.detail}")
+        print(f"{marker} {item.name}: {item.detail}", file=sys.stderr)
     _emit(summary.to_dict(), args.format, args.out)
     return EXIT_OK if summary.passed else EXIT_VIOLATION
 
@@ -274,9 +272,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_schur = sub.add_parser("schur", help="gamma2 bounds of a matrix")
-    p_schur.add_argument("matrix", nargs="?", help="JSON array of rows")
-    p_schur.add_argument("--f0", action="store_true",
-                         help="use the forbidden 3x3 pattern")
+    schur_input = p_schur.add_mutually_exclusive_group(required=True)
+    schur_input.add_argument("matrix", nargs="?", help="JSON array of rows")
+    schur_input.add_argument("--f0", action="store_true",
+                             help="use the forbidden 3x3 pattern")
     p_schur.add_argument("--witness-only", action="store_true",
                          help="print only the fixed-witness lower bound")
     common(p_schur)

@@ -95,7 +95,9 @@ def cb_norm(group: Group, mask: int) -> Gamma2Bounds:
     circulants = np.fft.irfft(np.stack((p, q, u @ vh)), n=m, axis=1)
     x_blocks = circulants[2]
     x_norm = float(np.linalg.svd(np.fft.rfft(x_blocks, axis=0), compute_uv=False).max())
-    p, q, x = circulants.reshape(3, -1)[:, layout.flat]  # in element order
+    # in element order, each its own array: the witness keeps x, and a view
+    # of one stack would keep p and q alive with it
+    p, q, x = (c[layout.flat] for c in circulants.reshape(3, -1))
     upper, certificate = _shifted_certificate(p, q, slack)
     row = np.einsum("dij,dij->i", circulant, x_blocks)
     lower = min(float(np.linalg.norm(row)) / (x_norm * math.sqrt(k)), upper)

@@ -142,24 +142,15 @@ def pattern_norm_identities() -> dict[str, bool]:
 @dataclass(frozen=True)
 class WitnessPair:
     """A test matrix and vector; ||(A o X) xi|| / (||X|| ||xi||) never exceeds
-    the Schur norm of A, so any pair is a self-verifying lower bound."""
+    the Schur norm of A, so any pair is a self-verifying lower bound.  The
+    pair is checked where it is evaluated, by witness_lower_bound."""
 
     matrix: np.ndarray
     vector: np.ndarray
 
-    def __post_init__(self):
-        x = as_matrix(self.matrix)
-        xi = np.asarray(self.vector).reshape(-1)
-        if not np.any(x):
-            raise ValueError("witness matrix must be nonzero")
-        if xi.size != x.shape[1] or not np.any(xi):
-            raise ValueError("witness vector must be nonzero with matching length")
-        object.__setattr__(self, "matrix", x)
-        object.__setattr__(self, "vector", xi.astype(complex))
-
     def to_dict(self) -> dict:
-        return {"matrix": _matrix_to_lists(self.matrix),
-                "vector": _matrix_to_lists(self.vector.reshape(1, -1))[0]}
+        vector = np.asarray(self.vector, dtype=complex).reshape(1, -1)
+        return {"matrix": _matrix_to_lists(self.matrix), "vector": _matrix_to_lists(vector)[0]}
 
     @staticmethod
     def from_dict(data: dict) -> "WitnessPair":
@@ -182,15 +173,22 @@ def orthogonal_witness() -> WitnessPair:
 def witness_lower_bound(a, witness: WitnessPair) -> float:
     """||(A o X) xi|| / (||X||_op ||xi||): a guaranteed Schur-norm lower bound.
 
-    A is first scaled by the power of two nearest 1 / max|a|, as in
-    operator_norm, so the value neither overflows nor underflows."""
+    Raises ValueError unless X is a nonzero matrix of A's shape and xi a
+    nonzero vector of matching length.  A is first scaled by the power of
+    two nearest 1 / max|a|, as in operator_norm, so the value neither
+    overflows nor underflows."""
     a = as_matrix(a)
-    x = witness.matrix
+    x = as_matrix(witness.matrix)
+    xi = np.asarray(witness.vector, dtype=complex).reshape(-1)
     if a.shape != x.shape:
         raise ValueError(f"witness shape {x.shape} does not match matrix {a.shape}")
+    if not np.any(x):
+        raise ValueError("witness matrix must be nonzero")
+    if xi.size != x.shape[1] or not np.any(xi):
+        raise ValueError("witness vector must be nonzero with matching length")
     exponent = _binary_exponent(a)
-    numerator = float(np.linalg.norm((a * math.ldexp(1.0, -exponent) * x) @ witness.vector))
-    denominator = operator_norm(x) * float(np.linalg.norm(witness.vector))
+    numerator = float(np.linalg.norm((a * math.ldexp(1.0, -exponent) * x) @ xi))
+    denominator = operator_norm(x) * float(np.linalg.norm(xi))
     return math.ldexp(numerator / denominator, exponent)
 
 
@@ -275,13 +273,6 @@ def _lists_to_matrix(rows) -> np.ndarray:
 
 # -- certificates and witnesses ------------------------------------------------------
 
-def _certify_blocks(a: np.ndarray, p: np.ndarray, q: np.ndarray) -> tuple[float, Certificate]:
-    """Certified level of the diagonal blocks p, q of a completion of a."""
-    p = _hermitian(p)
-    q = _hermitian(q)
-    return _shifted_certificate(p, q, _completion_slack(p, a, q))
-
-
 def _hermitian(x: np.ndarray) -> np.ndarray:
     """(X + X*) / 2, for one matrix or a stack of them."""
     return (x + x.conj().swapaxes(-1, -2)) / 2
@@ -300,8 +291,8 @@ def _shifted_certificate(p: np.ndarray, q: np.ndarray, slack: float) -> tuple[fl
     """The certificate (p + slack I, q + slack I) and its level."""
     diag_max = float(max(p.diagonal().real.max(), q.diagonal().real.max()))
     # shift the blocks by the eigenvalue deficit, measured on the blocks the
-    # slack was taken from: for _certify_blocks those are p and q themselves,
-    # so the stored certificate is PSD on the nose and proves its level
+    # slack was taken from: for gamma2 those are p and q themselves, so the
+    # stored certificate is PSD on the nose and proves its level
     level = diag_max + slack
     p_shift = p + slack * np.eye(p.shape[0], dtype=p.dtype)
     q_shift = q + slack * np.eye(q.shape[0], dtype=q.dtype)
@@ -390,7 +381,7 @@ def gamma2(a, tol: float = 1e-3) -> Gamma2Bounds:
 
       * upper: Y = D_q^-1/2 V Sigma^1/2 and X, by least squares, with
         X Y* = b; balanced, their blocks XX* and YY* are re-certified from
-        their eigenvalues by _certify_blocks, so the level never depends on
+        their eigenvalues by _completion_slack, so the level never depends on
         the solver;
       * lower: the witness pair (conj(U V*), sqrt(q)), evaluated by
         witness_lower_bound, whose value is at least max|a| f.  The entry
@@ -440,7 +431,10 @@ def gamma2(a, tol: float = 1e-3) -> Gamma2Bounds:
             y = v * root / np.sqrt(q)[:, None]
             x = np.linalg.lstsq(y.conj(), b.T, rcond=None)[0].T
             x, y = _balanced(x, y)
-            level, cert = _certify_blocks(a, scale * (x @ x.conj().T), scale * (y @ y.conj().T))
+            gram_x = _hermitian(scale * (x @ x.conj().T))
+            gram_y = _hermitian(scale * (y @ y.conj().T))
+            level, cert = _shifted_certificate(gram_x, gram_y,
+                                               _completion_slack(gram_x, a, gram_y))
             pair = WitnessPair((u @ v.conj().T).conj(), np.sqrt(q))
             witnessed = witness_lower_bound(a, pair)
             if level < upper:

@@ -238,8 +238,18 @@ def test_schur_oversized_exits_2(capsys):
 
 
 def test_schur_requires_input(capsys):
-    code, _, _ = run_cli(capsys, "schur")
-    assert code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["schur"])
+    assert exc.value.code == 2
+    assert "one of the arguments matrix --f0 is required" in capsys.readouterr().err
+
+
+def test_schur_takes_a_literal_or_f0_not_both(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["schur", "[[1,2],[3,4]]", "--f0"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert not captured.out and "not allowed with argument" in captured.err
 
 
 def test_schur_witness_only_requires_f0(capsys):
@@ -250,17 +260,17 @@ def test_schur_witness_only_requires_f0(capsys):
 
 
 def test_verify_single_group(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--groups", "Z3", "--format", "json")
+    code, out, err = run_cli(capsys, "verify", "--groups", "Z3", "--format", "json")
     assert code == 0
-    assert "PASS sweep_Z3" in out
-    payload = json.loads(out[out.index("\n{") + 1:])
+    assert "PASS sweep_Z3" in err
+    payload = json.loads(out)
     assert payload["passed"] is True
 
 
 def test_verify_boundary_at_zero_tolerance(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--groups", "Z4", "--tol", "0")
+    code, _, err = run_cli(capsys, "verify", "--groups", "Z4", "--tol", "0")
     assert code == 1
-    assert "FAIL" in out
+    assert "FAIL" in err
 
 
 def test_out_file(tmp_path, capsys):
@@ -449,8 +459,7 @@ def test_json_reports_are_the_bytes_of_json_dumps(argv, monkeypatch, capsys):
     monkeypatch.setattr(cli, "_emit", recording)
     assert main(argv + ["--format", "json"]) == 0
     [payload] = payloads
-    # verify prints one line per item before the report
-    assert capsys.readouterr().out.endswith(_dumps(payload) + "\n")
+    assert capsys.readouterr().out == _dumps(payload) + "\n"
 
 
 def test_json_writer_on_a_complex_witness():

@@ -183,10 +183,16 @@ def test_witness_lower_bound_never_exceeds_gamma2_on_all_ones():
 
 
 def test_witness_pair_rejects_zero():
-    with pytest.raises(ValueError):
-        WitnessPair(np.zeros((2, 2)), np.ones(2))
-    with pytest.raises(ValueError):
-        WitnessPair(np.ones((2, 2)), np.zeros(2))
+    # a pair is checked where it is evaluated, read back from a report too
+    ones = np.ones((2, 2))
+    for pair in (WitnessPair(np.zeros((2, 2)), np.ones(2)), WitnessPair(ones, np.zeros(2)),
+                 WitnessPair(ones, np.ones(3))):
+        with pytest.raises(ValueError, match="witness"):
+            witness_lower_bound(ones, pair)
+    payload = gamma2(ones).to_dict()
+    payload["witness"]["matrix"] = [[0.0, 0.0], [0.0, 0.0]]
+    with pytest.raises(ValueError, match="witness matrix must be nonzero"):
+        witness_lower_bound(ones, Gamma2Bounds.from_dict(payload).witness)
 
 
 def test_check_certificate_rank_one():
@@ -376,6 +382,17 @@ def test_gamma2_bounds_round_trip():
     np.testing.assert_allclose(back.witness.matrix, bounds.witness.matrix, atol=0)
     assert check_certificate(forbidden_pattern(), back.certificate.p,
                              back.certificate.q, back.certificate.c, tol=1e-8)
+
+
+def test_witness_read_back_gives_the_same_value():
+    # gamma2 builds xi real and a report read back holds it complex; both
+    # are evaluated as complex, so the value is the same bit for bit
+    rng = np.random.default_rng(0)
+    for _ in range(10):
+        a = rng.normal(size=(6, 6))
+        bounds = gamma2(a)
+        back = Gamma2Bounds.from_dict(bounds.to_dict()).witness
+        assert witness_lower_bound(a, back) == witness_lower_bound(a, bounds.witness)
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0, 0.1])

@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import math
 import random
 
@@ -18,7 +19,10 @@ from idemnorm import (
 from idemnorm import groups, multiplier, schur
 from idemnorm.sweep import _proof_chain_item, orbit
 
-from conftest import burnside_abelian, oracle_canonical_form, oracle_class_count, oracle_orbit
+from conftest import (burnside_abelian, dicyclic_group, oracle_canonical_form,
+                      oracle_class_count, oracle_orbit)
+
+sweep_module = importlib.import_module("idemnorm.sweep")
 
 
 def test_canonical_form_examples(z6):
@@ -181,6 +185,24 @@ def test_run_verification_proves_9_7_without_the_solver(monkeypatch):
         assert item.passed and "FAILS" not in item.detail
 
 
+@pytest.mark.parametrize("bound", [1.0, 1.4])
+def test_witness_integrals_item_reads_the_stored_bound(monkeypatch, bound):
+    # Z5's one witness class has norm 1.494, above both bounds; 4.5 times
+    # 1.0 (below 4/3) or 1.4 is neither 6 nor 13/2
+    classify_record = sweep_module.classify
+
+    def patched(group, mask, tol):
+        record = classify_record(group, mask, tol)
+        if record.witness is None:
+            return record
+        return dataclasses.replace(record, witness_bound=bound)
+
+    monkeypatch.setattr(sweep_module, "classify", patched)
+    summary = run_verification(["Z5"])
+    failed = [item.name for item in summary.items if not item.passed]
+    assert failed == ["witness_integrals_Z5"]
+
+
 def test_run_verification_fails_pattern_item_on_a_broken_identity(monkeypatch):
     broken = schur._PATTERN_PROOF["a"] + 1
     monkeypatch.setitem(schur._PATTERN_PROOF, "a", broken)
@@ -206,6 +228,17 @@ def test_canonical_form_and_orbit_match_oracles_on_every_subset(spec):
     for mask in range(1 << g.order):
         assert orbit(g, mask) == oracle_orbit(g, mask)
         assert canonical_form(g, mask) == oracle_canonical_form(g, mask)
+
+
+def test_canonical_form_matches_oracle_on_every_subset_of_dic3():
+    g = dicyclic_group(3)  # order 12: 144 two-sided translates
+    # the orbits partition the subsets, so one oracle orbit serves each member
+    expected = {}
+    for mask in range(1 << g.order):
+        if mask not in expected:
+            members = oracle_orbit(g, mask)
+            expected.update(dict.fromkeys(members, min(members)))
+        assert canonical_form(g, mask) == expected[mask]
 
 
 @pytest.mark.parametrize("spec", ("Z64", "Z2xZ2xZ2xZ2xZ2xZ2", "Z8xZ8"))
