@@ -89,25 +89,25 @@ def parse_tol(text: str) -> float:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
-def _emit(payload: dict, fmt: str, out: Optional[TextIO], csv_text: Optional[str] = None) -> None:
-    """Write a report to the open --out file (printing its path) or to
-    stdout.  JSON is rendered by _json_text, byte for byte as
+def _render(payload: dict, fmt: str) -> str:
+    """A report as JSON or as text, without a final newline.  JSON is
+    rendered by _json_text, byte for byte as
     json.dumps(payload, indent=2, sort_keys=True) would for the value types
     reports hold, without the pure-Python encoder that json.dumps falls
     back to whenever it indents."""
-    if fmt == "json":
-        rendered = _json_text(payload, "")
-    elif fmt == "csv":
-        rendered = csv_text.rstrip("\n")
-    else:
-        rendered = "\n".join(_text_lines(payload))
+    return _json_text(payload, "") if fmt == "json" else "\n".join(_text_lines(payload))
+
+
+def _emit(text: str, out: Optional[TextIO]) -> None:
+    """Write a rendered report and a newline to the open --out file
+    (printing its path) or to stdout."""
     if out is not None:
         if out.tell():  # opened in append mode: a nonzero end means an old report
             out.truncate(0)
-        out.write(rendered + "\n")
+        out.write(text + "\n")
         print(out.name)
     else:
-        print(rendered)
+        print(text)
 
 
 def _json_text(value, indent: str) -> str:
@@ -187,7 +187,7 @@ def cmd_norm(args) -> int:
         bounds = cb_norm(group, mask)
         payload["cb_lower"] = bounds.lower
         payload["cb_upper"] = bounds.upper
-    _emit(payload, args.format, args.out)
+    _emit(_render(payload, args.format), args.out)
     return EXIT_OK
 
 
@@ -195,8 +195,11 @@ def cmd_sweep(args) -> int:
     group = parse_group(args.group)
     report = sweep(group, tol=DEFAULT_TOL_EXACT if args.tol is None else args.tol)
     print(f"sweep of {group.name} took {report.wall_time_s:.2f}s", file=sys.stderr)
-    csv_text = report.to_csv() if args.format == "csv" else None
-    _emit(report.to_dict(), args.format, args.out, csv_text=csv_text)
+    if args.format == "csv":
+        text = report.to_csv().rstrip("\n")
+    else:
+        text = _render(report.to_dict(), args.format)
+    _emit(text, args.out)
     return EXIT_OK if not report.violations else EXIT_VIOLATION
 
 
@@ -214,14 +217,14 @@ def cmd_schur(args) -> int:
             print("--witness-only applies to --f0", file=sys.stderr)
             return EXIT_USAGE
         value = witness_lower_bound(matrix, orthogonal_witness())
-        _emit({"witness_lower_bound": value}, args.format, args.out)
+        _emit(_render({"witness_lower_bound": value}, args.format), args.out)
         return EXIT_OK
     try:
         bounds = gamma2(matrix, tol=1e-3 if args.tol is None else args.tol)
     except Gamma2ConvergenceError as exc:
         print(f"solver did not converge: bracket [{exc.lower}, {exc.upper}]", file=sys.stderr)
         return EXIT_NUMERIC
-    _emit(bounds.to_dict(), args.format, args.out)
+    _emit(_render(bounds.to_dict(), args.format), args.out)
     return EXIT_OK
 
 
@@ -236,7 +239,7 @@ def cmd_verify(args) -> int:
     for item in summary.items:
         marker = "PASS" if item.passed else "FAIL"
         print(f"{marker} {item.name}: {item.detail}", file=sys.stderr)
-    _emit(summary.to_dict(), args.format, args.out)
+    _emit(_render(summary.to_dict(), args.format), args.out)
     return EXIT_OK if summary.passed else EXIT_VIOLATION
 
 

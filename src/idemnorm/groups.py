@@ -1,9 +1,12 @@
 """Finite group arithmetic and coset structure detection.
 
-Groups come in two kinds: abelian groups given as direct products of cyclic
-groups (elements are mixed-radix encoded coordinate tuples), and general
-finite groups given by a Cayley table (validated on load).  Elements are
-always dense indices 0..n-1 and subsets are bitmasks.
+A group is its data, with no tag: the cyclic factors of an abelian group
+(elements are mixed-radix encoded coordinate tuples), or the Cayley table of
+any finite group, whose validation on load also yields the inverses.  A
+group is abelian exactly when it holds no table, so a table of an abelian
+group takes the table path.  The builtins S3, D4 and Q8 are tabulated from
+their elements by _tabulated.  Elements are always dense indices 0..n-1 and
+subsets are bitmasks.
 
 The group law has one implementation, Group.mul_array: the products of two
 broadcast index arrays, read from the Cayley table or summed in coordinates
@@ -53,10 +56,6 @@ PRODUCT_BLOCK = 1 << 15
 # translation tables store each translate as one uint64 bitmask
 TRANSLATION_TABLE_MAX_ORDER = 64
 
-ABELIAN = "abelian"
-CAYLEY = "cayley"
-
-
 class GroupAxiomError(ValueError):
     """A Cayley table fails a group axiom; `triple` names the offending elements."""
 
@@ -79,8 +78,9 @@ class CyclicLayout:
 class Group:
     """A finite group with elements 0..order-1.
 
-    Abelian groups store their cyclic factors and do coordinate arithmetic;
-    Cayley groups store the full multiplication table.  Either way the
+    Built from factors= (an abelian group with coordinate arithmetic and
+    table None) or table= (the full multiplication table, validated, with
+    the inverses that validation finds), by keyword.  Either way the
     product is mul_array, and mul is its scalar wrapper.  Coordinate arrays,
     abelian inverses, translation tables, the character table and the cyclic
     layout are built on first use; the two tables stop at order 64.
@@ -88,11 +88,9 @@ class Group:
     whose builds are deterministic) and safe to share between threads.
     """
 
-    def __init__(self, kind: str, *, factors: Sequence[int] = (),
-                 table: Optional[np.ndarray] = None, identity: int = 0,
-                 name: Optional[str] = None):
-        self.kind = kind
-        if kind == ABELIAN:
+    def __init__(self, *, factors: Sequence[int] = (), table: Optional[np.ndarray] = None,
+                 identity: int = 0, name: Optional[str] = None):
+        if table is None:
             factors = tuple(_as_index(f, "cyclic factor") for f in factors)
             if not factors:
                 raise ValueError("abelian group needs at least one factor")
@@ -115,19 +113,18 @@ class Group:
             self.identity = 0
             self.table = None
             self.name = name or "x".join(f"Z{f}" for f in factors)
-        elif kind == CAYLEY:
+        else:
+            if factors:
+                raise ValueError("a group takes cyclic factors or a Cayley table, not both")
             tab = np.asarray(table)
             self.factors = ()
             identity = _as_index(identity, "identity index")
-            n = _validate_cayley(tab, identity)
-            self.order = n
+            # shadows the abelian cached property below
+            self._inverse = _validate_cayley(tab, identity)
+            self.order = len(self._inverse)
             self.identity = identity
             self.table = tab.astype(np.int64, copy=False)
-            self.name = name or f"cayley{n}"
-            # a table without two-sided inverses is rejected on load
-            self._inverse = self._build_inverse()
-        else:
-            raise ValueError(f"unknown group kind {kind!r}")
+            self.name = name or f"cayley{self.order}"
 
     # -- core arithmetic ----------------------------------------------------
 
@@ -138,7 +135,7 @@ class Group:
         """Products a*b of two index arrays (or an index and an array),
         broadcast against each other: a gather from the table for Cayley
         groups, coordinate sums for abelian groups."""
-        if self.kind == CAYLEY:
+        if self.table is not None:
             return self.table[a, b]
         coords = self._coords
         return ((coords[a] + coords[b]) % self._factor_array).dot(self._stride_array)
@@ -148,7 +145,7 @@ class Group:
 
     @property
     def is_abelian(self) -> bool:
-        return self.kind == ABELIAN
+        return self.table is None
 
     def index_of(self, coords: Sequence[int]) -> int:
         """Element index for abelian coordinates: integers (floats are
@@ -160,7 +157,7 @@ class Group:
                    for c, f, stride in zip(coords, self.factors, self._stride_array.tolist()))
 
     def _require_abelian(self) -> None:
-        if self.kind != ABELIAN:
+        if not self.is_abelian:
             raise ValueError("operation requires an abelian (invariant-factor) group")
 
     @functools.cached_property
@@ -170,21 +167,7 @@ class Group:
 
     @functools.cached_property
     def _inverse(self) -> np.ndarray:
-        return self._build_inverse()
-
-    def _build_inverse(self) -> np.ndarray:
-        if self.kind == ABELIAN:
-            return ((-self._coords) % self._factor_array).dot(self._stride_array)
-        # the first right inverse of each row, then the check that it is
-        # also a left inverse
-        inv = np.argmax(self.table == self.identity, axis=1)
-        everything = np.arange(self.order)
-        ok = ((self.table[everything, inv] == self.identity)
-              & (self.table[inv, everything] == self.identity))
-        if not ok.all():
-            a = int(np.argmin(ok))
-            raise GroupAxiomError(f"element {a} has no two-sided inverse", (a,))
-        return inv
+        return ((-self._coords) % self._factor_array).dot(self._stride_array)
 
     @functools.cached_property
     def translation_table(self) -> np.ndarray:
@@ -258,7 +241,9 @@ class Group:
         return f"Group({self.name}, order={self.order})"
 
 
-def _validate_cayley(table: np.ndarray, identity: int) -> int:
+def _validate_cayley(table: np.ndarray, identity: int) -> np.ndarray:
+    """Check the group axioms of a Cayley table; returns the inverse of
+    every element."""
     # before the shape: the empty JSON list [] reaches here as shape (0,)
     if table.size == 0:
         raise GroupAxiomError("Cayley table must be nonempty")
@@ -276,10 +261,11 @@ def _validate_cayley(table: np.ndarray, identity: int) -> int:
     if not (0 <= identity < n):
         raise GroupAxiomError(f"identity index {identity} out of range")
     e = identity
-    if not (np.array_equal(table[e], np.arange(n)) and np.array_equal(table[:, e], np.arange(n))):
-        bad = int(np.nonzero(table[e] != np.arange(n))[0][0]) if not np.array_equal(
-            table[e], np.arange(n)) else int(np.nonzero(table[:, e] != np.arange(n))[0][0])
-        raise GroupAxiomError(f"{e} is not a two-sided identity (fails at {bad})", (e, bad))
+    everything = np.arange(n)
+    for line in (table[e], table[:, e]):  # e x = x, then x e = x
+        if not np.array_equal(line, everything):
+            bad = int(np.argmax(line != everything))
+            raise GroupAxiomError(f"{e} is not a two-sided identity (fails at {bad})", (e, bad))
     # associativity: (a b) c == a (b c), checked row by row to bound memory
     for a in range(n):
         left = table[table[a], :]          # (a b) c
@@ -288,20 +274,27 @@ def _validate_cayley(table: np.ndarray, identity: int) -> int:
             b, c = (int(x) for x in np.argwhere(left != right)[0])
             raise GroupAxiomError(
                 f"associativity fails: ({a}*{b})*{c} != {a}*({b}*{c})", (a, b, c))
-    return n
+    # the first right inverse of each row, then the check that it is also a
+    # left inverse
+    inverse = np.argmax(table == e, axis=1)
+    ok = (table[everything, inverse] == e) & (table[inverse, everything] == e)
+    if not ok.all():
+        a = int(np.argmin(ok))
+        raise GroupAxiomError(f"element {a} has no two-sided inverse", (a,))
+    return inverse
 
 
 # -- constructors -------------------------------------------------------------
 
 def make_abelian_group(factors: Sequence[int]) -> Group:
     """Direct product of cyclic groups Z_f1 x ... x Z_fk."""
-    return Group(ABELIAN, factors=factors)
+    return Group(factors=factors)
 
 
 def load_cayley_group(table: Sequence[Sequence[int]], identity: int = 0,
                       name: Optional[str] = None) -> Group:
     """Build a group from an integer multiplication table, checking all axioms."""
-    return Group(CAYLEY, table=np.asarray(table), identity=identity, name=name)
+    return Group(table=table, identity=identity, name=name)
 
 
 def load_cayley_file(path: str) -> Group:
@@ -338,42 +331,38 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _tabulated(elements: Sequence, mul, name: str) -> Group:
+    """The group of the elements under mul, element i at index i: element
+    0 must be the identity."""
+    index = {x: i for i, x in enumerate(elements)}
+    return load_cayley_group([[index[mul(a, b)] for b in elements] for a in elements],
+                             0, name=name)
+
+
 def _symmetric_group_3() -> Group:
-    perms = sorted(itertools.permutations(range(3)))
-    index = {p: i for i, p in enumerate(perms)}
-    table = [[index[tuple(a[b[x]] for x in range(3))] for b in perms] for a in perms]
-    return load_cayley_group(table, index[(0, 1, 2)], name="S3")
+    # the permutations of (0, 1, 2) in sorted order, composed
+    return _tabulated(sorted(itertools.permutations(range(3))),
+                      lambda a, b: tuple(a[b[x]] for x in range(3)), "S3")
 
 
 def _dihedral_group_4() -> Group:
-    # elements r^i s^j with index i + 4j; s r = r^-1 s
-    def mul(a: int, b: int) -> int:
-        i, j = a % 4, a // 4
-        k, l = b % 4, b // 4
-        return (i + (k if j == 0 else -k)) % 4 + 4 * (j ^ l)
-
-    return load_cayley_group([[mul(a, b) for b in range(8)] for a in range(8)], 0, name="D4")
+    # r^i s^j at index i + 4j; s r = r^-1 s
+    return _tabulated([(i, j) for j in (0, 1) for i in range(4)],
+                      lambda a, b: ((a[0] + (-1) ** a[1] * b[0]) % 4, a[1] ^ b[1]), "D4")
 
 
 def _quaternion_group_8() -> Group:
-    # index = axis*2 + sign with axes (1, i, j, k) and sign 0:+ / 1:-
-    axis_prod = {(0, 0): (0, 0)}
-    for a in (1, 2, 3):
-        axis_prod[(0, a)] = (0, a)
-        axis_prod[(a, 0)] = (0, a)
-        axis_prod[(a, a)] = (1, 0)
-    axis_prod[(1, 2)] = (0, 3)
-    axis_prod[(2, 3)] = (0, 1)
-    axis_prod[(3, 1)] = (0, 2)
-    axis_prod[(2, 1)] = (1, 3)
-    axis_prod[(3, 2)] = (1, 1)
-    axis_prod[(1, 3)] = (1, 2)
+    # +-1, +-i, +-j, +-k as (a, b, c, d) = a + b i + c j + d k, the axis
+    # (1, i, j, k) and sign (+, -) at index 2 axis + sign, under the
+    # Hamilton product
+    def mul(x, y):
+        a, b, c, d = x
+        p, q, r, s = y
+        return (a * p - b * q - c * r - d * s, a * q + b * p + c * s - d * r,
+                a * r - b * s + c * p + d * q, a * s + b * r - c * q + d * p)
 
-    def mul(x: int, y: int) -> int:
-        extra, axis = axis_prod[(x // 2, y // 2)]
-        return axis * 2 + ((x + y + extra) % 2)
-
-    return load_cayley_group([[mul(a, b) for b in range(8)] for a in range(8)], 0, name="Q8")
+    return _tabulated([tuple(sign * (k == axis) for k in range(4))
+                       for axis in range(4) for sign in (1, -1)], mul, "Q8")
 
 
 _BUILTINS = {"S3": _symmetric_group_3, "D4": _dihedral_group_4, "Q8": _quaternion_group_8}
@@ -434,8 +423,11 @@ _BYTE_BITS = tuple(tuple(j for j in range(8) if v >> j & 1) for v in range(256))
 
 def subset_elements(mask: int) -> list[int]:
     """Elements of a bitmask, ascending: read a byte at a time from
-    _BYTE_BITS up to 64 bits, through np.unpackbits above that."""
-    if mask >> 64:  # also every negative mask
+    _BYTE_BITS up to 64 bits, through np.unpackbits above that.  A
+    negative mask raises ValueError."""
+    if mask < 0:
+        raise ValueError(f"subset mask {mask} is negative")
+    if mask >> 64:
         return _members(mask).tolist()
     out = []
     base = 0

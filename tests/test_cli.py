@@ -176,6 +176,16 @@ def test_sweep_builds_csv_only_when_asked(capsys, monkeypatch, fmt):
     assert "kind_totals" in out
 
 
+def test_sweep_csv_builds_no_report_dict(capsys, monkeypatch):
+    def refuse(report):
+        raise AssertionError("to_dict called for the CSV format")
+
+    monkeypatch.setattr(SweepReport, "to_dict", refuse)
+    code, out, _ = run_cli(capsys, "sweep", "-g", "Z4", "--format", "csv")
+    assert code == 0
+    assert out.startswith("subset,kind,q")
+
+
 def test_sweep_cap_exits_2(capsys):
     code, _, err = run_cli(capsys, "sweep", "-g", "Z64")
     assert code == 2
@@ -450,13 +460,13 @@ def _dumps(value):
 ])
 def test_json_reports_are_the_bytes_of_json_dumps(argv, monkeypatch, capsys):
     payloads = []
-    emit = cli._emit
+    render = cli._render
 
-    def recording(payload, *args, **kwargs):
+    def recording(payload, fmt):
         payloads.append(payload)
-        emit(payload, *args, **kwargs)
+        return render(payload, fmt)
 
-    monkeypatch.setattr(cli, "_emit", recording)
+    monkeypatch.setattr(cli, "_render", recording)
     assert main(argv + ["--format", "json"]) == 0
     [payload] = payloads
     assert capsys.readouterr().out == _dumps(payload) + "\n"

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import re
@@ -128,6 +129,17 @@ def test_z2_cayley_group():
     g = load_cayley_group([[0, 1], [1, 0]], 0)
     assert g.order == 2
     assert g.mul(1, 1) == 0
+    # a table of an abelian group stays on the table path
+    assert not g.is_abelian
+
+
+def test_group_takes_factors_or_a_table_by_keyword():
+    with pytest.raises(TypeError):
+        Group((2,))
+    with pytest.raises(ValueError, match="not both"):
+        Group(factors=(2,), table=[[0, 1], [1, 0]])
+    assert Group(factors=(2, 3)).is_abelian
+    assert Group(table=[[0, 1], [1, 0]]).table.tolist() == [[0, 1], [1, 0]]
 
 
 def test_broken_associativity_names_triple():
@@ -159,6 +171,8 @@ def test_out_of_range_entry_rejected():
     # refused, not truncated to the table of Z2
     ([[0, 1.7], [1.2, 0.4]], 0, "Cayley table entries must be integers, got dtype float64"),
     ([[False, True], [True, False]], 0, "Cayley table entries must be integers, got dtype bool"),
+    # the row of 0 is the identity's, its column is not
+    ([[0, 1], [0, 1]], 0, "0 is not a two-sided identity (fails at 1)"),
 ])
 def test_malformed_cayley_tables_are_rejected(table, identity, message):
     with pytest.raises(GroupAxiomError, match=re.escape(message)):
@@ -226,6 +240,17 @@ def test_builtin_d4_order_census(d4):
     # have order <= 2; r and r^3 have order 4
     census = Counter(oracle_element_order(d4, t) for t in range(d4.order))
     assert census == {1: 1, 2: 5, 4: 2}
+
+
+@pytest.mark.parametrize("name, digest", [
+    ("S3", "bc3ff83846d7"), ("D4", "b4fddc32be00"), ("Q8", "9a2ee5146c11")])
+def test_builtin_tables_are_pinned(name, digest):
+    # sha256 prefixes of the int64 tables as first tabulated: S3 composes
+    # sorted permutations, D4 puts r^i s^j at i + 4j, and Q8 puts +-1, +-i,
+    # +-j, +-k at 2 axis + sign
+    table = builtin_group(name).table
+    assert table.dtype == np.int64
+    assert hashlib.sha256(table.tobytes()).hexdigest().startswith(digest)
 
 
 def test_builtin_unknown_name():
@@ -476,6 +501,9 @@ def test_subset_elements_matches_subset_mask(z6):
     assert subset_elements(mask) == [0, 2, 3, 5]
     assert subset_mask(z6, subset_elements(mask)) == mask
     assert subset_elements(0) == []
+    for mask in (-1, -(1 << 70)):
+        with pytest.raises(ValueError, match="negative"):
+            subset_elements(mask)
     # both sides of the 64-bit switch between the byte table and np.unpackbits
     rng = random.Random(0)
     big = make_abelian_group([1024])

@@ -187,8 +187,9 @@ def test_run_verification_proves_9_7_without_the_solver(monkeypatch):
 
 @pytest.mark.parametrize("bound", [1.0, 1.4])
 def test_witness_integrals_item_reads_the_stored_bound(monkeypatch, bound):
-    # Z5's one witness class has norm 1.494, above both bounds; 4.5 times
-    # 1.0 (below 4/3) or 1.4 is neither 6 nor 13/2
+    # Z5's two witness classes, {0, 1, 2} and {0, 1, 3}, have norm 1.494,
+    # above both bounds; 4.5 times 1.0 (below 4/3) or 1.4 is neither 6 nor
+    # 13/2
     classify_record = sweep_module.classify
 
     def patched(group, mask, tol):
@@ -199,8 +200,12 @@ def test_witness_integrals_item_reads_the_stored_bound(monkeypatch, bound):
 
     monkeypatch.setattr(sweep_module, "classify", patched)
     summary = run_verification(["Z5"])
-    failed = [item.name for item in summary.items if not item.passed]
-    assert failed == ["witness_integrals_Z5"]
+    failed = [item for item in summary.items if not item.passed]
+    assert [item.name for item in failed] == ["witness_integrals_Z5"]
+    # the detail names each failing class, not the passing text
+    assert "S=[0, 1, 2]: integral" in failed[0].detail
+    assert "S=[0, 1, 3]: integral" in failed[0].detail
+    assert "bounds below the norm" not in failed[0].detail
 
 
 def test_run_verification_fails_pattern_item_on_a_broken_identity(monkeypatch):
