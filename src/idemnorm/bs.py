@@ -67,9 +67,6 @@ def mu_values(group: Group, mask: int) -> np.ndarray:
 
 def bs_norm(group: Group, mask: int) -> float:
     """Total variation sum_x |mu(x)|; 0 for the empty set, >= 1 otherwise."""
-    mask = validate_mask(group, mask)
-    if mask == 0:
-        return 0.0
     return float(np.abs(mu_values(group, mask)).sum())
 
 

@@ -229,7 +229,8 @@ def cmd_schur(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    specs = args.groups.split(",") if args.groups else None
+    # only a missing --groups takes the defaults; --groups "" names no group
+    specs = None if args.groups is None else args.groups.split(",")
     if specs == [""]:
         specs = []
     summary = run_verification(

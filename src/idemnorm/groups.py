@@ -78,8 +78,8 @@ class CyclicLayout:
 class Group:
     """A finite group with elements 0..order-1.
 
-    Built from factors= (an abelian group with coordinate arithmetic and
-    table None) or table= (the full multiplication table, validated, with
+    Built from factors= (an abelian group with coordinate arithmetic,
+    identity 0 and table None) or table= (the full multiplication table, validated, with
     the inverses that validation finds), by keyword.  Either way the
     product is mul_array, and mul is its scalar wrapper.  Coordinate arrays,
     abelian inverses, translation tables, the character table and the cyclic
@@ -91,6 +91,9 @@ class Group:
     def __init__(self, *, factors: Sequence[int] = (), table: Optional[np.ndarray] = None,
                  identity: int = 0, name: Optional[str] = None):
         if table is None:
+            if identity != 0:
+                raise ValueError("an abelian group from factors has identity 0, "
+                                 f"got identity={identity!r}")
             factors = tuple(_as_index(f, "cyclic factor") for f in factors)
             if not factors:
                 raise ValueError("abelian group needs at least one factor")
@@ -517,17 +520,15 @@ def _adjoin(group: Group, flags: np.ndarray, steps: list[int], t: int) -> None:
     through this, one checked generator t at a time.
 
     H is given by its membership flags and by `steps`, a list of elements
-    that generate it; both are updated for <H, t>.  The new steps are the
-    repeated squares t, t^2, t^4, ... that lie outside H, t^(2^i) for
-    2^i < order: every power of t is then a product of at most
-    log2(order) of them.  The closure is a breadth-first search from every
-    element of H under right multiplication by the steps.  It reaches
+    that generate it; both are updated for <H, t>, and t lies outside H.
+    The new steps are the repeated squares t, t^2, t^4, ... that lie
+    outside H, t^(2^i) for 2^i < order: every power of t is then a product
+    of at most log2(order) of them.  The closure is a breadth-first search
+    from every element of H under right multiplication by the steps.  It reaches
     H t^k within popcount(k) levels, so a cyclic subgroup takes
     O(log order) levels, and it reaches all of <H, t> because the steps
     generate it and inverses are positive powers in a finite group.
     """
-    if flags[t]:
-        return
     square = t
     for _ in range((group.order - 1).bit_length()):
         if flags[square]:

@@ -190,3 +190,6 @@ def test_measure_form_all_two_cosets(z6, z8, z2z4):
 def test_bs_norm_rejects_cayley(s3):
     with pytest.raises(ValueError):
         bs_norm(s3, 0b1)
+    # the empty set too: mu_values refuses a Cayley group before any mask
+    with pytest.raises(ValueError, match="abelian"):
+        bs_norm(s3, 0)

@@ -277,6 +277,15 @@ def test_verify_single_group(capsys):
     assert payload["passed"] is True
 
 
+def test_verify_with_an_empty_group_list_runs_no_sweep(capsys):
+    code, out, err = run_cli(capsys, "verify", "--groups", "", "--format", "json")
+    assert code == 0
+    names = [item["name"] for item in json.loads(out)["items"]]
+    assert "pattern_schur_norm" in names
+    assert not any(name.startswith("sweep_") for name in names)
+    assert "sweep_" not in err
+
+
 def test_verify_boundary_at_zero_tolerance(capsys):
     code, _, err = run_cli(capsys, "verify", "--groups", "Z4", "--tol", "0")
     assert code == 1

@@ -140,6 +140,11 @@ def test_group_takes_factors_or_a_table_by_keyword():
         Group(factors=(2,), table=[[0, 1], [1, 0]])
     assert Group(factors=(2, 3)).is_abelian
     assert Group(table=[[0, 1], [1, 0]]).table.tolist() == [[0, 1], [1, 0]]
+    # a group from factors has identity 0; another index is refused, not dropped
+    for identity in (3, 2.5):
+        with pytest.raises(ValueError, match="identity 0"):
+            Group(factors=(4,), identity=identity)
+    assert Group(factors=(4,), identity=0).identity == 0
 
 
 def test_broken_associativity_names_triple():

@@ -208,6 +208,79 @@ def test_witness_integrals_item_reads_the_stored_bound(monkeypatch, bound):
     assert "bounds below the norm" not in failed[0].detail
 
 
+def _patch_class(monkeypatch, elements, change):
+    """Hand verify the record change(record) for the class of `elements`,
+    in place of the one the sweep's classify built."""
+    classify_record = sweep_module.classify
+
+    def patched(group, mask, tol):
+        record = classify_record(group, mask, tol)
+        return change(record) if subset_elements(mask) == elements else record
+
+    monkeypatch.setattr(sweep_module, "classify", patched)
+
+
+def _failed(summary):
+    return [item for item in summary.items if not item.passed]
+
+
+def test_pattern_soundness_fails_on_a_coset_class_with_a_hit(monkeypatch):
+    # subgroups are read from the coset classes, so a hit in a class the
+    # record calls a coset fails the item; D4's {0, 1, 2} has a hit
+    _patch_class(monkeypatch, [0, 1, 2], lambda r: dataclasses.replace(
+        r, analysis=dataclasses.replace(r.analysis, kind="coset")))
+    failed = _failed(run_verification(["D4"]))
+    assert [item.name for item in failed] == ["pattern_soundness_D4"]
+    assert failed[0].detail == "S=[0, 1, 2]: a coset class has a pattern hit"
+
+
+def test_pattern_soundness_reads_the_recorded_norm(monkeypatch):
+    # D4's {0, 1, 4} has a hit and cb norm 1.457; a recorded 1.25 is below 9/7
+    _patch_class(monkeypatch, [0, 1, 4],
+                 lambda r: dataclasses.replace(r, norm_lower=1.25))
+    failed = _failed(run_verification(["D4"]))
+    assert [item.name for item in failed] == ["pattern_soundness_D4"]
+    assert failed[0].detail == "S=[0, 1, 4]: lower 1.25 < 9/7 - tol"
+
+
+def test_measure_form_item_names_each_failing_class(monkeypatch):
+    measure_form = sweep_module.verify_measure_form
+
+    def off(group, mask):
+        return dataclasses.replace(measure_form(group, mask), holds=False, max_error=0.5)
+
+    monkeypatch.setattr(sweep_module, "verify_measure_form", off)
+    failed = _failed(run_verification(["Z6"]))
+    assert [item.name for item in failed] == ["measure_form_Z6"]
+    two_cosets = [r for r in sweep(parse_group("Z6")).records
+                  if r.analysis.kind == "two_cosets"]
+    assert failed[0].detail == "; ".join(f"S={subset_elements(r.subset)}: err=5.00e-01"
+                                         for r in two_cosets)
+
+
+def test_amenable_cross_check_covers_every_abelian_class(monkeypatch):
+    # Z7's Singer set {0, 1, 3} has no pattern hit, so only the cross check
+    # sees a character sum moved off its cb bracket
+    _patch_class(monkeypatch, [0, 1, 3],
+                 lambda r: dataclasses.replace(r, norm_lower=r.norm_lower + 0.5))
+    failed = _failed(run_verification(["Z7"]))
+    assert [item.name for item in failed] == ["amenable_cross_check_Z7"]
+    assert failed[0].detail.startswith("S=[0, 1, 3]: ")
+    assert "outside [" in failed[0].detail and ";" not in failed[0].detail
+
+
+@pytest.mark.parametrize("spec, classes", [("D4", 28), ("Z7", 20)])
+def test_verify_runs_cb_norm_once_per_class(monkeypatch, spec, classes):
+    # classify's call on a Cayley group, the cross check's on an abelian one
+    masks = []
+    cb_norm = sweep_module.cb_norm
+    monkeypatch.setattr(sweep_module, "cb_norm",
+                        lambda group, mask: masks.append(mask) or cb_norm(group, mask))
+    assert run_verification([spec]).passed
+    assert len(masks) == classes
+    assert sorted(masks) == [r.subset for r in sweep(parse_group(spec)).records]
+
+
 def test_run_verification_fails_pattern_item_on_a_broken_identity(monkeypatch):
     broken = schur._PATTERN_PROOF["a"] + 1
     monkeypatch.setitem(schur._PATTERN_PROOF, "a", broken)
