@@ -61,9 +61,9 @@ def parse_subset(group: Group, text: str) -> int:
     if not text.isascii() or "_" in text:
         raise ValueError(f"bad subset spec {text!r}: "
                          "fields must be ASCII integers without underscores")
-    if _BLANK_FIELD_RE.search(text):
-        raise ValueError(f"empty field in subset spec {text!r}")
     if "(" in text:
+        if _BLANK_FIELD_RE.search(text):
+            raise ValueError(f"empty field in subset spec {text!r}")
         if not group.is_abelian:
             raise ValueError("coordinate tuples only apply to abelian groups")
         if not _TUPLE_LIST_RE.fullmatch(text):
@@ -76,6 +76,9 @@ def parse_subset(group: Group, text: str) -> int:
     try:
         indices = [int(part) for part in text.split(",")]
     except ValueError as exc:
+        # a blank field is one of the parts int() refuses
+        if _BLANK_FIELD_RE.search(text):
+            raise ValueError(f"empty field in subset spec {text!r}") from None
         raise ValueError(f"bad subset spec {text!r}: {exc}") from exc
     return subset_mask(group, indices)
 
@@ -114,10 +117,11 @@ def _json_text(value, indent: str) -> str:
     """JSON of a report value, nested at the given indent, exactly as
     json.dumps(..., indent=2, sort_keys=True) writes it.  Reports hold only
     dicts with str keys, lists, str, int, float, bool and None, each of
-    exactly that type, so one lookup on the exact type picks the writer;
-    anything else (a tuple, a numpy scalar, a subclass, a key that is not a
-    str) raises TypeError.  NaN and the infinities are spelled as json
-    spells them."""
+    exactly that type, so one lookup on the exact type picks the writer.
+    The items of a list or dict are written in place by that lookup, and
+    only a list, a dict or a value that misses it recurses; anything else
+    (a tuple, a numpy scalar, a subclass, a key that is not a str) raises
+    TypeError.  NaN and the infinities are spelled as json spells them."""
     kind = type(value)
     write = _JSON_SCALARS.get(kind)
     if write is not None:
@@ -127,13 +131,16 @@ def _json_text(value, indent: str) -> str:
     if kind is list:
         if not value:
             return "[]"
-        body = separator.join([_json_text(x, inner) for x in value])
+        body = separator.join([write(x) if (write := _JSON_SCALARS.get(type(x)))
+                               else _json_text(x, inner) for x in value])
         return f"[\n{inner}{body}\n{indent}]"
     if kind is dict:
         if not value:
             return "{}"
-        body = separator.join([f"{encode_basestring_ascii(key)}: {_json_text(item, inner)}"
-                               for key, item in sorted(value.items())])
+        body = separator.join([
+            f"{encode_basestring_ascii(key)}: "
+            f"{write(item) if (write := _JSON_SCALARS.get(type(item))) else _json_text(item, inner)}"
+            for key, item in sorted(value.items())])
         return f"{{\n{inner}{body}\n{indent}}}"
     raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 

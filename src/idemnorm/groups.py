@@ -410,14 +410,26 @@ def validate_mask(group: Group, mask: int) -> int:
 
 
 def subset_mask(group: Group, indices: Sequence[int]) -> int:
-    """Bitmask for a collection of element indices (integers, not floats)."""
-    mask = 0
+    """Bitmask for a collection of element indices (integers, not floats).
+    Indices that make a flat integer array in range take one range check
+    and one scatter; any other collection is checked index by index, so
+    that the first bad index is the one refused."""
+    n = group.order
+    try:
+        elements = np.asarray(indices)
+    except ValueError:  # ragged nesting, refused index by index below
+        pass
+    else:
+        if (elements.dtype.kind in "iu" and elements.ndim == 1
+                and (not elements.size or (elements.min() >= 0 and elements.max() < n))):
+            return _index_mask(group, elements)
+    checked = []
     for i in indices:
         i = _as_index(i, "element index")
-        if not 0 <= i < group.order:
-            raise ValueError(f"element index {i} out of range for order {group.order}")
-        mask |= 1 << i
-    return mask
+        if not 0 <= i < n:
+            raise ValueError(f"element index {i} out of range for order {n}")
+        checked.append(i)
+    return _index_mask(group, np.array(checked, dtype=np.int64))
 
 
 # _BYTE_BITS[v]: the positions of the set bits of the byte v, ascending

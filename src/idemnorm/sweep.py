@@ -16,6 +16,7 @@ norm sits at 4/3 are collected as extremal examples.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import time
 from dataclasses import dataclass
@@ -70,8 +71,21 @@ def orbit(group: Group, mask: int) -> set[int]:
 
 def canonical_form(group: Group, mask: int) -> int:
     """Smallest bitmask in the translation orbit of S, as a Python int;
-    idempotent."""
-    return min(_translates(group, mask).tolist())
+    idempotent.  Read from the canonical forms of the 256 masks that share
+    S's bits above the lowest byte, built together and kept for the next
+    call: sweep asks for the masks in increasing order, so it builds each
+    block once."""
+    return _canonical_block(group, mask >> 8)[mask & 255]
+
+
+@functools.lru_cache(maxsize=1)
+def _canonical_block(group: Group, high: int) -> list[int]:
+    """Canonical forms of the masks (high << 8) | v for every byte v: a
+    translate is an OR over bytes, so each row of the lowest byte's
+    translation table (256 x T) is ORed with the one row that translates
+    the high bytes, and the row minima are the forms."""
+    table = group.translation_table
+    return (table[0] | _translates(group, high << 8)).min(axis=1).tolist()
 
 
 @dataclass(frozen=True)

@@ -103,6 +103,9 @@ def test_norm_bad_subset_exits_2(capsys):
     ("Z4xZ4", "(1_0,0),(\u0663,1)", "bad subset spec '(1_0,0),(\u0663,1)'"),
     ("Z4xZ4", "(1,0),(\u0663,1)", "bad subset spec '(1,0),(\u0663,1)'"),
     ("Z16", "\u0663", "bad subset spec '\u0663'"),
+    # a blank field is named even where another field is bad too
+    ("Z4", "a,,1", "empty field in subset spec 'a,,1'"),
+    ("Z4", "x, ", "empty field in subset spec 'x,'"),
 ])
 def test_bad_subset_spec_exits_2_with_one_line(capsys, group, spec, message):
     code, out, err = run_cli(capsys, "norm", "-g", group, "-s", spec)
@@ -523,6 +526,29 @@ def test_json_writer_matches_json_dumps(value):
 def test_json_writer_refuses_types_reports_do_not_hold(value):
     with pytest.raises(TypeError):
         _json_text(value, "")
+
+
+def test_json_writer_writes_every_scalar_inside_a_container():
+    # scalars inside a list and as dict values are written in place, with
+    # bool beside int and the empty containers, which recurse
+    scalars = ["s", "", 3, -(2 ** 70), 0.5, -0.0, math.nan, math.inf, -math.inf,
+               True, 1, False, 0, None]
+    payload = {"list": scalars + [[], {}, [[]], [{}], [[], {}]],
+               "dict": {f"k{i:02d}": x for i, x in enumerate(scalars)},
+               "empty": {"list": [], "dict": {}}}
+    assert _json_text(payload, "") == _dumps(payload)
+
+
+class _Count(int):
+    """An int subclass: json.dumps writes it, reports never hold one."""
+
+
+@pytest.mark.parametrize("item", [(1, 2), np.float64(1.5), np.int64(3), _Count(3)],
+                         ids=["tuple", "float64", "int64", "int-subclass"])
+def test_json_writer_refuses_a_stray_type_inside_a_container(item):
+    for value in ([1, item], {"a": 1, "b": item}, [[item]], {"a": {"b": item}}):
+        with pytest.raises(TypeError):
+            _json_text(value, "")
 
 
 @pytest.mark.parametrize("value", [np.int64(3), [np.bool_(True)], {(1, 2): 3},

@@ -216,6 +216,33 @@ def test_masks_and_indices_must_be_integers():
     assert validate_mask(z4, np.int64(3)) == 3
 
 
+def test_subset_mask_keeps_what_it_accepts_and_refuses():
+    z4 = make_abelian_group([4])
+    # bools index as 0 and 1; a set, a range, an empty list and an
+    # unsigned array are collections of indices like any other
+    assert subset_mask(z4, [True, 3]) == 0b1010
+    assert subset_mask(z4, [False, True]) == 0b11
+    assert subset_mask(z4, {0, 2}) == 0b101
+    assert subset_mask(z4, range(4)) == 0b1111
+    assert subset_mask(z4, []) == 0
+    assert subset_mask(z4, np.array([3, 3], dtype=np.uint8)) == 0b1000
+    # the first bad index, in order, is the one named
+    for indices, message in [
+        ([0, -1], "element index -1 out of range for order 4"),
+        ([4], "element index 4 out of range for order 4"),
+        (np.array([1, 9, -2]), "element index 9 out of range for order 4"),
+        ([9, 1.5], "element index 9 out of range for order 4"),
+        ([1.5, 9], "element index must be an integer, got 1.5"),
+        ([2 ** 70], f"element index {2 ** 70} out of range for order 4"),
+        ([-1, 2 ** 63], "element index -1 out of range for order 4"),
+        ([[1], [1, 2]], "element index must be an integer, got [1]"),
+        ([[1, 2]], "element index must be an integer, got [1, 2]"),
+        (["1"], "element index must be an integer, got '1'"),
+    ]:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            subset_mask(z4, indices)
+
+
 def test_cayley_axioms_hold_for_builtins():
     for name in ("S3", "D4", "Q8"):
         g = builtin_group(name)

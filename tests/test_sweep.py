@@ -308,15 +308,50 @@ def test_canonical_form_and_orbit_match_oracles_on_every_subset(spec):
         assert canonical_form(g, mask) == oracle_canonical_form(g, mask)
 
 
+def _oracle_forms(group):
+    """oracle_canonical_form of every subset: the orbits partition the
+    subsets, so one oracle orbit serves each member."""
+    forms = {}
+    for mask in range(1 << group.order):
+        if mask not in forms:
+            members = oracle_orbit(group, mask)
+            forms.update(dict.fromkeys(members, min(members)))
+    return forms
+
+
 def test_canonical_form_matches_oracle_on_every_subset_of_dic3():
     g = dicyclic_group(3)  # order 12: 144 two-sided translates
-    # the orbits partition the subsets, so one oracle orbit serves each member
-    expected = {}
+    expected = _oracle_forms(g)
     for mask in range(1 << g.order):
-        if mask not in expected:
-            members = oracle_orbit(g, mask)
-            expected.update(dict.fromkeys(members, min(members)))
         assert canonical_form(g, mask) == expected[mask]
+
+
+@pytest.mark.parametrize("spec", ("Z12", "Z3xZ4", "Z2xZ6"))
+def test_canonical_form_matches_oracle_in_any_query_order(spec):
+    # a sweep asks in increasing order, one 256-mask block after another;
+    # a descending order walks the blocks backwards, and a shuffled order
+    # changes block on almost every call
+    g = parse_group(spec)
+    expected = _oracle_forms(g)
+    masks = list(range(1 << g.order))
+    shuffled = masks[:]
+    random.Random(0).shuffle(shuffled)
+    for order in (masks[::-1], shuffled):
+        for mask in order:
+            form = canonical_form(g, mask)
+            assert type(form) is int
+            assert form == expected[mask]
+
+
+def test_canonical_form_keeps_each_group_its_own_forms():
+    # Z12 and Z2xZ6 have the same masks and different orbits: alternating
+    # the groups on each mask must not read one group's block for the other
+    cyclic, product = parse_group("Z12"), parse_group("Z2xZ6")
+    expected = {g: _oracle_forms(g) for g in (cyclic, product)}
+    assert any(expected[cyclic][m] != expected[product][m] for m in range(1 << 12))
+    for mask in range(1 << 12):
+        for g in (cyclic, product):
+            assert canonical_form(g, mask) == expected[g][mask]
 
 
 @pytest.mark.parametrize("spec", ("Z64", "Z2xZ2xZ2xZ2xZ2xZ2", "Z8xZ8"))
