@@ -13,24 +13,29 @@ broadcast index arrays, read from the Cayley table or summed in coordinates
 over the n x k array Group._coords (abelian groups store no n x n table).
 The scalar Group.mul wraps it, and every set operation is built on it; up
 to order 64 some read the translation byte table that it fills, which gives
-every translate of a subset as one uint64 bitmask (_translates).  The group
-transform of an abelian group is _spectrum_of, the fftn over the coordinate
-tensor computed one axis at a time, with a butterfly on each length-2 axis;
-it gives mu (bs.mu_values) and, above order 64, the abelian stabilizer,
-read off the integer autocorrelation |S & (S - t)| from two transforms.  On
-Cayley groups the stabilizer grows from generators it has checked, closed
-by _adjoin, which extends a subgroup by one more generator, seeded with that
-generator's repeated squares so that a cyclic subgroup closes in
-O(log order) levels.
+every translate of a subset as one uint64 bitmask (_translates), and the
+abelian stabilizer is the translates equal to S.  The group transform of
+an abelian group is _spectrum_of, the fftn over the coordinate tensor
+computed one axis at a time, with a butterfly on each length-2 axis; it
+gives mu (bs.mu_values, and _spectra for a stack of subsets) and, above
+order 64, the abelian stabilizer, read off the integer autocorrelation
+|S & (S - t)| from two transforms.  On Cayley groups the stabilizer grows
+from generators it has checked, closed by _adjoin, which extends a
+subgroup by one more generator, seeded with that generator's repeated
+squares so that a cyclic subgroup closes in O(log order) levels.
 analyze_cosets names cosets and unions of two left cosets a T, b T of the
 stabilizer T; the second kind needs T normal in <T, a^-1 b>, which is one
-conjugation.  The character pairing of an abelian group has one exact
-integer form, _pairing_numerators, under character_values; up to order 64
+conjugation.  The naming from T is _name_by_stabilizer, which
+sweep.classify shares with T read from its block of classes.  The
+character pairing of an abelian group has one exact integer form,
+_pairing_numerators, under character_values; up to order 64
 Group.character_table caches it for every element.
 Group.cyclic_layout lists the elements as g^d h_i over the right cosets of
 one cyclic subgroup <g>, the order in which multiplier matrices are block
 circulant (cb_norm).  Bitmasks cross into index arrays and back through the
-helper pair _bits/_mask (np.unpackbits and np.packbits).
+helper pair _bits/_mask (np.unpackbits and np.packbits); rows of flags
+become uint64 masks (order up to 64) through _row_masks, and _lowest_bits
+reads the least element of each.
 """
 
 from __future__ import annotations
@@ -474,6 +479,24 @@ def _lowest(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
+# the bit positions of a uint64 mask
+_BIT_INDEX = np.arange(TRANSLATION_TABLE_MAX_ORDER, dtype=np.uint64)
+
+
+def _row_masks(flags: np.ndarray) -> np.ndarray:
+    """The uint64 mask of each row of membership flags (at most 64
+    columns); _mask for a stack of rows."""
+    return flags.astype(np.uint64) @ (np.uint64(1) << _BIT_INDEX[:flags.shape[-1]])
+
+
+def _lowest_bits(masks: np.ndarray) -> np.ndarray:
+    """Least element of each uint64 mask (-1 for 0), exact on bits 0..63:
+    the lowest set bit m & -m is a power of two, which converts to a float
+    exactly, and np.frexp reads its exponent (2^k = 0.5 * 2^(k+1))."""
+    low = masks & (~masks + np.uint64(1))
+    return np.frexp(low.astype(np.float64))[1].astype(np.int64) - 1
+
+
 def _index_mask(group: Group, elements: np.ndarray) -> int:
     """Bitmask of an index array."""
     flags = np.zeros(group.order, dtype=bool)
@@ -565,6 +588,15 @@ def _spectrum(group: Group, mask: int) -> np.ndarray:
     return _spectrum_of(group, _bits(mask, group.order).astype(float))
 
 
+def _spectra(group: Group, masks: np.ndarray) -> np.ndarray:
+    """_spectrum of each of a stack of uint64 masks (order up to 64), one
+    row per mask: _spectrum_of on the flat stack of their indicators, whose
+    line views never cross from one mask's block of n to the next."""
+    n = group.order
+    flags = (masks[:, None] >> _BIT_INDEX[:n]) & np.uint64(1)
+    return _spectrum_of(group, flags.astype(float).reshape(-1)).reshape(len(masks), n)
+
+
 def _spectrum_of(group: Group, values: np.ndarray) -> np.ndarray:
     """np.fft.fftn of a value per element over the coordinate tensor,
     flattened, bit for bit: one 1-D transform per axis, last axis first as
@@ -605,9 +637,11 @@ def stabilizer(group: Group, mask: int) -> int:
 
     For the empty set this is the whole group.  For abelian groups the two
     one-sided conditions coincide, and the stabilizer is {t : t + S = S},
-    the t with |S & (S - t)| = |S|.  Up to order 64 it is read off the
-    translates, one uint64 comparison per t; above that, off the
-    autocorrelation (_autocorrelation, two transforms).
+    the t with |S & (S - t)| = |S|.  Up to order 64 it is the translates
+    equal to S, rows == masks[:, None] over a batch of one row of
+    translates (the form sweep.classify runs over a block of classes);
+    above that, it is read off the autocorrelation (_autocorrelation, two
+    transforms).
 
     On Cayley groups S and its complement have the same stabilizer, so S is
     replaced by the smaller of the two.  S t = S puts s0 t in S, so the
@@ -625,7 +659,8 @@ def stabilizer(group: Group, mask: int) -> int:
     mask = validate_mask(group, mask)
     if group.is_abelian:
         if group.order <= TRANSLATION_TABLE_MAX_ORDER:
-            return _mask(_translates(group, mask) == np.uint64(mask))
+            rows, masks = _translates(group, mask)[None], np.array([mask], dtype=np.uint64)
+            return int(_row_masks(rows == masks[:, None])[0])
         return _mask(_autocorrelation(group, mask) == mask.bit_count())
     if 2 * mask.bit_count() > group.order:
         mask ^= (1 << group.order) - 1
@@ -706,10 +741,24 @@ def analyze_cosets(group: Group, mask: int) -> CosetAnalysis:
     the whole coset test.  On other groups the left coset a H has the
     two-sided stabilizer H & a H a^-1, which is smaller when a does not
     normalize H, so the a^-1 S subgroup test runs first and finds cosets of
-    arbitrary subgroups.
+    arbitrary subgroups.  The rest is _name_by_stabilizer.
+    """
+    mask = validate_mask(group, mask)
+    if mask and not group.is_abelian:
+        a = _lowest(mask)
+        h = translate_left(group, group.inv(a), mask)
+        if is_subgroup(group, h):
+            return CosetAnalysis(kind="coset", subgroup=h, rep_a=a)
+    return _name_by_stabilizer(group, mask, stabilizer(group, mask))
 
-    When |S| = 2|T|, S is the two left cosets a T and b T (b the least
-    element outside a T).  The two-coset kind requires T normal in the span
+
+def _name_by_stabilizer(group: Group, mask: int, stab: int) -> CosetAnalysis:
+    """The coset analysis of S read from its stabilizer T (analyze_cosets,
+    and sweep.classify with T from its block of classes).
+
+    |T| = |S| makes S the coset a T, a the least element of S.  When
+    |S| = 2|T|, S is the two left cosets a T and b T (b the least element
+    outside a T).  The two-coset kind requires T normal in the span
     <T, c> with c = a^-1 b, which makes the relative order q (least q >= 1
     with c^q in T) independent of the representatives.  Elements of T
     normalize T, and c^-1 is a positive power of c in a finite group, so T
@@ -717,15 +766,9 @@ def analyze_cosets(group: Group, mask: int) -> CosetAnalysis:
     q >= 3: q = 1 would put b in a T, and q = 2 would make K = T u c T a
     subgroup with S = a K, which the coset test catches first.
     """
-    mask = validate_mask(group, mask)
     if mask == 0:
         return CosetAnalysis(kind="empty")
     a = _lowest(mask)
-    if not group.is_abelian:
-        h = translate_left(group, group.inv(a), mask)
-        if is_subgroup(group, h):
-            return CosetAnalysis(kind="coset", subgroup=h, rep_a=a)
-    stab = stabilizer(group, mask)
     if mask.bit_count() == stab.bit_count():
         return CosetAnalysis(kind="coset", subgroup=stab, rep_a=a)
     if mask.bit_count() == 2 * stab.bit_count():

@@ -1,6 +1,9 @@
 """Multiplier matrices of subset indicators and their exact Schur norms,
 plus the combinatorial detectors that explain large norms: the forbidden
-3x3 pattern, the progression property, and the closure claim.
+3x3 pattern, the progression property, and the closure claim.  The pattern
+search is an array kernel over a stack of subsets (_pattern_searches), which
+sweep.classify runs over a block of classes; forbidden_pattern_search is a
+batch of one.
 
 The multiplier matrix of S is M(s, t) = chi_S(s^-1 t); its Schur norm equals
 the completely bounded multiplier norm of chi_S.  cb_norm computes it in
@@ -20,8 +23,8 @@ from typing import Optional
 
 import numpy as np
 
-from .groups import (TRANSLATION_TABLE_MAX_ORDER, Group, _bits, _lowest, _members,
-                     _products_in, _translates, validate_mask)
+from .groups import (TRANSLATION_TABLE_MAX_ORDER, Group, _bits, _lowest_bits, _members,
+                     _products_in, _row_masks, _translates, validate_mask)
 # gamma2 is not called here; it stays importable as multiplier.gamma2, which
 # perfbench's tracer test asserts is schur.gamma2
 from .schur import (Gamma2Bounds, WitnessPair, _completion_slack, _hermitian,  # noqa: F401
@@ -105,43 +108,54 @@ def cb_norm(group: Group, mask: int) -> Gamma2Bounds:
     return Gamma2Bounds(lower=lower, upper=upper, certificate=certificate, witness=witness)
 
 
+def _pattern_searches(rows: np.ndarray) -> list[Optional[tuple[tuple[int, int, int],
+                                                                tuple[int, int, int]]]]:
+    """First forbidden-pattern hit for each of a stack of subsets, from the
+    rows of their multiplier matrices as uint64 masks: rows (B, n), row s
+    of set i the translate s S_i.  None where a set has no hit.
+
+    M(g s, g t) = M(s, t), so any hit moves to one whose first row is
+    element 0, and the first hit has r1 = 0.  Rows (0, r2, r3) carry the
+    pattern exactly when the traces A = m0 & m2 and B = m0 & m3 give three
+    nonempty column classes A & B, A - B and B - A, that is, when A and B
+    properly overlap; the classes are disjoint, so the least member of each
+    gives the least column triple.  S is therefore pattern-free exactly
+    when its traces m0 & m form a laminar family (any two nested or
+    disjoint).  The overlaps of every (r2, r3) are one (B, n, n) array, and
+    the first hit is the first (r2, r3) in row-major order.  A trace never
+    properly overlaps itself or m0 & m0 = m0, so every hit has distinct
+    rows.
+    """
+    count, n = rows.shape
+    traces = rows[:, :1] & rows
+    first, second = traces[:, :, None], traces[:, None, :]
+    both = first & second
+    hits = (both != 0) & ((first ^ both) != 0) & ((second ^ both) != 0)
+    hits = hits.reshape(count, n * n)
+    r2, r3 = np.divmod(hits.argmax(axis=1), n)
+    pick = np.arange(count)
+    a, b = traces[pick, r2], traces[pick, r3]
+    columns = _lowest_bits(np.stack((a & b, a & ~b, b & ~a)))
+    return [((0, x2, x3), (c1, c2, c3)) if hit else None for hit, x2, x3, c1, c2, c3
+            in zip(hits.any(axis=1).tolist(), r2.tolist(), r3.tolist(), *columns.tolist())]
+
+
 def forbidden_pattern_search(group: Group, mask: int) -> Optional[tuple[tuple[int, int, int], tuple[int, int, int]]]:
     """First (in lexicographic order) row and column triples whose submatrix of
     the multiplier matrix equals the forbidden pattern exactly, or None
-    (groups of order up to 64).
-
-    M(g s, g t) = M(s, t), so any hit moves to one whose first row is
-    element 0, and the first hit has r1 = 0.  Each row of M is a bitmask
-    (the translate s S), and rows (0, r2, r3) carry the pattern exactly when
-    the traces A = m0 & m2 and B = m0 & m3 give three nonempty column
-    classes A & B, A - B and B - A, that is, when A and B properly overlap;
-    the classes are disjoint, so the least member of each gives the least
-    column triple.  S is therefore pattern-free exactly when its traces
-    m0 & m form a laminar family (any two nested or disjoint).  The search
-    keeps the distinct nonzero traces in order of first appearance; the
-    first that properly overlaps another is the trace of the least r2, and
-    the first trace it overlaps in that order is the trace of the least r3.  A trace never
-    properly overlaps itself or m0 & m0 = m0, so every hit has distinct rows.
-    """
+    (groups of order up to 64): _pattern_searches on a batch of one, whose
+    rows are the translates of S on abelian groups and the packed rows of
+    the multiplier matrix otherwise."""
     mask = validate_mask(group, mask)
     n = group.order
     if n > TRANSLATION_TABLE_MAX_ORDER:
         raise ValueError(f"pattern search supports orders up to "
                          f"{TRANSLATION_TABLE_MAX_ORDER}, got {n}")
     if group.is_abelian:
-        rows = _translates(group, mask).tolist()
+        rows = _translates(group, mask)[None]
     else:
-        bits = np.left_shift(np.uint64(1), np.arange(n, dtype=np.uint64))
-        rows = (_row_flags(group, mask).astype(np.uint64) @ bits).tolist()
-    first = rows[0]
-    traces = [first & row for row in rows]
-    distinct = [t for t in dict.fromkeys(traces) if t]
-    for a in distinct:
-        b = next((b for b in distinct if a & b and a & ~b and b & ~a), 0)
-        if b:
-            return ((0, traces.index(a), traces.index(b)),
-                    tuple(_lowest(c) for c in (a & b, a & ~b, b & ~a)))
-    return None
+        rows = _row_masks(_row_flags(group, mask))[None]
+    return _pattern_searches(rows)[0]
 
 
 @dataclass(frozen=True)

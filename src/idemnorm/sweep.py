@@ -24,11 +24,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .bs import THRESHOLDS, bs_norm, mu_values, predicted_norm, two_coset_norm, verify_measure_form
+from .bs import THRESHOLDS, bs_norm, predicted_norm, two_coset_norm, verify_measure_form
 from .groups import (
     CosetAnalysis,
     Group,
     _lowest,
+    _name_by_stabilizer,
+    _row_masks,
+    _spectra,
     _translates,
     analyze_cosets,
     make_abelian_group,
@@ -36,11 +39,12 @@ from .groups import (
     subset_elements,
     subset_mask,
     translate_left,
+    validate_mask,
 )
 from .multiplier import (
+    _pattern_searches,
     cb_norm,
     closure_claim_check,
-    forbidden_pattern_search,
     multiplier_matrix,
     progression_check,
 )
@@ -54,8 +58,8 @@ from .schur import (
 from .witness import (
     SUP_NORM_F,
     WitnessTriple,
-    _witness_integral,
-    find_witness,
+    _find_witnesses,
+    _witness_integrals,
     sup_norm_check,
 )
 
@@ -63,29 +67,83 @@ SWEEP_ORDER_CAP = 24
 DEFAULT_TOL_EXACT = 1e-9
 
 
-def orbit(group: Group, mask: int) -> set[int]:
-    """All translates of S: left translates for abelian groups, two-sided
-    translates otherwise (norms are invariant under both)."""
-    return set(_translates(group, mask).tolist())
-
-
 def canonical_form(group: Group, mask: int) -> int:
     """Smallest bitmask in the translation orbit of S, as a Python int;
     idempotent.  Read from the canonical forms of the 256 masks that share
     S's bits above the lowest byte, built together and kept for the next
     call: sweep asks for the masks in increasing order, so it builds each
-    block once."""
-    return _canonical_block(group, mask >> 8)[mask & 255]
+    block once.  A mask outside 0..2^n - 1 raises validate_mask's
+    ValueError at no cost per mask: _canonical_block refuses high bytes out
+    of range, and its list stops at the mask 2^n - 1."""
+    try:
+        return _canonical_block(group, mask >> 8)[0][mask & 255]
+    except (IndexError, ValueError):
+        validate_mask(group, mask)
+        raise
 
 
 @functools.lru_cache(maxsize=1)
-def _canonical_block(group: Group, high: int) -> list[int]:
-    """Canonical forms of the masks (high << 8) | v for every byte v: a
-    translate is an OR over bytes, so each row of the lowest byte's
-    translation table (256 x T) is ORed with the one row that translates
-    the high bytes, and the row minima are the forms."""
-    table = group.translation_table
-    return (table[0] | _translates(group, high << 8)).min(axis=1).tolist()
+def _canonical_block(group: Group, high: int) -> tuple[list[int], np.ndarray]:
+    """Canonical forms of the masks (high << 8) | v for every byte v below
+    2^n, and their translates (uint64 rows of T): a translate is an OR over
+    bytes, so each row of the lowest byte's translation table is ORed with
+    the one row that translates the high bytes, and the row minima are the
+    forms.  High bytes beyond the order raise validate_mask's ValueError."""
+    base = validate_mask(group, high << 8)
+    rows = (group.translation_table[0] | _translates(group, base))[:1 << group.order]
+    return rows.min(axis=1).tolist(), rows
+
+
+@functools.lru_cache(maxsize=1)
+def _class_block(group: Group, high: int) -> dict[int, tuple]:
+    """classify's layers for every canonical mask (high << 8) | v of a
+    block, keyed by v: _class_layers over the masks that are their own
+    form, with the forms and translate rows of _canonical_block.  A sweep
+    classifies in increasing order, so it builds each block once."""
+    forms, rows = _canonical_block(group, high)
+    base = high << 8
+    low = [v for v, form in enumerate(forms) if form == base | v]
+    masks = np.array(low, dtype=np.uint64) | np.uint64(base)
+    return dict(zip(low, _class_layers(group, masks, rows[low])))
+
+
+def _class_layers(group: Group, masks: np.ndarray, rows: np.ndarray) -> list[tuple]:
+    """(orbit size, stabilizer, norm, witness, witness bound, pattern) for
+    each of a stack of subsets, from their uint64 masks (B,) and translate
+    rows (B, T), each layer one array kernel over the stack:
+
+      * the translates equal to S, rows == masks[:, None]: the orbit size
+        is T over their number (orbit-stabilizer), and on abelian groups
+        they are the stabilizer;
+      * on abelian groups, mu from groups._spectra, and the norm
+        sum |mu|; the witness search (_find_witnesses) and, for the sets
+        that have a witness, the integral checked two ways
+        (_witness_integrals), whose bound is |integral| / (9/2);
+      * the pattern search (_pattern_searches) over the rows of the
+        multiplier matrix: the translates on abelian groups, the left
+        translates t S e among the two-sided ones otherwise.
+
+    The Cayley layers that are None (stabilizer, norm, witness) are
+    classify's per-class work."""
+    count = len(masks)
+    fixed = rows == masks[:, None]
+    orbit_sizes = (rows.shape[1] // fixed.sum(axis=1)).tolist()
+    if not group.is_abelian:
+        patterns = _pattern_searches(rows[:, group.identity::group.order])
+        return [(size, None, None, None, None, pattern)
+                for size, pattern in zip(orbit_sizes, patterns)]
+    mu = _spectra(group, masks) / group.order
+    norms = np.abs(mu).sum(axis=1).tolist()
+    triples = _find_witnesses(group, masks, rows)
+    has = triples[:, 0] >= 0
+    witnesses: list[Optional[WitnessTriple]] = [None] * count
+    bounds: list[Optional[float]] = [None] * count
+    integrals = _witness_integrals(group, masks[has], rows[has], triples[has], mu[has])
+    for i, (u, v, w), bound in zip(np.flatnonzero(has).tolist(), triples[has].tolist(),
+                                   (np.abs(integrals) / SUP_NORM_F).tolist()):
+        witnesses[i], bounds[i] = WitnessTriple(u=u, v=v, w=w), bound
+    return list(zip(orbit_sizes, _row_masks(fixed).tolist(), norms, witnesses, bounds,
+                    _pattern_searches(rows)))
 
 
 @dataclass(frozen=True)
@@ -128,27 +186,33 @@ def classify(group: Group, mask: int, tol: float = DEFAULT_TOL_EXACT) -> Classif
 
     The norm is the character sum on abelian groups and the cb norm
     otherwise; on abelian groups the two coincide (Bozejko-Fendler 1984),
-    which the amenable_cross_check verify items confirm."""
+    which the amenable_cross_check verify items confirm.  The layers come
+    from _class_block, which runs them as array kernels over every
+    canonical mask of S's 256-mask block at once; a mask that is not
+    canonical goes through the same kernels as a batch of one.  Only the
+    naming from the stabilizer (_name_by_stabilizer), and on Cayley
+    groups analyze_cosets and cb_norm, run per class."""
     tol = validate_tol(tol)
-    analysis = analyze_cosets(group, mask)
-    witness = bound = None
-    if group.is_abelian:
-        # one transform serves the norm (bs_norm) and the witness integral
-        mu = mu_values(group, mask)
-        lower = upper = float(np.abs(mu).sum())
-        exact = True
-        witness = find_witness(group, mask)
-        if witness is not None:
-            bound = abs(_witness_integral(group, mask, witness, mu)) / SUP_NORM_F
+    mask = validate_mask(group, mask)
+    forms, rows = _canonical_block(group, mask >> 8)
+    if forms[mask & 255] == mask:
+        layers = _class_block(group, mask >> 8)[mask & 255]
     else:
+        layers = _class_layers(group, np.array([mask], dtype=np.uint64), rows[[mask & 255]])[0]
+    orbit_size, stab, norm, witness, bound, pattern = layers
+    if group.is_abelian:
+        analysis = _name_by_stabilizer(group, mask, stab)
+        lower = upper = norm
+        exact = True
+    else:
+        analysis = analyze_cosets(group, mask)
         bounds = cb_norm(group, mask)
         lower, upper, exact = bounds.lower, bounds.upper, False
     predicted = predicted_norm(analysis)
-    pattern = forbidden_pattern_search(group, mask)
     c1, c2 = THRESHOLDS.coset_bound, THRESHOLDS.two_coset_bound
     return ClassificationRecord(
         subset=mask,
-        orbit_size=len(orbit(group, mask)),
+        orbit_size=orbit_size,
         analysis=analysis,
         norm_lower=lower,
         norm_upper=upper,

@@ -9,10 +9,13 @@ gives an integral of modulus 6 or 13/2 while sup|f| = 9/2 identically, so any
 witness forces bs_norm(S) >= 6/(9/2) = 4/3.
 
 Everything here but sup_norm_check takes abelian groups of order up to 64.
-The search and the memberships read the translates of S from the group's
-translation table; the numeric integral reads the characters from its
-character table, so the two sides of witness_integral share no table and
-no group product.
+The search and the integral are array kernels over a stack of subsets, one
+row of uint64 translates t + S per subset (_find_witnesses and
+_witness_integrals): sweep.classify runs them over a block of classes, and
+find_witness and witness_integral are batches of one.  The search and the
+memberships read the translates of S from the group's translation table;
+the numeric integral reads the characters from its character table, so the
+two sides of the integral share no table and no group product.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .bs import mu_values
-from .groups import Group, _lowest, _translates, validate_mask
+from .groups import Group, _lowest_bits, _translates, validate_mask
 
 SUP_NORM_F = 4.5
 
@@ -38,93 +41,110 @@ class WitnessTriple:
         return {"u": self.u, "v": self.v, "w": self.w}
 
 
-def _memberships(group: Group, mask: int, u: int, v: int, w: int) -> list[int]:
-    """chi_S at u, u+w, u-w, v, v+w, v-w (0 or 1), read as the bits u and v
-    of S, S - w and S + w (translates of S, order up to 64); raises
-    ValueError unless (u, v, w) is a witness for S."""
-    group._require_abelian()
-    mask = validate_mask(group, mask)
-    if not all(0 <= x < group.order for x in (u, v, w)):
-        raise ValueError(f"(u={u}, v={v}, w={w}) has an element outside 0..{group.order - 1}")
-    back, ahead = _translates(group, mask)[[group.inv(w), w]].tolist()  # S - w, S + w
-    chi = [mask >> u & 1, back >> u & 1, ahead >> u & 1,
-           mask >> v & 1, back >> v & 1, ahead >> v & 1]
-    # u, v, u+w in S; v+w, v-w outside
-    if not (chi[0] and chi[1] and chi[3] and not chi[4] and not chi[5]):
-        raise ValueError(f"(u={u}, v={v}, w={w}) is not a valid witness for this subset")
-    return chi
+def _bit(masks: np.ndarray, elements: np.ndarray) -> np.ndarray:
+    """Bit elements[i] of masks[i] (uint64), as 0 or 1."""
+    return (masks >> elements.astype(np.uint64)) & np.uint64(1)
 
 
-def find_witness(group: Group, mask: int) -> Optional[WitnessTriple]:
-    """First witness in lexicographic (u, v, w) order, or None (abelian
-    groups of order up to 64).
+def _find_witnesses(group: Group, masks: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """First witness in lexicographic (u, v, w) order for each of a stack of
+    subsets: masks (B,) uint64 and their translates rows (B, n), with
+    rows[i, t] = t + S_i.  Returns (B, 3) int64 rows (u, v, w), -1 where
+    S_i has no witness.
 
-    Read off the translates T[t] = t + S, taken once as Python ints: for
-    each w the admissible u form A_w = S & T[-w] (u + w in S) and the
-    admissible v form B_w = S minus (T[-w] | T[w]) (v + w and v - w outside
-    S).  The least u is the least element of the union of the A_w over the
-    w with both sets nonempty, v is the least element of the B_w among
-    those w with u in A_w, and w the first of them with v in B_w.
+    For each w the admissible u form A_w = S & (S - w) (u + w in S) and the
+    admissible v form B_w = S minus ((S - w) | (S + w)) (v + w and v - w
+    outside S), as (B, n) uint64 arrays.  The least u is the least element
+    of the union of the A_w over the w with both sets nonempty, v is the
+    least element of the B_w among those w with u in A_w, and w the first
+    of them with v in B_w.
 
     Cosets never admit a witness, and neither does any union of two cosets
     observed in the bundled sweeps; sets outside those classes frequently do.
     """
+    zero = np.uint64(0)
+    s = masks[:, None]
+    back = rows[:, group._inverse]  # [i, w] = S_i - w
+    a = s & back
+    b = s & ~(back | rows)
+    usable = (a != 0) & (b != 0)
+    out = np.full((len(masks), 3), -1, dtype=np.int64)
+    found = usable.any(axis=1)
+    if found.any():
+        a, b, usable = a[found], b[found], usable[found]
+        u = _lowest_bits(np.bitwise_or.reduce(np.where(usable, a, zero), axis=1))
+        usable &= _bit(a, u[:, None]) != 0
+        v = _lowest_bits(np.bitwise_or.reduce(np.where(usable, b, zero), axis=1))
+        w = np.argmax(usable & (_bit(b, v[:, None]) != 0), axis=1)
+        out[found] = np.stack((u, v, w), axis=1)
+    return out
+
+
+def find_witness(group: Group, mask: int) -> Optional[WitnessTriple]:
+    """First witness in lexicographic (u, v, w) order, or None (abelian
+    groups of order up to 64): _find_witnesses on a batch of one."""
     group._require_abelian()
     mask = validate_mask(group, mask)
-    translates = _translates(group, mask).tolist()
-    candidates = []  # (A_w, B_w, w) with both sets nonempty, w ascending
-    us = 0
-    for w, w_inv in enumerate(group._inverse.tolist()):
-        back = translates[w_inv]  # S - w
-        a = mask & back
-        if a:
-            b = mask & ~(back | translates[w])
-            if b:
-                candidates.append((a, b, w))
-                us |= a
-    if not us:
-        return None
-    u = _lowest(us)
-    candidates = [(b, w) for a, b, w in candidates if a >> u & 1]
-    vs = 0
-    for b, _ in candidates:
-        vs |= b
-    v = _lowest(vs)
-    w = next(w for b, w in candidates if b >> v & 1)
-    return WitnessTriple(u=u, v=v, w=w)
+    rows = _translates(group, mask)[None]
+    u, v, w = _find_witnesses(group, np.array([mask], dtype=np.uint64), rows)[0].tolist()
+    return None if u < 0 else WitnessTriple(u=u, v=v, w=w)
 
 
-def witness_integral(group: Group, mask: int, triple: WitnessTriple) -> complex:
-    """Integral of the test function against mu, computed two independent ways
-    (abelian groups of order up to 64).
+def _witness_integrals(group: Group, masks: np.ndarray, rows: np.ndarray,
+                       triples: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """The integral of each set's test function against its mu, for a stack
+    of subsets (masks, rows as in _find_witnesses), their triples (W, 3)
+    and mu rows (W, n); returns the membership formula of each, 6 or 13/2.
 
     (a) Membership formula: 2 chi(u) + 2 chi(u+w) + (1/2) chi(u-w) + 2 chi(v)
-        - chi(v+w) - chi(v-w); for a valid witness this is 6 or 13/2 depending
-        on whether u-w lies in S.  The memberships are bits of the translates
-        of S (Group.translation_table).
-    (b) Numerically: sum_x f(x) mu(x) over the whole group, with f built from
-        the characters (x,u), (x,v), (x,w) of Group.character_table and never
-        from group products, so that a wrong group law shows as a mismatch.
-    The two paths must agree to 1e-10; disagreement raises ArithmeticError.
+        - chi(v+w) - chi(v-w), read as the bits u and v of S, S - w and
+        S + w (rows of the translation table); raises ValueError unless each
+        triple is a witness for its set.
+    (b) Numerically: sum_x f(x) mu(x), one einsum over the rows, with f
+        built from the characters (x,u), (x,v), (x,w) of
+        Group.character_table and never from group products, so that a
+        wrong group law shows as a mismatch.
+    The two must agree to 1e-10 on every row, or ArithmeticError is raised.
     """
-    return _witness_integral(group, mask, triple, mu_values(group, mask))
-
-
-def _witness_integral(group: Group, mask: int, triple: WitnessTriple, mu: np.ndarray) -> complex:
-    """witness_integral with mu = mu_values(group, mask) already computed."""
-    u, v, w = triple.u, triple.v, triple.w
-    # the weights are halves, so the membership sum is exact
-    in_u, in_uw, in_u_w, in_v, in_vw, in_v_w = _memberships(group, mask, u, v, w)
-    formula = 2 * in_u + 2 * in_uw + 0.5 * in_u_w + 2 * in_v - in_vw - in_v_w
+    u, v, w = triples.T
+    pick = np.arange(len(triples))
+    sets = np.stack((masks, rows[pick, group._inverse[w]], rows[pick, w]))  # S, S - w, S + w
+    # chi at u, u+w, u-w and at v, v+w, v-w
+    at_u, at_v = _bit(sets, u) != 0, _bit(sets, v) != 0
+    # u, v, u+w in S; v+w, v-w outside
+    valid = at_u[0] & at_u[1] & at_v[0] & ~at_v[1] & ~at_v[2]
+    if not valid.all():
+        i = int(np.argmin(valid))
+        raise ValueError(f"(u={u[i]}, v={v[i]}, w={w[i]}) is not a valid witness for this subset")
+    # the weights are halves, so the membership sums are exact
+    at_u, at_v = at_u.astype(float), at_v.astype(float)
+    formula = 2 * at_u[0] + 2 * at_u[1] + 0.5 * at_u[2] + 2 * at_v[0] - at_v[1] - at_v[2]
 
     table = group.character_table
     cu, cv, cw = table[u], table[v], table[w]
     f = cu * (2 + 2 * cw + 0.5 * np.conj(cw)) + cv * (2 - cw - np.conj(cw))
-    total = complex(f @ mu)
-    if abs(total - formula) > 1e-10:
-        raise ArithmeticError(
-            f"test-function integral mismatch: formula {formula} vs numeric {total}")
-    return complex(formula)
+    total = np.einsum("ij,ij->i", f, mu)
+    wrong = np.abs(total - formula) > 1e-10
+    if wrong.any():
+        i = int(np.argmax(wrong))
+        raise ArithmeticError(f"test-function integral mismatch: formula {formula[i]} "
+                              f"vs numeric {complex(total[i])}")
+    return formula
+
+
+def witness_integral(group: Group, mask: int, triple: WitnessTriple) -> complex:
+    """Integral of the test function against mu, computed two independent ways
+    and checked against each other (abelian groups of order up to 64):
+    _witness_integrals on a batch of one."""
+    group._require_abelian()
+    mask = validate_mask(group, mask)
+    u, v, w = triple.u, triple.v, triple.w
+    if not all(0 <= x < group.order for x in (u, v, w)):
+        raise ValueError(f"(u={u}, v={v}, w={w}) has an element outside 0..{group.order - 1}")
+    rows = _translates(group, mask)[None]
+    value = _witness_integrals(group, np.array([mask], dtype=np.uint64), rows,
+                               np.array([[u, v, w]]), mu_values(group, mask)[None])
+    return complex(value[0])
 
 
 def witness_norm_bound(group: Group, mask: int, triple: WitnessTriple) -> float:

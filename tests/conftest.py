@@ -4,10 +4,10 @@ The oracles share no arithmetic with the library they judge.  oracle_mul is
 the group law by digit sums in pure Python (abelian groups) or by one lookup
 in the Cayley table, never Group.mul or mul_array; oracle_character_value is
 the pairing from those digits.  On them: norms by direct double loops over
-character values, the pattern search over all ordered row/column triples,
-and translates, stabilizers, subgroup tests, canonical forms, the witness
-search, the progression and closure checks and annihilators by loops over
-bits.  oracle_analyze_cosets keeps the coset analysis's first two-coset
+character values, the pattern search over all ordered row triples (each
+with its first matching column triple), and translates, stabilizers,
+subgroup tests, canonical forms, the witness search, the progression and
+closure checks and annihilators by loops over bits.  oracle_analyze_cosets keeps the coset analysis's first two-coset
 rule, normality of the stabilizer in the whole span <T, a^-1 b>, and
 oracle_cb_norm the first cb norm, one dense SVD of the whole multiplier
 matrix.
@@ -183,13 +183,22 @@ def oracle_cb_norm(group, mask):
 
 def oracle_pattern_search(group, mask):
     """First forbidden-pattern submatrix in (rows, cols) lexicographic order,
-    by plain enumeration of all ordered triples."""
-    n = group.order
-    for rows in itertools.permutations(range(n), 3):
-        for cols in itertools.permutations(range(n), 3):
-            if all(((mask >> oracle_mul(group, group.inv(r), c)) & 1) == FORBIDDEN[i][j]
-                   for i, r in enumerate(rows) for j, c in enumerate(cols)):
-                return rows, cols
+    by enumeration of all ordered row triples in order, on the oracle
+    multiplier matrix.  For one row triple, the columns whose three entries
+    equal column j of the pattern form a set C_j; the pattern's columns
+    differ, so the C_j are disjoint, and the first column triple is
+    (min C_1, min C_2, min C_3) when all three are nonempty.  Row triples
+    are taken a few thousand at a time, as numpy arrays."""
+    matrix = oracle_multiplier_matrix(group, mask).astype(bool)
+    columns = np.array(FORBIDDEN, dtype=bool).T  # [j, k]: entry k of column j
+    triples = itertools.permutations(range(group.order), 3)
+    while chunk := list(itertools.islice(triples, 4096)):
+        rows = matrix[np.array(chunk)]  # [p, k, c]: row k of triple p at column c
+        match = (rows[:, None, :, :] == columns[None, :, :, None]).all(axis=2)  # [p, j, c]
+        hit = match.any(axis=2).all(axis=1)
+        if hit.any():
+            p = int(np.argmax(hit))
+            return chunk[p], tuple(int(np.argmax(match[p, j])) for j in range(3))
     return None
 
 

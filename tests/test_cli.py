@@ -146,16 +146,17 @@ def test_sweep_reports_a_predicted_norm_mismatch(capsys, monkeypatch):
 
 
 def test_sweep_reports_a_two_coset_class_labelled_other(capsys, monkeypatch):
+    # abelian classes are named from the stabilizer of their block
     sweep_module = importlib.import_module("idemnorm.sweep")
-    analyze = sweep_module.analyze_cosets
+    name = sweep_module._name_by_stabilizer
 
-    def relabel(group, mask):
-        analysis = analyze(group, mask)
+    def relabel(group, mask, stab):
+        analysis = name(group, mask, stab)
         if analysis.kind == "two_cosets":
             return CosetAnalysis(kind="other", subgroup=analysis.subgroup)
         return analysis
 
-    monkeypatch.setattr(sweep_module, "analyze_cosets", relabel)
+    monkeypatch.setattr(sweep_module, "_name_by_stabilizer", relabel)
     code, out, _ = run_cli(capsys, "sweep", "-g", "Z6", "--format", "json")
     assert code == 1
     payload = json.loads(out)

@@ -1,10 +1,14 @@
 """The witness and pattern searches against their earlier numpy forms.
 
-find_witness and forbidden_pattern_search scan Python ints; the references
-below are the numpy array passes they replaced, kept here as oracles.  The
-two must return the same triple (or None) on every subset of the small
-groups and on seeded random subsets up to the order-64 cap, where the
-brute-force oracles in conftest are too slow to run.
+find_witness and forbidden_pattern_search are batches of one over the array
+kernels that classify runs over a block of classes (witness._find_witnesses
+and multiplier._pattern_searches).  The references below are earlier
+numpy passes over one set at a time, kept here as oracles: the witness
+kernel is the batched form of numpy_find_witness, and numpy_pattern_search
+keeps the per-set column classes of every (r2, r3).  The two must return
+the same triple (or None) on every subset of the small groups and on
+seeded random subsets up to the order-64 cap, where the brute-force
+witness oracle in conftest is too slow to run on many sets.
 """
 
 import random

@@ -17,7 +17,7 @@ from idemnorm import (
     translate_left,
 )
 from idemnorm import groups, multiplier, schur
-from idemnorm.sweep import _proof_chain_item, orbit
+from idemnorm.sweep import _proof_chain_item
 
 from conftest import (burnside_abelian, dicyclic_group, oracle_canonical_form,
                       oracle_class_count, oracle_orbit)
@@ -45,7 +45,7 @@ def test_canonical_form_idempotent(z6, s3):
 def test_orbit_sizes_partition_power_set(z5, z6, s3):
     for g in (z5, z6, s3):
         reps = [m for m in range(1 << g.order) if canonical_form(g, m) == m]
-        assert sum(len(orbit(g, m)) for m in reps) == 1 << g.order
+        assert sum(classify(g, m).orbit_size for m in reps) == 1 << g.order
 
 
 def test_classify_z4_pair(z4):
@@ -304,7 +304,7 @@ def test_bad_tolerance_raises(z4, tol):
 def test_canonical_form_and_orbit_match_oracles_on_every_subset(spec):
     g = parse_group(spec)
     for mask in range(1 << g.order):
-        assert orbit(g, mask) == oracle_orbit(g, mask)
+        assert classify(g, mask).orbit_size == len(oracle_orbit(g, mask))
         assert canonical_form(g, mask) == oracle_canonical_form(g, mask)
 
 
@@ -365,6 +365,19 @@ def test_canonical_form_matches_oracle_at_order_64(spec):
     assert type(canonical_form(g, (1 << 64) - 1)) is int
 
 
+@pytest.mark.parametrize("spec, mask", [("Z6", 1 << 6), ("Z6", -1), ("Z6", (1 << 9) | 1),
+                                        ("Z12", 1 << 12), ("Z12", -(1 << 20))])
+def test_canonical_form_refuses_a_mask_out_of_range(spec, mask):
+    # the check costs nothing per mask: a low byte beyond an order below 8
+    # falls off the block's list, and high bytes are checked per block
+    g = parse_group(spec)
+    assert canonical_form(g, 0b110) == 0b11
+    with pytest.raises(ValueError, match=f"out of range for order {g.order}"):
+        canonical_form(g, mask)
+    # the block in use is still the right one
+    assert canonical_form(g, 0b110) == 0b11
+
+
 def test_canonical_form_rejects_order_above_64():
     with pytest.raises(ValueError, match="order 64"):
         canonical_form(make_abelian_group([65]), 1)
@@ -374,7 +387,7 @@ def test_canonical_form_rejects_order_above_64():
 def test_class_count_matches_burnside(spec):
     g = parse_group(spec)
     reps = [m for m in range(1 << g.order) if canonical_form(g, m) == m]
-    assert sum(len(orbit(g, m)) for m in reps) == 1 << g.order
+    assert sum(classify(g, m).orbit_size for m in reps) == 1 << g.order
     assert len(reps) == oracle_class_count(g)
     if g.is_abelian:
         assert len(reps) == burnside_abelian(g)

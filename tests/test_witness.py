@@ -16,7 +16,8 @@ from idemnorm import (
     witness_integral,
     witness_norm_bound,
 )
-from idemnorm.witness import _witness_integral
+from idemnorm.groups import _translates
+from idemnorm.witness import _witness_integrals
 
 from conftest import oracle_find_witness
 
@@ -149,12 +150,14 @@ def test_witness_integral_rejects_a_perturbed_mu(z6):
     # the numeric side must agree with the membership formula: mu off by
     # 1e-6 at one point, where f = 9/2, moves the integral by 4.5e-6
     mask = subset_mask(z6, [0, 1, 3])
-    triple = WitnessTriple(0, 3, 1)
-    mu = mu_values(z6, mask)
-    assert _witness_integral(z6, mask, triple, mu) == 6.0
-    mu[0] += 1e-6
+    masks = np.array([mask], dtype=np.uint64)
+    rows = _translates(z6, mask)[None]
+    triples = np.array([[0, 3, 1]])
+    mu = mu_values(z6, mask)[None]
+    assert _witness_integrals(z6, masks, rows, triples, mu).tolist() == [6.0]
+    mu[0, 0] += 1e-6
     with pytest.raises(ArithmeticError, match="mismatch"):
-        _witness_integral(z6, mask, triple, mu)
+        _witness_integrals(z6, masks, rows, triples, mu)
 
 
 def test_witness_integral_catches_a_corrupt_translation_table():
