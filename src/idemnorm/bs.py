@@ -126,8 +126,14 @@ class MeasureFormResult:
 def verify_measure_form(group: Group, mask: int, tol: float = 1e-12) -> MeasureFormResult:
     """For S = (g1 + L) u (g2 + L), check pointwise that
     mu(x) = [conj((x, g1)) + conj((x, g2))] / |H| on H = annihilator(L), and 0 off H."""
+    return measure_form_of(group, mask, analyze_cosets(group, mask), tol)
+
+
+def measure_form_of(group: Group, mask: int, analysis: CosetAnalysis,
+                    tol: float = 1e-12) -> MeasureFormResult:
+    """verify_measure_form given S's analyze_cosets result, such as the one
+    a sweep record holds, in place of computing it again."""
     group._require_abelian()
-    analysis = analyze_cosets(group, mask)
     if analysis.kind != "two_cosets":
         raise ValueError(f"subset is {analysis.kind}, not a union of two cosets")
     lam = analysis.subgroup

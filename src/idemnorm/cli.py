@@ -8,6 +8,11 @@ before any work, and a failed run leaves an existing file unchanged),
 3 numerical failure.  All output on stdout is
 deterministic for fixed inputs and flags; timing and verify's PASS/FAIL
 item lines go to stderr, so stdout holds only the report.
+
+A report is rendered whole before any of it is written.  JSON reports are
+the bytes of json.dumps(..., indent=2, sort_keys=True); a sweep's is its
+summary with each class record written once into a fixed layout
+(_record_json), handed to _emit as a list of parts that is never joined.
 """
 
 from __future__ import annotations
@@ -35,7 +40,14 @@ from .schur import (
     validate_tol,
     witness_lower_bound,
 )
-from .sweep import DEFAULT_GROUP_SPECS, DEFAULT_TOL_EXACT, run_verification, sweep
+from .sweep import (
+    DEFAULT_GROUP_SPECS,
+    DEFAULT_TOL_EXACT,
+    ClassificationRecord,
+    SweepReport,
+    run_verification,
+    sweep,
+)
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -101,16 +113,20 @@ def _render(payload: dict, fmt: str) -> str:
     return _json_text(payload, "") if fmt == "json" else "\n".join(_text_lines(payload))
 
 
-def _emit(text: str, out: Optional[TextIO]) -> None:
+def _emit(parts: list[str], out: Optional[TextIO]) -> None:
     """Write a rendered report and a newline to the open --out file
-    (printing its path) or to stdout."""
+    (printing its path) or to stdout.  The report comes as a list of parts,
+    written in turn and never joined: a sweep's JSON is its summary's head,
+    each record with its separator, and the summary's tail.  Every part is
+    rendered before this is called, so a run that fails while rendering
+    leaves an existing --out file as it was."""
+    target = sys.stdout if out is None else out
+    if out is not None and out.tell():  # append mode: a nonzero end means an old report
+        out.truncate(0)
+    target.writelines(parts)
+    target.write("\n")
     if out is not None:
-        if out.tell():  # opened in append mode: a nonzero end means an old report
-            out.truncate(0)
-        out.write(text + "\n")
         print(out.name)
-    else:
-        print(text)
 
 
 def _json_text(value, indent: str) -> str:
@@ -155,13 +171,110 @@ def _json_float(value: float) -> str:
     return float.__repr__(value)
 
 
-_JSON_SCALARS = {
+class _ScalarWriters(dict):
+    """The JSON writer of each scalar type, keyed by the exact type; a type
+    that misses (a tuple, a numpy scalar, a subclass) raises TypeError."""
+
+    def __missing__(self, kind):
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
+_JSON_SCALARS = _ScalarWriters({
     str: encode_basestring_ascii,
     int: int.__repr__,
     float: _json_float,
     bool: ("false", "true").__getitem__,
     type(None): lambda value: "null",
-}
+})
+
+# A sweep record as _json_text(record.to_dict(), "    ") writes it: one item
+# of the report's "records" list, its keys in sorted order.
+_RECORD_LAYOUT = (
+    '{\n'
+    '      "analysis": {\n'
+    '        "kind": %s,\n'
+    '        "q": %s,\n'
+    '        "rep_a": %s,\n'
+    '        "rep_b": %s,\n'
+    '        "subgroup": %s\n'
+    '      },\n'
+    '      "below_coset_bound": %s,\n'
+    '      "extremal_other": %s,\n'
+    '      "in_open_interval": %s,\n'
+    '      "norm_exact": %s,\n'
+    '      "norm_lower": %s,\n'
+    '      "norm_upper": %s,\n'
+    '      "orbit_size": %s,\n'
+    '      "pattern": %s,\n'
+    '      "predicted": %s,\n'
+    '      "subset": %s,\n'
+    '      "witness": %s,\n'
+    '      "witness_bound": %s\n'
+    '    }'
+)
+_PATTERN_LAYOUT = ('[\n        [\n          %s,\n          %s,\n          %s\n        ],\n'
+                   '        [\n          %s,\n          %s,\n          %s\n        ]\n      ]')
+_WITNESS_LAYOUT = '{\n        "u": %s,\n        "v": %s,\n        "w": %s\n      }'
+
+
+def _json_elements(mask: int, indent: str) -> str:
+    """The elements of a bitmask as a JSON list nested at the given indent,
+    as _json_text writes subset_elements(mask), whose items are ints."""
+    elements = subset_elements(mask)
+    if not elements:
+        return "[]"
+    inner = indent + "  "
+    return f"[\n{inner}" + (",\n" + inner).join(map(str, elements)) + f"\n{indent}]"
+
+
+def _record_json(record: ClassificationRecord) -> str:
+    """A sweep record's JSON, byte for byte as
+    _json_text(record.to_dict(), "    ") writes it, straight from the
+    record's fields into _RECORD_LAYOUT: no dict, no sorting, and each
+    scalar written by its exact type's writer, so that a type _json_text
+    refuses raises TypeError here too."""
+    write = _JSON_SCALARS
+    analysis, pattern, witness = record.analysis, record.pattern, record.witness
+    return _RECORD_LAYOUT % (
+        write[type(analysis.kind)](analysis.kind),
+        write[type(analysis.q)](analysis.q),
+        write[type(analysis.rep_a)](analysis.rep_a),
+        write[type(analysis.rep_b)](analysis.rep_b),
+        "null" if analysis.subgroup is None else _json_elements(analysis.subgroup, "        "),
+        write[type(record.below_coset_bound)](record.below_coset_bound),
+        write[type(record.extremal_other)](record.extremal_other),
+        write[type(record.in_open_interval)](record.in_open_interval),
+        write[type(record.norm_exact)](record.norm_exact),
+        write[type(record.norm_lower)](record.norm_lower),
+        write[type(record.norm_upper)](record.norm_upper),
+        write[type(record.orbit_size)](record.orbit_size),
+        "null" if pattern is None else
+        _PATTERN_LAYOUT % tuple([write[type(x)](x) for x in (*pattern[0], *pattern[1])]),
+        write[type(record.predicted)](record.predicted),
+        _json_elements(record.subset, "      "),
+        "null" if witness is None else
+        _WITNESS_LAYOUT % (write[type(witness.u)](witness.u), write[type(witness.v)](witness.v),
+                           write[type(witness.w)](witness.w)),
+        write[type(record.witness_bound)](record.witness_bound),
+    )
+
+
+def _sweep_json(report: SweepReport) -> list[str]:
+    """A sweep's JSON report as _emit's parts, byte for byte as
+    json.dumps(report.to_dict(), indent=2, sort_keys=True) writes it.  The
+    summary is rendered with no records and split at its "records" line
+    (the only line that can start with that key at this indent: a JSON
+    string escapes its newlines), and each record is written once by
+    _record_json between the two halves.  A sweep always holds the empty
+    set's class, so the list is never empty."""
+    summary = _json_text({**report.summary(), "records": []}, "")
+    head, _, tail = summary.partition('\n  "records": []')
+    parts = [head, '\n  "records": [\n    ']
+    for record in report.records:
+        parts += (_record_json(record), ",\n    ")
+    parts[-1] = "\n  ]"
+    parts.append(tail)
+    return parts
 
 
 def _text_lines(payload: dict, prefix: str = "") -> list[str]:
@@ -194,19 +307,26 @@ def cmd_norm(args) -> int:
         bounds = cb_norm(group, mask)
         payload["cb_lower"] = bounds.lower
         payload["cb_upper"] = bounds.upper
-    _emit(_render(payload, args.format), args.out)
+    _emit([_render(payload, args.format)], args.out)
     return EXIT_OK
 
 
 def cmd_sweep(args) -> int:
+    """Sweep a group and write its report: CSV from to_csv; JSON through
+    _sweep_json, a record at a time with no dict of the records; text from
+    the summary and the record count."""
     group = parse_group(args.group)
     report = sweep(group, tol=DEFAULT_TOL_EXACT if args.tol is None else args.tol)
     print(f"sweep of {group.name} took {report.wall_time_s:.2f}s", file=sys.stderr)
     if args.format == "csv":
-        text = report.to_csv().rstrip("\n")
+        parts = [report.to_csv().rstrip("\n")]
+    elif args.format == "json":
+        parts = _sweep_json(report)
     else:
-        text = _render(report.to_dict(), args.format)
-    _emit(text, args.out)
+        # _text_lines writes a list of dicts as its length alone
+        records = [{}] * len(report.records)
+        parts = [_render({**report.summary(), "records": records}, "text")]
+    _emit(parts, args.out)
     return EXIT_OK if not report.violations else EXIT_VIOLATION
 
 
@@ -224,14 +344,14 @@ def cmd_schur(args) -> int:
             print("--witness-only applies to --f0", file=sys.stderr)
             return EXIT_USAGE
         value = witness_lower_bound(matrix, orthogonal_witness())
-        _emit(_render({"witness_lower_bound": value}, args.format), args.out)
+        _emit([_render({"witness_lower_bound": value}, args.format)], args.out)
         return EXIT_OK
     try:
         bounds = gamma2(matrix, tol=1e-3 if args.tol is None else args.tol)
     except Gamma2ConvergenceError as exc:
         print(f"solver did not converge: bracket [{exc.lower}, {exc.upper}]", file=sys.stderr)
         return EXIT_NUMERIC
-    _emit(_render(bounds.to_dict(), args.format), args.out)
+    _emit([_render(bounds.to_dict(), args.format)], args.out)
     return EXIT_OK
 
 
@@ -247,7 +367,7 @@ def cmd_verify(args) -> int:
     for item in summary.items:
         marker = "PASS" if item.passed else "FAIL"
         print(f"{marker} {item.name}: {item.detail}", file=sys.stderr)
-    _emit(_render(summary.to_dict(), args.format), args.out)
+    _emit([_render(summary.to_dict(), args.format)], args.out)
     return EXIT_OK if summary.passed else EXIT_VIOLATION
 
 

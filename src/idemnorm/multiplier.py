@@ -179,6 +179,25 @@ def progression_check(group: Group, mask: int) -> list[ProgressionViolation]:
     """
     mask = validate_mask(group, mask)
     members = _members(mask)
+    failed_at: dict[str, np.ndarray] = {}  # per side, in walk order: "left" < "right"
+    for side, failing, n in _progression_failures(group, mask):
+        failed_at.setdefault(side, np.zeros(failing.shape, dtype=np.int64))[failing] = n
+    return [ProgressionViolation(side=side, s=int(members[i]), t=int(t), n=int(at[i, t]))
+            for side, at in failed_at.items() for i, t in zip(*np.nonzero(at))]
+
+
+def has_progression_property(group: Group, mask: int) -> bool:
+    """not progression_check(group, mask), decided at the first power that
+    fails: the walk stops there, and no violation is built."""
+    return next(_progression_failures(group, validate_mask(group, mask)), None) is None
+
+
+def _progression_failures(group: Group, mask: int):
+    """Walk the progressions s t^n of a valid mask, one power n at a time,
+    and yield (side, failing, n) for each power at which some pair fails
+    first: failing[i, t] marks the pairs (members[i], t) whose progression
+    leaves S at t^n.  The "left" side (Cayley groups only) comes first."""
+    members = _members(mask)
     flags = _bits(mask, group.order)
     everything = np.arange(group.order)
 
@@ -189,23 +208,18 @@ def progression_check(group: Group, mask: int) -> list[ProgressionViolation]:
             return _products_in(group, flags, members, powers)
         return _products_in(group, flags, powers, members).T
 
-    violations = []  # sorted by side: "left" < "right"
     for side in ("right",) if group.is_abelian else ("left", "right"):
         # every pair (s, t) with st in S starts its progression; it drops out
         # at its first failure, or when t^n = e (n has reached the order of t)
         active = in_s(everything, side)
-        failed_at = np.zeros(active.shape, dtype=np.int64)
         power, n = everything, 1
         while active.any():
             power, n = group.mul_array(power, everything), n + 1
             active &= power != group.identity
             failing = active & ~in_s(power, side)
-            failed_at[failing] = n
-            active &= ~failing
-        violations += [ProgressionViolation(side=side, s=int(members[i]), t=int(t),
-                                            n=int(failed_at[i, t]))
-                       for i, t in zip(*np.nonzero(failed_at))]
-    return violations
+            if failing.any():
+                yield side, failing, n
+                active &= ~failing
 
 
 def closure_claim_check(group: Group, mask: int) -> list[tuple[int, int]]:

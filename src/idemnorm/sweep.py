@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .bs import THRESHOLDS, bs_norm, predicted_norm, two_coset_norm, verify_measure_form
+from .bs import THRESHOLDS, bs_norm, measure_form_of, predicted_norm, two_coset_norm
 from .groups import (
     CosetAnalysis,
     Group,
@@ -45,8 +45,8 @@ from .multiplier import (
     _pattern_searches,
     cb_norm,
     closure_claim_check,
+    has_progression_property,
     multiplier_matrix,
-    progression_check,
 )
 from .schur import (
     forbidden_pattern,
@@ -253,12 +253,15 @@ class SweepReport:
     wall_time_s: Optional[float] = None
 
     def to_dict(self) -> dict:
+        return {**self.summary(), "records": [r.to_dict() for r in self.records]}
+
+    def summary(self) -> dict:
+        """to_dict without the records: every key but "records"."""
         return {
             "group": self.group_name,
             "order": self.order,
             "mode": self.mode,
             "tolerance": self.tolerance,
-            "records": [r.to_dict() for r in self.records],
             "violations": [v.to_dict() for v in self.violations],
             "kind_totals": self.kind_totals,
             "subset_total": self.subset_total,
@@ -408,7 +411,7 @@ def _proof_chain_item(group: Group, records: Sequence[ClassificationRecord]) -> 
             continue
         a = _lowest(record.subset)
         moved = translate_left(group, group.inv(a), record.subset)
-        if progression_check(group, moved):
+        if not has_progression_property(group, moved):
             continue
         violations = closure_claim_check(group, moved)
         matrix = multiplier_matrix(group, moved) if violations else None
@@ -510,7 +513,7 @@ def run_verification(group_specs: Optional[Sequence[str]] = None,
             witness_failures = []
             for record in report.records:
                 if record.analysis.kind == "two_cosets":
-                    result = verify_measure_form(group, record.subset)
+                    result = measure_form_of(group, record.subset, record.analysis)
                     if not result.holds:
                         measure_failures.append(
                             f"S={subset_elements(record.subset)}: err={result.max_error:.2e}")

@@ -18,6 +18,11 @@ from idemnorm import (
     verify_measure_form,
 )
 
+from idemnorm import bs
+from idemnorm.bs import measure_form_of
+from idemnorm.groups import parse_group
+from idemnorm.sweep import run_verification, sweep
+
 from conftest import all_subgroups, oracle_annihilator, oracle_bs_norm, oracle_mu
 
 
@@ -185,6 +190,33 @@ def test_measure_form_all_two_cosets(z6, z8, z2z4):
         for mask in range(1, 1 << g.order):
             if analyze_cosets(g, mask).kind == "two_cosets":
                 assert verify_measure_form(g, mask).holds
+
+
+@pytest.mark.parametrize("spec", ("Z6", "Z8", "Z2xZ4", "Z12", "Z2xZ6"))
+def test_measure_form_of_a_record_matches_the_mask_route(spec):
+    group = parse_group(spec)
+    records = [r for r in sweep(group).records if r.analysis.kind == "two_cosets"]
+    assert records
+    for record in records:
+        given = measure_form_of(group, record.subset, record.analysis)
+        assert given == verify_measure_form(group, record.subset)
+        assert given.holds
+
+
+def test_measure_form_of_rejects_other_kinds(z6):
+    for mask in (subset_mask(z6, [0, 1, 3]), subset_mask(z6, [0, 2, 4])):
+        with pytest.raises(ValueError):
+            measure_form_of(z6, mask, analyze_cosets(z6, mask))
+
+
+def test_verify_measure_form_items_read_the_record_analysis(monkeypatch):
+    def refuse(group, mask):
+        raise AssertionError("analyze_cosets called again for a sweep record")
+
+    monkeypatch.setattr(bs, "analyze_cosets", refuse)
+    items = {item.name: item for item in run_verification(["Z6", "Z2xZ4"]).items}
+    for name in ("measure_form_Z6", "measure_form_Z2xZ4"):
+        assert items[name].passed, items[name].detail
 
 
 def test_bs_norm_rejects_cayley(s3):

@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import importlib
 import json
 import math
@@ -6,10 +8,11 @@ import numpy as np
 import pytest
 
 from idemnorm import cli
-from idemnorm.cli import _json_text, build_parser, main
-from idemnorm.groups import CosetAnalysis
+from idemnorm.cli import _json_text, _record_json, build_parser, main
+from idemnorm.groups import CosetAnalysis, parse_group
 from idemnorm.schur import WitnessPair
-from idemnorm.sweep import SweepReport
+from idemnorm.sweep import SweepReport, sweep
+from idemnorm.witness import WitnessTriple
 
 from conftest import oracle_mul
 
@@ -481,8 +484,138 @@ def test_json_reports_are_the_bytes_of_json_dumps(argv, monkeypatch, capsys):
 
     monkeypatch.setattr(cli, "_render", recording)
     assert main(argv + ["--format", "json"]) == 0
-    [payload] = payloads
+    if argv[0] == "sweep":
+        # a sweep's JSON is written a record at a time, never through _render
+        assert payloads == []
+        payload = sweep(parse_group(argv[2])).to_dict()
+    else:
+        [payload] = payloads
     assert capsys.readouterr().out == _dumps(payload) + "\n"
+
+
+SWEEP_JSON_GROUPS = ("Z6", "Z2xZ4", "Z12", "Z2xZ6", "Z13", "S3", "D4", "Q8")
+
+
+@functools.cache
+def _sweep_of(spec):
+    return sweep(parse_group(spec))
+
+
+@pytest.mark.parametrize("spec", SWEEP_JSON_GROUPS)
+def test_sweep_json_is_the_bytes_of_json_dumps_on_stdout_and_out(spec, tmp_path, capsys):
+    expected = _dumps(_sweep_of(spec).to_dict()) + "\n"
+    code, out, _ = run_cli(capsys, "sweep", "-g", spec, "--format", "json")
+    assert code == 0 and out == expected
+    target = tmp_path / "report.json"
+    target.write_text("an older and longer report\n" * 1000)
+    code, out, _ = run_cli(capsys, "sweep", "-g", spec, "--format", "json",
+                           "--out", str(target))
+    assert code == 0 and out == f"{target}\n"
+    assert target.read_text() == expected
+
+
+def _as_report_item(record_dict):
+    # a record as json.dumps writes it inside the report's "records" list
+    text = _dumps({"records": [record_dict]})
+    prefix, suffix = '{\n  "records": [\n    ', "\n  ]\n}"
+    assert text.startswith(prefix) and text.endswith(suffix)
+    return text[len(prefix):-len(suffix)]
+
+
+@pytest.mark.parametrize("spec", SWEEP_JSON_GROUPS)
+def test_record_writer_is_the_json_of_every_record(spec):
+    for record in _sweep_of(spec).records:
+        text = _record_json(record)
+        assert text == _json_text(record.to_dict(), "    ")
+        assert text == _as_report_item(record.to_dict())
+
+
+def _a_record_with_every_field():
+    records = _sweep_of("Z12").records
+    return next(r for r in records if r.witness is not None and r.pattern is not None)
+
+
+@pytest.mark.parametrize("changes", [
+    {"norm_lower": math.nan, "norm_upper": math.inf, "predicted": -math.inf},
+    {"witness_bound": math.nan, "predicted": None, "witness": None, "pattern": None},
+    {"subset": 0, "analysis": CosetAnalysis(kind="empty")},
+    {"orbit_size": 2 ** 70, "norm_lower": -0.0, "norm_upper": 5e-324, "predicted": 1e22},
+])
+def test_record_writer_spells_every_value_as_json_does(changes):
+    record = dataclasses.replace(_a_record_with_every_field(), **changes)
+    text = _record_json(record)
+    assert text == _as_report_item(record.to_dict())
+    assert text == _json_text(record.to_dict(), "    ")
+
+
+class _Count(int):
+    """An int subclass: json.dumps writes it, reports never hold one."""
+
+
+@pytest.mark.parametrize("changes", [
+    {"norm_lower": np.float64(1.5)},
+    {"norm_upper": np.float64(math.nan)},
+    {"orbit_size": np.int64(12)},
+    {"orbit_size": _Count(12)},
+    {"witness": WitnessTriple(u=_Count(1), v=2, w=3)},
+    {"witness": WitnessTriple(u=1, v=2, w=np.int64(3))},
+    {"witness_bound": np.float64(2.0)},
+    {"pattern": ((0, 1, np.int64(2)), (0, 1, 2))},
+    {"pattern": ((0, 1, 2), (0, (1,), 2))},
+    {"norm_exact": np.bool_(True)},
+    {"predicted": (1.0,)},
+    {"analysis": CosetAnalysis(kind="coset", subgroup=1, rep_a=np.int64(0))},
+], ids=range(12))
+def test_record_writer_refuses_what_the_report_writer_refuses(changes):
+    record = dataclasses.replace(_a_record_with_every_field(), **changes)
+    with pytest.raises(TypeError):
+        _json_text(record.to_dict(), "    ")
+    with pytest.raises(TypeError):
+        _record_json(record)
+
+
+def test_record_writer_failing_partway_keeps_an_existing_out_file(tmp_path, capsys,
+                                                                  monkeypatch):
+    # the fifth class of the sweep holds a numpy norm, which the record
+    # writer refuses after it has written four records
+    sweep_module = importlib.import_module("idemnorm.sweep")
+    classify = sweep_module.classify
+    calls = []
+
+    def numpy_norm_on_the_fifth(group, mask, tol):
+        record = classify(group, mask, tol)
+        calls.append(mask)
+        if len(calls) == 5:
+            return dataclasses.replace(record, norm_lower=np.float64(record.norm_lower))
+        return record
+
+    written = []
+    record_json = cli._record_json
+
+    def counting(record):
+        text = record_json(record)
+        written.append(text)
+        return text
+
+    monkeypatch.setattr(sweep_module, "classify", numpy_norm_on_the_fifth)
+    monkeypatch.setattr(cli, "_record_json", counting)
+    target = tmp_path / "report.json"
+    target.write_bytes(b"old report\n")
+    with pytest.raises(TypeError, match="float64"):
+        main(["sweep", "-g", "Z6", "--format", "json", "--out", str(target)])
+    assert len(written) == 4
+    assert target.read_bytes() == b"old report\n"
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("spec", ("Z6", "D4"))
+def test_sweep_text_report_reads_the_summary_and_the_record_count(spec, capsys):
+    report = _sweep_of(spec)
+    code, out, _ = run_cli(capsys, "sweep", "-g", spec)
+    assert code == 0
+    # the text report as it was rendered from the whole report dict
+    assert out == cli._render(report.to_dict(), "text") + "\n"
+    assert f"records: [{len(report.records)} entries]\n" in out
 
 
 def test_json_writer_on_a_complex_witness():
@@ -538,10 +671,6 @@ def test_json_writer_writes_every_scalar_inside_a_container():
                "dict": {f"k{i:02d}": x for i, x in enumerate(scalars)},
                "empty": {"list": [], "dict": {}}}
     assert _json_text(payload, "") == _dumps(payload)
-
-
-class _Count(int):
-    """An int subclass: json.dumps writes it, reports never hold one."""
 
 
 @pytest.mark.parametrize("item", [(1, 2), np.float64(1.5), np.int64(3), _Count(3)],

@@ -25,6 +25,8 @@ from idemnorm import (
     witness_lower_bound,
 )
 
+from idemnorm.multiplier import has_progression_property
+
 from conftest import (
     all_subgroups,
     dicyclic_group,
@@ -201,6 +203,13 @@ def test_progression_and_closure_match_oracles_on_every_subset(spec):
         assert progression_check(g, mask) == oracle_progression_check(g, mask)
         if (mask >> g.identity) & 1:
             assert closure_claim_check(g, mask) == oracle_closure_claim_check(g, mask)
+
+
+@pytest.mark.parametrize("spec", ("Z6", "Z7", "Z8", "Z9", "Z10", "S3", "D4", "Q8"))
+def test_progression_property_stops_at_the_first_failure_and_agrees(spec):
+    g = parse_group(spec)
+    for mask in range(1 << g.order):
+        assert has_progression_property(g, mask) == (not progression_check(g, mask))
 
 
 def test_closure_subgroup_clean(z6, s3):

@@ -244,12 +244,13 @@ def test_pattern_soundness_reads_the_recorded_norm(monkeypatch):
 
 
 def test_measure_form_item_names_each_failing_class(monkeypatch):
-    measure_form = sweep_module.verify_measure_form
+    measure_form = sweep_module.measure_form_of
 
-    def off(group, mask):
-        return dataclasses.replace(measure_form(group, mask), holds=False, max_error=0.5)
+    def off(group, mask, analysis):
+        return dataclasses.replace(measure_form(group, mask, analysis), holds=False,
+                                   max_error=0.5)
 
-    monkeypatch.setattr(sweep_module, "verify_measure_form", off)
+    monkeypatch.setattr(sweep_module, "measure_form_of", off)
     failed = _failed(run_verification(["Z6"]))
     assert [item.name for item in failed] == ["measure_form_Z6"]
     two_cosets = [r for r in sweep(parse_group("Z6")).records
