@@ -37,8 +37,8 @@ from .multiplier import (
     cb_norm,
     closure_claim_check,
     forbidden_pattern_search,
+    has_progression_property,
     multiplier_matrix,
-    progression_check,
 )
 from .schur import (
     Certificate,

@@ -330,13 +330,24 @@ def cmd_sweep(args) -> int:
     return EXIT_OK if not report.violations else EXIT_VIOLATION
 
 
+def _numbers_only(value) -> bool:
+    """Every entry of a JSON literal is a number: an int or a float, never a
+    string or a bool, which np.array(..., dtype=float) would convert."""
+    if type(value) is list:
+        return all(map(_numbers_only, value))
+    return type(value) in (int, float)
+
+
 def cmd_schur(args) -> int:
     if args.f0:
         matrix = forbidden_pattern()
     else:
         try:
-            matrix = np.array(json.loads(args.matrix), dtype=float)
-        except (ValueError, TypeError) as exc:
+            literal = json.loads(args.matrix)
+            if not _numbers_only(literal):
+                raise ValueError("matrix entries must be JSON numbers")
+            matrix = np.array(literal, dtype=float)
+        except (ValueError, TypeError, OverflowError) as exc:
             print(f"bad matrix literal: {exc}", file=sys.stderr)
             return EXIT_USAGE
     if args.witness_only:

@@ -13,16 +13,18 @@ broadcast index arrays, read from the Cayley table or summed in coordinates
 over the n x k array Group._coords (abelian groups store no n x n table).
 The scalar Group.mul wraps it, and every set operation is built on it; up
 to order 64 some read the translation byte table that it fills, which gives
-every translate of a subset as one uint64 bitmask (_translates), and the
-abelian stabilizer is the translates equal to S.  The group transform of
-an abelian group is _spectrum_of, the fftn over the coordinate tensor
-computed one axis at a time, with a butterfly on each length-2 axis; it
-gives mu (bs.mu_values, and _spectra for a stack of subsets) and, above
-order 64, the abelian stabilizer, read off the integer autocorrelation
-|S & (S - t)| from two transforms.  On Cayley groups the stabilizer grows
-from generators it has checked, closed by _adjoin, which extends a
-subgroup by one more generator, seeded with that generator's repeated
-squares so that a cyclic subgroup closes in O(log order) levels.
+every translate of a subset as one uint64 bitmask (_translates).  Products
+that test membership, a block of rows at a time, are _products_in, which
+is_subgroup runs over H x H.  The group transform of an abelian group is
+_spectrum_of, the fftn over the coordinate tensor computed one axis at a
+time, with a butterfly on each length-2 axis; it gives mu (bs.mu_values,
+and _spectra for a stack of subsets) and, at every order, the abelian
+stabilizer, read off the integer autocorrelation |S & (S - t)| from two
+transforms, so a one-shot norm builds no translation table.  On Cayley
+groups the stabilizer grows from generators it has checked, closed by
+_adjoin, which extends a subgroup by one more generator, seeded with that
+generator's repeated squares so that a cyclic subgroup closes in
+O(log order) levels.
 analyze_cosets names cosets and unions of two left cosets a T, b T of the
 stabilizer T; the second kind needs T normal in <T, a^-1 b>, which is one
 conjugation.  The naming from T is _name_by_stabilizer, which
@@ -539,15 +541,12 @@ def _translates(group: Group, mask: int) -> np.ndarray:
 
 def is_subgroup(group: Group, mask: int) -> bool:
     """Contains the identity and is closed under the product: e in H and
-    hH within H for every h in H, checked a block of h at a time."""
+    every product h h' of members in H, one _products_in over H x H."""
     mask = validate_mask(group, mask)
     if not (mask >> group.identity) & 1:
         return False
     members = _members(mask)
-    flags = _bits(mask, group.order)
-    step = _block_rows(group, len(members))
-    return all(flags[group.mul_array(members[lo:lo + step, None], members)].all()
-               for lo in range(0, len(members), step))
+    return bool(_products_in(group, _bits(mask, group.order), members, members).all())
 
 
 def _adjoin(group: Group, flags: np.ndarray, steps: list[int], t: int) -> None:
@@ -637,11 +636,10 @@ def stabilizer(group: Group, mask: int) -> int:
 
     For the empty set this is the whole group.  For abelian groups the two
     one-sided conditions coincide, and the stabilizer is {t : t + S = S},
-    the t with |S & (S - t)| = |S|.  Up to order 64 it is the translates
-    equal to S, rows == masks[:, None] over a batch of one row of
-    translates (the form sweep.classify runs over a block of classes);
-    above that, it is read off the autocorrelation (_autocorrelation, two
-    transforms).
+    the t with |S & (S - t)| = |S|, read off the integer autocorrelation
+    (_autocorrelation, two transforms) at every order.  sweep.classify
+    takes it from its own kernel instead, the translates equal to S over a
+    block of classes.
 
     On Cayley groups S and its complement have the same stabilizer, so S is
     replaced by the smaller of the two.  S t = S puts s0 t in S, so the
@@ -658,9 +656,6 @@ def stabilizer(group: Group, mask: int) -> int:
     """
     mask = validate_mask(group, mask)
     if group.is_abelian:
-        if group.order <= TRANSLATION_TABLE_MAX_ORDER:
-            rows, masks = _translates(group, mask)[None], np.array([mask], dtype=np.uint64)
-            return int(_row_masks(rows == masks[:, None])[0])
         return _mask(_autocorrelation(group, mask) == mask.bit_count())
     if 2 * mask.bit_count() > group.order:
         mask ^= (1 << group.order) - 1

@@ -3,7 +3,9 @@ plus the combinatorial detectors that explain large norms: the forbidden
 3x3 pattern, the progression property, and the closure claim.  The pattern
 search is an array kernel over a stack of subsets (_pattern_searches), which
 sweep.classify runs over a block of classes; forbidden_pattern_search is a
-batch of one.
+batch of one.  The progression property (has_progression_property) is
+one yes-or-no test over a block of products, s t and s t^2 for every s in
+S and every t; no list of violations is built.
 
 The multiplier matrix of S is M(s, t) = chi_S(s^-1 t); its Schur norm equals
 the completely bounded multiplier norm of chi_S.  cb_norm computes it in
@@ -18,7 +20,6 @@ on a group.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -158,68 +159,24 @@ def forbidden_pattern_search(group: Group, mask: int) -> Optional[tuple[tuple[in
     return _pattern_searches(rows)[0]
 
 
-@dataclass(frozen=True)
-class ProgressionViolation:
-    """s in S and st in S but st^n not in S (side "right"), or the mirrored
-    left-sided statement; n is the smallest failing power."""
-
-    side: str  # "right" | "left"
-    s: int
-    t: int
-    n: int
-
-
-def progression_check(group: Group, mask: int) -> list[ProgressionViolation]:
-    """All violations of the progression property, sorted by (side, s, t).
-
-    S has the property when s in S and st in S force the whole progression
-    s t^n into S (and symmetrically on the left).  An empty list certifies
-    the property; each violation reports the smallest failing exponent.  For
-    abelian groups the two sides coincide and only "right" is emitted.
-    """
-    mask = validate_mask(group, mask)
-    members = _members(mask)
-    failed_at: dict[str, np.ndarray] = {}  # per side, in walk order: "left" < "right"
-    for side, failing, n in _progression_failures(group, mask):
-        failed_at.setdefault(side, np.zeros(failing.shape, dtype=np.int64))[failing] = n
-    return [ProgressionViolation(side=side, s=int(members[i]), t=int(t), n=int(at[i, t]))
-            for side, at in failed_at.items() for i, t in zip(*np.nonzero(at))]
-
-
 def has_progression_property(group: Group, mask: int) -> bool:
-    """not progression_check(group, mask), decided at the first power that
-    fails: the walk stops there, and no violation is built."""
-    return next(_progression_failures(group, validate_mask(group, mask)), None) is None
+    """Whether s in S and st in S force the whole progression s t^n into S,
+    and t s in S forces t^n s into S.
 
-
-def _progression_failures(group: Group, mask: int):
-    """Walk the progressions s t^n of a valid mask, one power n at a time,
-    and yield (side, failing, n) for each power at which some pair fails
-    first: failing[i, t] marks the pairs (members[i], t) whose progression
-    leaves S at t^n.  The "left" side (Cayley groups only) comes first."""
+    One block of products decides it: st in S must force s t^2 in S, for
+    every s in S and every t.  That is necessary, and it is enough: if
+    s t, ..., s t^n lie in S, then s' = s t^(n-1) is in S with s' t in S, so
+    s' t^2 = s t^(n+1) is too.  The left side adds nothing: with
+    u = s^-1 t s, t s = s u and t^n s = s u^n, and u runs over the group
+    as t does."""
+    mask = validate_mask(group, mask)
     members = _members(mask)
     flags = _bits(mask, group.order)
     everything = np.arange(group.order)
-
-    def in_s(powers: np.ndarray, side: str) -> np.ndarray:
-        # [i, j]: s_i t_j^n (right) or t_j^n s_i (left) lies in S, where
-        # powers[j] = t_j^n
-        if side == "right":
-            return _products_in(group, flags, members, powers)
-        return _products_in(group, flags, powers, members).T
-
-    for side in ("right",) if group.is_abelian else ("left", "right"):
-        # every pair (s, t) with st in S starts its progression; it drops out
-        # at its first failure, or when t^n = e (n has reached the order of t)
-        active = in_s(everything, side)
-        power, n = everything, 1
-        while active.any():
-            power, n = group.mul_array(power, everything), n + 1
-            active &= power != group.identity
-            failing = active & ~in_s(power, side)
-            if failing.any():
-                yield side, failing, n
-                active &= ~failing
+    squares = group.mul_array(everything, everything)
+    # [i, t]: s_i t in S but s_i t^2 not in S
+    return not (_products_in(group, flags, members, everything)
+                & ~_products_in(group, flags, members, squares)).any()
 
 
 def closure_claim_check(group: Group, mask: int) -> list[tuple[int, int]]:

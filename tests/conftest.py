@@ -26,7 +26,6 @@ from idemnorm import (
     make_abelian_group,
     subset_elements,
 )
-from idemnorm.multiplier import ProgressionViolation
 
 
 @pytest.fixture(scope="session")
@@ -413,7 +412,8 @@ def oracle_find_witness(group, mask):
 
 def oracle_progression_check(group, mask):
     """Violations of the progression property by walking each progression
-    s t^n (and t^n s) one scalar product at a time, sorted by (side, s, t)."""
+    s t^n (and t^n s) one scalar product at a time, as (side, s, t, n)
+    tuples with n the smallest failing power, sorted."""
     violations = []
     members = _oracle_elements(group, mask)
     sides = ("right",) if group.is_abelian else ("right", "left")
@@ -429,10 +429,9 @@ def oracle_progression_check(group, mask):
                     point = (oracle_mul(group, s, oracle_mul(group, power, t)) if side == "right"
                              else oracle_mul(group, oracle_mul(group, t, power), s))
                     if not (mask >> point) & 1:
-                        violations.append(ProgressionViolation(side=side, s=s, t=t, n=n))
+                        violations.append((side, s, t, n))
                         break
-    violations.sort(key=lambda v: (v.side, v.s, v.t, v.n))
-    return violations
+    return sorted(violations)
 
 
 def oracle_closure_claim_check(group, mask):

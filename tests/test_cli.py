@@ -3,18 +3,20 @@ import functools
 import importlib
 import json
 import math
+import random
 
 import numpy as np
 import pytest
 
 from idemnorm import cli
 from idemnorm.cli import _json_text, _record_json, build_parser, main
-from idemnorm.groups import CosetAnalysis, parse_group
+from idemnorm.groups import CosetAnalysis, Group, parse_group, subset_elements
 from idemnorm.schur import WitnessPair
 from idemnorm.sweep import SweepReport, sweep
 from idemnorm.witness import WitnessTriple
 
-from conftest import oracle_mul
+from conftest import (oracle_analyze_cosets, oracle_mul, planted_subsets,
+                      random_subgroup)
 
 
 def run_cli(capsys, *argv):
@@ -242,10 +244,20 @@ def test_schur_literal_matrix(capsys):
     assert payload["upper"] == pytest.approx(1.0, abs=1e-9)
 
 
-def test_schur_bad_literal_exits_2(capsys):
-    code, _, err = run_cli(capsys, "schur", "[[1,")
+@pytest.mark.parametrize("literal", [
+    pytest.param("[[1,", id="truncated"),
+    # np.array(..., dtype=float) would read these as 1.0, 1.0, 1.0 and 1000.0
+    pytest.param('[["1"]]', id="string"),
+    pytest.param("[[true]]", id="bool"),
+    pytest.param("[[1, false], [0, 1]]", id="bool-among-numbers"),
+    pytest.param('[["1e3", 2], [3, 4]]', id="numeric-string"),
+    # an integer beyond the float range, which np.array refuses with OverflowError
+    pytest.param("[[" + "9" * 400 + "]]", id="integer-beyond-float"),
+])
+def test_schur_bad_literal_exits_2(literal, capsys):
+    code, out, err = run_cli(capsys, "schur", literal)
     assert code == 2
-    assert err
+    assert err and not out
 
 
 def test_schur_oversized_exits_2(capsys):
@@ -342,6 +354,32 @@ def test_out_path_that_cannot_be_opened_exits_2(tmp_path, capsys, argv):
     assert "No such file or directory" in err and str(target) in err
     assert err.count("\n") == 1 and "took" not in err
     assert not target.parent.exists()
+
+
+@pytest.mark.parametrize("spec", ["Z64", "Z8xZ8", "Z2xZ2xZ2xZ2xZ2xZ2"])
+def test_norm_at_order_64_builds_no_translation_table(spec, monkeypatch, capsys):
+    # a one-shot norm reads the abelian stabilizer off the autocorrelation;
+    # inputs: a planted coset, unions of two cosets and a random set
+    group = parse_group(spec)
+    inputs = [mask for _, _, mask in planted_subsets(group, 7, coset_size=8, union_size=4,
+                                                     random_size=21)]
+    rng = random.Random(7)
+    sub = random_subgroup(group, rng, 4)
+    a, b = rng.sample([x for x in range(group.order) if x not in sub], 2)
+    inputs.append(sum(1 << oracle_mul(group, r, h) for r in (a, b) for h in sub))
+
+    def refuse(self):
+        raise AssertionError("norm built a translation table")
+
+    monkeypatch.setattr(Group, "translation_table", property(refuse))
+    for mask in inputs:
+        code, out, _ = run_cli(capsys, "norm", "-g", spec, "-s",
+                               ",".join(map(str, subset_elements(mask))), "--format", "json")
+        assert code == 0
+        kind, subgroup, rep_a, rep_b, q = oracle_analyze_cosets(group, mask)
+        assert json.loads(out)["analysis"] == {
+            "kind": kind, "subgroup": None if subgroup is None else subset_elements(subgroup),
+            "rep_a": rep_a, "rep_b": rep_b, "q": q}
 
 
 def test_norm_text_format_mentions_kind(capsys):
