@@ -21,7 +21,6 @@ import argparse
 import contextlib
 import functools
 import json
-import math
 import re
 import sys
 from json.encoder import encode_basestring_ascii
@@ -30,7 +29,8 @@ from typing import Optional, Sequence, TextIO
 import numpy as np
 
 from .bs import bs_norm, predicted_norm
-from .groups import Group, analyze_cosets, parse_group, subset_elements, subset_mask
+from .groups import (_BYTE_BITS, Group, analyze_cosets, parse_group, subset_elements,
+                     subset_mask)
 from .multiplier import cb_norm
 from .schur import (
     Gamma2ConvergenceError,
@@ -161,14 +161,13 @@ def _json_text(value, indent: str) -> str:
     raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
+# json's spelling of the floats whose repr is not a JSON number
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
 def _json_float(value: float) -> str:
-    if value != value:
-        return "NaN"
-    if value == math.inf:
-        return "Infinity"
-    if value == -math.inf:
-        return "-Infinity"
-    return float.__repr__(value)
+    text = float.__repr__(value)
+    return _NONFINITE.get(text, text)
 
 
 class _ScalarWriters(dict):
@@ -217,45 +216,76 @@ _PATTERN_LAYOUT = ('[\n        [\n          %s,\n          %s,\n          %s\n  
 _WITNESS_LAYOUT = '{\n        "u": %s,\n        "v": %s,\n        "w": %s\n      }'
 
 
+# the JSON text of the ints 0..63: the entries of a sweep record's pattern
+# and witness are elements of a group of order at most 64
+_SMALL_INTS = {i: str(i) for i in range(64)}
+
+
+@functools.cache
+def _byte_elements(indent: str, position: int) -> tuple[str, ...]:
+    """For each byte value v at the given byte position, the elements
+    8 position + j of its set bits j as JSON list items nested at the
+    indent, joined as _json_elements joins them."""
+    separator = ",\n" + indent + "  "
+    return tuple(separator.join(str(8 * position + j) for j in _BYTE_BITS[v])
+                 for v in range(256))
+
+
 def _json_elements(mask: int, indent: str) -> str:
     """The elements of a bitmask as a JSON list nested at the given indent,
-    as _json_text writes subset_elements(mask), whose items are ints."""
-    elements = subset_elements(mask)
-    if not elements:
-        return "[]"
+    as _json_text writes subset_elements(mask), whose items are ints: below
+    2^64, the text of each nonzero byte read from _byte_elements and
+    joined.  A negative mask raises subset_elements' ValueError."""
+    if not 0 < mask < 1 << 64:
+        return _json_text(subset_elements(mask), indent)
     inner = indent + "  "
-    return f"[\n{inner}" + (",\n" + inner).join(map(str, elements)) + f"\n{indent}]"
+    texts = []
+    position = 0
+    while mask:
+        if mask & 255:
+            texts.append(_byte_elements(indent, position)[mask & 255])
+        mask >>= 8
+        position += 1
+    return f"[\n{inner}" + (",\n" + inner).join(texts) + f"\n{indent}]"
 
 
 def _record_json(record: ClassificationRecord) -> str:
     """A sweep record's JSON, byte for byte as
     _json_text(record.to_dict(), "    ") writes it, straight from the
-    record's fields into _RECORD_LAYOUT: no dict, no sorting, and each
-    scalar written by its exact type's writer, so that a type _json_text
-    refuses raises TypeError here too."""
-    write = _JSON_SCALARS
+    record's fields into _RECORD_LAYOUT: no dict, no sorting.  Each scalar
+    is written by its exact type's writer, so that a type _json_text
+    refuses raises TypeError here too, with three shortcuts that keep that
+    check: None is "null", an int 0..63 of the pattern or the witness is
+    read from _SMALL_INTS, and norm_upper reuses norm_lower's text when the
+    two fields hold the same float object."""
+    write, small = _JSON_SCALARS, _SMALL_INTS
     analysis, pattern, witness = record.analysis, record.pattern, record.witness
+    q, rep_a, rep_b = analysis.q, analysis.rep_a, analysis.rep_b
+    lower, upper = record.norm_lower, record.norm_upper
+    predicted, bound = record.predicted, record.witness_bound
+    lower_text = write[type(lower)](lower)
     return _RECORD_LAYOUT % (
         write[type(analysis.kind)](analysis.kind),
-        write[type(analysis.q)](analysis.q),
-        write[type(analysis.rep_a)](analysis.rep_a),
-        write[type(analysis.rep_b)](analysis.rep_b),
+        "null" if q is None else write[type(q)](q),
+        "null" if rep_a is None else write[type(rep_a)](rep_a),
+        "null" if rep_b is None else write[type(rep_b)](rep_b),
         "null" if analysis.subgroup is None else _json_elements(analysis.subgroup, "        "),
         write[type(record.below_coset_bound)](record.below_coset_bound),
         write[type(record.extremal_other)](record.extremal_other),
         write[type(record.in_open_interval)](record.in_open_interval),
         write[type(record.norm_exact)](record.norm_exact),
-        write[type(record.norm_lower)](record.norm_lower),
-        write[type(record.norm_upper)](record.norm_upper),
+        lower_text,
+        lower_text if upper is lower else write[type(upper)](upper),
         write[type(record.orbit_size)](record.orbit_size),
-        "null" if pattern is None else
-        _PATTERN_LAYOUT % tuple([write[type(x)](x) for x in (*pattern[0], *pattern[1])]),
-        write[type(record.predicted)](record.predicted),
+        "null" if pattern is None else _PATTERN_LAYOUT % tuple([
+            small[x] if type(x) is int and x in small else write[type(x)](x)
+            for x in (*pattern[0], *pattern[1])]),
+        "null" if predicted is None else write[type(predicted)](predicted),
         _json_elements(record.subset, "      "),
-        "null" if witness is None else
-        _WITNESS_LAYOUT % (write[type(witness.u)](witness.u), write[type(witness.v)](witness.v),
-                           write[type(witness.w)](witness.w)),
-        write[type(record.witness_bound)](record.witness_bound),
+        "null" if witness is None else _WITNESS_LAYOUT % tuple([
+            small[x] if type(x) is int and x in small else write[type(x)](x)
+            for x in (witness.u, witness.v, witness.w)]),
+        "null" if bound is None else write[type(bound)](bound),
     )
 
 

@@ -749,7 +749,8 @@ def analyze_cosets(group: Group, mask: int) -> CosetAnalysis:
 
 def _name_by_stabilizer(group: Group, mask: int, stab: int) -> CosetAnalysis:
     """The coset analysis of S read from its stabilizer T (analyze_cosets,
-    and sweep.classify with T from its block of classes).
+    and sweep._records with T from its block of classes, which names an
+    abelian S of neither size "other" itself).
 
     |T| = |S| makes S the coset a T, a the least element of S.  When
     |S| = 2|T|, S is the two left cosets a T and b T (b the least element

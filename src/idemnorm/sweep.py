@@ -11,12 +11,19 @@ the classification theorems at the requested tolerance:
 
 Any counterexample is reported as a violation; subsets of kind "other" whose
 norm sits at 4/3 are collected as extremal examples.
+
+A sweep calls canonical_form on every mask in increasing order and classify
+on each mask that is its own form.  Both read one held _Block of 2^12 masks:
+canonical_form builds it, the forms of all its masks at once, and the first
+classify of one of its canonical masks builds the finished records of all
+of them (_class_block: the array kernels of _class_layers over slices of
+256 masks, then _records).  classify never builds a block, so a query out
+of that order costs one batch of one, not a block.
 """
 
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import time
 from dataclasses import dataclass
@@ -66,45 +73,95 @@ from .witness import (
 SWEEP_ORDER_CAP = 24
 DEFAULT_TOL_EXACT = 1e-9
 
+# canonical forms and class records are built a block of 2^12 masks at a
+# time: the masks that share their bits from 12 up
+_BLOCK_BITS = 12
+_BLOCK_LOW = (1 << _BLOCK_BITS) - 1
+# the most canonical masks of a block that one _class_layers call stacks
+_LAYER_SLICE = 256
+
+
+@dataclass(eq=False, slots=True)
+class _Block:
+    """The canonical forms of the masks (high << 12) | v of one group, for
+    every v below 2^min(n, 12); the v whose mask is its own form,
+    ascending; and the class records of those masks at one tolerance,
+    (tol, {mask: record}), once classify has asked for them.  Nothing in a
+    block changes after it is built but records, which is replaced whole,
+    so a caller that reads _held once sees one consistent block even when
+    another thread holds a new one meanwhile."""
+
+    group: Optional[Group]
+    high: int
+    forms: list[int]
+    canonical: np.ndarray
+    records: tuple = (None, None)
+
+
+# the one block kept: the last that _canonical_block built
+_held = _Block(None, -1, [], np.zeros(0, dtype=np.int64))
+
 
 def canonical_form(group: Group, mask: int) -> int:
     """Smallest bitmask in the translation orbit of S, as a Python int;
-    idempotent.  Read from the canonical forms of the 256 masks that share
-    S's bits above the lowest byte, built together and kept for the next
-    call: sweep asks for the masks in increasing order, so it builds each
-    block once.  A mask outside 0..2^n - 1 raises validate_mask's
-    ValueError at no cost per mask: _canonical_block refuses high bytes out
-    of range, and its list stops at the mask 2^n - 1."""
+    idempotent.  A lookup into the held _Block when S lies in it, and
+    otherwise into the block of S that _canonical_block builds and holds
+    for the next call: sweep asks for the masks in increasing order, so it
+    builds each block once.  A mask that is not an int in 0..2^n - 1 raises
+    validate_mask's ValueError at no cost per mask: _canonical_block
+    refuses high bits out of range, the forms stop at the mask 2^n - 1,
+    and a mask that cannot be shifted (a float, a str, None) fails the
+    shift."""
     try:
-        return _canonical_block(group, mask >> 8)[0][mask & 255]
-    except (IndexError, ValueError):
+        block = _held
+        if block.group is not group or block.high != mask >> _BLOCK_BITS:
+            block = _canonical_block(group, mask >> _BLOCK_BITS)
+        return block.forms[mask & _BLOCK_LOW]
+    except (IndexError, TypeError, ValueError):
         validate_mask(group, mask)
         raise
 
 
-@functools.lru_cache(maxsize=1)
-def _canonical_block(group: Group, high: int) -> tuple[list[int], np.ndarray]:
-    """Canonical forms of the masks (high << 8) | v for every byte v below
-    2^n, and their translates (uint64 rows of T): a translate is an OR over
-    bytes, so each row of the lowest byte's translation table is ORed with
-    the one row that translates the high bytes, and the row minima are the
-    forms.  High bytes beyond the order raise validate_mask's ValueError."""
-    base = validate_mask(group, high << 8)
-    rows = (group.translation_table[0] | _translates(group, base))[:1 << group.order]
-    return rows.min(axis=1).tolist(), rows
+def _canonical_block(group: Group, high: int) -> _Block:
+    """Build the _Block of the masks (high << 12) | v and hold it.  A
+    translate is an OR over bytes: each row of the lowest byte's
+    translation table is ORed with the one row that translates the high
+    part, then, for each value of bits 8..11 in turn, with that value's
+    row of the second byte's table, and the row minima are the forms.  So
+    the temporaries stay at 256 rows of translates whatever the group.
+    High bits beyond the order raise validate_mask's ValueError."""
+    global _held
+    base = validate_mask(group, high << _BLOCK_BITS)
+    table = group.translation_table
+    low = table[0] | _translates(group, base)
+    n = group.order
+    if n <= 8:
+        minima = low.min(axis=1)[:1 << n]
+    else:
+        minima = np.concatenate([(low | row).min(axis=1)
+                                 for row in table[1, :1 << min(n - 8, _BLOCK_BITS - 8)]])
+    canonical = np.flatnonzero(minima == np.uint64(base) + np.arange(len(minima), dtype=np.uint64))
+    _held = _Block(group, high, minima.tolist(), canonical)
+    return _held
 
 
-@functools.lru_cache(maxsize=1)
-def _class_block(group: Group, high: int) -> dict[int, tuple]:
-    """classify's layers for every canonical mask (high << 8) | v of a
-    block, keyed by v: _class_layers over the masks that are their own
-    form, with the forms and translate rows of _canonical_block.  A sweep
-    classifies in increasing order, so it builds each block once."""
-    forms, rows = _canonical_block(group, high)
-    base = high << 8
-    low = [v for v, form in enumerate(forms) if form == base | v]
-    masks = np.array(low, dtype=np.uint64) | np.uint64(base)
-    return dict(zip(low, _class_layers(group, masks, rows[low])))
+def _class_block(block: _Block, tol: float) -> dict[int, "ClassificationRecord"]:
+    """classify's record of every canonical mask of a block, keyed by
+    mask: _class_layers over the canonical masks, at most 256 a call, with
+    each mask's translate rows gathered from the byte tables, then
+    _records at the tolerance."""
+    group, low = block.group, block.canonical
+    base = block.high << _BLOCK_BITS
+    table = group.translation_table
+    rows = table[0, low & 255] | _translates(group, base)
+    if len(table) > 1:
+        rows |= table[1, low >> 8]
+    masks = low.astype(np.uint64) | np.uint64(base)
+    layers: list[tuple] = []
+    for lo in range(0, len(masks), _LAYER_SLICE):
+        layers += _class_layers(group, masks[lo:lo + _LAYER_SLICE], rows[lo:lo + _LAYER_SLICE])
+    found = masks.tolist()
+    return dict(zip(found, _records(group, found, layers, tol)))
 
 
 def _class_layers(group: Group, masks: np.ndarray, rows: np.ndarray) -> list[tuple]:
@@ -124,7 +181,7 @@ def _class_layers(group: Group, masks: np.ndarray, rows: np.ndarray) -> list[tup
         translates t S e among the two-sided ones otherwise.
 
     The Cayley layers that are None (stabilizer, norm, witness) are
-    classify's per-class work."""
+    _records' per-class work."""
     count = len(masks)
     fixed = rows == masks[:, None]
     orbit_sizes = (rows.shape[1] // fixed.sum(axis=1)).tolist()
@@ -139,9 +196,14 @@ def _class_layers(group: Group, masks: np.ndarray, rows: np.ndarray) -> list[tup
     witnesses: list[Optional[WitnessTriple]] = [None] * count
     bounds: list[Optional[float]] = [None] * count
     integrals = _witness_integrals(group, masks[has], rows[has], triples[has], mu[has])
-    for i, (u, v, w), bound in zip(np.flatnonzero(has).tolist(), triples[has].tolist(),
-                                   (np.abs(integrals) / SUP_NORM_F).tolist()):
-        witnesses[i], bounds[i] = WitnessTriple(u=u, v=v, w=w), bound
+    # a few dozen distinct triples serve a block's classes: one frozen
+    # WitnessTriple each
+    shared: dict[tuple, WitnessTriple] = {}
+    for i, triple, bound in zip(np.flatnonzero(has).tolist(), map(tuple, triples[has].tolist()),
+                                (np.abs(integrals) / SUP_NORM_F).tolist()):
+        if triple not in shared:
+            shared[triple] = WitnessTriple(*triple)
+        witnesses[i], bounds[i] = shared[triple], bound
     return list(zip(orbit_sizes, _row_masks(fixed).tolist(), norms, witnesses, bounds,
                     _pattern_searches(rows)))
 
@@ -186,46 +248,74 @@ def classify(group: Group, mask: int, tol: float = DEFAULT_TOL_EXACT) -> Classif
 
     The norm is the character sum on abelian groups and the cb norm
     otherwise; on abelian groups the two coincide (Bozejko-Fendler 1984),
-    which the amenable_cross_check verify items confirm.  The layers come
-    from _class_block, which runs them as array kernels over every
-    canonical mask of S's 256-mask block at once; a mask that is not
-    canonical goes through the same kernels as a batch of one.  Only the
-    naming from the stabilizer (_name_by_stabilizer), and on Cayley
-    groups analyze_cosets and cb_norm, run per class."""
+    which the amenable_cross_check verify items confirm.  When S's
+    2^12-mask block is the one _canonical_block holds, which it always is
+    in a sweep (canonical_form runs on each mask first), a canonical S reads
+    its finished record from _class_block, built once for the block and the
+    tolerance.  Any other S, a mask that is not canonical or one of a block
+    not held, goes through the same kernels and _records as a batch of one:
+    classify never builds a block, so a caller that asks out of order pays
+    for one class, not for a block."""
     tol = validate_tol(tol)
     mask = validate_mask(group, mask)
-    forms, rows = _canonical_block(group, mask >> 8)
-    if forms[mask & 255] == mask:
-        layers = _class_block(group, mask >> 8)[mask & 255]
-    else:
-        layers = _class_layers(group, np.array([mask], dtype=np.uint64), rows[[mask & 255]])[0]
-    orbit_size, stab, norm, witness, bound, pattern = layers
-    if group.is_abelian:
-        analysis = _name_by_stabilizer(group, mask, stab)
-        lower = upper = norm
-        exact = True
-    else:
-        analysis = analyze_cosets(group, mask)
-        bounds = cb_norm(group, mask)
-        lower, upper, exact = bounds.lower, bounds.upper, False
-    predicted = predicted_norm(analysis)
+    block = _held
+    if block.group is group and block.high == mask >> _BLOCK_BITS:
+        held_tol, records = block.records
+        if held_tol != tol:
+            records = _class_block(block, tol)
+            block.records = (tol, records)
+        record = records.get(mask)
+        if record is not None:
+            return record
+    layers = _class_layers(group, np.array([mask], dtype=np.uint64), _translates(group, mask)[None])
+    return _records(group, [mask], layers, tol)[0]
+
+
+def _records(group: Group, masks: Sequence[int], layers: Sequence[tuple],
+             tol: float) -> list[ClassificationRecord]:
+    """The ClassificationRecord of each of a batch of subsets from its
+    _class_layers.  On abelian groups the analysis is named from the
+    stabilizer T: a nonempty S with |S| neither |T| nor 2|T| is "other"
+    (_name_by_stabilizer), and those classes share one frozen analysis per
+    T; the rest go through _name_by_stabilizer.  On Cayley groups each
+    class runs analyze_cosets and cb_norm.  Then predicted_norm and the
+    three flags at the tolerance."""
     c1, c2 = THRESHOLDS.coset_bound, THRESHOLDS.two_coset_bound
-    return ClassificationRecord(
-        subset=mask,
-        orbit_size=orbit_size,
-        analysis=analysis,
-        norm_lower=lower,
-        norm_upper=upper,
-        norm_exact=exact,
-        predicted=predicted,
-        below_coset_bound=upper < c1 - tol,
-        in_open_interval=(lower > 1.0 + tol and upper < c2 - tol),
-        extremal_other=(analysis.kind == "other"
-                        and lower <= c2 + tol and upper >= c2 - tol),
-        witness=witness,
-        witness_bound=bound,
-        pattern=pattern,
-    )
+    abelian = group.is_abelian
+    others: dict[int, CosetAnalysis] = {}
+    out = []
+    for mask, (orbit_size, stab, norm, witness, bound, pattern) in zip(masks, layers):
+        if abelian:
+            size, stab_size = mask.bit_count(), stab.bit_count()
+            if mask and size != stab_size and size != 2 * stab_size:
+                analysis = others.get(stab)
+                if analysis is None:
+                    analysis = others[stab] = CosetAnalysis(kind="other", subgroup=stab)
+            else:
+                analysis = _name_by_stabilizer(group, mask, stab)
+            lower = upper = norm
+            exact = True
+        else:
+            analysis = analyze_cosets(group, mask)
+            bounds = cb_norm(group, mask)
+            lower, upper, exact = bounds.lower, bounds.upper, False
+        out.append(ClassificationRecord(
+            subset=mask,
+            orbit_size=orbit_size,
+            analysis=analysis,
+            norm_lower=lower,
+            norm_upper=upper,
+            norm_exact=exact,
+            predicted=predicted_norm(analysis),
+            below_coset_bound=upper < c1 - tol,
+            in_open_interval=(lower > 1.0 + tol and upper < c2 - tol),
+            extremal_other=(analysis.kind == "other"
+                            and lower <= c2 + tol and upper >= c2 - tol),
+            witness=witness,
+            witness_bound=bound,
+            pattern=pattern,
+        ))
+    return out
 
 
 @dataclass(frozen=True)

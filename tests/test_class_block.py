@@ -1,13 +1,15 @@
 """The array kernels behind classify against the conftest oracles.
 
-classify reads the layers of a class from sweep._class_block, which runs
-the stabilizer, mu and the norm, the witness search, the witness integral
-and the pattern search as array kernels over the canonical masks of a
-256-mask block; a mask that is not canonical goes through the same kernels
-as a batch of one.  These tests compare every record and every layer with
-the brute-force oracles on every subset of small groups and on seeded
-batches at the order-64 cap, check that a batch gives each set what a
-batch of one gives it, and query classify in orders a sweep never uses.
+sweep._class_block runs the stabilizer, mu and the norm, the witness
+search, the witness integral and the pattern search as array kernels over
+the canonical masks of the 4096-mask block that canonical_form holds, at
+most 256 masks a call, and builds their records; classify reads a
+canonical mask's record from there when its block is held, and runs any
+other mask through the same kernels as a batch of one.  These tests
+compare every record and every layer with the brute-force oracles on
+every subset of small groups and on seeded batches at the order-64 cap,
+check that a batch gives each set what a batch of one gives it, and query
+classify in orders a sweep never uses.
 """
 
 import importlib
@@ -16,7 +18,7 @@ import random
 import numpy as np
 import pytest
 
-from idemnorm import classify, parse_group, stabilizer
+from idemnorm import canonical_form, classify, parse_group, stabilizer, sweep
 from idemnorm.groups import _lowest, _lowest_bits, _spectra, _translates
 from idemnorm.witness import SUP_NORM_F
 
@@ -128,9 +130,9 @@ def test_a_batch_gives_each_set_what_a_batch_of_one_gives(spec):
 
 @pytest.mark.parametrize("spec", ["Z12", "Z2xZ6"])
 def test_classify_gives_the_same_records_in_any_query_order(spec):
-    # a sweep asks in increasing order, one block after another; descending
-    # walks the blocks backwards, and a shuffled order changes block on
-    # almost every call
+    # a sweep asks in increasing order, after canonical_form has built the
+    # block; here no block is held, and classify must give the same records
+    # in ascending, descending and shuffled order
     group = parse_group(spec)
     masks = list(range(1 << group.order))
     expected = [classify(group, mask) for mask in masks]
@@ -151,3 +153,41 @@ def test_classify_keeps_each_group_its_own_block():
     for mask in range(1 << 12):
         for g in (cyclic, product):
             assert classify(g, mask) == expected[g][mask]
+
+
+@pytest.mark.parametrize("spec", ["Z12", "Z14"])
+def test_classify_out_of_order_builds_no_block(spec, monkeypatch):
+    # classify never builds a block: with no canonical_form call on the
+    # group, each class is one batch of one in any order, and its record
+    # is the one the sweep read from its block
+    ascending = sweep(parse_group(spec)).records
+    group = parse_group(spec)
+    built, batches = [], []
+    canonical_block, class_layers = sweep_module._canonical_block, sweep_module._class_layers
+
+    def counting_block(g, high):
+        built.append(high)
+        return canonical_block(g, high)
+
+    def counting_layers(g, masks, rows):
+        batches.append(len(masks))
+        return class_layers(g, masks, rows)
+
+    monkeypatch.setattr(sweep_module, "_canonical_block", counting_block)
+    monkeypatch.setattr(sweep_module, "_class_layers", counting_layers)
+    shuffled = ascending[:]
+    random.Random(2).shuffle(shuffled)
+    for record in shuffled:
+        assert classify(group, record.subset) == record
+    assert built == [] and batches == [1] * len(ascending)
+    # once canonical_form holds a block, its canonical masks read the
+    # block's records, built by slices of at most 256, and the other
+    # masks stay batches of one
+    batches.clear()
+    assert canonical_form(group, 1) == 1 and built == [0]
+    for record in shuffled:
+        assert classify(group, record.subset) == record
+    in_block = sum(1 for r in ascending if r.subset >> 12 == 0)  # 352 and 1118
+    slices = [size for size in batches if size > 1]
+    assert slices == [256] * (in_block // 256) + [in_block % 256]
+    assert len(batches) == len(slices) + len(ascending) - in_block and built == [0]

@@ -531,7 +531,8 @@ def test_json_reports_are_the_bytes_of_json_dumps(argv, monkeypatch, capsys):
     assert capsys.readouterr().out == _dumps(payload) + "\n"
 
 
-SWEEP_JSON_GROUPS = ("Z6", "Z2xZ4", "Z12", "Z2xZ6", "Z13", "S3", "D4", "Q8")
+# Z13, Z14 and Z2xZ7 sweep across 4096-mask blocks: 2, 4 and 4 of them
+SWEEP_JSON_GROUPS = ("Z6", "Z2xZ4", "Z12", "Z2xZ6", "Z13", "Z14", "Z2xZ7", "S3", "D4", "Q8")
 
 
 @functools.cache
@@ -578,6 +579,10 @@ def _a_record_with_every_field():
     {"witness_bound": math.nan, "predicted": None, "witness": None, "pattern": None},
     {"subset": 0, "analysis": CosetAnalysis(kind="empty")},
     {"orbit_size": 2 ** 70, "norm_lower": -0.0, "norm_upper": 5e-324, "predicted": 1e22},
+    # ints beyond the table of 0..63, and a bool, which json spells as true
+    {"pattern": ((0, 64, 2 ** 70), (-1, True, 63)), "witness": WitnessTriple(u=-5, v=64, w=1 << 65)},
+    # the same float value in two objects, and a subset beyond 64 bits
+    {"norm_lower": 1.25, "norm_upper": float("1.25"), "subset": (1 << 70) | (1 << 64) | 5},
 ])
 def test_record_writer_spells_every_value_as_json_does(changes):
     record = dataclasses.replace(_a_record_with_every_field(), **changes)
@@ -726,3 +731,14 @@ def test_json_writer_refuses_what_json_refuses(value):
         _dumps(value)
     with pytest.raises(TypeError):
         _json_text(value, "")
+
+
+@pytest.mark.parametrize("indent", ["", "      ", "        "])
+def test_json_elements_pieces_the_bytes_together_as_json_text_writes_the_list(indent):
+    rng = random.Random(5)
+    masks = ([0, 1, 255, 256, (1 << 64) - 1, 1 << 64, (1 << 200) | 3]
+             + [1 << k for k in range(0, 80, 7)] + [rng.getrandbits(96) for _ in range(50)])
+    for mask in masks:
+        assert cli._json_elements(mask, indent) == _json_text(subset_elements(mask), indent)
+    with pytest.raises(ValueError):
+        cli._json_elements(-1, indent)

@@ -329,9 +329,9 @@ def test_canonical_form_matches_oracle_on_every_subset_of_dic3():
 
 @pytest.mark.parametrize("spec", ("Z12", "Z3xZ4", "Z2xZ6"))
 def test_canonical_form_matches_oracle_in_any_query_order(spec):
-    # a sweep asks in increasing order, one 256-mask block after another;
-    # a descending order walks the blocks backwards, and a shuffled order
-    # changes block on almost every call
+    # a sweep asks in increasing order; the forms of these order-12 groups
+    # are one 4096-mask block, which descending and shuffled orders must
+    # read the same way (test_sweeps_across_blocks_... crosses blocks)
     g = parse_group(spec)
     expected = _oracle_forms(g)
     masks = list(range(1 << g.order))
@@ -369,14 +369,70 @@ def test_canonical_form_matches_oracle_at_order_64(spec):
 @pytest.mark.parametrize("spec, mask", [("Z6", 1 << 6), ("Z6", -1), ("Z6", (1 << 9) | 1),
                                         ("Z12", 1 << 12), ("Z12", -(1 << 20))])
 def test_canonical_form_refuses_a_mask_out_of_range(spec, mask):
-    # the check costs nothing per mask: a low byte beyond an order below 8
-    # falls off the block's list, and high bytes are checked per block
+    # the check costs nothing per mask: low bits beyond an order below 12
+    # fall off the block's list, and high bits are checked per block
     g = parse_group(spec)
     assert canonical_form(g, 0b110) == 0b11
     with pytest.raises(ValueError, match=f"out of range for order {g.order}"):
         canonical_form(g, mask)
     # the block in use is still the right one
     assert canonical_form(g, 0b110) == 0b11
+
+
+# masks that validate_mask refuses, as a function of the order n
+NOT_A_MASK = {"float": lambda n: 3.0, "str": lambda n: "3", "None": lambda n: None,
+              "negative": lambda n: -1, "2^n": lambda n: 1 << n}
+
+
+@pytest.mark.parametrize("spec", ("Z6", "Z14", "D4"))
+@pytest.mark.parametrize("kind", NOT_A_MASK)
+def test_canonical_form_and_classify_refuse_what_validate_mask_refuses(spec, kind):
+    # a float, a str or None fails the shift that picks the block, and a
+    # negative mask or 2^n its range check; each must be validate_mask's
+    # ValueError, whether or not the group's block is held
+    g = parse_group(spec)
+    mask = NOT_A_MASK[kind](g.order)
+    with pytest.raises(ValueError, match="subset mask"):
+        groups.validate_mask(g, mask)
+    for hold in (False, True):
+        if hold:
+            assert canonical_form(g, 0b110) == oracle_canonical_form(g, 0b110)
+        with pytest.raises(ValueError, match="subset mask"):
+            canonical_form(g, mask)
+        with pytest.raises(ValueError, match="subset mask"):
+            classify(g, mask)
+
+
+@pytest.mark.parametrize("spec, blocks, classes", [("Z13", 2, 632), ("Z14", 4, 1182),
+                                                   ("Z2xZ7", 4, 1182), ("Z16", 16, 4116)])
+def test_sweeps_across_blocks_give_each_class_the_record_of_a_batch_of_one(
+        spec, blocks, classes, monkeypatch):
+    # canonical_form builds each 4096-mask block once, in increasing order,
+    # and classify reads the canonical masks' records from the block it
+    # holds, 256 masks a kernel call; a group whose blocks were never built
+    # classifies each mask as a batch of one, which must give the same
+    # record, at the block edges (masks within 2 of a multiple of 4096)
+    # as everywhere else
+    g = parse_group(spec)
+    built = []
+    canonical_block = sweep_module._canonical_block
+
+    def counting(group, high):
+        built.append(high)
+        return canonical_block(group, high)
+
+    monkeypatch.setattr(sweep_module, "_canonical_block", counting)
+    report = sweep(g)
+    assert built == list(range(blocks))
+    assert len(report.records) == classes == burnside_abelian(g)
+    assert sum(r.orbit_size for r in report.records) == report.subset_total == 1 << g.order
+    assert not report.violations
+    edges = [r.subset for r in report.records if min(r.subset % 4096, -r.subset % 4096) <= 2]
+    assert len(edges) >= 4 and max(edges) >= 8191
+    alone = parse_group(spec)
+    for record in report.records:
+        assert classify(alone, record.subset) == record
+    assert built == list(range(blocks))
 
 
 def test_canonical_form_rejects_order_above_64():
