@@ -233,10 +233,11 @@ def _byte_elements(indent: str, position: int) -> tuple[str, ...]:
 
 def _json_elements(mask: int, indent: str) -> str:
     """The elements of a bitmask as a JSON list nested at the given indent,
-    as _json_text writes subset_elements(mask), whose items are ints: below
-    2^64, the text of each nonzero byte read from _byte_elements and
-    joined.  A negative mask raises subset_elements' ValueError."""
-    if not 0 < mask < 1 << 64:
+    as _json_text writes subset_elements(mask), whose items are ints: the
+    text of each nonzero byte read from _byte_elements and joined.  The
+    empty mask is "[]", and a negative one raises subset_elements'
+    ValueError."""
+    if mask <= 0:
         return _json_text(subset_elements(mask), indent)
     inner = indent + "  "
     texts = []

@@ -749,8 +749,7 @@ def analyze_cosets(group: Group, mask: int) -> CosetAnalysis:
 
 def _name_by_stabilizer(group: Group, mask: int, stab: int) -> CosetAnalysis:
     """The coset analysis of S read from its stabilizer T (analyze_cosets,
-    and sweep._records with T from its block of classes, which names an
-    abelian S of neither size "other" itself).
+    and sweep._records with T from its block of classes).
 
     |T| = |S| makes S the coset a T, a the least element of S.  When
     |S| = 2|T|, S is the two left cosets a T and b T (b the least element
@@ -761,13 +760,17 @@ def _name_by_stabilizer(group: Group, mask: int, stab: int) -> CosetAnalysis:
     is normal in <T, c> exactly when c T c^-1 = T: one conjugation.  Then
     q >= 3: q = 1 would put b in a T, and q = 2 would make K = T u c T a
     subgroup with S = a K, which the coset test catches first.
+
+    Any other nonempty S is "other", and the "other" sets of one T share
+    one frozen analysis (_other).
     """
     if mask == 0:
         return CosetAnalysis(kind="empty")
-    a = _lowest(mask)
-    if mask.bit_count() == stab.bit_count():
-        return CosetAnalysis(kind="coset", subgroup=stab, rep_a=a)
-    if mask.bit_count() == 2 * stab.bit_count():
+    size, stab_size = mask.bit_count(), stab.bit_count()
+    if size == stab_size:
+        return CosetAnalysis(kind="coset", subgroup=stab, rep_a=_lowest(mask))
+    if size == 2 * stab_size:
+        a = _lowest(mask)
         b = _lowest(mask & ~translate_left(group, a, stab))
         c = group.mul(group.inv(a), b)
         conjugates = group.mul_array(group.mul_array(c, _members(stab)), group.inv(c))
@@ -778,4 +781,10 @@ def _name_by_stabilizer(group: Group, mask: int, stab: int) -> CosetAnalysis:
                 p = group.mul(p, c)
                 q += 1
             return CosetAnalysis(kind="two_cosets", subgroup=stab, rep_a=a, rep_b=b, q=q)
+    return _other(stab)
+
+
+@functools.lru_cache(maxsize=256)
+def _other(stab: int) -> CosetAnalysis:
+    """The analysis of every "other" set whose stabilizer is T."""
     return CosetAnalysis(kind="other", subgroup=stab)

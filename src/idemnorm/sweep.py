@@ -13,12 +13,15 @@ Any counterexample is reported as a violation; subsets of kind "other" whose
 norm sits at 4/3 are collected as extremal examples.
 
 A sweep calls canonical_form on every mask in increasing order and classify
-on each mask that is its own form.  Both read one held _Block of 2^12 masks:
-canonical_form builds it, the forms of all its masks at once, and the first
-classify of one of its canonical masks builds the finished records of all
-of them (_class_block: the array kernels of _class_layers over slices of
-256 masks, then _records).  classify never builds a block, so a query out
-of that order costs one batch of one, not a block.
+on each mask that is its own form.  Both read one held _Block of 2^12 masks.
+canonical_form of the block's first mask builds it, the forms of all its
+masks at once, and classify of its lowest canonical mask builds the
+finished records of all of them (_class_block: the array kernels of
+_class_layers over slices of 256 masks, then _records); a sweep asks each
+of the two first.  Any other mask that the held block does not answer is
+one row of translates for canonical_form and a batch of one for classify,
+which never builds a block, so a query out of that order costs one mask,
+not a block.
 """
 
 from __future__ import annotations
@@ -86,10 +89,11 @@ class _Block:
     """The canonical forms of the masks (high << 12) | v of one group, for
     every v below 2^min(n, 12); the v whose mask is its own form,
     ascending; and the class records of those masks at one tolerance,
-    (tol, {mask: record}), once classify has asked for them.  Nothing in a
-    block changes after it is built but records, which is replaced whole,
-    so a caller that reads _held once sees one consistent block even when
-    another thread holds a new one meanwhile."""
+    (tol, {mask: record}), once classify has asked for the lowest of
+    them.  Nothing in a block changes after it is built but records,
+    which is replaced whole, so a caller that reads _held once sees one
+    consistent block even when another thread holds a new one
+    meanwhile."""
 
     group: Optional[Group]
     high: int
@@ -104,17 +108,21 @@ _held = _Block(None, -1, [], np.zeros(0, dtype=np.int64))
 
 def canonical_form(group: Group, mask: int) -> int:
     """Smallest bitmask in the translation orbit of S, as a Python int;
-    idempotent.  A lookup into the held _Block when S lies in it, and
-    otherwise into the block of S that _canonical_block builds and holds
-    for the next call: sweep asks for the masks in increasing order, so it
-    builds each block once.  A mask that is not an int in 0..2^n - 1 raises
-    validate_mask's ValueError at no cost per mask: _canonical_block
+    idempotent.  A lookup into the held _Block when S lies in it.  When it
+    does not, the first mask of S's block, which a sweep asks first, has
+    _canonical_block build that block and hold it for the next calls, so
+    a sweep in increasing order builds each block once; any other mask is
+    the least of its own translates, so a query out of that order costs
+    one row, not a block.  A mask that is not an int in 0..2^n - 1 raises
+    validate_mask's ValueError at no cost per lookup: _canonical_block
     refuses high bits out of range, the forms stop at the mask 2^n - 1,
     and a mask that cannot be shifted (a float, a str, None) fails the
     shift."""
     try:
         block = _held
         if block.group is not group or block.high != mask >> _BLOCK_BITS:
+            if mask & _BLOCK_LOW:
+                return int(_translates(group, validate_mask(group, mask)).min())
             block = _canonical_block(group, mask >> _BLOCK_BITS)
         return block.forms[mask & _BLOCK_LOW]
     except (IndexError, TypeError, ValueError):
@@ -196,14 +204,9 @@ def _class_layers(group: Group, masks: np.ndarray, rows: np.ndarray) -> list[tup
     witnesses: list[Optional[WitnessTriple]] = [None] * count
     bounds: list[Optional[float]] = [None] * count
     integrals = _witness_integrals(group, masks[has], rows[has], triples[has], mu[has])
-    # a few dozen distinct triples serve a block's classes: one frozen
-    # WitnessTriple each
-    shared: dict[tuple, WitnessTriple] = {}
-    for i, triple, bound in zip(np.flatnonzero(has).tolist(), map(tuple, triples[has].tolist()),
-                                (np.abs(integrals) / SUP_NORM_F).tolist()):
-        if triple not in shared:
-            shared[triple] = WitnessTriple(*triple)
-        witnesses[i], bounds[i] = shared[triple], bound
+    for i, (u, v, w), bound in zip(np.flatnonzero(has).tolist(), triples[has].tolist(),
+                                   (np.abs(integrals) / SUP_NORM_F).tolist()):
+        witnesses[i], bounds[i] = WitnessTriple(u=u, v=v, w=w), bound
     return list(zip(orbit_sizes, _row_masks(fixed).tolist(), norms, witnesses, bounds,
                     _pattern_searches(rows)))
 
@@ -252,20 +255,22 @@ def classify(group: Group, mask: int, tol: float = DEFAULT_TOL_EXACT) -> Classif
     2^12-mask block is the one _canonical_block holds, which it always is
     in a sweep (canonical_form runs on each mask first), a canonical S reads
     its finished record from _class_block, built once for the block and the
-    tolerance.  Any other S, a mask that is not canonical or one of a block
-    not held, goes through the same kernels and _records as a batch of one:
-    classify never builds a block, so a caller that asks out of order pays
-    for one class, not for a block."""
+    tolerance when the block's lowest canonical mask is asked, as a sweep
+    asks it first.  Any other S, one asked before that mask, a mask that
+    is not canonical or one of a block not held, goes through the same
+    kernels and _records as a batch of one: classify never builds a block,
+    so a caller that asks out of order pays for one class, and for a
+    block's records only at its lowest canonical mask."""
     tol = validate_tol(tol)
     mask = validate_mask(group, mask)
     block = _held
     if block.group is group and block.high == mask >> _BLOCK_BITS:
         held_tol, records = block.records
-        if held_tol != tol:
-            records = _class_block(block, tol)
-            block.records = (tol, records)
-        record = records.get(mask)
-        if record is not None:
+        # a sweep asks first for the block's lowest canonical mask; a block
+        # may hold none
+        if held_tol != tol and mask & _BLOCK_LOW in block.canonical[:1]:
+            held_tol, records = block.records = (tol, _class_block(block, tol))
+        if held_tol == tol and (record := records.get(mask)) is not None:
             return record
     layers = _class_layers(group, np.array([mask], dtype=np.uint64), _translates(group, mask)[None])
     return _records(group, [mask], layers, tol)[0]
@@ -274,25 +279,16 @@ def classify(group: Group, mask: int, tol: float = DEFAULT_TOL_EXACT) -> Classif
 def _records(group: Group, masks: Sequence[int], layers: Sequence[tuple],
              tol: float) -> list[ClassificationRecord]:
     """The ClassificationRecord of each of a batch of subsets from its
-    _class_layers.  On abelian groups the analysis is named from the
-    stabilizer T: a nonempty S with |S| neither |T| nor 2|T| is "other"
-    (_name_by_stabilizer), and those classes share one frozen analysis per
-    T; the rest go through _name_by_stabilizer.  On Cayley groups each
-    class runs analyze_cosets and cb_norm.  Then predicted_norm and the
+    _class_layers.  On abelian groups _name_by_stabilizer names the
+    analysis from the stabilizer T; on Cayley groups each class runs
+    analyze_cosets and cb_norm.  Then predicted_norm and the
     three flags at the tolerance."""
     c1, c2 = THRESHOLDS.coset_bound, THRESHOLDS.two_coset_bound
     abelian = group.is_abelian
-    others: dict[int, CosetAnalysis] = {}
     out = []
     for mask, (orbit_size, stab, norm, witness, bound, pattern) in zip(masks, layers):
         if abelian:
-            size, stab_size = mask.bit_count(), stab.bit_count()
-            if mask and size != stab_size and size != 2 * stab_size:
-                analysis = others.get(stab)
-                if analysis is None:
-                    analysis = others[stab] = CosetAnalysis(kind="other", subgroup=stab)
-            else:
-                analysis = _name_by_stabilizer(group, mask, stab)
+            analysis = _name_by_stabilizer(group, mask, stab)
             lower = upper = norm
             exact = True
         else:

@@ -3,9 +3,10 @@
 sweep._class_block runs the stabilizer, mu and the norm, the witness
 search, the witness integral and the pattern search as array kernels over
 the canonical masks of the 4096-mask block that canonical_form holds, at
-most 256 masks a call, and builds their records; classify reads a
-canonical mask's record from there when its block is held, and runs any
-other mask through the same kernels as a batch of one.  These tests
+most 256 masks a call, and builds their records when classify asks for
+the block's lowest canonical mask; classify then reads a canonical mask's
+record from there while its block is held, and runs any other mask
+through the same kernels as a batch of one.  These tests
 compare every record and every layer with the brute-force oracles on
 every subset of small groups and on seeded batches at the order-64 cap,
 check that a batch gives each set what a batch of one gives it, and query
@@ -22,9 +23,9 @@ from idemnorm import canonical_form, classify, parse_group, stabilizer, sweep
 from idemnorm.groups import _lowest, _lowest_bits, _spectra, _translates
 from idemnorm.witness import SUP_NORM_F
 
-from conftest import (oracle_analyze_cosets, oracle_bs_norm, oracle_find_witness,
-                      oracle_mu, oracle_mul, oracle_orbit, oracle_pattern_search,
-                      oracle_stabilizer)
+from conftest import (dihedral_group, oracle_analyze_cosets, oracle_bs_norm,
+                      oracle_find_witness, oracle_mu, oracle_mul, oracle_orbit,
+                      oracle_pattern_search, oracle_stabilizer)
 
 sweep_module = importlib.import_module("idemnorm.sweep")
 
@@ -180,14 +181,50 @@ def test_classify_out_of_order_builds_no_block(spec, monkeypatch):
     for record in shuffled:
         assert classify(group, record.subset) == record
     assert built == [] and batches == [1] * len(ascending)
-    # once canonical_form holds a block, its canonical masks read the
-    # block's records, built by slices of at most 256, and the other
-    # masks stay batches of one
+    # once canonical_form of the first mask holds a block, classify of its
+    # lowest canonical mask, the empty set too, builds the block's records
+    # by slices of at most 256; the block's masks asked before it, and the
+    # other masks, stay batches of one
     batches.clear()
-    assert canonical_form(group, 1) == 1 and built == [0]
+    assert canonical_form(group, 1) == 1 and built == []
+    assert canonical_form(group, 0) == 0 and built == [0]
     for record in shuffled:
         assert classify(group, record.subset) == record
     in_block = sum(1 for r in ascending if r.subset >> 12 == 0)  # 352 and 1118
+    before = sum(1 for r in shuffled[:shuffled.index(ascending[0])] if r.subset >> 12 == 0)
     slices = [size for size in batches if size > 1]
     assert slices == [256] * (in_block // 256) + [in_block % 256]
-    assert len(batches) == len(slices) + len(ascending) - in_block and built == [0]
+    assert len(batches) == len(slices) + len(ascending) - in_block + before and built == [0]
+
+
+@pytest.mark.parametrize("make", [lambda: parse_group("Z14"), lambda: parse_group("D4"),
+                                  lambda: dihedral_group(7)], ids=["Z14", "D4", "D7"])
+def test_canonical_form_then_classify_in_any_order_builds_each_blocks_records_once(
+        make, monkeypatch):
+    # canonical_form on each mask, then classify, in shuffled order: only a
+    # block's first mask builds the block, and only its lowest canonical
+    # mask builds its records, so each is built at most once
+    ascending = sweep(make()).records
+    group = make()
+    built, classed = [], []
+    canonical_block, class_block = sweep_module._canonical_block, sweep_module._class_block
+
+    def counting_block(g, high):
+        built.append(high)
+        return canonical_block(g, high)
+
+    def counting_class_block(block, tol):
+        classed.append(block.high)
+        return class_block(block, tol)
+
+    monkeypatch.setattr(sweep_module, "_canonical_block", counting_block)
+    monkeypatch.setattr(sweep_module, "_class_block", counting_class_block)
+    shuffled = ascending[:]
+    random.Random(3).shuffle(shuffled)
+    for record in shuffled:
+        assert canonical_form(group, record.subset) == record.subset
+        assert classify(group, record.subset) == record
+    # only canonical masks are asked, so a block is built only when its
+    # first mask is one of them
+    firsts = sorted(r.subset >> 12 for r in ascending if r.subset & 4095 == 0)
+    assert sorted(built) == firsts and len(set(classed)) == len(classed) <= len(firsts)

@@ -330,8 +330,10 @@ def test_canonical_form_matches_oracle_on_every_subset_of_dic3():
 @pytest.mark.parametrize("spec", ("Z12", "Z3xZ4", "Z2xZ6"))
 def test_canonical_form_matches_oracle_in_any_query_order(spec):
     # a sweep asks in increasing order; the forms of these order-12 groups
-    # are one 4096-mask block, which descending and shuffled orders must
-    # read the same way (test_sweeps_across_blocks_... crosses blocks)
+    # are one 4096-mask block, built when its first mask, 0, is asked:
+    # descending and shuffled orders must get the same forms from rows of
+    # translates before that and from the block after it
+    # (test_sweeps_across_blocks_... crosses blocks)
     g = parse_group(spec)
     expected = _oracle_forms(g)
     masks = list(range(1 << g.order))
