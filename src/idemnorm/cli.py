@@ -11,8 +11,9 @@ item lines go to stderr, so stdout holds only the report.
 
 A report is rendered whole before any of it is written.  JSON reports are
 the bytes of json.dumps(..., indent=2, sort_keys=True); a sweep's is its
-summary with each class record written once into a fixed layout
-(_record_json), handed to _emit as a list of parts that is never joined.
+summary with each class record written once (_record_json, which renders
+each distinct analysis, pattern, witness and float once, from bounded
+memos), handed to _emit as a list of parts that is never joined.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 from .bs import bs_norm, predicted_norm
 from .groups import (_BYTE_BITS, Group, analyze_cosets, parse_group, subset_elements,
                      subset_mask)
-from .multiplier import cb_norm
+from .multiplier import _check_cb_order, cb_norm
 from .schur import (
     Gamma2ConvergenceError,
     forbidden_pattern,
@@ -134,8 +135,10 @@ def _json_text(value, indent: str) -> str:
     json.dumps(..., indent=2, sort_keys=True) writes it.  Reports hold only
     dicts with str keys, lists, str, int, float, bool and None, each of
     exactly that type, so one lookup on the exact type picks the writer.
-    The items of a list or dict are written in place by that lookup, and
-    only a list, a dict or a value that misses it recurses; anything else
+    A list whose items all have one exact scalar type is written by that
+    type's writer in one map; the items of any other list or dict are
+    written in place by that lookup, and only a list, a dict or a value
+    that misses it recurses; anything else
     (a tuple, a numpy scalar, a subclass, a key that is not a str) raises
     TypeError.  NaN and the infinities are spelled as json spells them."""
     kind = type(value)
@@ -147,8 +150,14 @@ def _json_text(value, indent: str) -> str:
     if kind is list:
         if not value:
             return "[]"
-        body = separator.join([write(x) if (write := _JSON_SCALARS.get(type(x)))
-                               else _json_text(x, inner) for x in value])
+        kinds = set(map(type, value))
+        if len(kinds) == 1 and (write := _JSON_SCALARS.get(kinds.pop())) is not None:
+            # one exact scalar type, such as an element list or a matrix
+            # row: its writer over the whole list in one map
+            body = separator.join(map(write, value))
+        else:
+            body = separator.join([write(x) if (write := _JSON_SCALARS.get(type(x)))
+                                   else _json_text(x, inner) for x in value])
         return f"[\n{inner}{body}\n{indent}]"
     if kind is dict:
         if not value:
@@ -186,39 +195,13 @@ _JSON_SCALARS = _ScalarWriters({
     type(None): lambda value: "null",
 })
 
-# A sweep record as _json_text(record.to_dict(), "    ") writes it: one item
-# of the report's "records" list, its keys in sorted order.
-_RECORD_LAYOUT = (
-    '{\n'
-    '      "analysis": {\n'
-    '        "kind": %s,\n'
-    '        "q": %s,\n'
-    '        "rep_a": %s,\n'
-    '        "rep_b": %s,\n'
-    '        "subgroup": %s\n'
-    '      },\n'
-    '      "below_coset_bound": %s,\n'
-    '      "extremal_other": %s,\n'
-    '      "in_open_interval": %s,\n'
-    '      "norm_exact": %s,\n'
-    '      "norm_lower": %s,\n'
-    '      "norm_upper": %s,\n'
-    '      "orbit_size": %s,\n'
-    '      "pattern": %s,\n'
-    '      "predicted": %s,\n'
-    '      "subset": %s,\n'
-    '      "witness": %s,\n'
-    '      "witness_bound": %s\n'
-    '    }'
-)
+# The parts of a sweep record that _record_json reads from its memos, as
+# _json_text(record.to_dict(), "    ") writes them nested in the record.
+_ANALYSIS_LAYOUT = ('{\n        "kind": %s,\n        "q": %s,\n        "rep_a": %s,\n'
+                    '        "rep_b": %s,\n        "subgroup": %s\n      }')
 _PATTERN_LAYOUT = ('[\n        [\n          %s,\n          %s,\n          %s\n        ],\n'
                    '        [\n          %s,\n          %s,\n          %s\n        ]\n      ]')
 _WITNESS_LAYOUT = '{\n        "u": %s,\n        "v": %s,\n        "w": %s\n      }'
-
-
-# the JSON text of the ints 0..63: the entries of a sweep record's pattern
-# and witness are elements of a group of order at most 64
-_SMALL_INTS = {i: str(i) for i in range(64)}
 
 
 @functools.cache
@@ -250,44 +233,113 @@ def _json_elements(mask: int, indent: str) -> str:
     return f"[\n{inner}" + (",\n" + inner).join(texts) + f"\n{indent}]"
 
 
+# the most distinct texts that each memo of _record_json keeps
+_MEMO_SIZE = 1 << 12
+
+
+def _int_texts(*values) -> tuple[str, ...]:
+    """The JSON text of each of a record's int fields, None as null.  Any
+    other type raises TypeError, and _record_json then hands the record to
+    _json_text.  So the memos below keep only keys whose equal values
+    have equal text (never 0.0 beside -0.0), and their typed=True keeps
+    True, np.int64(1) or an IntEnum from being served the int 1's text."""
+    for x in values:
+        if x is not None and type(x) is not int:
+            raise TypeError(f"a record int field holds a {type(x).__name__}")
+    return tuple(["null" if x is None else int.__repr__(x) for x in values])
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE, typed=True)
+def _analysis_json(kind, q, rep_a, rep_b, subgroup) -> str:
+    """A record's analysis from its five fields, as _json_text writes it
+    nested in the record: a memo, since a sweep's classes share a few
+    analyses (16 among Z14's 1,182).  kind must be a str, and the others
+    ints or None (_int_texts)."""
+    if type(kind) is not str:
+        raise TypeError(f"a record kind holds a {type(kind).__name__}")
+    q, rep_a, rep_b, subgroup_text = _int_texts(q, rep_a, rep_b, subgroup)
+    if subgroup is not None:
+        subgroup_text = _json_elements(subgroup, "        ")
+    return _ANALYSIS_LAYOUT % (encode_basestring_ascii(kind), q, rep_a, rep_b, subgroup_text)
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE, typed=True)
+def _pattern_json(r1, r2, r3, c1, c2, c3) -> str:
+    """A record's pattern from its row and column triples, each entry an
+    int (_int_texts), as _json_text writes it nested in the record: a
+    memo (275 distinct among Z14's 1,182 records)."""
+    return _PATTERN_LAYOUT % _int_texts(r1, r2, r3, c1, c2, c3)
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE, typed=True)
+def _witness_json(u, v, w) -> str:
+    """A record's witness triple from its three ints (_int_texts), as
+    _json_text writes it nested in the record: a memo (49 distinct among
+    Z14's 1,166 witnesses)."""
+    return _WITNESS_LAYOUT % _int_texts(u, v, w)
+
+
+# _json_float of the floats that _float_json lets through
+_float_memo = functools.lru_cache(maxsize=_MEMO_SIZE)(_json_float)
+
+
+def _float_json(value) -> str:
+    """A record's float field, or None, as _json_text writes it.  An exact
+    float that is neither zero nor NaN is read from _float_memo: two such
+    floats that compare equal have the same bits, so the same text.
+    0.0 == -0.0 and NaN equals nothing, so those are written each time,
+    and a type _json_text refuses raises TypeError."""
+    if type(value) is float and value and value == value:
+        return _float_memo(value)
+    return _JSON_SCALARS[type(value)](value)
+
+
 def _record_json(record: ClassificationRecord) -> str:
     """A sweep record's JSON, byte for byte as
     _json_text(record.to_dict(), "    ") writes it, straight from the
-    record's fields into _RECORD_LAYOUT: no dict, no sorting.  Each scalar
-    is written by its exact type's writer, so that a type _json_text
-    refuses raises TypeError here too, with three shortcuts that keep that
-    check: None is "null", an int 0..63 of the pattern or the witness is
-    read from _SMALL_INTS, and norm_upper reuses norm_lower's text when the
-    two fields hold the same float object."""
-    write, small = _JSON_SCALARS, _SMALL_INTS
+    record's fields into one f-string: no dict, no sorting.  Each
+    distinct value is rendered once: the analysis, the pattern and the
+    witness come from typed memos of their fields, the floats from
+    _float_json, and norm_upper reuses norm_lower's text when the two
+    fields hold the same float object; the bools and the orbit size are
+    written by their exact type's writer, and the subset by
+    _json_elements.  A field of a type that a sweep does not give it
+    raises TypeError on the way, and the record is then written by
+    _json_text itself, which writes it or raises TypeError as it would
+    in the report."""
+    write = _JSON_SCALARS
     analysis, pattern, witness = record.analysis, record.pattern, record.witness
-    q, rep_a, rep_b = analysis.q, analysis.rep_a, analysis.rep_b
     lower, upper = record.norm_lower, record.norm_upper
-    predicted, bound = record.predicted, record.witness_bound
-    lower_text = write[type(lower)](lower)
-    return _RECORD_LAYOUT % (
-        write[type(analysis.kind)](analysis.kind),
-        "null" if q is None else write[type(q)](q),
-        "null" if rep_a is None else write[type(rep_a)](rep_a),
-        "null" if rep_b is None else write[type(rep_b)](rep_b),
-        "null" if analysis.subgroup is None else _json_elements(analysis.subgroup, "        "),
-        write[type(record.below_coset_bound)](record.below_coset_bound),
-        write[type(record.extremal_other)](record.extremal_other),
-        write[type(record.in_open_interval)](record.in_open_interval),
-        write[type(record.norm_exact)](record.norm_exact),
-        lower_text,
-        lower_text if upper is lower else write[type(upper)](upper),
-        write[type(record.orbit_size)](record.orbit_size),
-        "null" if pattern is None else _PATTERN_LAYOUT % tuple([
-            small[x] if type(x) is int and x in small else write[type(x)](x)
-            for x in (*pattern[0], *pattern[1])]),
-        "null" if predicted is None else write[type(predicted)](predicted),
-        _json_elements(record.subset, "      "),
-        "null" if witness is None else _WITNESS_LAYOUT % tuple([
-            small[x] if type(x) is int and x in small else write[type(x)](x)
-            for x in (witness.u, witness.v, witness.w)]),
-        "null" if bound is None else write[type(bound)](bound),
-    )
+    below, extremal = record.below_coset_bound, record.extremal_other
+    inside, exact, orbit = record.in_open_interval, record.norm_exact, record.orbit_size
+    try:
+        analysis_text = _analysis_json(analysis.kind, analysis.q, analysis.rep_a,
+                                       analysis.rep_b, analysis.subgroup)
+        lower_text = _float_json(lower)
+        upper_text = lower_text if upper is lower else _float_json(upper)
+        pattern_text = "null" if pattern is None else _pattern_json(*pattern[0], *pattern[1])
+        witness_text = ("null" if witness is None
+                        else _witness_json(witness.u, witness.v, witness.w))
+        # one f-string, the keys in sorted order: a third of the cost of
+        # a %-layout of the same thirteen values
+        return (
+            f'{{\n      "analysis": {analysis_text},\n'
+            f'      "below_coset_bound": {write[type(below)](below)},\n'
+            f'      "extremal_other": {write[type(extremal)](extremal)},\n'
+            f'      "in_open_interval": {write[type(inside)](inside)},\n'
+            f'      "norm_exact": {write[type(exact)](exact)},\n'
+            f'      "norm_lower": {lower_text},\n'
+            f'      "norm_upper": {upper_text},\n'
+            f'      "orbit_size": {write[type(orbit)](orbit)},\n'
+            f'      "pattern": {pattern_text},\n'
+            f'      "predicted": {_float_json(record.predicted)},\n'
+            f'      "subset": {_json_elements(record.subset, "      ")},\n'
+            f'      "witness": {witness_text},\n'
+            f'      "witness_bound": {_float_json(record.witness_bound)}\n'
+            '    }'
+        )
+    except TypeError:
+        return _json_text(record.to_dict(), "    ")
 
 
 def _sweep_json(report: SweepReport) -> list[str]:
@@ -323,7 +375,13 @@ def _text_lines(payload: dict, prefix: str = "") -> list[str]:
 
 
 def cmd_norm(args) -> int:
+    """The norm and structure of one subset, with cb_norm's bracket when
+    asked (--cb) or on a Cayley group.  A group above cb_norm's order cap
+    is refused (exit 2) before the subset is parsed or anything computed."""
     group = parse_group(args.group)
+    with_cb = args.cb or not group.is_abelian
+    if with_cb:
+        _check_cb_order(group)
     mask = parse_subset(group, args.subset)
     analysis = analyze_cosets(group, mask)
     payload: dict = {
@@ -334,7 +392,7 @@ def cmd_norm(args) -> int:
     }
     if group.is_abelian:
         payload["bs_norm"] = bs_norm(group, mask)
-    if args.cb or not group.is_abelian:
+    if with_cb:
         bounds = cb_norm(group, mask)
         payload["cb_lower"] = bounds.lower
         payload["cb_upper"] = bounds.upper

@@ -19,6 +19,7 @@ on a group.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Optional
 
@@ -51,6 +52,13 @@ def _row_flags(group: Group, mask: int) -> np.ndarray:
     return _products_in(group, _bits(mask, group.order), group._inverse, everything)
 
 
+def _check_cb_order(group: Group) -> None:
+    """cb_norm's order cap: ValueError for a group above CB_ORDER_CAP, so
+    that a caller can refuse before any other work."""
+    if group.order > CB_ORDER_CAP:
+        raise ValueError(f"cb_norm supports orders up to {CB_ORDER_CAP}, got {group.order}")
+
+
 def cb_norm(group: Group, mask: int) -> Gamma2Bounds:
     """Exact completely bounded multiplier norm of chi_S (group order capped
     at 64), as a closed bracket with its certificate and witness.
@@ -81,8 +89,7 @@ def cb_norm(group: Group, mask: int) -> Gamma2Bounds:
         blocks, so no n-by-n matrix is decomposed.
     """
     mask = validate_mask(group, mask)
-    if group.order > CB_ORDER_CAP:
-        raise ValueError(f"cb_norm supports orders up to {CB_ORDER_CAP}, got {group.order}")
+    _check_cb_order(group)
     layout = group.cyclic_layout
     m, k, _ = layout.gather.shape
     circulant = _bits(mask, group.order)[layout.gather].astype(float)  # C_d
@@ -109,6 +116,13 @@ def cb_norm(group: Group, mask: int) -> Gamma2Bounds:
     return Gamma2Bounds(lower=lower, upper=upper, certificate=certificate, witness=witness)
 
 
+@functools.cache
+def _row_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The row pairs (r2, r3) with r2 < r3 < n, in row-major order: the
+    upper triangle of an n-by-n array, as np.triu_indices(n, 1) gives it."""
+    return np.triu_indices(n, 1)
+
+
 def _pattern_searches(rows: np.ndarray) -> list[Optional[tuple[tuple[int, int, int],
                                                                 tuple[int, int, int]]]]:
     """First forbidden-pattern hit for each of a stack of subsets, from the
@@ -122,18 +136,23 @@ def _pattern_searches(rows: np.ndarray) -> list[Optional[tuple[tuple[int, int, i
     properly overlap; the classes are disjoint, so the least member of each
     gives the least column triple.  S is therefore pattern-free exactly
     when its traces m0 & m form a laminar family (any two nested or
-    disjoint).  The overlaps of every (r2, r3) are one (B, n, n) array, and
-    the first hit is the first (r2, r3) in row-major order.  A trace never
-    properly overlaps itself or m0 & m0 = m0, so every hit has distinct
-    rows.
+    disjoint).  A proper overlap is symmetric in A and B, and a trace never
+    properly overlaps itself, so every hit has distinct rows and the first
+    hit in row-major order has r2 < r3: the overlaps are tested on those
+    n(n - 1)/2 pairs only (_row_pairs), one (B, n(n - 1)/2) array, and the
+    first hit is the first pair in that order.  A group of one element has
+    no pair, and no hit.
     """
     count, n = rows.shape
+    if n < 2:
+        return [None] * count
     traces = rows[:, :1] & rows
-    first, second = traces[:, :, None], traces[:, None, :]
+    pair2, pair3 = _row_pairs(n)
+    first, second = traces[:, pair2], traces[:, pair3]
     both = first & second
-    hits = (both != 0) & ((first ^ both) != 0) & ((second ^ both) != 0)
-    hits = hits.reshape(count, n * n)
-    r2, r3 = np.divmod(hits.argmax(axis=1), n)
+    hits = (both != 0) & (first != both) & (second != both)
+    k = hits.argmax(axis=1)
+    r2, r3 = pair2[k], pair3[k]
     pick = np.arange(count)
     a, b = traces[pick, r2], traces[pick, r3]
     columns = _lowest_bits(np.stack((a & b, a & ~b, b & ~a)))

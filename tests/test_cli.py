@@ -1,4 +1,5 @@
 import dataclasses
+import enum
 import functools
 import importlib
 import json
@@ -15,7 +16,7 @@ from idemnorm.schur import WitnessPair
 from idemnorm.sweep import SweepReport, sweep
 from idemnorm.witness import WitnessTriple
 
-from conftest import (oracle_analyze_cosets, oracle_mul, planted_subsets,
+from conftest import (dihedral_group, oracle_analyze_cosets, oracle_mul, planted_subsets,
                       random_subgroup)
 
 
@@ -87,6 +88,33 @@ def test_norm_bad_subset_exits_2(capsys):
     assert code == 2
     code, _, _ = run_cli(capsys, "norm", "-g", "S3", "-s", "(0,1)")
     assert code == 2
+
+
+@pytest.mark.parametrize("group", ["Z128", "dihedral-33"])
+def test_norm_refuses_a_group_above_the_cb_cap_before_any_work(group, tmp_path, monkeypatch,
+                                                               capsys):
+    # --cb on an abelian group, and any Cayley group (here D33, order 66),
+    # ask for cb_norm, which stops at order 64: the run exits 2 before the
+    # coset analysis or the character-sum norm runs
+    argv = ["norm", "-g", group, "-s", "0,1,5", "--cb"]
+    order = 128
+    if group == "dihedral-33":
+        d33 = dihedral_group(33)
+        order = d33.order
+        path = tmp_path / "d33.json"
+        path.write_text(json.dumps({"n": order, "identity": 0, "table": d33.table.tolist()}))
+        argv = ["norm", "-g", str(path), "-s", "0,1,5"]
+    calls = []
+
+    def recording(name):
+        return lambda *args, **kwargs: calls.append(name)
+
+    monkeypatch.setattr(cli, "analyze_cosets", recording("analyze_cosets"))
+    monkeypatch.setattr(cli, "bs_norm", recording("bs_norm"))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"cb_norm supports orders up to 64, got {order}\n"
+    assert calls == []
 
 
 @pytest.mark.parametrize("group, spec, message", [
@@ -617,6 +645,99 @@ def test_record_writer_refuses_what_the_report_writer_refuses(changes):
         _record_json(record)
 
 
+# an IntEnum member for each int a record of a small group holds, and a
+# float subclass: json.dumps writes both, the report writer refuses them
+_Element = enum.IntEnum("_Element", {f"E{i}": i for i in range(64)})
+
+
+class _Norm(float):
+    """A float subclass."""
+
+
+def _same_value_other_type(value):
+    """Values equal to an int or a float of a record, of other types."""
+    if type(value) is int:
+        others = [np.int64(value), _Element(value), float(value)]
+        return others + [bool(value)] if value in (0, 1) else others
+    return [np.float64(value), _Norm(value)]
+
+
+def _retyped_records(record):
+    """Records equal in value to this one, each with one int of its
+    analysis, pattern or witness, or its floats, of another type."""
+    analysis, pattern, witness = record.analysis, record.pattern, record.witness
+    for field in ("q", "rep_a", "rep_b"):
+        if getattr(analysis, field) is not None:
+            for other in _same_value_other_type(getattr(analysis, field)):
+                yield dataclasses.replace(
+                    record, analysis=dataclasses.replace(analysis, **{field: other}))
+    if pattern is not None:
+        flat = [*pattern[0], *pattern[1]]
+        for k, entry in enumerate(flat):
+            for other in _same_value_other_type(entry):
+                entries = flat[:k] + [other] + flat[k + 1:]
+                yield dataclasses.replace(record, pattern=(tuple(entries[:3]), tuple(entries[3:])))
+    if witness is not None:
+        for field in ("u", "v", "w"):
+            for other in _same_value_other_type(getattr(witness, field)):
+                yield dataclasses.replace(
+                    record, witness=dataclasses.replace(witness, **{field: other}))
+    for other in _same_value_other_type(record.norm_lower):
+        yield dataclasses.replace(record, norm_lower=other, norm_upper=other)
+        yield dataclasses.replace(record, norm_upper=other)
+    for field in ("predicted", "witness_bound"):
+        if getattr(record, field) is not None:
+            for other in _same_value_other_type(getattr(record, field)):
+                yield dataclasses.replace(record, **{field: other})
+
+
+def _assert_written_as_the_report_writer_writes(record):
+    try:
+        expected = _json_text(record.to_dict(), "    ")
+    except TypeError:
+        with pytest.raises(TypeError):
+            _record_json(record)
+    else:
+        assert _record_json(record) == expected
+
+
+def test_record_writer_memo_serves_no_text_to_an_equal_value_of_another_type():
+    # the memos of the record writer are filled by valid records first, in
+    # this process; records of equal value that hold another type must then
+    # be written as _json_text writes them, or refused as it refuses them
+    records = [r for spec in ("Z12", "Z2xZ6", "Z13") for r in _sweep_of(spec).records]
+    for record in records:
+        assert _record_json(record) == _json_text(record.to_dict(), "    ")
+    kinds = {r.analysis.kind: r for r in records}
+    full = _a_record_with_every_field()
+    named = [r for r in records if r.analysis.kind in ("coset", "two_cosets", "empty")]
+    retyped = [variant for record in named + [full] for variant in _retyped_records(record)]
+    assert any(type(v.analysis.rep_a) is bool and v.analysis.rep_a for v in retyped)
+    assert any(type(v.pattern[0][0]) is _Element for v in retyped if v.pattern is not None)
+    for variant in retyped:
+        _assert_written_as_the_report_writer_writes(variant)
+    # -0.0 after 0.0, in a float field and in an int field, and NaN and the
+    # infinities, each twice in a row
+    empty = kinds["empty"]
+    assert empty.norm_lower == 0.0 and empty.predicted == 0.0
+    zeros = [
+        dataclasses.replace(empty, norm_lower=0.0, norm_upper=0.0),
+        dataclasses.replace(empty, norm_lower=-0.0, norm_upper=-0.0, predicted=-0.0),
+        dataclasses.replace(full, witness_bound=0.0, analysis=dataclasses.replace(
+            full.analysis, q=0.0), pattern=((0.0, 1, 2), (0, 1, 2))),
+        dataclasses.replace(full, witness_bound=-0.0, analysis=dataclasses.replace(
+            full.analysis, q=-0.0), pattern=((-0.0, 1, 2), (0, 1, 2))),
+    ]
+    special = [dataclasses.replace(full, norm_lower=value, norm_upper=upper,
+                                   predicted=value, witness_bound=upper)
+               for value, upper in ((math.nan, math.inf), (-math.inf, math.nan),
+                                    (math.inf, -math.inf))]
+    for record in zeros + special + special:
+        _assert_written_as_the_report_writer_writes(record)
+    assert '"norm_lower": -0.0' in _record_json(zeros[1])
+    assert '"q": -0.0' in _record_json(zeros[3])
+
+
 def test_record_writer_failing_partway_keeps_an_existing_out_file(tmp_path, capsys,
                                                                   monkeypatch):
     # the fifth class of the sweep holds a numpy norm, which the record
@@ -731,6 +852,45 @@ def test_json_writer_refuses_what_json_refuses(value):
         _dumps(value)
     with pytest.raises(TypeError):
         _json_text(value, "")
+
+
+# lists of one exact scalar type, which the writer maps in one pass, and
+# the same items mixed, which it writes item by item
+HOMOGENEOUS_LISTS = [
+    [0, 1, -7, 2 ** 70, -(2 ** 63)],
+    [0.5, -0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, 1e22, 1.0000000000000002],
+    ["", "plain", "caf\u00e9 \u2603 \U0001F600", 'q"b\\s', "\n\t\x00\x7f", "\u2028\ud800"],
+    [True, False, True],
+    [None, None],
+    [[1.0, -0.0], [math.nan, 2.5]],
+]
+MIXED_LISTS = [
+    [0, 0.0, "0", False, None],
+    [1, True, 1.0],
+    [math.nan, None, -0.0, 0],
+    ["\u00e9", 3, [4.5, 6], {"k": -math.inf}],
+    [[], {}, 1],
+]
+
+
+@pytest.mark.parametrize("value", HOMOGENEOUS_LISTS + MIXED_LISTS,
+                         ids=range(len(HOMOGENEOUS_LISTS) + len(MIXED_LISTS)))
+def test_json_writer_maps_lists_of_one_scalar_type_as_json_dumps_writes_them(value):
+    for payload in (value, {"a": value, "b": [value, value]}, [[value]]):
+        assert _json_text(payload, "") == _dumps(payload)
+
+
+@pytest.mark.parametrize("items", [
+    [np.int64(1), np.int64(2)],
+    [_Element(1), _Element(2)],
+    [_Norm(1.5), _Norm(-0.0)],
+    [np.float64(1.5), np.float64(2.5)],
+    [np.bool_(True), np.bool_(False)],
+], ids=["int64", "IntEnum", "float-subclass", "float64", "bool_"])
+def test_json_writer_refuses_a_list_of_one_unknown_type(items):
+    for value in (items, {"a": items}, [items]):
+        with pytest.raises(TypeError):
+            _json_text(value, "")
 
 
 @pytest.mark.parametrize("indent", ["", "      ", "        "])

@@ -8,7 +8,9 @@ kernel is the batched form of numpy_find_witness, and numpy_pattern_search
 keeps the per-set column classes of every (r2, r3).  The two must return
 the same triple (or None) on every subset of the small groups and on
 seeded random subsets up to the order-64 cap, where the brute-force
-witness oracle in conftest is too slow to run on many sets.
+witness oracle in conftest is too slow to run on many sets.  The pattern
+kernel, which tests the row pairs r2 < r3 only, is also held to its
+full-pair form (full_pair_pattern_searches) on whole stacks of subsets.
 """
 
 import random
@@ -21,8 +23,8 @@ from idemnorm import (
     forbidden_pattern_search,
     parse_group,
 )
-from idemnorm.groups import _translates
-from idemnorm.multiplier import _row_flags
+from idemnorm.groups import Group, _lowest_bits, _row_masks, _translates
+from idemnorm.multiplier import _pattern_searches, _row_flags
 
 from conftest import dihedral_group
 
@@ -72,7 +74,7 @@ def _lowest(mask):
 
 
 def _group(spec):
-    return dihedral_group(32) if spec == "D32" else parse_group(spec)
+    return dihedral_group(int(spec[1:])) if spec in ("D5", "D32") else parse_group(spec)
 
 
 def _witness(group, mask):
@@ -132,3 +134,43 @@ def test_searches_match_numpy_forms_on_order_64_cosets(spec):
     assert all(forbidden_pattern_search(group, mask) is None for mask in masks)
     if group.is_abelian:
         assert all(find_witness(group, mask) is None for mask in masks)
+
+
+def full_pair_pattern_searches(rows):
+    """_pattern_searches as it was before it kept the pairs r2 < r3 only:
+    the proper overlaps of every ordered row pair (r2, r3), one (B, n, n)
+    array, and the first hit in row-major order."""
+    count, n = rows.shape
+    traces = rows[:, :1] & rows
+    first, second = traces[:, :, None], traces[:, None, :]
+    both = first & second
+    hits = ((both != 0) & ((first ^ both) != 0) & ((second ^ both) != 0)).reshape(count, n * n)
+    r2, r3 = np.divmod(hits.argmax(axis=1), n)
+    pick = np.arange(count)
+    a, b = traces[pick, r2], traces[pick, r3]
+    columns = _lowest_bits(np.stack((a & b, a & ~b, b & ~a)))
+    return [((0, x2, x3), (c1, c2, c3)) if hit else None for hit, x2, x3, c1, c2, c3
+            in zip(hits.any(axis=1).tolist(), r2.tolist(), r3.tolist(), *columns.tolist())]
+
+
+@pytest.mark.parametrize("spec", ["D4", "Q8", "D5", "Z2xZ4", "Z10"])
+def test_pattern_kernel_matches_its_full_pair_form_on_every_subset(spec):
+    # the packed multiplier rows of every subset (the translates on an
+    # abelian group), one stack: the kernel over r2 < r3 and the full-pair
+    # form must find the same first hit, or none, for each
+    group = _group(spec)
+    rows = np.stack([_translates(group, mask) if group.is_abelian
+                     else _row_masks(_row_flags(group, mask))
+                     for mask in range(1 << group.order)])
+    found = _pattern_searches(rows)
+    assert found == full_pair_pattern_searches(rows)
+    assert any(hit is None for hit in found) and any(hit is not None for hit in found)
+    assert all(hit is None or hit[0][1] < hit[0][2] for hit in found)
+
+
+def test_pattern_kernel_on_the_group_of_one_element():
+    # one row and no row pair: no hit, as the full-pair form finds
+    trivial = Group(table=np.zeros((1, 1), dtype=np.int64))
+    rows = np.array([[0], [1]], dtype=np.uint64)
+    assert _pattern_searches(rows) == full_pair_pattern_searches(rows) == [None, None]
+    assert forbidden_pattern_search(trivial, 1) is None
