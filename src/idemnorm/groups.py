@@ -28,7 +28,7 @@ O(log order) levels.
 analyze_cosets names cosets and unions of two left cosets a T, b T of the
 stabilizer T; the second kind needs T normal in <T, a^-1 b>, which is one
 conjugation.  The naming from T is _name_by_stabilizer, which
-sweep.classify shares with T read from its block of classes.  The
+sweep._classify shares with T read from its stack of classes.  The
 character pairing of an abelian group has one exact integer form,
 _pairing_numerators, under character_values; up to order 64
 Group.character_table caches it for every element.
@@ -528,10 +528,14 @@ def translate_left(group: Group, t: int, mask: int) -> int:
     return _index_mask(group, group.mul_array(t, _members(mask)))
 
 
-def _translates(group: Group, mask: int) -> np.ndarray:
+def _translates(group: Group, mask) -> np.ndarray:
     """Every translate of S (uint64 bitmasks, one per translation), as an OR
     of the rows of the group's translation table that the bytes of S select:
-    entry t is t + S on abelian groups, entry t n + u is t S u otherwise."""
+    entry t is t + S on abelian groups, entry t n + u is t S u otherwise.
+    S is an int, giving one row (T,), or a uint64 stack of masks (B,),
+    giving a row each (B, T).  For an int, table[0, mask & 255] is a view
+    of the cached table, so the OR makes a new array and never writes in
+    place."""
     table = group.translation_table
     out = table[0, mask & 255]
     for b in range(1, len(table)):
@@ -637,9 +641,9 @@ def stabilizer(group: Group, mask: int) -> int:
     For the empty set this is the whole group.  For abelian groups the two
     one-sided conditions coincide, and the stabilizer is {t : t + S = S},
     the t with |S & (S - t)| = |S|, read off the integer autocorrelation
-    (_autocorrelation, two transforms) at every order.  sweep.classify
+    (_autocorrelation, two transforms) at every order.  sweep._classify
     takes it from its own kernel instead, the translates equal to S over a
-    block of classes.
+    stack of classes.
 
     On Cayley groups S and its complement have the same stabilizer, so S is
     replaced by the smaller of the two.  S t = S puts s0 t in S, so the
@@ -749,7 +753,7 @@ def analyze_cosets(group: Group, mask: int) -> CosetAnalysis:
 
 def _name_by_stabilizer(group: Group, mask: int, stab: int) -> CosetAnalysis:
     """The coset analysis of S read from its stabilizer T (analyze_cosets,
-    and sweep._records with T from its block of classes).
+    and sweep._records with T from its stack of classes).
 
     |T| = |S| makes S the coset a T, a the least element of S.  When
     |S| = 2|T|, S is the two left cosets a T and b T (b the least element

@@ -2,7 +2,7 @@
 plus the combinatorial detectors that explain large norms: the forbidden
 3x3 pattern, the progression property, and the closure claim.  The pattern
 search is an array kernel over a stack of subsets (_pattern_searches), which
-sweep.classify runs over a block of classes; forbidden_pattern_search is a
+sweep._classify runs over a stack of classes; forbidden_pattern_search is a
 batch of one.  The progression property (has_progression_property) is
 one yes-or-no test over a block of products, s t and s t^2 for every s in
 S and every t; no list of violations is built.
@@ -172,7 +172,7 @@ def forbidden_pattern_search(group: Group, mask: int) -> Optional[tuple[tuple[in
         raise ValueError(f"pattern search supports orders up to "
                          f"{TRANSLATION_TABLE_MAX_ORDER}, got {n}")
     if group.is_abelian:
-        rows = _translates(group, mask)[None]
+        rows = _translates(group, np.array([mask], dtype=np.uint64))
     else:
         rows = _row_masks(_row_flags(group, mask))[None]
     return _pattern_searches(rows)[0]

@@ -12,16 +12,16 @@ the classification theorems at the requested tolerance:
 Any counterexample is reported as a violation; subsets of kind "other" whose
 norm sits at 4/3 are collected as extremal examples.
 
-A sweep calls canonical_form on every mask in increasing order and classify
-on each mask that is its own form.  Both read one held _Block of 2^12 masks.
-canonical_form of the block's first mask builds it, the forms of all its
-masks at once, and classify of its lowest canonical mask builds the
-finished records of all of them (_class_block: the array kernels of
-_class_layers over slices of 256 masks, then _records); a sweep asks each
-of the two first.  Any other mask that the held block does not answer is
-one row of translates for canonical_form and a batch of one for classify,
-which never builds a block, so a query out of that order costs one mask,
-not a block.
+sweep() works a block of 2^12 masks at a time, the masks that share their
+bits from 12 up.  _build_block holds the block's _Block: the canonical form
+of every mask in it, and the finished record of each mask that is its own
+form, at the sweep's tolerance (_classify: the array kernels of
+_class_layers over slices of 256 masks, then _records).  The sweep then
+calls canonical_form on every mask of the block in increasing order and
+classify on each mask that is its own form, and each call is a lookup.
+Outside a sweep nothing builds a block: canonical_form of a mask that the
+held block does not answer is the least of its own translates, one row,
+and classify of one is a batch of one through _classify.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from __future__ import annotations
 import csv
 import io
 import time
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -80,66 +81,60 @@ DEFAULT_TOL_EXACT = 1e-9
 # time: the masks that share their bits from 12 up
 _BLOCK_BITS = 12
 _BLOCK_LOW = (1 << _BLOCK_BITS) - 1
-# the most canonical masks of a block that one _class_layers call stacks
+# the most masks that one _class_layers call stacks
 _LAYER_SLICE = 256
 
 
-@dataclass(eq=False, slots=True)
+@dataclass(frozen=True, slots=True)
 class _Block:
     """The canonical forms of the masks (high << 12) | v of one group, for
-    every v below 2^min(n, 12); the v whose mask is its own form,
-    ascending; and the class records of those masks at one tolerance,
-    (tol, {mask: record}), once classify has asked for the lowest of
-    them.  Nothing in a block changes after it is built but records,
-    which is replaced whole, so a caller that reads _held once sees one
-    consistent block even when another thread holds a new one
-    meanwhile."""
+    every v below 2^min(n, 12), and the class record of each of those
+    masks that is its own form at the tolerance tol, keyed by mask.
+    Nothing in a block changes after _build_block holds it, so a caller
+    that reads _held once sees one consistent block even when another
+    sweep holds a new one meanwhile."""
 
     group: Optional[Group]
     high: int
+    tol: float
     forms: list[int]
-    canonical: np.ndarray
-    records: tuple = (None, None)
+    records: dict[int, "ClassificationRecord"]
 
 
-# the one block kept: the last that _canonical_block built
-_held = _Block(None, -1, [], np.zeros(0, dtype=np.int64))
+# the one block kept: the last that a sweep built
+_held = _Block(None, -1, DEFAULT_TOL_EXACT, [], {})
 
 
 def canonical_form(group: Group, mask: int) -> int:
     """Smallest bitmask in the translation orbit of S, as a Python int;
-    idempotent.  A lookup into the held _Block when S lies in it.  When it
-    does not, the first mask of S's block, which a sweep asks first, has
-    _canonical_block build that block and hold it for the next calls, so
-    a sweep in increasing order builds each block once; any other mask is
-    the least of its own translates, so a query out of that order costs
-    one row, not a block.  A mask that is not an int in 0..2^n - 1 raises
-    validate_mask's ValueError at no cost per lookup: _canonical_block
-    refuses high bits out of range, the forms stop at the mask 2^n - 1,
+    idempotent.  A lookup into the held _Block when S lies in it, as every
+    mask of a sweep does; any other mask is the least of its own
+    translates, one row, and builds nothing.  A mask that is not an int in
+    0..2^n - 1 raises validate_mask's ValueError at no cost per lookup: a
+    held block's high bits are in range, its forms stop at the mask 2^n - 1,
     and a mask that cannot be shifted (a float, a str, None) fails the
     shift."""
+    block = _held
     try:
-        block = _held
-        if block.group is not group or block.high != mask >> _BLOCK_BITS:
-            if mask & _BLOCK_LOW:
-                return int(_translates(group, validate_mask(group, mask)).min())
-            block = _canonical_block(group, mask >> _BLOCK_BITS)
-        return block.forms[mask & _BLOCK_LOW]
-    except (IndexError, TypeError, ValueError):
+        if block.group is group and block.high == mask >> _BLOCK_BITS:
+            return block.forms[mask & _BLOCK_LOW]
+    except (IndexError, TypeError):
         validate_mask(group, mask)
         raise
+    return int(_translates(group, validate_mask(group, mask)).min())
 
 
-def _canonical_block(group: Group, high: int) -> _Block:
-    """Build the _Block of the masks (high << 12) | v and hold it.  A
-    translate is an OR over bytes: each row of the lowest byte's
-    translation table is ORed with the one row that translates the high
-    part, then, for each value of bits 8..11 in turn, with that value's
-    row of the second byte's table, and the row minima are the forms.  So
-    the temporaries stay at 256 rows of translates whatever the group.
-    High bits beyond the order raise validate_mask's ValueError."""
+def _build_block(group: Group, high: int, tol: float) -> range:
+    """Hold the _Block of the masks (high << 12) | v at tol, and return
+    the range of those masks, which a sweep then asks.  A translate
+    is an OR over bytes: each row of the lowest byte's translation table is
+    ORed with the one row that translates the high part, then, for each
+    value of bits 8..11 in turn, with that value's row of the second
+    byte's table, and the row minima are the forms.  So the temporaries
+    stay at 256 rows of translates whatever the group.  The masks equal to
+    their forms are then classified as one _classify stack."""
     global _held
-    base = validate_mask(group, high << _BLOCK_BITS)
+    base = high << _BLOCK_BITS
     table = group.translation_table
     low = table[0] | _translates(group, base)
     n = group.order
@@ -148,28 +143,22 @@ def _canonical_block(group: Group, high: int) -> _Block:
     else:
         minima = np.concatenate([(low | row).min(axis=1)
                                  for row in table[1, :1 << min(n - 8, _BLOCK_BITS - 8)]])
-    canonical = np.flatnonzero(minima == np.uint64(base) + np.arange(len(minima), dtype=np.uint64))
-    _held = _Block(group, high, minima.tolist(), canonical)
-    return _held
+    masks = np.uint64(base) + np.arange(len(minima), dtype=np.uint64)
+    canonical = masks[minima == masks]
+    records = dict(zip(canonical.tolist(), _classify(group, canonical, tol)))
+    _held = _Block(group, high, tol, minima.tolist(), records)
+    return range(base, base + len(minima))
 
 
-def _class_block(block: _Block, tol: float) -> dict[int, "ClassificationRecord"]:
-    """classify's record of every canonical mask of a block, keyed by
-    mask: _class_layers over the canonical masks, at most 256 a call, with
-    each mask's translate rows gathered from the byte tables, then
-    _records at the tolerance."""
-    group, low = block.group, block.canonical
-    base = block.high << _BLOCK_BITS
-    table = group.translation_table
-    rows = table[0, low & 255] | _translates(group, base)
-    if len(table) > 1:
-        rows |= table[1, low >> 8]
-    masks = low.astype(np.uint64) | np.uint64(base)
+def _classify(group: Group, masks: np.ndarray, tol: float) -> list["ClassificationRecord"]:
+    """classify's record of each of a uint64 stack of masks, in any order
+    and canonical or not: _class_layers over slices of at most 256 masks,
+    each with its rows from _translates, then _records at the tolerance."""
     layers: list[tuple] = []
     for lo in range(0, len(masks), _LAYER_SLICE):
-        layers += _class_layers(group, masks[lo:lo + _LAYER_SLICE], rows[lo:lo + _LAYER_SLICE])
-    found = masks.tolist()
-    return dict(zip(found, _records(group, found, layers, tol)))
+        part = masks[lo:lo + _LAYER_SLICE]
+        layers += _class_layers(group, part, _translates(group, part))
+    return _records(group, masks.tolist(), layers, tol)
 
 
 def _class_layers(group: Group, masks: np.ndarray, rows: np.ndarray) -> list[tuple]:
@@ -264,29 +253,18 @@ def classify(group: Group, mask: int, tol: float = DEFAULT_TOL_EXACT) -> Classif
 
     The norm is the character sum on abelian groups and the cb norm
     otherwise; on abelian groups the two coincide (Bozejko-Fendler 1984),
-    which the amenable_cross_check verify items confirm.  When S's
-    2^12-mask block is the one _canonical_block holds, which it always is
-    in a sweep (canonical_form runs on each mask first), a canonical S reads
-    its finished record from _class_block, built once for the block and the
-    tolerance when the block's lowest canonical mask is asked, as a sweep
-    asks it first.  Any other S, one asked before that mask, a mask that
-    is not canonical or one of a block not held, goes through the same
-    kernels and _records as a batch of one: classify never builds a block,
-    so a caller that asks out of order pays for one class, and for a
-    block's records only at its lowest canonical mask."""
+    which the amenable_cross_check verify items confirm.  S's record is
+    read from the held _Block when it holds one for S at the same
+    tolerance, as it does for every class of a sweep; any other S, one not
+    canonical, of a block not held or at another tolerance, is a batch of
+    one through _classify, which builds no block."""
     tol = validate_tol(tol)
     mask = validate_mask(group, mask)
     block = _held
-    if block.group is group and block.high == mask >> _BLOCK_BITS:
-        held_tol, records = block.records
-        # a sweep asks first for the block's lowest canonical mask; a block
-        # may hold none
-        if held_tol != tol and mask & _BLOCK_LOW in block.canonical[:1]:
-            held_tol, records = block.records = (tol, _class_block(block, tol))
-        if held_tol == tol and (record := records.get(mask)) is not None:
-            return record
-    layers = _class_layers(group, np.array([mask], dtype=np.uint64), _translates(group, mask)[None])
-    return _records(group, [mask], layers, tol)[0]
+    if (block.group is group and block.high == mask >> _BLOCK_BITS and block.tol == tol
+            and (record := block.records.get(mask)) is not None):
+        return record
+    return _classify(group, np.array([mask], dtype=np.uint64), tol)[0]
 
 
 def _records(group: Group, masks: Sequence[int], layers: Sequence[tuple],
@@ -417,22 +395,25 @@ def sweep(group: Group, tol: float = DEFAULT_TOL_EXACT) -> SweepReport:
     if group.order > SWEEP_ORDER_CAP:
         raise ValueError(f"full sweep capped at order {SWEEP_ORDER_CAP}, group has {group.order}")
     started = time.perf_counter()
-    records = [classify(group, mask, tol) for mask in range(1 << group.order)
-               if canonical_form(group, mask) == mask]
+    records: list[ClassificationRecord] = []
+    for high in range(max(1, (1 << group.order) >> _BLOCK_BITS)):
+        records += [classify(group, mask, tol) for mask in _build_block(group, high, tol)
+                    if canonical_form(group, mask) == mask]
 
     violations = []
-    kind_totals: dict = {}
-    witness_presence: dict = {}
+    # each slot is made once, on its kind's or label's first record
+    kind_totals = defaultdict(lambda: {"classes": 0, "subsets": 0})
+    witness_presence = defaultdict(lambda: {"classes": 0, "with_witness": 0})
     subset_total = 0
     extremal = []
     for record in records:
         kind = record.analysis.kind
-        slot = kind_totals.setdefault(kind, {"classes": 0, "subsets": 0})
+        slot = kind_totals[kind]
         slot["classes"] += 1
         slot["subsets"] += record.orbit_size
         subset_total += record.orbit_size
         label = f"two_cosets_q{record.analysis.q}" if kind == "two_cosets" else kind
-        wslot = witness_presence.setdefault(label, {"classes": 0, "with_witness": 0})
+        wslot = witness_presence[label]
         wslot["classes"] += 1
         if record.witness is not None:
             wslot["with_witness"] += 1
@@ -446,10 +427,10 @@ def sweep(group: Group, tol: float = DEFAULT_TOL_EXACT) -> SweepReport:
         tolerance=tol,
         records=records,
         violations=violations,
-        kind_totals=kind_totals,
+        kind_totals=dict(kind_totals),
         subset_total=subset_total,
         extremal=extremal,
-        witness_presence=witness_presence,
+        witness_presence=dict(witness_presence),
         wall_time_s=time.perf_counter() - started,
     )
 

@@ -11,7 +11,7 @@ witness forces bs_norm(S) >= 6/(9/2) = 4/3.
 Everything here but sup_norm_check takes abelian groups of order up to 64.
 The search and the integral are array kernels over a stack of subsets, one
 row of uint64 translates t + S per subset (_find_witnesses and
-_witness_integrals): sweep.classify runs them over a block of classes, and
+_witness_integrals): sweep._classify runs them over a stack of classes, and
 find_witness and witness_integral are batches of one.  The search and the
 memberships read the translates of S from the group's translation table;
 the numeric integral reads the characters from its character table, so the
@@ -85,8 +85,8 @@ def find_witness(group: Group, mask: int) -> Optional[WitnessTriple]:
     groups of order up to 64): _find_witnesses on a batch of one."""
     group._require_abelian()
     mask = validate_mask(group, mask)
-    rows = _translates(group, mask)[None]
-    u, v, w = _find_witnesses(group, np.array([mask], dtype=np.uint64), rows)[0].tolist()
+    masks = np.array([mask], dtype=np.uint64)
+    u, v, w = _find_witnesses(group, masks, _translates(group, masks))[0].tolist()
     return None if u < 0 else WitnessTriple(u=u, v=v, w=w)
 
 
@@ -141,8 +141,8 @@ def witness_integral(group: Group, mask: int, triple: WitnessTriple) -> complex:
     u, v, w = triple.u, triple.v, triple.w
     if not all(0 <= x < group.order for x in (u, v, w)):
         raise ValueError(f"(u={u}, v={v}, w={w}) has an element outside 0..{group.order - 1}")
-    rows = _translates(group, mask)[None]
-    value = _witness_integrals(group, np.array([mask], dtype=np.uint64), rows,
+    masks = np.array([mask], dtype=np.uint64)
+    value = _witness_integrals(group, masks, _translates(group, masks),
                                np.array([[u, v, w]]), mu_values(group, mask)[None])
     return complex(value[0])
 

@@ -1,16 +1,15 @@
 """The array kernels behind classify against the conftest oracles.
 
-sweep._class_block runs the stabilizer, mu and the norm, the witness
-search, the witness integral and the pattern search as array kernels over
-the canonical masks of the 4096-mask block that canonical_form holds, at
-most 256 masks a call, and builds their records when classify asks for
-the block's lowest canonical mask; classify then reads a canonical mask's
-record from there while its block is held, and runs any other mask
-through the same kernels as a batch of one.  These tests
-compare every record and every layer with the brute-force oracles on
-every subset of small groups and on seeded batches at the order-64 cap,
-check that a batch gives each set what a batch of one gives it, and query
-classify in orders a sweep never uses.
+sweep._classify runs the stabilizer, mu and the norm, the witness search,
+the witness integral and the pattern search as array kernels over a uint64
+stack of masks, at most 256 a call, and builds their records.  A sweep
+builds each 4096-mask block once, the records of its canonical masks as
+one stack, and classify reads a canonical mask's record from the block
+held; any other mask, and any mask outside a sweep, is a batch of one.
+These tests compare every record and every layer with the brute-force
+oracles on every subset of small groups and on seeded batches at the
+order-64 cap, check that a stack gives each set what a batch of one gives
+it, and query classify in orders a sweep never uses.
 """
 
 import importlib
@@ -21,6 +20,7 @@ import pytest
 
 from idemnorm import canonical_form, classify, parse_group, stabilizer, sweep
 from idemnorm.groups import _lowest, _lowest_bits, _spectra, _translates
+from idemnorm.sweep import DEFAULT_TOL_EXACT
 from idemnorm.witness import SUP_NORM_F
 
 from conftest import (dihedral_group, oracle_analyze_cosets, oracle_bs_norm,
@@ -37,6 +37,11 @@ def _stack(group, masks):
     """The uint64 masks and their translate rows, as _class_layers takes them."""
     return (np.array(masks, dtype=np.uint64),
             np.stack([_translates(group, mask) for mask in masks]))
+
+
+def _classify(group, masks):
+    """The records of one _classify stack of masks, at the default tolerance."""
+    return sweep_module._classify(group, np.array(masks, dtype=np.uint64), DEFAULT_TOL_EXACT)
 
 
 def _oracle_bound(group, mask, triple):
@@ -112,17 +117,16 @@ def test_lowest_bits_is_exact_on_bits_0_to_63():
 
 @pytest.mark.parametrize("spec", ["Z12", "Z2xZ6", "D4"])
 def test_a_batch_gives_each_set_what_a_batch_of_one_gives(spec):
-    # the block batches only canonical masks; here every mask of each block,
+    # a sweep stacks only canonical masks; here every mask of each block,
     # canonical or not, is batched together and one at a time, and both
-    # must agree with the record classify builds
+    # must agree with the record _classify builds from a stack of them
     group = parse_group(spec)
     for high in range(max(1, 1 << (group.order - 8))):
         masks = [(high << 8) | v for v in range(min(256, 1 << group.order))]
         together = sweep_module._class_layers(group, *_stack(group, masks))
-        for mask, layers in zip(masks, together):
+        for mask, layers, record in zip(masks, together, _classify(group, masks)):
             assert layers == sweep_module._class_layers(group, *_stack(group, [mask]))[0]
             orbit_size, stab, norm, witness, bound, pattern = layers
-            record = classify(group, mask)
             assert (orbit_size, witness, bound, pattern) == (
                 record.orbit_size, record.witness, record.witness_bound, record.pattern)
             if group.is_abelian:
@@ -131,12 +135,12 @@ def test_a_batch_gives_each_set_what_a_batch_of_one_gives(spec):
 
 @pytest.mark.parametrize("spec", ["Z12", "Z2xZ6"])
 def test_classify_gives_the_same_records_in_any_query_order(spec):
-    # a sweep asks in increasing order, after canonical_form has built the
-    # block; here no block is held, and classify must give the same records
-    # in ascending, descending and shuffled order
+    # a sweep asks in increasing order, from the block it built; here no
+    # block is held, and classify must give the records of one stack of
+    # every mask in descending and shuffled order
     group = parse_group(spec)
     masks = list(range(1 << group.order))
-    expected = [classify(group, mask) for mask in masks]
+    expected = _classify(group, masks)
     shuffled = masks[:]
     random.Random(1).shuffle(shuffled)
     for order in (masks[::-1], shuffled):
@@ -145,86 +149,97 @@ def test_classify_gives_the_same_records_in_any_query_order(spec):
 
 
 def test_classify_keeps_each_group_its_own_block():
-    # Z12 and Z2xZ6 share every mask and differ in their classes:
-    # alternating the groups on each mask must not read one group's block
-    # for the other
+    # Z12 and Z2xZ6 share every mask and differ in their classes: with
+    # Z12's block held by its sweep, alternating the groups on each mask
+    # must not read one group's block for the other
     cyclic, product = parse_group("Z12"), parse_group("Z2xZ6")
-    expected = {g: [classify(g, mask) for mask in range(1 << 12)] for g in (cyclic, product)}
+    expected = {g: _classify(g, range(1 << 12)) for g in (cyclic, product)}
     assert expected[cyclic] != expected[product]
+    sweep(cyclic)
     for mask in range(1 << 12):
         for g in (cyclic, product):
             assert classify(g, mask) == expected[g][mask]
 
 
+def _count_calls(monkeypatch):
+    """Patch sweep._build_block and sweep._classify to log the high part of
+    each block built and the size of each stack classified."""
+    built, stacks = [], []
+    build_block, classify_stack = sweep_module._build_block, sweep_module._classify
+
+    def counting_block(group, high, tol):
+        built.append(high)
+        return build_block(group, high, tol)
+
+    def counting_stack(group, masks, tol):
+        stacks.append(len(masks))
+        return classify_stack(group, masks, tol)
+
+    monkeypatch.setattr(sweep_module, "_build_block", counting_block)
+    monkeypatch.setattr(sweep_module, "_classify", counting_stack)
+    return built, stacks
+
+
 @pytest.mark.parametrize("spec", ["Z12", "Z14"])
 def test_classify_out_of_order_builds_no_block(spec, monkeypatch):
-    # classify never builds a block: with no canonical_form call on the
-    # group, each class is one batch of one in any order, and its record
-    # is the one the sweep read from its block
+    # outside sweep() nothing builds a block, in any order: canonical_form
+    # of every mask in increasing order, then classify of each class in
+    # the order a sweep asks, and again shuffled, are one row of translates
+    # and one batch of one a call, and give the forms and records the
+    # sweep read from its blocks
     ascending = sweep(parse_group(spec)).records
     group = parse_group(spec)
-    built, batches = [], []
-    canonical_block, class_layers = sweep_module._canonical_block, sweep_module._class_layers
-
-    def counting_block(g, high):
-        built.append(high)
-        return canonical_block(g, high)
-
-    def counting_layers(g, masks, rows):
-        batches.append(len(masks))
-        return class_layers(g, masks, rows)
-
-    monkeypatch.setattr(sweep_module, "_canonical_block", counting_block)
-    monkeypatch.setattr(sweep_module, "_class_layers", counting_layers)
+    built, stacks = _count_calls(monkeypatch)
+    forms = [canonical_form(group, mask) for mask in range(1 << group.order)]
+    assert sorted(set(forms)) == [r.subset for r in ascending]
     shuffled = ascending[:]
     random.Random(2).shuffle(shuffled)
-    for record in shuffled:
-        assert classify(group, record.subset) == record
-    assert built == [] and batches == [1] * len(ascending)
-    # once canonical_form of the first mask holds a block, classify of its
-    # lowest canonical mask, the empty set too, builds the block's records
-    # by slices of at most 256; the block's masks asked before it, and the
-    # other masks, stay batches of one
-    batches.clear()
-    assert canonical_form(group, 1) == 1 and built == []
-    assert canonical_form(group, 0) == 0 and built == [0]
-    for record in shuffled:
-        assert classify(group, record.subset) == record
-    in_block = sum(1 for r in ascending if r.subset >> 12 == 0)  # 352 and 1118
-    before = sum(1 for r in shuffled[:shuffled.index(ascending[0])] if r.subset >> 12 == 0)
-    slices = [size for size in batches if size > 1]
-    assert slices == [256] * (in_block // 256) + [in_block % 256]
-    assert len(batches) == len(slices) + len(ascending) - in_block + before and built == [0]
+    for order in (ascending, shuffled):
+        for record in order:
+            assert classify(group, record.subset) == record
+    assert built == [] and stacks == [1] * (2 * len(ascending))
 
 
 @pytest.mark.parametrize("make", [lambda: parse_group("Z14"), lambda: parse_group("D4"),
                                   lambda: dihedral_group(7)], ids=["Z14", "D4", "D7"])
 def test_canonical_form_then_classify_in_any_order_builds_each_blocks_records_once(
         make, monkeypatch):
-    # canonical_form on each mask, then classify, in shuffled order: only a
-    # block's first mask builds the block, and only its lowest canonical
-    # mask builds its records, so each is built at most once
-    ascending = sweep(make()).records
+    # a sweep builds each block exactly once, in increasing order, with
+    # the records of its canonical masks as one stack; canonical_form and
+    # then classify on each class in shuffled order afterwards build
+    # nothing, read the last block's records and classify the other
+    # blocks' classes one at a time
     group = make()
-    built, classed = [], []
-    canonical_block, class_block = sweep_module._canonical_block, sweep_module._class_block
-
-    def counting_block(g, high):
-        built.append(high)
-        return canonical_block(g, high)
-
-    def counting_class_block(block, tol):
-        classed.append(block.high)
-        return class_block(block, tol)
-
-    monkeypatch.setattr(sweep_module, "_canonical_block", counting_block)
-    monkeypatch.setattr(sweep_module, "_class_block", counting_class_block)
-    shuffled = ascending[:]
+    built, stacks = _count_calls(monkeypatch)
+    records = sweep(group).records
+    blocks = max(1, (1 << group.order) >> 12)
+    assert built == list(range(blocks))
+    assert stacks == [sum(1 for r in records if r.subset >> 12 == high) for high in built]
+    built.clear()
+    stacks.clear()
+    shuffled = records[:]
     random.Random(3).shuffle(shuffled)
     for record in shuffled:
         assert canonical_form(group, record.subset) == record.subset
         assert classify(group, record.subset) == record
-    # only canonical masks are asked, so a block is built only when its
-    # first mask is one of them
-    firsts = sorted(r.subset >> 12 for r in ascending if r.subset & 4095 == 0)
-    assert sorted(built) == firsts and len(set(classed)) == len(classed) <= len(firsts)
+    assert built == []
+    assert stacks == [1] * sum(1 for r in records if r.subset >> 12 != blocks - 1)
+    # a second sweep of the group builds each block once more
+    assert sweep(group).records == records and built == list(range(blocks))
+
+
+@pytest.mark.parametrize("make", [lambda: parse_group("Z14"), lambda: parse_group("D4"),
+                                  lambda: dihedral_group(7)], ids=["Z14", "D4", "D7"])
+def test_a_shuffled_stack_gives_each_mask_the_record_classify_gives_it(make):
+    # _classify takes any masks in any order: a shuffled stack of masks
+    # from every block, canonical and not, with repeats, longer than one
+    # 256-mask slice, gives each mask the record classify gives it alone
+    group = make()
+    size = 1 << group.order
+    rng = random.Random(4)
+    masks = rng.sample(range(size), min(size, 200))
+    masks += [canonical_form(group, mask) for mask in masks] + [0, size - 1]
+    rng.shuffle(masks)
+    assert len(masks) > 256 and len({mask >> 12 for mask in masks}) == max(1, size >> 12)
+    assert any(canonical_form(group, m) != m for m in masks)
+    assert _classify(group, masks) == [classify(group, mask) for mask in masks]

@@ -27,6 +27,7 @@ from idemnorm.groups import (
     Group,
     _bits,
     _spectrum,
+    _translates,
     _spectrum_of,
     character_values,
     validate_mask,
@@ -399,6 +400,25 @@ def test_translate_round_trip(s3):
     mask = subset_mask(s3, [0, 2, 5])
     for t in range(s3.order):
         assert translate_left(s3, s3.inv(t), translate_left(s3, t, mask)) == mask
+
+
+@pytest.mark.parametrize("make", [lambda: parse_group("Z14"), lambda: parse_group("Z2xZ2xZ2xZ2xZ2xZ2"),
+                                  lambda: dihedral_group(5)], ids=["Z14", "Z2^6", "D5"])
+def test_translates_of_an_int_match_its_row_of_a_stack_and_leave_the_table_unchanged(make):
+    # an int's first byte picks a row of the cached translation table
+    # itself, a view, so ORing the other bytes into it in place would
+    # rewrite the table; each int's row must equal its row of a uint64
+    # stack, and the table's bytes must not change
+    g = make()
+    rng = random.Random(6)
+    masks = [0, 1, 0b110, (1 << g.order) - 1] + [rng.getrandbits(g.order) for _ in range(40)]
+    before = hashlib.sha256(g.translation_table.tobytes()).hexdigest()
+    stack = _translates(g, np.array(masks, dtype=np.uint64))
+    assert stack.shape == (len(masks), g.translation_table.shape[2]) and stack.dtype == np.uint64
+    for mask, row in zip(masks, stack.tolist()):
+        assert _translates(g, mask).tolist() == row
+    assert hashlib.sha256(g.translation_table.tobytes()).hexdigest() == before
+    assert _translates(g, np.array(masks, dtype=np.uint64)).tolist() == stack.tolist()
 
 
 def test_parse_group():

@@ -329,29 +329,34 @@ def test_canonical_form_matches_oracle_on_every_subset_of_dic3():
 
 @pytest.mark.parametrize("spec", ("Z12", "Z3xZ4", "Z2xZ6"))
 def test_canonical_form_matches_oracle_in_any_query_order(spec):
-    # a sweep asks in increasing order; the forms of these order-12 groups
-    # are one 4096-mask block, built when its first mask, 0, is asked:
-    # descending and shuffled orders must get the same forms from rows of
-    # translates before that and from the block after it
+    # a sweep asks in increasing order, from the one 4096-mask block of
+    # these order-12 groups that it builds: descending and shuffled orders
+    # must get the same forms from rows of translates with no block held,
+    # and from the block once a sweep of the group holds it
     # (test_sweeps_across_blocks_... crosses blocks)
     g = parse_group(spec)
     expected = _oracle_forms(g)
     masks = list(range(1 << g.order))
     shuffled = masks[:]
     random.Random(0).shuffle(shuffled)
-    for order in (masks[::-1], shuffled):
-        for mask in order:
-            form = canonical_form(g, mask)
-            assert type(form) is int
-            assert form == expected[mask]
+    for hold in (False, True):
+        if hold:
+            sweep(g)
+        for order in (masks[::-1], shuffled):
+            for mask in order:
+                form = canonical_form(g, mask)
+                assert type(form) is int
+                assert form == expected[mask]
 
 
 def test_canonical_form_keeps_each_group_its_own_forms():
-    # Z12 and Z2xZ6 have the same masks and different orbits: alternating
-    # the groups on each mask must not read one group's block for the other
+    # Z12 and Z2xZ6 have the same masks and different orbits: with Z12's
+    # block held by its sweep, alternating the groups on each mask must not
+    # read one group's block for the other
     cyclic, product = parse_group("Z12"), parse_group("Z2xZ6")
     expected = {g: _oracle_forms(g) for g in (cyclic, product)}
     assert any(expected[cyclic][m] != expected[product][m] for m in range(1 << 12))
+    sweep(cyclic)
     for mask in range(1 << 12):
         for g in (cyclic, product):
             assert canonical_form(g, mask) == expected[g][mask]
@@ -371,9 +376,11 @@ def test_canonical_form_matches_oracle_at_order_64(spec):
 @pytest.mark.parametrize("spec, mask", [("Z6", 1 << 6), ("Z6", -1), ("Z6", (1 << 9) | 1),
                                         ("Z12", 1 << 12), ("Z12", -(1 << 20))])
 def test_canonical_form_refuses_a_mask_out_of_range(spec, mask):
-    # the check costs nothing per mask: low bits beyond an order below 12
-    # fall off the block's list, and high bits are checked per block
+    # the check costs nothing per lookup: low bits beyond an order below 12
+    # fall off the held block's list, and other high bits miss the block
+    # and meet validate_mask
     g = parse_group(spec)
+    sweep(g)
     assert canonical_form(g, 0b110) == 0b11
     with pytest.raises(ValueError, match=f"out of range for order {g.order}"):
         canonical_form(g, mask)
@@ -391,13 +398,14 @@ NOT_A_MASK = {"float": lambda n: 3.0, "str": lambda n: "3", "None": lambda n: No
 def test_canonical_form_and_classify_refuse_what_validate_mask_refuses(spec, kind):
     # a float, a str or None fails the shift that picks the block, and a
     # negative mask or 2^n its range check; each must be validate_mask's
-    # ValueError, whether or not the group's block is held
+    # ValueError, whether or not the group's first block is held
     g = parse_group(spec)
     mask = NOT_A_MASK[kind](g.order)
     with pytest.raises(ValueError, match="subset mask"):
         groups.validate_mask(g, mask)
     for hold in (False, True):
         if hold:
+            sweep_module._build_block(g, 0, sweep_module.DEFAULT_TOL_EXACT)
             assert canonical_form(g, 0b110) == oracle_canonical_form(g, 0b110)
         with pytest.raises(ValueError, match="subset mask"):
             canonical_form(g, mask)
@@ -409,21 +417,21 @@ def test_canonical_form_and_classify_refuse_what_validate_mask_refuses(spec, kin
                                                    ("Z2xZ7", 4, 1182), ("Z16", 16, 4116)])
 def test_sweeps_across_blocks_give_each_class_the_record_of_a_batch_of_one(
         spec, blocks, classes, monkeypatch):
-    # canonical_form builds each 4096-mask block once, in increasing order,
-    # and classify reads the canonical masks' records from the block it
-    # holds, 256 masks a kernel call; a group whose blocks were never built
-    # classifies each mask as a batch of one, which must give the same
-    # record, at the block edges (masks within 2 of a multiple of 4096)
-    # as everywhere else
+    # the sweep builds each 4096-mask block exactly once, in increasing
+    # order, and classify reads the canonical masks' records from the
+    # block held, 256 masks a kernel call; classify on a fresh group of
+    # the same name builds nothing and classifies each mask as a batch of
+    # one, which must give the same record, at the block edges (masks
+    # within 2 of a multiple of 4096) as everywhere else
     g = parse_group(spec)
     built = []
-    canonical_block = sweep_module._canonical_block
+    build_block = sweep_module._build_block
 
-    def counting(group, high):
+    def counting(group, high, tol):
         built.append(high)
-        return canonical_block(group, high)
+        return build_block(group, high, tol)
 
-    monkeypatch.setattr(sweep_module, "_canonical_block", counting)
+    monkeypatch.setattr(sweep_module, "_build_block", counting)
     report = sweep(g)
     assert built == list(range(blocks))
     assert len(report.records) == classes == burnside_abelian(g)
@@ -444,9 +452,13 @@ def test_canonical_form_rejects_order_above_64():
 
 @pytest.mark.parametrize("spec", ("Z2xZ2xZ2xZ2", "Z4xZ4", "Z12", "D4", "Q8"))
 def test_class_count_matches_burnside(spec):
+    # the forms outside a sweep, one row of translates each, pick out the
+    # sweep's classes, whose orbit sizes partition the subsets
     g = parse_group(spec)
     reps = [m for m in range(1 << g.order) if canonical_form(g, m) == m]
-    assert sum(classify(g, m).orbit_size for m in reps) == 1 << g.order
+    records = sweep(g).records
+    assert [r.subset for r in records] == reps
+    assert sum(r.orbit_size for r in records) == 1 << g.order
     assert len(reps) == oracle_class_count(g)
     if g.is_abelian:
         assert len(reps) == burnside_abelian(g)
