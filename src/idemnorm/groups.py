@@ -28,16 +28,19 @@ O(log order) levels.
 analyze_cosets names cosets and unions of two left cosets a T, b T of the
 stabilizer T; the second kind needs T normal in <T, a^-1 b>, which is one
 conjugation.  The naming from T is _name_by_stabilizer, which
-sweep._classify shares with T read from its stack of classes.  The
+sweep._classify shares on every group, with the stabilizers read from the
+translates of its stack of classes (a Cayley class is the left coset of
+its right stabilizer R exactly when |R| = |S|, and is otherwise named from
+T, as here).  The
 character pairing of an abelian group has one exact integer form,
 _pairing_numerators, under character_values; up to order 64
 Group.character_table caches it for every element.
 Group.cyclic_layout lists the elements as g^d h_i over the right cosets of
 one cyclic subgroup <g>, the order in which multiplier matrices are block
-circulant (cb_norm).  Bitmasks cross into index arrays and back through the
-helper pair _bits/_mask (np.unpackbits and np.packbits); rows of flags
-become uint64 masks (order up to 64) through _row_masks, and _lowest_bits
-reads the least element of each.
+circulant (multiplier._cb_brackets, behind cb_norm).  Bitmasks cross into
+index arrays and back through the helper pair _bits/_mask (np.unpackbits
+and np.packbits); rows of flags become uint64 masks (order up to 64)
+through _row_masks, and _lowest_bits reads the least element of each.
 """
 
 from __future__ import annotations
@@ -642,8 +645,8 @@ def stabilizer(group: Group, mask: int) -> int:
     one-sided conditions coincide, and the stabilizer is {t : t + S = S},
     the t with |S & (S - t)| = |S|, read off the integer autocorrelation
     (_autocorrelation, two transforms) at every order.  sweep._classify
-    takes it from its own kernel instead, the translates equal to S over a
-    stack of classes.
+    takes it from its own kernel instead, on every group: the translates
+    equal to S over a stack of classes.
 
     On Cayley groups S and its complement have the same stabilizer, so S is
     replaced by the smaller of the two.  S t = S puts s0 t in S, so the
@@ -753,7 +756,8 @@ def analyze_cosets(group: Group, mask: int) -> CosetAnalysis:
 
 def _name_by_stabilizer(group: Group, mask: int, stab: int) -> CosetAnalysis:
     """The coset analysis of S read from its stabilizer T (analyze_cosets,
-    and sweep._records with T from its stack of classes).
+    and sweep._records with T from its stack of classes, or with T the
+    right stabilizer of a left coset).
 
     |T| = |S| makes S the coset a T, a the least element of S.  When
     |S| = 2|T|, S is the two left cosets a T and b T (b the least element

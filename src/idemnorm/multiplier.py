@@ -8,12 +8,15 @@ one yes-or-no test over a block of products, s t and s t^2 for every s in
 S and every t; no list of violations is built.
 
 The multiplier matrix of S is M(s, t) = chi_S(s^-1 t); its Schur norm equals
-the completely bounded multiplier norm of chi_S.  cb_norm computes it in
-closed form, on every group, from the block circulant form of M over the
-group's cyclic layout (Group.cyclic_layout): one rfft, one batched SVD of
-the k-by-k blocks and one batched eigenvalue check, never a decomposition
-of M itself.  It returns a bracket of width ~1e-14 whose certificate and
-witness re-check independently, so the iterative gamma2 solver is never run
+the completely bounded multiplier norm of chi_S.  _cb_brackets computes it
+in closed form, on every group and for a whole uint64 stack of masks at
+once, from the block circulant form of M over the group's cyclic layout
+(Group.cyclic_layout): one rfft, one batched SVD of the k-by-k blocks, one
+batched eigenvalue check and one irfft, never a decomposition of M itself.
+sweep._classify runs it over each slice of classes, and verify's amenable
+cross check over a sweep's records.  cb_norm is its batch of one: a bracket
+of width ~1e-14 whose certificate and witness, built from that call's
+arrays, re-check independently, so the iterative gamma2 solver is never run
 on a group.
 """
 
@@ -25,12 +28,12 @@ from typing import Optional
 
 import numpy as np
 
-from .groups import (TRANSLATION_TABLE_MAX_ORDER, Group, _bits, _lowest_bits, _members,
-                     _products_in, _row_masks, _translates, validate_mask)
+from .groups import (_BIT_INDEX, TRANSLATION_TABLE_MAX_ORDER, Group, _bits, _lowest_bits,
+                     _members, _products_in, _row_masks, _translates, validate_mask)
 # gamma2 is not called here; it stays importable as multiplier.gamma2, which
 # perfbench's tracer test asserts is schur.gamma2
-from .schur import (Gamma2Bounds, WitnessPair, _completion_slack, _hermitian,  # noqa: F401
-                    _shifted_certificate, gamma2)
+from .schur import (Certificate, Gamma2Bounds, WitnessPair, _completion_slack,  # noqa: F401
+                    _hermitian, gamma2)
 
 CB_ORDER_CAP = 64
 
@@ -61,7 +64,29 @@ def _check_cb_order(group: Group) -> None:
 
 def cb_norm(group: Group, mask: int) -> Gamma2Bounds:
     """Exact completely bounded multiplier norm of chi_S (group order capped
-    at 64), as a closed bracket with its certificate and witness.
+    at 64), as a closed bracket with its certificate and witness: the
+    batch of one of _cb_brackets, whose arrays give both, in element order.
+
+    The certificate is (P + slack I, Q + slack I) at the level of the upper
+    end, and the witness is X with xi uniform.
+    """
+    mask = validate_mask(group, mask)
+    _check_cb_order(group)
+    lower, upper, circulants, slack = _cb_brackets(group, np.array([mask], dtype=np.uint64))
+    # in element order, each its own array: the witness keeps x, and a view
+    # of one stack would keep p and q alive with it
+    p, q, x = (c[group.cyclic_layout.flat] for c in circulants[:, 0].reshape(3, -1))
+    lower, upper, shift = float(lower[0]), float(upper[0]), slack[0] * np.eye(group.order)
+    return Gamma2Bounds(lower, upper, Certificate(p + shift, q + shift, upper),
+                        WitnessPair(x, np.ones(group.order)))
+
+
+def _cb_brackets(group: Group, masks: np.ndarray) -> tuple[np.ndarray, ...]:
+    """cb_norm's bracket for each of a uint64 stack of masks (B,), as
+    (lower, upper, circulants, slack): the ends (B,), the real block
+    circulants of P, Q and X (3, B, m, k, k), and the shortfall (B,) of the
+    completions from PSD.  Each step is one array call over the stack, and
+    a stack gives each mask what a batch of one gives it, bit for bit.
 
     On a finite group cb multipliers coincide with the Fourier algebra
     (Bozejko-Fendler 1984, Eymard 1964), so the norm is ||M||_S1 / |G|, the
@@ -76,11 +101,12 @@ def cb_norm(group: Group, mask: int) -> Gamma2Bounds:
       * upper: sum(s_f) over the whole spectrum, over |G|.  The blocks
         P_f = U_f diag(s_f) U_f* and Q_f = V_f diag(s_f) V_f* complete
         every [[P_f, B_f], [B_f*, Q_f]] to a PSD matrix (re-certified against
-        rounding by one batched eigenvalue check), and irfft turns them into
-        the block circulants P and Q, whose diagonals are constant and equal
-        that sum.  The slack is measured on the blocks, so the stored P and
-        Q are PSD up to the rounding of irfft, far inside check_certificate's
-        tolerance;
+        rounding by one batched eigenvalue check, the slack), and irfft
+        turns them into the block circulants P and Q, whose diagonals are
+        constant and equal that sum: the upper end is the largest diagonal
+        entry, of the blocks at d = 0, plus the slack.  The slack is
+        measured on the blocks, so P and Q are PSD up to the rounding of
+        irfft, far inside check_certificate's tolerance;
       * lower: X = conj(U V*), the real block circulant with blocks
         U_f V_f*, has ||X|| <= 1, and with xi uniform
         <xi, (M o X) xi> = tr(M X^T) / |G| = the same sum, which bounds
@@ -88,32 +114,31 @@ def cb_norm(group: Group, mask: int) -> Gamma2Bounds:
         k-vector m times and ||X|| is the largest singular value of its
         blocks, so no n-by-n matrix is decomposed.
     """
-    mask = validate_mask(group, mask)
-    _check_cb_order(group)
-    layout = group.cyclic_layout
-    m, k, _ = layout.gather.shape
-    circulant = _bits(mask, group.order)[layout.gather].astype(float)  # C_d
-    blocks = np.fft.rfft(circulant, axis=0)  # B_f
+    gather = group.cyclic_layout.gather
+    m, k, _ = gather.shape
+    # C_d of each mask, in C order
+    circulant = np.ascontiguousarray(masks[:, None, None, None] >> _BIT_INDEX[gather] & 1, float)
+    blocks = np.fft.rfft(circulant, axis=1)  # B_f
     u, s, vh = np.linalg.svd(blocks)
-    p = _hermitian((u * s[:, None, :]) @ u.conj().swapaxes(1, 2))
-    q = _hermitian((vh.conj().swapaxes(1, 2) * s[:, None, :]) @ vh)
-    slack = _completion_slack(p, blocks, q)
+    p = _hermitian((u * s[..., None, :]) @ u.conj().swapaxes(-1, -2))
+    q = _hermitian((vh.conj().swapaxes(-1, -2) * s[..., None, :]) @ vh)
+    slack = _completion_slack(p, blocks, q).max(axis=1)
     # the real block circulants with these blocks.  irfft keeps only the
     # real part of the self-conjugate blocks f = 0 and f = m/2: that is all
     # there is of them for B, P and Q (and the real part of a PSD completion
     # of a real block is one too), but U V* is free on the null space of
     # B_f, so ||X|| is taken from the blocks of the X returned
-    circulants = np.fft.irfft(np.stack((p, q, u @ vh)), n=m, axis=1)
-    x_blocks = circulants[2]
-    x_norm = float(np.linalg.svd(np.fft.rfft(x_blocks, axis=0), compute_uv=False).max())
-    # in element order, each its own array: the witness keeps x, and a view
-    # of one stack would keep p and q alive with it
-    p, q, x = (c[layout.flat] for c in circulants.reshape(3, -1))
-    upper, certificate = _shifted_certificate(p, q, slack)
-    row = np.einsum("dij,dij->i", circulant, x_blocks)
-    lower = min(float(np.linalg.norm(row)) / (x_norm * math.sqrt(k)), upper)
-    witness = WitnessPair(x, np.ones(group.order))
-    return Gamma2Bounds(lower=lower, upper=upper, certificate=certificate, witness=witness)
+    circulants = np.fft.irfft(np.stack((p, q, u @ vh)), n=m, axis=2)
+    # einsum sums in the order of the memory, and irfft lays a stack out
+    # with the masks innermost: with both factors of (M o X) 1 in C order,
+    # each mask's sum runs as a batch of one runs it, whatever the stack
+    x_blocks = np.ascontiguousarray(circulants[2])
+    x_norm = np.linalg.svd(np.fft.rfft(x_blocks, axis=1), compute_uv=False).max(axis=(1, 2))
+    upper = circulants[:2, :, 0].diagonal(axis1=-2, axis2=-1).max(axis=(0, 2)) + slack
+    rows = np.einsum("bdij,bdij->bi", circulant, x_blocks)
+    # a vector's norm is one dot product, which a norm along an axis is not
+    lower = np.minimum(np.array([np.linalg.norm(r) for r in rows]) / (x_norm * math.sqrt(k)), upper)
+    return lower, upper, circulants, slack
 
 
 @functools.cache

@@ -278,25 +278,13 @@ def _hermitian(x: np.ndarray) -> np.ndarray:
     return (x + x.conj().swapaxes(-1, -2)) / 2
 
 
-def _completion_slack(p: np.ndarray, a: np.ndarray, q: np.ndarray) -> float:
+def _completion_slack(p: np.ndarray, a: np.ndarray, q: np.ndarray) -> np.ndarray:
     """How far [[p, a], [a*, q]] falls short of PSD, for Hermitian p and q:
-    minus its least eigenvalue, or 0.  For stacks of blocks, the shortfall
-    of the worst."""
+    minus its least eigenvalue, or 0.  For stacks of blocks, one value per
+    block, over the stack's leading axes."""
     block = np.concatenate((np.concatenate((p, a), axis=-1),
                             np.concatenate((a.conj().swapaxes(-1, -2), q), axis=-1)), axis=-2)
-    return max(0.0, -float(np.linalg.eigvalsh(block).min()))
-
-
-def _shifted_certificate(p: np.ndarray, q: np.ndarray, slack: float) -> tuple[float, Certificate]:
-    """The certificate (p + slack I, q + slack I) and its level."""
-    diag_max = float(max(p.diagonal().real.max(), q.diagonal().real.max()))
-    # shift the blocks by the eigenvalue deficit, measured on the blocks the
-    # slack was taken from: for gamma2 those are p and q themselves, so the
-    # stored certificate is PSD on the nose and proves its level
-    level = diag_max + slack
-    p_shift = p + slack * np.eye(p.shape[0], dtype=p.dtype)
-    q_shift = q + slack * np.eye(q.shape[0], dtype=q.dtype)
-    return level, Certificate(p=p_shift, q=q_shift, c=level)
+    return np.maximum(0.0, -np.linalg.eigvalsh(block).min(axis=-1))
 
 
 def _entry_witness(a: np.ndarray) -> WitnessPair:
@@ -433,8 +421,13 @@ def gamma2(a, tol: float = 1e-3) -> Gamma2Bounds:
             x, y = _balanced(x, y)
             gram_x = _hermitian(scale * (x @ x.conj().T))
             gram_y = _hermitian(scale * (y @ y.conj().T))
-            level, cert = _shifted_certificate(gram_x, gram_y,
-                                               _completion_slack(gram_x, a, gram_y))
+            # the certificate (gram_x + slack I, gram_y + slack I): shifted by
+            # the eigenvalue deficit of the Grams themselves, it is PSD on
+            # the nose and proves its level
+            slack = float(_completion_slack(gram_x, a, gram_y))
+            level = float(max(gram_x.diagonal().real.max(), gram_y.diagonal().real.max())) + slack
+            cert = Certificate(p=gram_x + slack * np.eye(len(gram_x)),
+                               q=gram_y + slack * np.eye(len(gram_y)), c=level)
             pair = WitnessPair((u @ v.conj().T).conj(), np.sqrt(q))
             witnessed = witness_lower_bound(a, pair)
             if level < upper:

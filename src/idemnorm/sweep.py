@@ -22,6 +22,13 @@ classify on each mask that is its own form, and each call is a lookup.
 Outside a sweep nothing builds a block: canonical_form of a mask that the
 held block does not answer is the least of its own translates, one row,
 and classify of one is a batch of one through _classify.
+
+Every group takes the one stack: _class_layers reads the stabilizers off
+the translate rows on abelian and Cayley groups alike, and the norm is the
+character sum on the first and the cb bracket of multiplier._cb_brackets on
+the second, so _records only names each analysis and builds its record.
+No class calls analyze_cosets or cb_norm, and verify's amenable cross check
+takes its brackets from _cb_brackets over the sweep's records too.
 """
 
 from __future__ import annotations
@@ -44,7 +51,9 @@ from .groups import (
     _row_masks,
     _spectra,
     _translates,
-    analyze_cosets,
+    # not called here; it stays importable as sweep.analyze_cosets, which
+    # perfbench's tracer test asserts is groups.analyze_cosets
+    analyze_cosets,  # noqa: F401
     make_abelian_group,
     parse_group,
     subset_elements,
@@ -53,8 +62,8 @@ from .groups import (
     validate_mask,
 )
 from .multiplier import (
+    _cb_brackets,
     _pattern_searches,
-    cb_norm,
     closure_claim_check,
     has_progression_property,
     multiplier_matrix,
@@ -162,40 +171,47 @@ def _classify(group: Group, masks: np.ndarray, tol: float) -> list["Classificati
 
 
 def _class_layers(group: Group, masks: np.ndarray, rows: np.ndarray) -> list[tuple]:
-    """(orbit size, stabilizer, norm, witness, witness bound, pattern) for
-    each of a stack of subsets, from their uint64 masks (B,) and translate
-    rows (B, T), each layer one array kernel over the stack:
+    """(orbit size, right stabilizer, stabilizer, norm lower, norm upper,
+    witness, witness bound, pattern) for each of a stack of subsets, from
+    their uint64 masks (B,) and translate rows (B, T), each layer one array
+    kernel over the stack:
 
       * the translates equal to S, rows == masks[:, None]: the orbit size
-        is T over their number (orbit-stabilizer), and on abelian groups
-        they are the stabilizer;
-      * on abelian groups, mu from groups._spectra, and the norm
-        sum |mu|; the witness search (_find_witnesses) and, for the sets
-        that have a witness, the integral checked two ways
+        is T over their number (orbit-stabilizer).  On abelian groups they
+        are the stabilizer, on both sides.  On Cayley groups, with
+        translate t n + u the set t S u, the columns t = e are the right
+        stabilizer R = {u : S u = S}, the columns u = e the left one
+        {t : t S = S}, and the stabilizer is the two;
+      * the norm: on abelian groups mu from groups._spectra and the
+        character sum sum |mu|, exact, and on Cayley groups the cb bracket
+        of multiplier._cb_brackets;
+      * on abelian groups, the witness search (_find_witnesses) and, for
+        the sets that have a witness, the integral checked two ways
         (_witness_integrals), whose bound is |integral| / (9/2).  The
         sets of the stack that share a triple (u, v, w) share one frozen
         WitnessTriple: the 1,166 witnesses of a Z14 sweep hold 49
         distinct triples in 143 objects, against 1,166 objects built one
-        a set;
+        a set.  Cayley groups have no witness layer (None);
       * the pattern search (_pattern_searches) over the rows of the
         multiplier matrix: the translates on abelian groups, the left
-        translates t S e among the two-sided ones otherwise.
-
-    The Cayley layers that are None (stabilizer, norm, witness) are
-    _records' per-class work."""
+        translates t S e among the two-sided ones otherwise."""
     count = len(masks)
     fixed = rows == masks[:, None]
     orbit_sizes = (rows.shape[1] // fixed.sum(axis=1)).tolist()
-    if not group.is_abelian:
-        patterns = _pattern_searches(rows[:, group.identity::group.order])
-        return [(size, None, None, None, None, pattern)
-                for size, pattern in zip(orbit_sizes, patterns)]
-    mu = _spectra(group, masks) / group.order
-    norms = np.abs(mu).sum(axis=1).tolist()
-    triples = _find_witnesses(group, masks, rows)
-    has = triples[:, 0] >= 0
     witnesses: list[Optional[WitnessTriple]] = [None] * count
     bounds: list[Optional[float]] = [None] * count
+    if not group.is_abelian:
+        n, e = group.order, group.identity
+        right = _row_masks(fixed[:, e * n:(e + 1) * n])
+        lower, upper = _cb_brackets(group, masks)[:2]
+        return list(zip(orbit_sizes, right.tolist(), (right & _row_masks(fixed[:, e::n])).tolist(),
+                        lower.tolist(), upper.tolist(), witnesses, bounds,
+                        _pattern_searches(rows[:, e::n])))
+    mu = _spectra(group, masks) / group.order
+    norms = np.abs(mu).sum(axis=1).tolist()
+    stabilizers = _row_masks(fixed).tolist()
+    triples = _find_witnesses(group, masks, rows)
+    has = triples[:, 0] >= 0
     integrals = _witness_integrals(group, masks[has], rows[has], triples[has], mu[has])
     made: dict[tuple[int, int, int], WitnessTriple] = {}
     for i, triple, bound in zip(np.flatnonzero(has).tolist(), map(tuple, triples[has].tolist()),
@@ -204,7 +220,7 @@ def _class_layers(group: Group, masks: np.ndarray, rows: np.ndarray) -> list[tup
         if witness is None:
             witness = made[triple] = WitnessTriple(*triple)
         witnesses[i], bounds[i] = witness, bound
-    return list(zip(orbit_sizes, _row_masks(fixed).tolist(), norms, witnesses, bounds,
+    return list(zip(orbit_sizes, stabilizers, stabilizers, norms, norms, witnesses, bounds,
                     _pattern_searches(rows)))
 
 
@@ -270,22 +286,21 @@ def classify(group: Group, mask: int, tol: float = DEFAULT_TOL_EXACT) -> Classif
 def _records(group: Group, masks: Sequence[int], layers: Sequence[tuple],
              tol: float) -> list[ClassificationRecord]:
     """The ClassificationRecord of each of a batch of subsets from its
-    _class_layers.  On abelian groups _name_by_stabilizer names the
-    analysis from the stabilizer T; on Cayley groups each class runs
-    analyze_cosets and cb_norm.  Then predicted_norm and the
-    three flags at the tolerance."""
+    _class_layers: the analysis named from the stabilizers, then
+    predicted_norm and the three flags at the tolerance.
+
+    S is a union of left cosets of its right stabilizer R, so it is the
+    left coset a R exactly when |R| = |S|, which _name_by_stabilizer
+    names from R; any other S is named from its stabilizer, as
+    analyze_cosets names it.  On abelian groups R is the stabilizer."""
     c1, c2 = THRESHOLDS.coset_bound, THRESHOLDS.two_coset_bound
-    abelian = group.is_abelian
+    exact = group.is_abelian
     out = []
-    for mask, (orbit_size, stab, norm, witness, bound, pattern) in zip(masks, layers):
-        if abelian:
-            analysis = _name_by_stabilizer(group, mask, stab)
-            lower = upper = norm
-            exact = True
-        else:
-            analysis = analyze_cosets(group, mask)
-            bounds = cb_norm(group, mask)
-            lower, upper, exact = bounds.lower, bounds.upper, False
+    for mask, layer in zip(masks, layers):
+        orbit_size, right, stab, lower, upper, witness, bound, pattern = layer
+        # when R is the stabilizer (always on abelian groups) either names S
+        analysis = _name_by_stabilizer(
+            group, mask, right if right != stab and right.bit_count() == mask.bit_count() else stab)
         # by position, in the field order of ClassificationRecord: a third
         # cheaper than by keyword, per class
         out.append(ClassificationRecord(
@@ -511,8 +526,10 @@ def run_verification(group_specs: Optional[Sequence[str]] = None,
     its sweep record and recompute nothing it holds: pattern soundness
     compares the recorded norm with 9/7 and finds the subgroups among the
     coset classes, and on abelian groups the amenable cross check compares
-    the recorded character sum of every class with its cb bracket, so
-    cb_norm runs once per class on every group."""
+    the recorded character sum of every class with its cb bracket, from
+    _cb_brackets over the records 256 at a time.  So each class's cb
+    bracket is computed once on every group, in the sweep's stacks on a
+    Cayley group and in the cross check on an abelian one."""
     tol = validate_tol(tol)
     specs = DEFAULT_GROUP_SPECS if group_specs is None else tuple(group_specs)
     groups = [parse_group(s) for s in specs]
@@ -628,13 +645,14 @@ def run_verification(group_specs: Optional[Sequence[str]] = None,
 
         if group.is_abelian:
             failures = []
-            for record in report.records:
-                # classify's norm on an abelian group is the character sum
-                value = record.norm_lower
-                bounds = cb_norm(group, record.subset)
-                if not (bounds.lower - tol <= value <= bounds.upper + tol):
-                    failures.append(f"S={subset_elements(record.subset)}: {value!r} outside "
-                                    f"[{bounds.lower!r}, {bounds.upper!r}]")
+            # classify's norm on an abelian group is the character sum
+            for lo in range(0, len(report.records), _LAYER_SLICE):
+                part = report.records[lo:lo + _LAYER_SLICE]
+                lows, highs = _cb_brackets(group, np.array([r.subset for r in part], np.uint64))[:2]
+                for record, low, high in zip(part, lows.tolist(), highs.tolist()):
+                    if not (low - tol <= record.norm_lower <= high + tol):
+                        failures.append(f"S={subset_elements(record.subset)}: "
+                                        f"{record.norm_lower!r} outside [{low!r}, {high!r}]")
             items.append(_verdict(f"amenable_cross_check_{group.name}", failures,
                                   "character-sum norms inside the Schur brackets"))
 

@@ -88,6 +88,16 @@ def dicyclic_group(m):
     return load_cayley_group(table, 0, name=f"Dic{m}")
 
 
+def cayley_table_group(spec):
+    """The abelian group of a spec, loaded from its Cayley table, which
+    oracle_mul fills: the table path, with cyclic layouts of k = 1 (Z12)
+    or k = 3 (Z3xZ3) blocks."""
+    group = make_abelian_group([int(f) for f in spec[1:].split("xZ")])
+    n = group.order
+    return load_cayley_group([[oracle_mul(group, a, b) for b in range(n)] for a in range(n)], 0,
+                             name=f"cayley-{spec}")
+
+
 def oracle_coords(group, a):
     """Mixed-radix coordinates of an abelian element, last coordinate fastest."""
     digits = []
@@ -149,10 +159,11 @@ def oracle_mu(group, mask):
                      for x in range(n)], dtype=complex)
 
 
-def oracle_bs_norm(group, mask):
+def oracle_bs_norm(group, mask, mu=None):
+    """sum |mu|, with mu from oracle_mu unless it is given."""
     if mask == 0:
         return 0.0
-    return float(np.abs(oracle_mu(group, mask)).sum())
+    return float(np.abs(oracle_mu(group, mask) if mu is None else mu).sum())
 
 
 FORBIDDEN = ((1, 1, 1), (1, 1, 0), (1, 0, 1))
@@ -247,12 +258,18 @@ def oracle_stabilizer(group, mask):
     return out
 
 
+def oracle_right_stabilizer(group, mask):
+    """{u : S u = S}, one translate at a time."""
+    return sum(1 << u for u in range(group.order) if oracle_translate_right(group, mask, u) == mask)
+
+
 def oracle_orbit(group, mask):
-    """Left translates (abelian) or two-sided translates t S u (otherwise)."""
+    """Left translates (abelian) or two-sided translates t S u (otherwise),
+    the right translates taken of each distinct left translate once."""
+    lefts = {oracle_translate_left(group, t, mask) for t in range(group.order)}
     if group.is_abelian:
-        return {oracle_translate_left(group, t, mask) for t in range(group.order)}
-    return {oracle_translate_right(group, oracle_translate_left(group, t, mask), u)
-            for t in range(group.order) for u in range(group.order)}
+        return lefts
+    return {oracle_translate_right(group, left, u) for left in lefts for u in range(group.order)}
 
 
 def oracle_canonical_form(group, mask):

@@ -1,15 +1,18 @@
 """The array kernels behind classify against the conftest oracles.
 
-sweep._classify runs the stabilizer, mu and the norm, the witness search,
+sweep._classify runs the stabilizers, the norm (mu and the character sum
+on abelian groups, the cb bracket on Cayley groups), the witness search,
 the witness integral and the pattern search as array kernels over a uint64
 stack of masks, at most 256 a call, and builds their records.  A sweep
 builds each 4096-mask block once, the records of its canonical masks as
 one stack, and classify reads a canonical mask's record from the block
 held; any other mask, and any mask outside a sweep, is a batch of one.
 These tests compare every record and every layer with the brute-force
-oracles on every subset of small groups and on seeded batches at the
-order-64 cap, check that a stack gives each set what a batch of one gives
-it, and query classify in orders a sweep never uses.
+oracles on every subset of small abelian groups, on every class of small
+Cayley groups (whose brackets must equal per-call cb_norm bit for bit) and
+on seeded batches at the order-64 cap, check that a stack gives each set
+what a batch of one gives it, and query classify in orders a sweep never
+uses.
 """
 
 import importlib
@@ -18,14 +21,15 @@ import random
 import numpy as np
 import pytest
 
-from idemnorm import canonical_form, classify, parse_group, stabilizer, sweep
+from idemnorm import canonical_form, cb_norm, classify, parse_group, stabilizer, sweep
 from idemnorm.groups import _lowest, _lowest_bits, _spectra, _translates
 from idemnorm.sweep import DEFAULT_TOL_EXACT
 from idemnorm.witness import SUP_NORM_F
 
-from conftest import (dihedral_group, oracle_analyze_cosets, oracle_bs_norm,
-                      oracle_find_witness, oracle_mu, oracle_mul, oracle_orbit,
-                      oracle_pattern_search, oracle_stabilizer)
+from conftest import (cayley_table_group, dicyclic_group, dihedral_group,
+                      oracle_analyze_cosets, oracle_bs_norm, oracle_find_witness, oracle_mu,
+                      oracle_mul, oracle_orbit, oracle_pattern_search, oracle_right_stabilizer,
+                      oracle_stabilizer)
 
 sweep_module = importlib.import_module("idemnorm.sweep")
 
@@ -52,35 +56,87 @@ def _oracle_bound(group, mask, triple):
     return (6.0 + 0.5 * (mask >> oracle_mul(group, u, inverse_w) & 1)) / SUP_NORM_F
 
 
-def _check_layers(group, mask, layers):
-    """Compare one set's layers (orbit size, stabilizer, norm, witness,
-    bound, pattern) with the oracles."""
-    orbit_size, stab, norm, witness, bound, pattern = layers
+def _check_layers(group, mask, layers, mu=None):
+    """Compare one set's layers (orbit size, right stabilizer, stabilizer,
+    norm lower and upper, witness, bound, pattern) with the oracles: on
+    abelian groups the character sum of mu (oracle_mu's unless given) and
+    the witness oracle, on Cayley groups a per-call cb_norm, bit for bit,
+    and no witness."""
+    orbit_size, right, stab, lower, upper, witness, bound, pattern = layers
     assert orbit_size == len(oracle_orbit(group, mask))
+    assert right == oracle_right_stabilizer(group, mask)
     assert stab == oracle_stabilizer(group, mask)
-    assert norm == pytest.approx(oracle_bs_norm(group, mask), abs=1e-12)
-    expected = oracle_find_witness(group, mask)
+    if group.is_abelian:
+        assert lower == upper
+        assert lower == pytest.approx(oracle_bs_norm(group, mask, mu), abs=1e-12)
+        expected = oracle_find_witness(group, mask)
+    else:
+        bounds = cb_norm(group, mask)
+        assert (lower, upper) == (bounds.lower, bounds.upper)
+        expected = None
     assert (None if witness is None else (witness.u, witness.v, witness.w)) == expected
     assert bound == (None if expected is None else _oracle_bound(group, mask, expected))
     assert pattern == oracle_pattern_search(group, mask)
+
+
+def _check_analysis(group, record):
+    analysis = record.analysis
+    assert (analysis.kind, analysis.subgroup, analysis.rep_a, analysis.rep_b,
+            analysis.q) == oracle_analyze_cosets(group, record.subset)
+
+
+def _layers(group, masks):
+    """_class_layers over a stack of masks, in slices of 256 as _classify
+    takes them."""
+    stack = np.array(masks, dtype=np.uint64)
+    return [found for lo in range(0, len(stack), 256)
+            for found in sweep_module._class_layers(group, *_stack(group, stack[lo:lo + 256]))]
 
 
 @pytest.mark.parametrize("spec", SMALL)
 def test_records_and_layers_match_oracles_on_every_subset(spec):
     group = parse_group(spec)
     masks = range(1 << group.order)
-    # mu of every subset at once, against direct character sums
+    # mu of every subset at once, against direct character sums, which the
+    # norms are then checked against
+    mus = [oracle_mu(group, mask) for mask in masks]
     spectra = _spectra(group, np.array(masks, dtype=np.uint64)) / group.order
-    assert np.allclose(spectra, [oracle_mu(group, mask) for mask in masks], atol=1e-12)
-    for mask in masks:
-        record = classify(group, mask)
-        layers = (record.orbit_size, stabilizer(group, mask), record.norm_lower,
-                  record.witness, record.witness_bound, record.pattern)
+    assert np.allclose(spectra, mus, atol=1e-12)
+    records = _classify(group, masks)
+    for mask, layers, record, mu in zip(masks, _layers(group, masks), records, mus):
+        _check_layers(group, mask, layers, mu)
+        assert layers[2] == stabilizer(group, mask)
+        assert (record.orbit_size, record.norm_lower, record.norm_upper, record.witness,
+                record.witness_bound, record.pattern) == tuple(layers[i] for i in (0, 3, 4, 5, 6, 7))
+        _check_analysis(group, record)
+        assert record.norm_exact
+
+
+CAYLEY = {"S3": lambda: parse_group("S3"), "D4": lambda: parse_group("D4"),
+          "Q8": lambda: parse_group("Q8"), "D5": lambda: dihedral_group(5),
+          "Dic3": lambda: dicyclic_group(3), "D8": lambda: dihedral_group(8),
+          "cayley-Z12": lambda: cayley_table_group("Z12"),
+          "cayley-Z3xZ3": lambda: cayley_table_group("Z3xZ3")}
+
+
+@pytest.mark.parametrize("name", CAYLEY)
+def test_cayley_layers_and_records_match_oracles_on_every_class(name):
+    # every class of the group, shuffled into one stack: its stabilizers,
+    # brackets and patterns against the oracles and per-call cb_norm, its
+    # analysis against oracle_analyze_cosets, and each record equal to the
+    # one a batch of one gives.  The Cayley tables of Z12 and Z3xZ3 lay out
+    # as k = 1 and k = 3 blocks, the dihedral and dicyclic groups as k = 2
+    group = CAYLEY[name]()
+    masks = [record.subset for record in sweep(group).records]
+    random.Random(5).shuffle(masks)
+    records = _classify(group, masks)
+    for mask, layers, record in zip(masks, _layers(group, masks), records):
         _check_layers(group, mask, layers)
-        analysis = record.analysis
-        assert (analysis.kind, analysis.subgroup, analysis.rep_a, analysis.rep_b,
-                analysis.q) == oracle_analyze_cosets(group, mask)
-        assert record.norm_upper == record.norm_lower and record.norm_exact
+        assert (record.orbit_size, record.norm_lower, record.norm_upper, record.pattern) == (
+            layers[0], layers[3], layers[4], layers[7])
+        _check_analysis(group, record)
+        assert not record.norm_exact
+        assert _classify(group, [mask]) == [record]
 
 
 def _random_batch(order, seed):
@@ -102,8 +158,8 @@ def test_layers_match_oracles_on_random_batches_at_order_64(spec):
     for mask, found in zip(masks, layers):
         _check_layers(group, mask, found)
     # both outcomes of both searches occur
-    assert {found[3] is None for found in layers} == {True, False}
     assert {found[5] is None for found in layers} == {True, False}
+    assert {found[7] is None for found in layers} == {True, False}
 
 
 def test_lowest_bits_is_exact_on_bits_0_to_63():
@@ -126,11 +182,11 @@ def test_a_batch_gives_each_set_what_a_batch_of_one_gives(spec):
         together = sweep_module._class_layers(group, *_stack(group, masks))
         for mask, layers, record in zip(masks, together, _classify(group, masks)):
             assert layers == sweep_module._class_layers(group, *_stack(group, [mask]))[0]
-            orbit_size, stab, norm, witness, bound, pattern = layers
-            assert (orbit_size, witness, bound, pattern) == (
-                record.orbit_size, record.witness, record.witness_bound, record.pattern)
-            if group.is_abelian:
-                assert (stab, norm) == (stabilizer(group, mask), record.norm_lower)
+            orbit_size, _, stab, lower, upper, witness, bound, pattern = layers
+            assert (orbit_size, lower, upper, witness, bound, pattern) == (
+                record.orbit_size, record.norm_lower, record.norm_upper, record.witness,
+                record.witness_bound, record.pattern)
+            assert stab == stabilizer(group, mask)
 
 
 @pytest.mark.parametrize("spec", ["Z12", "Z2xZ6"])

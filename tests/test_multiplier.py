@@ -24,10 +24,11 @@ from idemnorm import (
     witness_lower_bound,
 )
 
-from idemnorm.multiplier import has_progression_property
+from idemnorm.multiplier import _cb_brackets, has_progression_property
 
 from conftest import (
     all_subgroups,
+    cayley_table_group,
     dicyclic_group,
     dihedral_group,
     oracle_cb_norm,
@@ -325,6 +326,32 @@ def test_cb_norm_matches_the_dense_oracle_and_bs_norm_on_abelian_groups(factors)
     for mask in _seeded_masks(group, 16):
         value = _assert_cb_norm_exact(group, mask)
         assert abs(bs_norm(group, mask) - value) <= 1e-12 * max(1.0, value)
+
+
+STACKED = {"Z12": lambda: parse_group("Z12"), "Z16": lambda: parse_group("Z16"),
+           "Z2xZ6": lambda: parse_group("Z2xZ6"), "Z3xZ3": lambda: parse_group("Z3xZ3"),
+           "Z2^6": lambda: make_abelian_group((2,) * 6), "D4": lambda: parse_group("D4"),
+           "D8": lambda: dihedral_group(8), "Dic3": lambda: dicyclic_group(3),
+           "D32": lambda: dihedral_group(32), "cayley-Z12": lambda: cayley_table_group("Z12")}
+
+
+@pytest.mark.parametrize("name", STACKED)
+def test_a_stack_of_cb_brackets_gives_each_mask_what_cb_norm_gives_it(name):
+    # one shuffled stack of 300 masks, with repeats, the empty set and the
+    # whole group, against per-call cb_norm and batches of one, bit for
+    # bit: cyclic layouts of k = 1 (Z12, Z16, the Cayley table of Z12),
+    # k = 2, 3 and 32, and dihedral and dicyclic groups up to order 64
+    group = STACKED[name]()
+    rng = random.Random(group.order + len(name))
+    masks = [rng.getrandbits(group.order) for _ in range(149)]
+    masks += masks[:149] + [0, (1 << group.order) - 1]
+    rng.shuffle(masks)
+    lower, upper, circulants, slack = _cb_brackets(group, np.array(masks, dtype=np.uint64))
+    for i, mask in enumerate(masks):
+        bounds = cb_norm(group, mask)
+        assert (lower[i], upper[i]) == (bounds.lower, bounds.upper)
+        _, _, one, shortfall = _cb_brackets(group, np.array([mask], dtype=np.uint64))
+        assert np.array_equal(one[:, 0], circulants[:, i]) and shortfall[0] == slack[i]
 
 
 def test_cb_norm_on_the_group_of_order_one():

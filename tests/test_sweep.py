@@ -272,11 +272,14 @@ def test_amenable_cross_check_covers_every_abelian_class(monkeypatch):
 
 @pytest.mark.parametrize("spec, classes", [("D4", 28), ("Z7", 20)])
 def test_verify_runs_cb_norm_once_per_class(monkeypatch, spec, classes):
-    # classify's call on a Cayley group, the cross check's on an abelian one
+    # every cb bracket comes from the stacked kernel: the sweep's stacks on
+    # a Cayley group, the cross check's on an abelian one.  Each class
+    # passes through it exactly once, and cb_norm is never called
     masks = []
-    cb_norm = sweep_module.cb_norm
-    monkeypatch.setattr(sweep_module, "cb_norm",
-                        lambda group, mask: masks.append(mask) or cb_norm(group, mask))
+    brackets = sweep_module._cb_brackets
+    monkeypatch.setattr(sweep_module, "_cb_brackets",
+                        lambda group, stack: masks.extend(stack.tolist()) or brackets(group, stack))
+    assert "cb_norm" not in vars(sweep_module)
     assert run_verification([spec]).passed
     assert len(masks) == classes
     assert sorted(masks) == [r.subset for r in sweep(parse_group(spec)).records]
