@@ -66,6 +66,7 @@ from .sweep import (
 from .witness import (
     SupNormCheck,
     WitnessTriple,
+    envelope_identities,
     find_witness,
     sup_norm_check,
     witness_integral,

@@ -15,23 +15,20 @@ The scalar Group.mul wraps it, and every set operation is built on it; up
 to order 64 some read the translation byte table that it fills, which gives
 every translate of a subset as one uint64 bitmask (_translates).  Products
 that test membership, a block of rows at a time, are _products_in, which
-is_subgroup runs over H x H.  The group transform of an abelian group is
-_spectrum_of, the fftn over the coordinate tensor computed one axis at a
-time, with a butterfly on each length-2 axis; it gives mu (bs.mu_values,
-and _spectra for a stack of subsets) and, at every order, the abelian
-stabilizer, read off the integer autocorrelation |S & (S - t)| from two
-transforms, so a one-shot norm builds no translation table.  On Cayley
-groups the stabilizer grows from generators it has checked, closed by
-_adjoin, which extends a subgroup by one more generator, seeded with that
-generator's repeated squares so that a cyclic subgroup closes in
-O(log order) levels.
-analyze_cosets names cosets and unions of two left cosets a T, b T of the
-stabilizer T; the second kind needs T normal in <T, a^-1 b>, which is one
-conjugation.  The naming from T is _name_by_stabilizer, which
-sweep._classify shares on every group, with the stabilizers read from the
-translates of its stack of classes (a Cayley class is the left coset of
-its right stabilizer R exactly when |R| = |S|, and is otherwise named from
-T, as here).  The
+is_subgroup runs over H x H and _cayley_stabilizers over S x G and G x S.
+The group transform of an abelian group is _spectrum_of, the fftn over the
+coordinate tensor computed one axis at a time, with a butterfly on each
+length-2 axis; it gives mu (bs.mu_values, and _spectra for a stack of
+subsets) and, at every order, the abelian stabilizer, read off the integer
+autocorrelation |S & (S - t)| from two transforms, so a one-shot norm
+builds no translation table.  On Cayley groups the right stabilizer
+R = {u : S u = S} and the left one L = {t : t S = S} are one block of
+products each, and the stabilizer is R & L.
+analyze_cosets names a set from R and its stabilizer T through
+_name_by_stabilizer, which sweep._records shares on every group, with both
+read from the translates of its stack of classes: S is the left coset a R
+exactly when |R| = |S|, and otherwise the union of two left cosets a T,
+b T when T is normal in <T, a^-1 b>, which is one conjugation.  The
 character pairing of an abelian group has one exact integer form,
 _pairing_numerators, under character_values; up to order 64
 Group.character_table caches it for every element.
@@ -556,38 +553,6 @@ def is_subgroup(group: Group, mask: int) -> bool:
     return bool(_products_in(group, _bits(mask, group.order), members, members).all())
 
 
-def _adjoin(group: Group, flags: np.ndarray, steps: list[int], t: int) -> None:
-    """Extend a subgroup H to <H, t> in place; stabilizer grows its result
-    through this, one checked generator t at a time.
-
-    H is given by its membership flags and by `steps`, a list of elements
-    that generate it; both are updated for <H, t>, and t lies outside H.
-    The new steps are the repeated squares t, t^2, t^4, ... that lie
-    outside H, t^(2^i) for 2^i < order: every power of t is then a product
-    of at most log2(order) of them.  The closure is a breadth-first search
-    from every element of H under right multiplication by the steps.  It reaches
-    H t^k within popcount(k) levels, so a cyclic subgroup takes
-    O(log order) levels, and it reaches all of <H, t> because the steps
-    generate it and inverses are positive powers in a finite group.
-    """
-    square = t
-    for _ in range((group.order - 1).bit_length()):
-        if flags[square]:
-            break
-        steps.append(square)
-        square = group.mul(square, square)
-    multipliers = np.array(steps)
-    frontier = np.flatnonzero(flags)
-    step = _block_rows(group, len(multipliers))
-    while len(frontier):
-        reached = np.zeros_like(flags)
-        for lo in range(0, len(frontier), step):
-            reached[group.mul_array(frontier[lo:lo + step, None], multipliers)] = True
-        reached &= ~flags
-        flags |= reached
-        frontier = np.flatnonzero(reached)
-
-
 def _spectrum(group: Group, mask: int) -> np.ndarray:
     """np.fft.fftn of the indicator of S over the coordinate tensor of an
     abelian group, flattened in element order; see _spectrum_of."""
@@ -638,58 +603,35 @@ def _autocorrelation(group: Group, mask: int) -> np.ndarray:
     return rounded
 
 
+def _cayley_stabilizers(group: Group, mask: int) -> tuple[int, int]:
+    """(R, L) for S in a Cayley group: the right stabilizer R = {u : S u = S}
+    and the left one L = {t : t S = S}.  S u has |S| elements, so S u = S
+    exactly when S u lies in S: R is the columns of _products_in over S x G
+    that hold S throughout, and L the rows over G x S.  For the empty set
+    both are the whole group."""
+    members, everything = _members(mask), np.arange(group.order)
+    flags = _bits(mask, group.order)
+    right = _products_in(group, flags, members, everything).all(axis=0)
+    left = _products_in(group, flags, everything, members).all(axis=1)
+    return _mask(right), _mask(left)
+
+
 def stabilizer(group: Group, mask: int) -> int:
     """Two-sided stabilizer {t : S t = S and t S = S}; always a subgroup.
 
     For the empty set this is the whole group.  For abelian groups the two
     one-sided conditions coincide, and the stabilizer is {t : t + S = S},
     the t with |S & (S - t)| = |S|, read off the integer autocorrelation
-    (_autocorrelation, two transforms) at every order.  sweep._classify
-    takes it from its own kernel instead, on every group: the translates
-    equal to S over a stack of classes.
-
-    On Cayley groups S and its complement have the same stabilizer, so S is
-    replaced by the smaller of the two.  S t = S puts s0 t in S, so the
-    candidates are s0^-1 S.  The stabilizer is grown as a subgroup H from
-    {e}.  The least candidate t left is checked exactly against every s in
-    S: s t in S and t s in S.
-    - If t passes, H becomes <H, t> (_adjoin) and leaves the candidates,
-      so at most log2|stab| checks pass.
-    - If t fails, a member s with s t (or t s) outside S refutes it, and
-      every candidate that s refutes is dropped, one product each.  These
-      include the coset t H (or H t), since s t h lies in S h = S for h in
-      H; on a random set they are most of the candidates.
-    When no candidate is left, H is the stabilizer.
+    (_autocorrelation, two transforms) at every order.  On Cayley groups it
+    is R & L, the two one-sided stabilizers of _cayley_stabilizers.
+    sweep._classify takes both from its own kernel instead, on every group:
+    the translates equal to S over a stack of classes.
     """
     mask = validate_mask(group, mask)
     if group.is_abelian:
         return _mask(_autocorrelation(group, mask) == mask.bit_count())
-    if 2 * mask.bit_count() > group.order:
-        mask ^= (1 << group.order) - 1
-    if mask == 0:
-        return (1 << group.order) - 1
-    members = _members(mask)
-    flags = _bits(mask, group.order)
-    alive = np.zeros(group.order, dtype=bool)
-    alive[group.mul_array(group._inverse[members[0]], members)] = True
-    stab = np.zeros(group.order, dtype=bool)
-    stab[group.identity] = True
-    alive[group.identity] = False
-    steps: list[int] = []
-    while alive.any():
-        t = int(np.argmax(alive))
-        right = flags[group.mul_array(members, t)]
-        left = flags[group.mul_array(t, members)]
-        if right.all() and left.all():
-            _adjoin(group, stab, steps, t)
-            alive &= ~stab
-        elif not right.all():
-            live = np.flatnonzero(alive)
-            alive[live] = flags[group.mul_array(members[np.argmin(right)], live)]
-        else:
-            live = np.flatnonzero(alive)
-            alive[live] = flags[group.mul_array(live, members[np.argmin(left)])]
-    return _mask(stab)
+    right, left = _cayley_stabilizers(group, mask)
+    return right & left
 
 
 def _pairing_numerators(group: Group, s) -> np.ndarray:
@@ -737,47 +679,46 @@ class CosetAnalysis:
 def analyze_cosets(group: Group, mask: int) -> CosetAnalysis:
     """Classify S as empty / coset / two-coset union / other.
 
-    S is a union of left cosets of its two-sided stabilizer T (S t = S for
-    t in T), so |T| = |S| makes S the coset a T (a the least element of S),
-    and then a^-1 S = T.  On abelian groups the converse holds, so this is
-    the whole coset test.  On other groups the left coset a H has the
-    two-sided stabilizer H & a H a^-1, which is smaller when a does not
-    normalize H, so the a^-1 S subgroup test runs first and finds cosets of
-    arbitrary subgroups.  The rest is _name_by_stabilizer.
+    S is named by _name_by_stabilizer from its right stabilizer R and its
+    two-sided stabilizer T, as sweep._records names a class: on abelian
+    groups both are the autocorrelation stabilizer, and on Cayley groups
+    T = R & L from _cayley_stabilizers.
     """
     mask = validate_mask(group, mask)
-    if mask and not group.is_abelian:
-        a = _lowest(mask)
-        h = translate_left(group, group.inv(a), mask)
-        if is_subgroup(group, h):
-            return CosetAnalysis(kind="coset", subgroup=h, rep_a=a)
-    return _name_by_stabilizer(group, mask, stabilizer(group, mask))
+    if group.is_abelian:
+        right = stab = stabilizer(group, mask)
+    else:
+        right, left = _cayley_stabilizers(group, mask)
+        stab = right & left
+    return _name_by_stabilizer(group, mask, right, stab)
 
 
-def _name_by_stabilizer(group: Group, mask: int, stab: int) -> CosetAnalysis:
-    """The coset analysis of S read from its stabilizer T (analyze_cosets,
-    and sweep._records with T from its stack of classes, or with T the
-    right stabilizer of a left coset).
+def _name_by_stabilizer(group: Group, mask: int, right: int, stab: int) -> CosetAnalysis:
+    """The coset analysis of S read from its right stabilizer R = {u : S u
+    = S} and its two-sided stabilizer T (analyze_cosets, and sweep._records
+    with both from its stack of classes); on abelian groups R = T.
 
-    |T| = |S| makes S the coset a T, a the least element of S.  When
-    |S| = 2|T|, S is the two left cosets a T and b T (b the least element
-    outside a T).  The two-coset kind requires T normal in the span
-    <T, c> with c = a^-1 b, which makes the relative order q (least q >= 1
-    with c^q in T) independent of the representatives.  Elements of T
-    normalize T, and c^-1 is a positive power of c in a finite group, so T
-    is normal in <T, c> exactly when c T c^-1 = T: one conjugation.  Then
-    q >= 3: q = 1 would put b in a T, and q = 2 would make K = T u c T a
-    subgroup with S = a K, which the coset test catches first.
+    S is a union of left cosets s R, so it is the coset a R (a the least
+    element of S) exactly when |R| = |S|; then a^-1 S = R is a subgroup,
+    normal or not.  Otherwise |T| <= |R| < |S|, and when |S| = 2|T|, S is
+    the two left cosets a T and b T (b the least element outside a T).
+    The two-coset kind requires T normal in the span <T, c> with c =
+    a^-1 b, which makes the relative order q (least q >= 1 with c^q in T)
+    independent of the representatives.  Elements of T normalize T, and
+    c^-1 is a positive power of c in a finite group, so T is normal in
+    <T, c> exactly when c T c^-1 = T: one conjugation.  Then q >= 3: q = 1
+    would put b in a T, and q = 2 would make K = T u c T a subgroup with
+    S = a K, whose right stabilizer K the coset test catches first.
 
     Any other nonempty S is "other", and the "other" sets of one T share
     one frozen analysis (_other).
     """
     if mask == 0:
         return CosetAnalysis(kind="empty")
-    size, stab_size = mask.bit_count(), stab.bit_count()
-    if size == stab_size:
-        return CosetAnalysis(kind="coset", subgroup=stab, rep_a=_lowest(mask))
-    if size == 2 * stab_size:
+    size = mask.bit_count()
+    if size == right.bit_count():
+        return CosetAnalysis(kind="coset", subgroup=right, rep_a=_lowest(mask))
+    if size == 2 * stab.bit_count():
         a = _lowest(mask)
         b = _lowest(mask & ~translate_left(group, a, stab))
         c = group.mul(group.inv(a), b)

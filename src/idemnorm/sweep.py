@@ -80,7 +80,7 @@ from .witness import (
     WitnessTriple,
     _find_witnesses,
     _witness_integrals,
-    sup_norm_check,
+    envelope_identities,
 )
 
 SWEEP_ORDER_CAP = 24
@@ -286,21 +286,16 @@ def classify(group: Group, mask: int, tol: float = DEFAULT_TOL_EXACT) -> Classif
 def _records(group: Group, masks: Sequence[int], layers: Sequence[tuple],
              tol: float) -> list[ClassificationRecord]:
     """The ClassificationRecord of each of a batch of subsets from its
-    _class_layers: the analysis named from the stabilizers, then
-    predicted_norm and the three flags at the tolerance.
-
-    S is a union of left cosets of its right stabilizer R, so it is the
-    left coset a R exactly when |R| = |S|, which _name_by_stabilizer
-    names from R; any other S is named from its stabilizer, as
-    analyze_cosets names it.  On abelian groups R is the stabilizer."""
+    _class_layers: the analysis named by _name_by_stabilizer from the
+    right stabilizer R and the stabilizer, as analyze_cosets names it (on
+    abelian groups R is the stabilizer), then predicted_norm and the three
+    flags at the tolerance."""
     c1, c2 = THRESHOLDS.coset_bound, THRESHOLDS.two_coset_bound
     exact = group.is_abelian
     out = []
     for mask, layer in zip(masks, layers):
         orbit_size, right, stab, lower, upper, witness, bound, pattern = layer
-        # when R is the stabilizer (always on abelian groups) either names S
-        analysis = _name_by_stabilizer(
-            group, mask, right if right != stab and right.bit_count() == mask.bit_count() else stab)
+        analysis = _name_by_stabilizer(group, mask, right, stab)
         # by position, in the field order of ClassificationRecord: a third
         # cheaper than by keyword, per class
         out.append(ClassificationRecord(
@@ -484,6 +479,15 @@ def _verdict(name: str, failures: Sequence[str], passing: str) -> VerificationIt
     return _item(name, not failures, "; ".join(failures) or passing)
 
 
+def _identities_item(name: str, claim: str, identities: dict[str, bool]) -> VerificationItem:
+    """An item proved by integer identities, which passes exactly when all
+    of them hold; its detail is the claim, then each identity's name with
+    whether it holds."""
+    return _item(name, all(identities.values()),
+                 f"{claim}: " + "; ".join(
+                     f"{key} {'holds' if holds else 'FAILS'}" for key, holds in identities.items()))
+
+
 def _proof_chain_item(group: Group, records: Sequence[ClassificationRecord]) -> VerificationItem:
     """The paper's route to the forbidden pattern, class by class: translate
     S to S' = a^-1 S (a its least element), so e lies in S'; when S' has the
@@ -518,11 +522,12 @@ def run_verification(group_specs: Optional[Sequence[str]] = None,
     """Run every headline check: constants, the envelope identity, the pattern
     witness and its Schur norm, closed-form cross checks, the 4/pi limit,
     measure forms, amenable cross checks, the classification sweeps, and the
-    proof chain to the forbidden pattern.  The pattern's norm 9/7 is decided
-    by the integer identities of pattern_norm_identities alone: no solver
-    runs, and tol does not enter.  An item over many classes (_verdict)
-    passes exactly when its list of failures is empty, and its detail then
-    names each failing class.  The per-group items read each class from
+    proof chain to the forbidden pattern.  The envelope's 9/2 and the
+    pattern's norm 9/7 are decided by integer identities alone
+    (witness.envelope_identities and pattern_norm_identities): no grid is
+    evaluated, no solver runs, and tol does not enter.  An item over many
+    classes (_verdict) passes exactly when its list of failures is empty,
+    and its detail then names each failing class.  The per-group items read each class from
     its sweep record and recompute nothing it holds: pattern soundness
     compares the recorded norm with 9/7 and finds the subgroups among the
     coset classes, and on abelian groups the amenable cross check compares
@@ -549,11 +554,8 @@ def run_verification(group_specs: Optional[Sequence[str]] = None,
                        "; ".join(text if holds else f"violated: {text}"
                                  for text, holds in clauses)))
 
-    env = sup_norm_check(1_000_000)
-    items.append(_item(
-        "envelope_constant_9_2",
-        abs(env.max_f - 4.5) <= 1e-12 and env.max_identity_error <= 1e-12,
-        f"max_f={env.max_f!r} max_identity_error={env.max_identity_error!r}"))
+    items.append(_identities_item("envelope_constant_9_2",
+                                  "exactly 9/2 by four integer identities", envelope_identities()))
 
     pattern = forbidden_pattern()
     fixed_value = witness_lower_bound(pattern, orthogonal_witness())
@@ -563,11 +565,8 @@ def run_verification(group_specs: Optional[Sequence[str]] = None,
         and fixed_value > t.coset_bound,
         f"witness value {fixed_value!r} vs sqrt(26)/4 = {t.pattern_witness_value!r}"))
 
-    identities = pattern_norm_identities()
-    items.append(_item(
-        "pattern_schur_norm", all(identities.values()),
-        "exactly 9/7 by four integer identities: " + "; ".join(
-            f"{name} {'holds' if holds else 'FAILS'}" for name, holds in identities.items())))
+    items.append(_identities_item("pattern_schur_norm",
+                                  "exactly 9/7 by four integer identities", pattern_norm_identities()))
 
     failures = []
     for q in range(3, 13):

@@ -6,10 +6,11 @@ S.  Pairing mu against the fixed test function
     f(x) = (x,u) [2 + 2 (x,w) + (1/2)(x,-w)] + (x,v) [2 - (x,w) - (x,-w)]
 
 gives an integral of modulus 6 or 13/2 while sup|f| = 9/2 identically, so any
-witness forces bs_norm(S) >= 6/(9/2) = 4/3.
+witness forces bs_norm(S) >= 6/(9/2) = 4/3.  envelope_identities proves the
+9/2 by integer identities; sup_norm_check samples it on a grid.
 
-Everything here but sup_norm_check takes abelian groups of order up to 64.
-The search and the integral are array kernels over a stack of subsets, one
+Everything here but those two takes abelian groups of order up to 64.  The
+search and the integral are array kernels over a stack of subsets, one
 row of uint64 translates t + S per subset (_find_witnesses and
 _witness_integrals): sweep._classify runs them over a stack of classes, and
 find_witness and witness_integral are batches of one.  The search and the
@@ -178,3 +179,44 @@ def sup_norm_check(points: int) -> SupNormCheck:
     max_f = float(np.max(envelope))
     deviation = float(np.max(np.abs(envelope - SUP_NORM_F)))
     return SupNormCheck(max_f=max_f, max_identity_error=max(identity_error, deviation))
+
+
+# The envelope of the test function as integer Laurent polynomials in
+# z = e^{it}, whose conjugate is 1/z: coefficients of 1/z, 1, z.  Twice its
+# u factor 2 + 2z + 1/(2z), its v factor 2 - z - 1/z, and their claimed
+# moduli, twice |2 + 2z + 1/(2z)| = 5 + 4 cos t and |2 - z - 1/z| = 2 - 2 cos t
+_ENVELOPE_PROOF = {
+    "u_factor": np.array([1, 4, 4], dtype=np.int64),
+    "v_factor": np.array([-1, 2, -1], dtype=np.int64),
+    "u_modulus": np.array([2, 5, 2], dtype=np.int64),
+    "v_modulus": np.array([-1, 2, -1], dtype=np.int64),
+}
+
+
+def envelope_identities() -> dict[str, bool]:
+    """The four integer identities that prove the envelope of the test
+    function constant, |2 + 2z + 1/(2z)| + |2 - z - 1/z| = 9/2 = SUP_NORM_F
+    at every z = e^{it}, each with whether it holds.  With c = cos t, the
+    coefficients (a, b, a) at 1/z, 1, z are b + 2 a c on the circle, and
+    the conjugate of a Laurent polynomial there has its coefficients
+    reversed.
+
+      * u_square: 4 |2 + 2z + 1/(2z)|^2 = (5 + 4c)^2, that is
+        (4 + 4z + 1/z)(4 + 4/z + z) = 25 + 40c + 16c^2;
+      * v_square: |2 - z - 1/z|^2 = (2 - 2c)^2;
+      * moduli_nonnegative: both moduli are real, with equal coefficients
+        at 1/z and z, and never negative on the circle, b - 2|a| >= 0:
+        5 + 4c >= 1 and 2 - 2c >= 0.  So each is the modulus whose square
+        the identity above gives, and not its negative;
+      * envelope: (5 + 4c)/2 + (2 - 2c) = 9/2 at every c.
+
+    Every product is of small int64 polynomials, so no step rounds, and no
+    grid is evaluated (sup_norm_check does that)."""
+    u, v, mu, mv = (_ENVELOPE_PROOF[k] for k in ("u_factor", "v_factor", "u_modulus", "v_modulus"))
+    return {
+        "u_square": np.array_equal(np.convolve(u, u[::-1]), np.convolve(mu, mu)),
+        "v_square": np.array_equal(np.convolve(v, v[::-1]), np.convolve(mv, mv)),
+        "moduli_nonnegative": all(np.array_equal(m, m[::-1]) and m[1] >= 2 * abs(m[0])
+                                  for m in (mu, mv)),
+        "envelope": np.array_equal(mu + 2 * mv, [0, 2 * SUP_NORM_F, 0]),
+    }

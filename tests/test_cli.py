@@ -183,8 +183,8 @@ def test_sweep_reports_a_two_coset_class_labelled_other(capsys, monkeypatch):
     sweep_module = importlib.import_module("idemnorm.sweep")
     name = sweep_module._name_by_stabilizer
 
-    def relabel(group, mask, stab):
-        analysis = name(group, mask, stab)
+    def relabel(group, mask, right, stab):
+        analysis = name(group, mask, right, stab)
         if analysis.kind == "two_cosets":
             return CosetAnalysis(kind="other", subgroup=analysis.subgroup)
         return analysis

@@ -7,6 +7,7 @@ from idemnorm import (
     WitnessTriple,
     analyze_cosets,
     bs_norm,
+    envelope_identities,
     find_witness,
     make_abelian_group,
     mu_values,
@@ -16,7 +17,9 @@ from idemnorm import (
     witness_integral,
     witness_norm_bound,
 )
+from idemnorm import witness
 from idemnorm.groups import _translates
+from idemnorm.sweep import run_verification
 from idemnorm.witness import _witness_integrals
 
 from conftest import oracle_find_witness
@@ -120,6 +123,53 @@ def test_sup_norm_pointwise_values():
         assert a == pytest.approx(first, abs=1e-12)
         assert b == pytest.approx(second, abs=1e-12)
         assert a + b == pytest.approx(4.5, abs=1e-12)
+
+
+ENVELOPE_IDENTITIES = ("u_square", "v_square", "moduli_nonnegative", "envelope")
+
+
+def test_envelope_identities_hold():
+    assert envelope_identities() == dict.fromkeys(ENVELOPE_IDENTITIES, True)
+
+
+def _envelope_item():
+    return next(i for i in run_verification([]).items if i.name == "envelope_constant_9_2")
+
+
+@pytest.mark.parametrize("name, index, step", [
+    (name, index, step) for name, array in witness._ENVELOPE_PROOF.items()
+    for index in range(len(array)) for step in (1, -1)])
+def test_envelope_item_fails_on_any_changed_coefficient(monkeypatch, name, index, step):
+    mutated = witness._ENVELOPE_PROOF[name].copy()
+    mutated[index] += step
+    monkeypatch.setitem(witness._ENVELOPE_PROOF, name, mutated)
+    assert not all(envelope_identities().values())
+    item = _envelope_item()
+    assert not item.passed and "FAILS" in item.detail
+
+
+def test_envelope_identities_need_the_signs(monkeypatch):
+    # with the v factor 7 + 2c, the moduli -(5 + 4c) and 7 + 2c square to
+    # the squared factors and sum to 9, but the first is negative on the
+    # circle: only the sign check sees it
+    for name, coefficients in (("u_modulus", [-2, -5, -2]), ("v_factor", [1, 7, 1]),
+                               ("v_modulus", [1, 7, 1])):
+        monkeypatch.setitem(witness._ENVELOPE_PROOF, name, np.array(coefficients, dtype=np.int64))
+    identities = envelope_identities()
+    assert {name for name, holds in identities.items() if not holds} == {"moduli_nonnegative"}
+    assert not _envelope_item().passed
+
+
+def test_verify_proves_the_envelope_without_a_grid(monkeypatch):
+    def no_grid(*args, **kwargs):
+        raise AssertionError("verify must not evaluate the envelope on a grid")
+
+    # sup_norm_check's grid is an np.linspace
+    monkeypatch.setattr(np, "linspace", no_grid)
+    item = _envelope_item()
+    assert item.passed and item.detail == (
+        "exactly 9/2 by four integer identities: u_square holds; v_square holds; "
+        "moduli_nonnegative holds; envelope holds")
 
 
 def test_sup_norm_check_rejects_tiny_grid():
