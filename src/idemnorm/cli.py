@@ -13,7 +13,8 @@ A report is rendered whole before any of it is written.  JSON reports are
 the bytes of json.dumps(..., indent=2, sort_keys=True); a sweep's is its
 summary with each class record written once (_record_json, which renders
 each distinct analysis, pattern, witness and float once, from bounded
-memos), handed to _emit as a list of parts that is never joined.
+memos), handed to _emit as a list of parts that it joins a chunk at a
+time, never whole.
 """
 
 from __future__ import annotations
@@ -114,17 +115,23 @@ def _render(payload: dict, fmt: str) -> str:
     return _json_text(payload, "") if fmt == "json" else "\n".join(_text_lines(payload))
 
 
+# parts of a report that _emit joins into one write
+_EMIT_CHUNK = 512
+
+
 def _emit(parts: list[str], out: Optional[TextIO]) -> None:
     """Write a rendered report and a newline to the open --out file
-    (printing its path) or to stdout.  The report comes as a list of parts,
-    written in turn and never joined: a sweep's JSON is its summary's head,
-    each record with its separator, and the summary's tail.  Every part is
-    rendered before this is called, so a run that fails while rendering
-    leaves an existing --out file as it was."""
+    (printing its path) or to stdout.  The report comes as a list of parts:
+    a sweep's JSON is its summary's head, each record with its separator,
+    and the summary's tail.  They are joined and written _EMIT_CHUNK at a
+    time, which saves a write call per part and holds at most one chunk's
+    copy of the report.  Every part is rendered before this is called, so a
+    run that fails while rendering leaves an existing --out file as it was."""
     target = sys.stdout if out is None else out
     if out is not None and out.tell():  # append mode: a nonzero end means an old report
         out.truncate(0)
-    target.writelines(parts)
+    target.writelines("".join(parts[lo:lo + _EMIT_CHUNK])
+                      for lo in range(0, len(parts), _EMIT_CHUNK))
     target.write("\n")
     if out is not None:
         print(out.name)
@@ -136,11 +143,12 @@ def _json_text(value, indent: str) -> str:
     dicts with str keys, lists, str, int, float, bool and None, each of
     exactly that type, so one lookup on the exact type picks the writer.
     A list whose items all have one exact scalar type is written by that
-    type's writer in one map; the items of any other list or dict are
-    written in place by that lookup, and only a list, a dict or a value
-    that misses it recurses; anything else
-    (a tuple, a numpy scalar, a subclass, a key that is not a str) raises
-    TypeError.  NaN and the infinities are spelled as json spells them."""
+    type's writer in one map, a list of floats by float.__repr__ unless it
+    holds NaN or an infinity (_json_floats); the items of any other list
+    or dict are written in place by that lookup, and only a list, a dict or
+    a value that misses it recurses; anything else (a tuple, a numpy
+    scalar, a subclass, a key that is not a str) raises TypeError.  NaN
+    and the infinities are spelled as json spells them."""
     kind = type(value)
     write = _JSON_SCALARS.get(kind)
     if write is not None:
@@ -154,7 +162,8 @@ def _json_text(value, indent: str) -> str:
         if len(kinds) == 1 and (write := _JSON_SCALARS.get(kinds.pop())) is not None:
             # one exact scalar type, such as an element list or a matrix
             # row: its writer over the whole list in one map
-            body = separator.join(map(write, value))
+            body = (_json_floats(value, separator) if write is _json_float
+                    else separator.join(map(write, value)))
         else:
             body = separator.join([write(x) if (write := _JSON_SCALARS.get(type(x)))
                                    else _json_text(x, inner) for x in value])
@@ -177,6 +186,14 @@ _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 def _json_float(value: float) -> str:
     text = float.__repr__(value)
     return _NONFINITE.get(text, text)
+
+
+def _json_floats(values: list, separator: str) -> str:
+    """The floats of a list written as _json_float writes them, joined by
+    the separator.  The repr of a finite float is its JSON number, and only
+    the reprs nan, inf and -inf hold an n, so a body without an n is done."""
+    body = separator.join(map(float.__repr__, values))
+    return separator.join(map(_json_float, values)) if "n" in body else body
 
 
 class _ScalarWriters(dict):

@@ -15,15 +15,17 @@ The scalar Group.mul wraps it, and every set operation is built on it; up
 to order 64 some read the translation byte table that it fills, which gives
 every translate of a subset as one uint64 bitmask (_translates).  Products
 that test membership, a block of rows at a time, are _products_in, which
-is_subgroup runs over H x H and _cayley_stabilizers over S x G and G x S.
+is_subgroup runs over H x H.
 The group transform of an abelian group is _spectrum_of, the fftn over the
 coordinate tensor computed one axis at a time, with a butterfly on each
 length-2 axis; it gives mu (bs.mu_values, and _spectra for a stack of
 subsets) and, at every order, the abelian stabilizer, read off the integer
 autocorrelation |S & (S - t)| from two transforms, so a one-shot norm
 builds no translation table.  On Cayley groups the right stabilizer
-R = {u : S u = S} and the left one L = {t : t S = S} are one block of
-products each, and the stabilizer is R & L.
+R = {u : S u = S} and the left one L = {t : t S = S} are read off the
+table rows of S and of its inverse set S^-1, whose right stabilizer is L
+(or of their complements when these are smaller), and the stabilizer is
+R & L.
 analyze_cosets names a set from R and its stabilizer T through
 _name_by_stabilizer, which sweep._records shares on every group, with both
 read from the translates of its stack of classes: S is the left coset a R
@@ -605,15 +607,29 @@ def _autocorrelation(group: Group, mask: int) -> np.ndarray:
 
 def _cayley_stabilizers(group: Group, mask: int) -> tuple[int, int]:
     """(R, L) for S in a Cayley group: the right stabilizer R = {u : S u = S}
-    and the left one L = {t : t S = S}.  S u has |S| elements, so S u = S
-    exactly when S u lies in S: R is the columns of _products_in over S x G
-    that hold S throughout, and L the rows over G x S.  For the empty set
-    both are the whole group."""
-    members, everything = _members(mask), np.arange(group.order)
+    and the left one L = {t : t S = S}.  A translation maps S onto S exactly
+    when it maps the complement onto itself, so both are taken of the
+    smaller of the two.  L is the right stabilizer of the inverse set:
+    t S = S exactly when S^-1 t^-1 = S^-1, and a stabilizer is a subgroup,
+    which holds t^-1 exactly when it holds t.  For the empty set and the
+    whole group both are the whole group."""
     flags = _bits(mask, group.order)
-    right = _products_in(group, flags, members, everything).all(axis=0)
-    left = _products_in(group, flags, everything, members).all(axis=1)
-    return _mask(right), _mask(left)
+    if 2 * mask.bit_count() > group.order:
+        flags = ~flags
+    return (_mask(_holding_columns(group, flags)),
+            _mask(_holding_columns(group, flags[group._inverse])))
+
+
+def _holding_columns(group: Group, flags: np.ndarray) -> np.ndarray:
+    """Flags of the u with X u = X, for the set X with these flags: X u has
+    |X| elements, so these are the columns of the table rows of X that lie
+    in X throughout, gathered a block of _block_rows rows at a time."""
+    members = np.flatnonzero(flags)
+    out = np.ones(group.order, dtype=bool)
+    step = _block_rows(group, group.order)
+    for lo in range(0, len(members), step):
+        out &= flags[group.table[members[lo:lo + step]]].all(axis=0)
+    return out
 
 
 def stabilizer(group: Group, mask: int) -> int:

@@ -22,7 +22,6 @@ orthogonal witness of value 9/7.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,7 +53,7 @@ def as_matrix(data, max_dim: int = MAX_MATRIX_DIM) -> np.ndarray:
     if a.shape[0] > max_dim or a.shape[1] > max_dim:
         raise ValueError(f"matrix shape {a.shape} exceeds the {max_dim}x{max_dim} cap")
     a = a.astype(complex) if np.iscomplexobj(a) else a.astype(float)
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
     return a
 
@@ -64,8 +63,8 @@ def symmetric_eigenvalues(m, max_dim: int = MAX_MATRIX_DIM) -> tuple[np.ndarray,
     m = as_matrix(m, max_dim=max_dim)
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    scale = max(1.0, float(np.max(np.abs(m))))
-    if np.max(np.abs(m - m.conj().T)) > _HERMITIAN_RTOL * scale:
+    scale = max(1.0, float(np.abs(m).max()))
+    if np.abs(m - m.conj().T).max() > _HERMITIAN_RTOL * scale:
         raise ValueError("matrix is not Hermitian")
     w, v = np.linalg.eigh((m + m.conj().T) / 2)
     return w, v
@@ -74,7 +73,7 @@ def symmetric_eigenvalues(m, max_dim: int = MAX_MATRIX_DIM) -> tuple[np.ndarray,
 def _binary_exponent(x: np.ndarray) -> int:
     """The exponent e with 2^(e-1) <= max|x| < 2^e (0 for x = 0): 2^-e x
     has entries of order 1, and scaling by a power of two is exact."""
-    return max(math.frexp(float(np.max(np.abs(x))))[1], -1000)  # 2^1000 is still finite
+    return max(math.frexp(float(np.abs(x).max()))[1], -1000)  # 2^1000 is still finite
 
 
 def operator_norm(x) -> float:
@@ -83,11 +82,17 @@ def operator_norm(x) -> float:
     X is first scaled by the power of two nearest 1 / max|x|, so the Gram
     matrix neither overflows nor underflows; scaling by a power of two is
     exact, so the value does not depend on it."""
-    x = as_matrix(x)
+    return _operator_norm(as_matrix(x))
+
+
+def _operator_norm(x: np.ndarray) -> float:
+    """operator_norm of a matrix that as_matrix has checked.  Its Gram
+    matrix is Hermitian up to rounding, so it goes to eigh as
+    symmetric_eigenvalues would pass it, without that function's checks."""
     exponent = _binary_exponent(x)
     x = x * math.ldexp(1.0, -exponent)
     gram = x.conj().T @ x if x.shape[0] >= x.shape[1] else x @ x.conj().T
-    w, _ = symmetric_eigenvalues(gram)
+    w, _ = np.linalg.eigh(_hermitian(gram))
     return math.ldexp(float(np.sqrt(max(0.0, float(w[-1])))), exponent)
 
 
@@ -182,13 +187,13 @@ def witness_lower_bound(a, witness: WitnessPair) -> float:
     xi = np.asarray(witness.vector, dtype=complex).reshape(-1)
     if a.shape != x.shape:
         raise ValueError(f"witness shape {x.shape} does not match matrix {a.shape}")
-    if not np.any(x):
+    if not x.any():
         raise ValueError("witness matrix must be nonzero")
-    if xi.size != x.shape[1] or not np.any(xi):
+    if xi.size != x.shape[1] or not xi.any():
         raise ValueError("witness vector must be nonzero with matching length")
     exponent = _binary_exponent(a)
     numerator = float(np.linalg.norm((a * math.ldexp(1.0, -exponent) * x) @ xi))
-    denominator = operator_norm(x) * float(np.linalg.norm(xi))
+    denominator = _operator_norm(x) * float(np.linalg.norm(xi))
     return math.ldexp(numerator / denominator, exponent)
 
 
@@ -259,9 +264,10 @@ class Gamma2Bounds:
 
 
 def _matrix_to_lists(m: np.ndarray) -> list:
+    """Rows of Python floats, with each complex entry as an [re, im] pair."""
     if np.iscomplexobj(m):
-        return [[[float(z.real), float(z.imag)] for z in row] for row in m]
-    return [[float(x) for x in row] for row in np.asarray(m, dtype=float)]
+        return np.stack((m.real, m.imag), axis=-1).tolist()
+    return np.asarray(m, dtype=float).tolist()
 
 
 def _lists_to_matrix(rows) -> np.ndarray:
@@ -290,7 +296,7 @@ def _completion_slack(p: np.ndarray, a: np.ndarray, q: np.ndarray) -> np.ndarray
 def _entry_witness(a: np.ndarray) -> WitnessPair:
     """X = e_ij at a largest entry and xi = e_j: it proves gamma2 >= max|a_ij|,
     the exact value for the zero matrix and for rank-one matrices."""
-    i, j = np.unravel_index(int(np.argmax(np.abs(a))), a.shape)
+    i, j = np.unravel_index(int(np.abs(a).argmax()), a.shape)
     x = np.zeros(a.shape)
     x[i, j] = 1.0
     return WitnessPair(x, x[i])
@@ -304,12 +310,12 @@ _RANK_RTOL = 1e-14  # singular values below this fraction of the largest are dro
 
 
 def _row_norms(x: np.ndarray) -> np.ndarray:
-    return np.sum(np.abs(x) ** 2, axis=1)
+    return (np.abs(x) ** 2).sum(axis=1)
 
 
 def _balanced(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """x t and y / t with equal largest squared row norm."""
-    t = (float(np.max(_row_norms(y))) / float(np.max(_row_norms(x)))) ** 0.25
+    t = (float(_row_norms(y).max()) / float(_row_norms(x).max())) ** 0.25
     return x * t, y / t
 
 
@@ -318,13 +324,6 @@ def _gap(tol: float, value: float) -> float:
     and for tol > 0 at least 16 ulps of value, which rounding alone can leave
     open once the absolute gap drops below them (about 1e12 at tol 1e-3)."""
     return max(tol * min(1.0, value), 16.0 * math.ulp(value)) if tol else 0.0
-
-
-def _floored(log_weights: np.ndarray, delta: float) -> np.ndarray:
-    """The point of the simplex with these log-weights, up to a constant,
-    mixed with the floor as in the plain update."""
-    weights = np.exp(log_weights - np.max(log_weights))
-    return (1.0 - delta) * weights / np.sum(weights) + delta / weights.size
 
 
 # -- main entry --------------------------------------------------------------------
@@ -364,6 +363,13 @@ def gamma2(a, tol: float = 1e-3) -> Gamma2Bounds:
     below the last accepted point's is dropped with the history, and the
     plain update of that point is taken instead, whatever its value.
 
+    A step works on one weight vector w = (p, q) of length m + n, with
+    still one eigh: sqrt(w) gives both B and the metric W, one pass of row
+    norms over the Gram vectors [U; V] Sigma^1/2 gives rows and cols, each
+    simplex is normalized through a vector that spreads the two halves'
+    sums over their entries, and dR, dG are two preallocated
+    (m + n) x ANDERSON_DEPTH arrays, oldest column first.
+
     A step whose Gram vectors promise a closed bracket, and the last step
     allowed, is turned into both proofs:
 
@@ -383,40 +389,53 @@ def gamma2(a, tol: float = 1e-3) -> Gamma2Bounds:
     a = as_matrix(a)
     tol = validate_tol(tol)
     # real and imaginary parts, because |a_ij| itself can overflow
-    largest = float(np.max(np.abs(a.view(float))))
+    largest = float(np.abs(a.view(float)).max())
     if largest > MAX_ENTRY:
         raise ValueError(f"matrix entries reach {largest:.3e}, above the {MAX_ENTRY:.3e} "
                          "(2^1000) that gamma2 takes; divide the matrix by a constant, "
                          "which divides its norm by the same constant")
     witness = _entry_witness(a)
     lower = witness_lower_bound(a, witness)
-    scale = float(np.max(np.abs(a)))
+    scale = float(np.abs(a).max())
     if scale == 0.0:
         m, n = a.shape
         zero = Certificate(p=np.zeros((m, m)), q=np.zeros((n, n)), c=0.0)
         return Gamma2Bounds(lower=0.0, upper=0.0, certificate=zero, witness=witness)
     b = a / scale
     m, n = b.shape
-    p, q = np.full(m, 1.0 / m), np.full(n, 1.0 / n)
+    # the row weights p and the column weights q as one vector (p, q), each
+    # entry with the size of its simplex, and a buffer for the two halves'
+    # sums (or maxima), spread over their entries
+    sizes = np.repeat([float(m), float(n)], (m, n))
+    weights = 1.0 / sizes
+    halves = np.empty(m + n)
     dilation = np.zeros((m + n, m + n), dtype=b.dtype)
     upper, certificate = math.inf, None
     accepted = None  # (value, residual, image, plain update) of the last accepted point
-    history = deque(maxlen=ANDERSON_DEPTH)  # differences of residuals and images
+    # differences of the residuals and images of accepted steps, oldest
+    # column first, of which the first depth are held
+    d_residuals, d_images = np.empty((2, m + n, ANDERSON_DEPTH))
+    depth = 0
     for step in range(STEP_CAP):
-        half = np.sqrt(p)[:, None] * b * np.sqrt(q)
+        roots = np.sqrt(weights)
+        half = roots[:m, None] * b * roots[m:]
         dilation[:m, m:] = half
         dilation[m:, :m] = half.conj().T
         w, vectors = np.linalg.eigh(dilation)
         keep = w > _RANK_RTOL * w[-1]
         root = np.sqrt(w[keep])
-        u, v = np.sqrt(2.0) * vectors[:m, keep], np.sqrt(2.0) * vectors[m:, keep]
-        rows, cols = _row_norms(u * root), _row_norms(v * root)
-        value = float(np.sum(w[keep]))
+        # rows then cols.  The boolean index copies in Fortran order, so
+        # each row adds its terms one column after another; a slice view
+        # would add them pairwise and change the last bits
+        norms = _row_norms(np.sqrt(2.0) * vectors[:, keep] * root)
+        value = float(w[keep].sum())
         best = max(lower, scale * value)
         gap = _gap(tol, best)
-        promise = scale * math.sqrt(np.max(rows / p) * np.max(cols / q)) - best
+        ratios = norms / weights
+        promise = scale * math.sqrt(ratios[:m].max() * ratios[m:].max()) - best
         if promise <= gap or step == STEP_CAP - 1:
-            y = v * root / np.sqrt(q)[:, None]
+            u, v = np.sqrt(2.0) * vectors[:m, keep], np.sqrt(2.0) * vectors[m:, keep]
+            y = v * root / roots[m:, None]
             x = np.linalg.lstsq(y.conj(), b.T, rcond=None)[0].T
             x, y = _balanced(x, y)
             gram_x = _hermitian(scale * (x @ x.conj().T))
@@ -428,7 +447,7 @@ def gamma2(a, tol: float = 1e-3) -> Gamma2Bounds:
             level = float(max(gram_x.diagonal().real.max(), gram_y.diagonal().real.max())) + slack
             cert = Certificate(p=gram_x + slack * np.eye(len(gram_x)),
                                q=gram_y + slack * np.eye(len(gram_y)), c=level)
-            pair = WitnessPair((u @ v.conj().T).conj(), np.sqrt(q))
+            pair = WitnessPair((u @ v.conj().T).conj(), roots[m:])
             witnessed = witness_lower_bound(a, pair)
             if level < upper:
                 upper, certificate = level, cert
@@ -436,32 +455,40 @@ def gamma2(a, tol: float = 1e-3) -> Gamma2Bounds:
                 lower, witness = witnessed, pair
             if upper - lower <= _gap(tol, upper):
                 break
-        if history and value < accepted[0]:
+        if depth and value < accepted[0]:
             # the mixed point lost value: drop it and the history, and take
             # the plain update of the last accepted point
-            history.clear()
-            p, q = accepted[3]
+            depth = 0
+            weights = accepted[3]
             accepted = None
             continue
         delta = max(gap / (4.0 * best), np.finfo(float).eps)
-        plain = ((1.0 - delta) * rows / np.sum(rows) + delta / m,
-                 (1.0 - delta) * cols / np.sum(cols) + delta / n)
-        point = np.concatenate((p, q))
-        image = np.log(np.concatenate(plain))
-        residual = image - np.log(point)
+        halves[:m], halves[m:] = norms[:m].sum(), norms[m:].sum()
+        plain = (1.0 - delta) * norms / halves + delta / sizes
+        image = np.log(plain)
+        residual = image - np.log(weights)
         if accepted is not None:
-            history.append((residual - accepted[1], image - accepted[2]))
+            if depth == ANDERSON_DEPTH:
+                d_residuals[:, :-1] = d_residuals[:, 1:]
+                d_images[:, :-1] = d_images[:, 1:]
+            else:
+                depth += 1
+            d_residuals[:, depth - 1] = residual - accepted[1]
+            d_images[:, depth - 1] = image - accepted[2]
         accepted = (value, residual, image, plain)
-        if history:
+        if depth:
             # the fit in the Fisher-Rao metric, sum w (d log w)^2: weights
             # near the floor would otherwise dominate it
-            d_residual, d_image = (np.column_stack(d) for d in zip(*history))
-            metric = np.sqrt(point)
-            mixed = image - d_image @ np.linalg.lstsq(d_residual * metric[:, None],
-                                                      residual * metric, rcond=None)[0]
-            p, q = _floored(mixed[:m], delta), _floored(mixed[m:], delta)
+            mix = np.linalg.lstsq(d_residuals[:, :depth] * roots[:, None], residual * roots,
+                                  rcond=None)[0]
+            mixed = image - d_images[:, :depth] @ mix
+            # back on the simplices, floored as in the plain update
+            halves[:m], halves[m:] = mixed[:m].max(), mixed[m:].max()
+            mixed = np.exp(mixed - halves)
+            halves[:m], halves[m:] = mixed[:m].sum(), mixed[m:].sum()
+            weights = (1.0 - delta) * mixed / halves + delta / sizes
         else:
-            p, q = plain
+            weights = plain
     else:
         raise Gamma2ConvergenceError(lower, upper)
     if lower > upper:

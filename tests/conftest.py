@@ -10,12 +10,17 @@ subgroup tests, canonical forms, the witness search, the progression and
 closure checks and annihilators by loops over bits.  oracle_analyze_cosets keeps the coset analysis's first two-coset
 rule, normality of the stabilizer in the whole span <T, a^-1 b>, and
 oracle_cb_norm the first cb norm, one dense SVD of the whole multiplier
-matrix.
+matrix.  oracle_gamma2 keeps the first form of gamma2's fixed-point step,
+on separate row and column weights; it alone calls library helpers (the
+proofs built at the closing step), because it judges the rewritten step's
+iterates bit for bit, not the norm.
 """
 
 import functools
 import itertools
+import math
 import random
+from collections import deque
 
 import numpy as np
 import pytest
@@ -26,6 +31,7 @@ from idemnorm import (
     make_abelian_group,
     subset_elements,
 )
+from idemnorm import schur
 
 
 @pytest.fixture(scope="session")
@@ -128,6 +134,7 @@ def _coord_rows(group):
     return [oracle_coords(group, a) for a in range(group.order)]
 
 
+@functools.lru_cache(maxsize=1 << 16)
 def _pairing_numerator(group, x, s):
     n = group.order
     return sum(xj * sj * (n // fj) for xj, sj, fj in
@@ -247,8 +254,11 @@ def oracle_is_subgroup(group, mask):
     return all((mask >> oracle_mul(group, a, b)) & 1 for a in members for b in members)
 
 
+@functools.lru_cache(maxsize=None)
 def oracle_stabilizer(group, mask):
-    """{t : S t = S and t S = S} by testing every t against every s."""
+    """{t : S t = S and t S = S} by testing every t against every s, once a
+    session for each group and mask: oracle_analyze_cosets asks again for
+    the stabilizers that the layer tests have checked."""
     members = _oracle_elements(group, mask)
     out = 0
     for t in range(group.order):
@@ -256,6 +266,17 @@ def oracle_stabilizer(group, mask):
                 and all((mask >> oracle_mul(group, t, s)) & 1 for s in members)):
             out |= 1 << t
     return out
+
+
+def oracle_stabilizer_sides(group, mask):
+    """(R, L) = ({u : S u = S}, {t : t S = S}) by testing every element
+    against every member, each test stopping at its first miss."""
+    members = _oracle_elements(group, mask)
+    right = sum(1 << u for u in range(group.order)
+                if all((mask >> oracle_mul(group, s, u)) & 1 for s in members))
+    left = sum(1 << t for t in range(group.order)
+               if all((mask >> oracle_mul(group, t, s)) & 1 for s in members))
+    return right, left
 
 
 def oracle_right_stabilizer(group, mask):
@@ -457,3 +478,94 @@ def oracle_closure_claim_check(group, mask):
     return [(u, v) for i, u in enumerate(members) for v in members[i:]
             if not (mask >> oracle_mul(group, u, v)) & 1
             and not (mask >> oracle_mul(group, v, u)) & 1]
+
+
+def _oracle_floored(log_weights, delta):
+    """The point of the simplex with these log-weights, up to a constant,
+    mixed with the floor as in the plain update."""
+    weights = np.exp(log_weights - np.max(log_weights))
+    return (1.0 - delta) * weights / np.sum(weights) + delta / weights.size
+
+
+def oracle_gamma2(a, tol=1e-3):
+    """schur.gamma2's fixed point as first written, one step on separate
+    weight arrays p and q with an Anderson history deque of column pairs:
+    the same eigh per step, mix, safeguard, stop rule and proofs, which
+    the rewritten step must match bit for bit."""
+    a = schur.as_matrix(a)
+    tol = schur.validate_tol(tol)
+    witness = schur._entry_witness(a)
+    lower = schur.witness_lower_bound(a, witness)
+    scale = float(np.max(np.abs(a)))
+    if scale == 0.0:
+        m, n = a.shape
+        zero = schur.Certificate(p=np.zeros((m, m)), q=np.zeros((n, n)), c=0.0)
+        return schur.Gamma2Bounds(lower=0.0, upper=0.0, certificate=zero, witness=witness)
+    b = a / scale
+    m, n = b.shape
+    p, q = np.full(m, 1.0 / m), np.full(n, 1.0 / n)
+    dilation = np.zeros((m + n, m + n), dtype=b.dtype)
+    upper, certificate = math.inf, None
+    accepted = None  # (value, residual, image, plain update) of the last accepted point
+    history = deque(maxlen=schur.ANDERSON_DEPTH)  # differences of residuals and images
+    for step in range(schur.STEP_CAP):
+        half = np.sqrt(p)[:, None] * b * np.sqrt(q)
+        dilation[:m, m:] = half
+        dilation[m:, :m] = half.conj().T
+        w, vectors = np.linalg.eigh(dilation)
+        keep = w > schur._RANK_RTOL * w[-1]
+        root = np.sqrt(w[keep])
+        u, v = np.sqrt(2.0) * vectors[:m, keep], np.sqrt(2.0) * vectors[m:, keep]
+        rows, cols = schur._row_norms(u * root), schur._row_norms(v * root)
+        value = float(np.sum(w[keep]))
+        best = max(lower, scale * value)
+        gap = schur._gap(tol, best)
+        promise = scale * math.sqrt(np.max(rows / p) * np.max(cols / q)) - best
+        if promise <= gap or step == schur.STEP_CAP - 1:
+            y = v * root / np.sqrt(q)[:, None]
+            x = np.linalg.lstsq(y.conj(), b.T, rcond=None)[0].T
+            x, y = schur._balanced(x, y)
+            gram_x = schur._hermitian(scale * (x @ x.conj().T))
+            gram_y = schur._hermitian(scale * (y @ y.conj().T))
+            slack = float(schur._completion_slack(gram_x, a, gram_y))
+            level = float(max(gram_x.diagonal().real.max(), gram_y.diagonal().real.max())) + slack
+            cert = schur.Certificate(p=gram_x + slack * np.eye(len(gram_x)),
+                                     q=gram_y + slack * np.eye(len(gram_y)), c=level)
+            pair = schur.WitnessPair((u @ v.conj().T).conj(), np.sqrt(q))
+            witnessed = schur.witness_lower_bound(a, pair)
+            if level < upper:
+                upper, certificate = level, cert
+            if witnessed > lower:
+                lower, witness = witnessed, pair
+            if upper - lower <= schur._gap(tol, upper):
+                break
+        if history and value < accepted[0]:
+            history.clear()
+            p, q = accepted[3]
+            accepted = None
+            continue
+        delta = max(gap / (4.0 * best), np.finfo(float).eps)
+        plain = ((1.0 - delta) * rows / np.sum(rows) + delta / m,
+                 (1.0 - delta) * cols / np.sum(cols) + delta / n)
+        point = np.concatenate((p, q))
+        image = np.log(np.concatenate(plain))
+        residual = image - np.log(point)
+        if accepted is not None:
+            history.append((residual - accepted[1], image - accepted[2]))
+        accepted = (value, residual, image, plain)
+        if history:
+            d_residual, d_image = (np.column_stack(d) for d in zip(*history))
+            metric = np.sqrt(point)
+            mixed = image - d_image @ np.linalg.lstsq(d_residual * metric[:, None],
+                                                      residual * metric, rcond=None)[0]
+            p, q = _oracle_floored(mixed[:m], delta), _oracle_floored(mixed[m:], delta)
+        else:
+            p, q = plain
+    else:
+        raise schur.Gamma2ConvergenceError(lower, upper)
+    if lower > upper:
+        if lower - upper > 1e-9 * max(1.0, upper):
+            raise schur.Gamma2ConvergenceError(lower, upper,
+                                               "witness crossed the certified upper bound")
+        upper = lower
+    return schur.Gamma2Bounds(lower=lower, upper=upper, certificate=certificate, witness=witness)

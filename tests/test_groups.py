@@ -26,6 +26,7 @@ from idemnorm.groups import (
     GROUP_ORDER_CAP,
     Group,
     _bits,
+    _cayley_stabilizers,
     _spectrum,
     _translates,
     _spectrum_of,
@@ -44,6 +45,7 @@ from conftest import (
     oracle_is_subgroup,
     oracle_mul,
     oracle_stabilizer,
+    oracle_stabilizer_sides,
     oracle_translate_left,
     oracle_translate_right,
     planted_subsets,
@@ -649,9 +651,22 @@ def test_stabilizer_matches_oracle_on_planted_cayley_sets(build):
     planted.append(subset_mask(g, rng.sample(range(n), n // 3)))
     # all but the identity: its stabilizer is {e}
     planted.append(((1 << n) - 1) ^ 1)
+    # and the complements of the first four, above half the group
+    planted += [((1 << n) - 1) ^ mask for mask in planted[:4]]
     for mask in planted:
         assert stabilizer(g, mask) == oracle_stabilizer(g, mask), subset_elements(mask)
-    assert stabilizer(g, planted[-1]) == 1
+        assert _cayley_stabilizers(g, mask) == oracle_stabilizer_sides(g, mask)
+    assert stabilizer(g, planted[5]) == 1
+
+
+@pytest.mark.parametrize("spec", ("S3", "D4", "Q8"))
+def test_cayley_stabilizer_sides_match_oracle_on_every_subset(spec):
+    # R and L apart, on sets below, at and above half the group
+    g = parse_group(spec)
+    for mask in range(1 << g.order):
+        right, left = _cayley_stabilizers(g, mask)
+        assert (right, left) == oracle_stabilizer_sides(g, mask), subset_elements(mask)
+        assert right & left == oracle_stabilizer(g, mask)
 
 
 SPECTRUM_SHAPES = ("x".join(["Z2"] * 10), "x".join(["Z2"] * 12), "Z2xZ7", "Z2xZ2xZ3",

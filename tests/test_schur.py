@@ -20,6 +20,8 @@ from idemnorm import (
 from idemnorm import schur
 from idemnorm.schur import as_matrix
 
+from conftest import oracle_gamma2
+
 
 def test_as_matrix_validation():
     with pytest.raises(ValueError):
@@ -581,3 +583,65 @@ def test_gamma2_steps_are_equivariant(kind, eigh_calls):
             assert base.upper - 1e-3 <= other.lower <= base.upper
         else:
             assert other.lower == pytest.approx(base.lower, rel=1e-12)
+
+
+def _solver_corpus():
+    """Seeded inputs of every kind the solver takes: zero-one 8 to 12,
+    sign 8x8, Gaussian 4 to 12, complex, rectangular 1xn to 12x12,
+    rank-one and zero matrices."""
+    rng = np.random.RandomState(38)
+    corpus = [forbidden_pattern()]
+    corpus += [rng.randint(0, 2, size=(n, n)).astype(float) for n in range(8, 13)]
+    corpus += [rng.choice([-1.0, 1.0], size=(8, 8)) for _ in range(2)]
+    corpus += [rng.standard_normal((n, n)) for n in range(4, 13, 2)]
+    corpus += [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for n in (3, 6)]
+    corpus += [rng.standard_normal(shape) for shape in ((1, 1), (1, 7), (5, 1), (3, 8), (9, 4),
+                                                          (12, 12))]
+    corpus += [np.outer(rng.standard_normal(4), rng.standard_normal(6)),
+               np.zeros((3, 5))]
+    return corpus
+
+
+def _outcome(solve, a, tol, eigh_calls):
+    """Everything a gamma2 call reports, as bytes, and its eigh count: the
+    bracket, P, Q, c, X and xi, or the bracket it raises with."""
+    eigh_calls.clear()
+    try:
+        bounds = solve(a, tol)
+    except Gamma2ConvergenceError as exc:
+        found = ("raised", np.float64(exc.lower).tobytes(), np.float64(exc.upper).tobytes(),
+                 str(exc))
+    else:
+        cert, witness = bounds.certificate, bounds.witness
+        found = tuple((x.dtype.str, x.shape, x.tobytes()) for x in map(np.asarray, (
+            bounds.lower, bounds.upper, cert.p, cert.q, cert.c, witness.matrix, witness.vector)))
+    return found, len(eigh_calls)
+
+
+def _complex_gaussian(seed, shape):
+    rng = np.random.RandomState(seed)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+# at tol 0 most inputs run to the step cap, so a few small ones: a real and
+# a complex row, a rank-one and the zero matrix, which close, and a real
+# and a complex Gaussian that raise
+ORACLE_CASES = ([(a, tol) for tol in (1e-3, 1e-6) for a in _solver_corpus()]
+                + [(a, 0.0) for a in (np.random.RandomState(3).standard_normal((1, 4)),
+                                      _complex_gaussian(5, (1, 3)),
+                                      np.outer([1.0, -2.0, 0.5], [3.0, 1.0]), np.zeros((2, 2)),
+                                      np.random.RandomState(7).standard_normal((3, 2)),
+                                      _complex_gaussian(7, (2, 2)))]
+                + [(a, 1e-9) for a in TAIL_GAUSSIANS])
+
+
+def test_gamma2_matches_its_first_form_bit_for_bit(eigh_calls):
+    # the step on one weight vector takes exactly the iterates of the step
+    # on separate p and q: the same eigh count, bracket, certificate and
+    # witness to the last bit, raised or returned
+    raised = 0
+    for a, tol in ORACLE_CASES:
+        expected = _outcome(oracle_gamma2, a, tol, eigh_calls)
+        assert _outcome(gamma2, a, tol, eigh_calls) == expected, (a.shape, tol)
+        raised += expected[0][0] == "raised"
+    assert raised >= 2
