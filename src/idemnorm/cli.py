@@ -4,8 +4,9 @@ Subcommands: norm (one subset), sweep (all subsets of a group), schur
 (gamma2 bounds of a literal matrix), verify (the full check battery).
 Exit codes: 0 success / verified, 1 violation or failed check, 2 usage or
 parse error (an --out path that cannot be opened included: it is opened
-before any work, and a failed run leaves an existing file unchanged),
-3 numerical failure.  All output on stdout is
+before any work), 3 numerical failure.  A run that exits 0 or 1 writes its
+report; a run that fails writes none, so it leaves an existing --out file
+unchanged and removes one it created.  All output on stdout is
 deterministic for fixed inputs and flags; timing and verify's PASS/FAIL
 item lines go to stderr, so stdout holds only the report.
 
@@ -23,6 +24,7 @@ import argparse
 import contextlib
 import functools
 import json
+import os
 import re
 import sys
 from json.encoder import encode_basestring_ascii
@@ -33,7 +35,7 @@ import numpy as np
 from .bs import bs_norm, predicted_norm
 from .groups import (_BYTE_BITS, Group, analyze_cosets, parse_group, subset_elements,
                      subset_mask)
-from .multiplier import _check_cb_order, cb_norm
+from .multiplier import cb_norm
 from .schur import (
     Gamma2ConvergenceError,
     forbidden_pattern,
@@ -393,13 +395,12 @@ def _text_lines(payload: dict, prefix: str = "") -> list[str]:
 
 def cmd_norm(args) -> int:
     """The norm and structure of one subset, with cb_norm's bracket when
-    asked (--cb) or on a Cayley group.  A group above cb_norm's order cap
-    is refused (exit 2) before the subset is parsed or anything computed."""
+    asked (--cb) or on a Cayley group.  The bracket comes first, so a group
+    above cb_norm's order cap is refused (exit 2) by cb_norm's own check,
+    once the subset is parsed and before anything else is computed."""
     group = parse_group(args.group)
-    with_cb = args.cb or not group.is_abelian
-    if with_cb:
-        _check_cb_order(group)
     mask = parse_subset(group, args.subset)
+    bounds = cb_norm(group, mask) if args.cb or not group.is_abelian else None
     analysis = analyze_cosets(group, mask)
     payload: dict = {
         "group": group.name,
@@ -409,8 +410,7 @@ def cmd_norm(args) -> int:
     }
     if group.is_abelian:
         payload["bs_norm"] = bs_norm(group, mask)
-    if with_cb:
-        bounds = cb_norm(group, mask)
+    if bounds is not None:
         payload["cb_lower"] = bounds.lower
         payload["cb_upper"] = bounds.upper
     _emit([_render(payload, args.format)], args.out)
@@ -542,16 +542,27 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    path, created, code = args.out, False, EXIT_USAGE
     try:
         # --out is opened before any work, so that a path that cannot be
-        # written stops the run at once; in append mode, so that a run that
-        # fails leaves an existing report as it was (_emit truncates)
-        with open(args.out, "a") if args.out else contextlib.nullcontext() as out:
-            args.out = out
-            return args.func(args)
+        # written stops the run at once.  A new file is created, and an
+        # existing one opened in append mode, so that a run that fails
+        # leaves its report as it was (_emit truncates)
+        if path:
+            try:
+                args.out, created = open(path, "x"), True
+            except FileExistsError:
+                args.out = open(path, "a")
+        with args.out or contextlib.nullcontext():
+            code = args.func(args)
     except (ValueError, OSError) as exc:
         print(str(exc), file=sys.stderr)
-        return EXIT_USAGE
+    finally:
+        # every run that exits 0 or 1 has written its report, and no other
+        # run has: a file this run created holds no report then
+        if created and code not in (EXIT_OK, EXIT_VIOLATION):
+            os.remove(path)
+    return code
 
 
 if __name__ == "__main__":

@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .groups import (_BIT_INDEX, TRANSLATION_TABLE_MAX_ORDER, Group, _bits, _lowest_bits,
-                     _members, _products_in, _row_masks, _translates, validate_mask)
+                     _members, _products_in, _row_masks, validate_mask)
 # gamma2 is not called here; it stays importable as multiplier.gamma2, which
 # perfbench's tracer test asserts is schur.gamma2
 from .schur import (Certificate, Gamma2Bounds, WitnessPair, _completion_slack,  # noqa: F401
@@ -55,23 +55,19 @@ def _row_flags(group: Group, mask: int) -> np.ndarray:
     return _products_in(group, _bits(mask, group.order), group._inverse, everything)
 
 
-def _check_cb_order(group: Group) -> None:
-    """cb_norm's order cap: ValueError for a group above CB_ORDER_CAP, so
-    that a caller can refuse before any other work."""
-    if group.order > CB_ORDER_CAP:
-        raise ValueError(f"cb_norm supports orders up to {CB_ORDER_CAP}, got {group.order}")
-
-
 def cb_norm(group: Group, mask: int) -> Gamma2Bounds:
-    """Exact completely bounded multiplier norm of chi_S (group order capped
-    at 64), as a closed bracket with its certificate and witness: the
-    batch of one of _cb_brackets, whose arrays give both, in element order.
+    """Exact completely bounded multiplier norm of chi_S, as a closed
+    bracket with its certificate and witness: the batch of one of
+    _cb_brackets, whose arrays give both, in element order.  A group above
+    order CB_ORDER_CAP (64) raises ValueError before any work, which is
+    the check cli.cmd_norm relies on to refuse such a group.
 
     The certificate is (P + slack I, Q + slack I) at the level of the upper
     end, and the witness is X with xi uniform.
     """
     mask = validate_mask(group, mask)
-    _check_cb_order(group)
+    if group.order > CB_ORDER_CAP:
+        raise ValueError(f"cb_norm supports orders up to {CB_ORDER_CAP}, got {group.order}")
     lower, upper, circulants, slack = _cb_brackets(group, np.array([mask], dtype=np.uint64))
     # in element order, each its own array: the witness keeps x, and a view
     # of one stack would keep p and q alive with it
@@ -189,18 +185,15 @@ def forbidden_pattern_search(group: Group, mask: int) -> Optional[tuple[tuple[in
     """First (in lexicographic order) row and column triples whose submatrix of
     the multiplier matrix equals the forbidden pattern exactly, or None
     (groups of order up to 64): _pattern_searches on a batch of one, whose
-    rows are the translates of S on abelian groups and the packed rows of
-    the multiplier matrix otherwise."""
+    rows are the packed rows s S of the multiplier matrix on every group
+    (on an abelian group, row s is the translate S + s), so a one-shot
+    search builds no translation table."""
     mask = validate_mask(group, mask)
     n = group.order
     if n > TRANSLATION_TABLE_MAX_ORDER:
         raise ValueError(f"pattern search supports orders up to "
                          f"{TRANSLATION_TABLE_MAX_ORDER}, got {n}")
-    if group.is_abelian:
-        rows = _translates(group, np.array([mask], dtype=np.uint64))
-    else:
-        rows = _row_masks(_row_flags(group, mask))[None]
-    return _pattern_searches(rows)[0]
+    return _pattern_searches(_row_masks(_row_flags(group, mask))[None])[0]
 
 
 def has_progression_property(group: Group, mask: int) -> bool:

@@ -1,10 +1,15 @@
+import csv
 import dataclasses
 import enum
 import functools
 import importlib
 import json
 import math
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -12,7 +17,7 @@ import pytest
 from idemnorm import cli
 from idemnorm.cli import _json_text, _record_json, build_parser, main
 from idemnorm.groups import CosetAnalysis, Group, parse_group, subset_elements
-from idemnorm.schur import WitnessPair
+from idemnorm.schur import Gamma2Bounds, WitnessPair, check_certificate, witness_lower_bound
 from idemnorm.sweep import SweepReport, sweep
 from idemnorm.witness import WitnessTriple
 
@@ -75,6 +80,27 @@ def test_norm_tuple_subset(capsys):
     code, spaced, _ = run_cli(capsys, "norm", "-g", "Z2xZ4", "-s", " (0,0) , (0,1) ",
                               "--format", "json")
     assert code == 0 and spaced == out
+
+
+@pytest.mark.parametrize("spec, subset, analysis", [
+    # {r, r s} is the left coset r {e, s} of a non-normal subgroup, whose
+    # two-sided stabilizer is {e}: the coset test reads the right stabilizer
+    ("D4", "1,5", {"kind": "coset", "subgroup": [0, 4], "rep_a": 1, "rep_b": None, "q": None}),
+    # {e, r} is two cosets of {e}, with q the order of r
+    ("D4", "0,1", {"kind": "two_cosets", "subgroup": [0], "rep_a": 0, "rep_b": 1, "q": 4}),
+    ("Q8", "0,1,2", {"kind": "other", "subgroup": [0], "rep_a": None, "rep_b": None, "q": None}),
+    # at the order cap: a subgroup of Z64xZ64 given as tuples, and the
+    # subgroup of Z2^12's first 1024 elements, which the length-2
+    # butterflies and the autocorrelation find
+    ("Z64xZ64", "(0,0),(0,32),(32,0),(32,32)",
+     {"kind": "coset", "subgroup": [0, 32, 2048, 2080], "rep_a": 0, "rep_b": None, "q": None}),
+    ("x".join(["Z2"] * 12), ",".join(map(str, range(1024))),
+     {"kind": "coset", "subgroup": list(range(1024)), "rep_a": 0, "rep_b": None, "q": None}),
+], ids=["D4-left-coset", "D4-two-cosets", "Q8-other", "Z64xZ64-cap", "Z2^12-cap"])
+def test_norm_reports_the_analysis(spec, subset, analysis, capsys):
+    code, out, _ = run_cli(capsys, "norm", "-g", spec, "-s", subset, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["analysis"] == analysis
 
 
 def test_norm_bad_group_exits_2(capsys):
@@ -157,7 +183,9 @@ def test_sweep_z6(capsys):
     assert "took" in err
 
 
-def test_sweep_reports_a_predicted_norm_mismatch(capsys, monkeypatch):
+def _predict_a_quarter_off(monkeypatch):
+    """Move every closed-form prediction of a sweep up by 0.25, so that a
+    sweep of Z6 reports a mismatch for each predicted class and exits 1."""
     sweep_module = importlib.import_module("idemnorm.sweep")
     closed_form = sweep_module.predicted_norm
 
@@ -166,6 +194,10 @@ def test_sweep_reports_a_predicted_norm_mismatch(capsys, monkeypatch):
         return None if value is None else value + 0.25
 
     monkeypatch.setattr(sweep_module, "predicted_norm", off_by_a_quarter)
+
+
+def test_sweep_reports_a_predicted_norm_mismatch(capsys, monkeypatch):
+    _predict_a_quarter_off(monkeypatch)
     code, out, _ = run_cli(capsys, "sweep", "-g", "Z6", "--format", "json")
     assert code == 1
     payload = json.loads(out)
@@ -288,6 +320,20 @@ def test_schur_bad_literal_exits_2(literal, capsys):
     assert err and not out
 
 
+def test_schur_literal_report_rechecks_on_its_own(capsys):
+    # the JSON report read back through Gamma2Bounds.from_dict: the blocks
+    # make a PSD completion at level c, the witness evaluates to the lower
+    # end, and the bracket is within the default tolerance
+    matrix = [[1, 1, 1, 1], [1, 0, 1, 0], [1, 1, 0, 0], [1, 0, 0, 0]]
+    code, out, _ = run_cli(capsys, "schur", json.dumps(matrix), "--format", "json")
+    assert code == 0
+    bounds = Gamma2Bounds.from_dict(json.loads(out))
+    cert = bounds.certificate
+    assert check_certificate(matrix, cert.p, cert.q, cert.c)
+    assert abs(witness_lower_bound(matrix, bounds.witness) - bounds.lower) <= 1e-12
+    assert bounds.upper - bounds.lower <= 1e-3
+
+
 def test_schur_oversized_exits_2(capsys):
     literal = json.dumps([[0] * 65] * 65)
     code, _, _ = run_cli(capsys, "schur", literal)
@@ -358,17 +404,36 @@ def test_out_file_replaces_a_longer_report(tmp_path, capsys):
     assert json.loads(target.read_text())["bs_norm"] == 1
 
 
-@pytest.mark.parametrize("argv, code", [
+FAILED_RUNS = [
     (("norm", "-g", "BAD", "-s", "0"), 2),
     (("norm", "-g", "Z4", "-s", "0,9"), 2),
     (("sweep", "-g", "no-such-group.json"), 2),
     (("schur", "--f0", "--tol", "0"), 3),
-])
+]
+
+
+@pytest.mark.parametrize("argv, code", FAILED_RUNS)
 def test_failed_run_keeps_an_existing_out_file(tmp_path, capsys, argv, code):
     target = tmp_path / "report.json"
     target.write_text("old report\n")
     assert run_cli(capsys, *argv, "--format", "json", "--out", str(target))[0] == code
     assert target.read_text() == "old report\n"
+
+
+@pytest.mark.parametrize("argv, code", FAILED_RUNS)
+def test_failed_run_leaves_no_new_out_file(tmp_path, capsys, argv, code):
+    target = tmp_path / "report.json"
+    assert run_cli(capsys, *argv, "--format", "json", "--out", str(target))[0] == code
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_violation_run_writes_its_report_to_a_new_out_file(tmp_path, capsys, monkeypatch):
+    # exit 1 reports violations: the run wrote its report, which stays
+    _predict_a_quarter_off(monkeypatch)
+    target = tmp_path / "report.json"
+    code, out, _ = run_cli(capsys, "sweep", "-g", "Z6", "--format", "json", "--out", str(target))
+    assert code == 1 and out == f"{target}\n"
+    assert json.loads(target.read_text())["violations"]
 
 
 @pytest.mark.parametrize("argv", [("norm", "-g", "Z4", "-s", "0"), ("sweep", "-g", "Z6")])
@@ -408,6 +473,26 @@ def test_norm_at_order_64_builds_no_translation_table(spec, monkeypatch, capsys)
         assert json.loads(out)["analysis"] == {
             "kind": kind, "subgroup": None if subgroup is None else subset_elements(subgroup),
             "rep_a": rep_a, "rep_b": rep_b, "q": q}
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("norm", "-g", "Z4", "-s", "0,1", "--format", "json"), 0),
+    (("norm", "-g", "Z16", "-s", "1_0"), 2),
+])
+def test_module_entry_point_exits_with_the_code_of_main(argv, code):
+    # python -m idemnorm.cli in a process of its own, as the package's
+    # console script runs main: the exit code reaches the caller, stdout
+    # holds one JSON document, and a refused spec is one line on stderr
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    run = subprocess.run([sys.executable, "-m", "idemnorm.cli", *argv], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+    assert run.returncode == code
+    if code == 0:
+        assert json.loads(run.stdout)["analysis"]["kind"] == "two_cosets"
+        assert run.stderr == ""
+    else:
+        assert run.stdout == ""
+        assert run.stderr.startswith("bad subset spec '1_0'") and run.stderr.count("\n") == 1
 
 
 def test_norm_text_format_mentions_kind(capsys):
@@ -560,7 +645,8 @@ def test_json_reports_are_the_bytes_of_json_dumps(argv, monkeypatch, capsys):
 
 
 # Z13, Z14 and Z2xZ7 sweep across 4096-mask blocks: 2, 4 and 4 of them
-SWEEP_JSON_GROUPS = ("Z6", "Z2xZ4", "Z12", "Z2xZ6", "Z13", "Z14", "Z2xZ7", "S3", "D4", "Q8")
+SWEEP_JSON_GROUPS = ("Z6", "Z2xZ4", "Z12", "Z2xZ6", "Z13", "Z14", "Z2xZ7", "S3", "D4", "Q8",
+                     "Z2xZ2xZ3")
 
 
 @functools.cache
@@ -579,6 +665,27 @@ def test_sweep_json_is_the_bytes_of_json_dumps_on_stdout_and_out(spec, tmp_path,
                            "--out", str(target))
     assert code == 0 and out == f"{target}\n"
     assert target.read_text() == expected
+
+
+def test_sweep_of_a_cayley_table_file(tmp_path, capsys):
+    # D8 (order 16) as a Cayley table file, with r^i s^j at index i + 8 j
+    # and s r = r^-1 s: the CSV written to --out holds the header and one
+    # row for each of its 808 classes, whose orbit sizes partition the
+    # 2^16 subsets, and the JSON is a fixed point of json.dumps
+    path = tmp_path / "d8.json"
+    path.write_text(json.dumps({"table": [[(a + (b if a < 8 else -b)) % 8 + 8 * ((a >= 8) ^ (b >= 8))
+                                           for b in range(16)] for a in range(16)]}))
+    target = tmp_path / "d8.csv"
+    code, out, _ = run_cli(capsys, "sweep", "-g", str(path), "--format", "csv",
+                           "--out", str(target))
+    assert code == 0 and out == f"{target}\n"
+    reader = csv.DictReader(target.read_text().splitlines())
+    rows = list(reader)
+    assert reader.fieldnames[:3] == ["subset", "kind", "q"]
+    assert len(rows) == 808
+    assert sum(int(row["orbit_size"]) for row in rows) == 1 << 16
+    code, out, _ = run_cli(capsys, "sweep", "-g", str(path), "--format", "json")
+    assert code == 0 and out == _dumps(json.loads(out)) + "\n"
 
 
 def _as_report_item(record_dict):

@@ -136,6 +136,21 @@ def test_searches_match_numpy_forms_on_order_64_cosets(spec):
         assert all(find_witness(group, mask) is None for mask in masks)
 
 
+@pytest.mark.parametrize("spec", ["Z8xZ8", "Z2xZ2xZ2xZ2xZ2xZ2", "D4"])
+def test_pattern_search_builds_no_translation_table(spec, monkeypatch):
+    # a one-shot search reads the packed product rows s S on every group;
+    # the property shadows the table the numpy form cached on the group
+    group = _group(spec)
+    masks = _random_masks(group.order, 100, seed=5)
+    expected = [numpy_pattern_search(group, mask) for mask in masks]
+
+    def refuse(self):
+        raise AssertionError("the pattern search built a translation table")
+
+    monkeypatch.setattr(Group, "translation_table", property(refuse))
+    assert [forbidden_pattern_search(group, mask) for mask in masks] == expected
+
+
 def full_pair_pattern_searches(rows):
     """_pattern_searches as it was before it kept the pairs r2 < r3 only:
     the proper overlaps of every ordered row pair (r2, r3), one (B, n, n)

@@ -127,6 +127,13 @@ def test_sweep_mode_follows_group(z4, s3):
     assert sweep(s3).mode == "schur"
 
 
+def test_every_witness_bound_of_a_sweep_is_at_least_four_thirds():
+    report = sweep(parse_group("Z12"))
+    assert report.subset_total == 4096
+    bounds = [r.witness_bound for r in report.records if r.witness_bound is not None]
+    assert bounds and min(bounds) >= 4 / 3
+
+
 def test_sweep_witness_presence_bookkeeping(z6):
     report = sweep(z6)
     presence = report.witness_presence
@@ -280,7 +287,10 @@ def test_verify_runs_cb_norm_once_per_class(monkeypatch, spec, classes):
     monkeypatch.setattr(sweep_module, "_cb_brackets",
                         lambda group, stack: masks.extend(stack.tolist()) or brackets(group, stack))
     assert "cb_norm" not in vars(sweep_module)
-    assert run_verification([spec]).passed
+    summary = run_verification([spec])
+    assert summary.passed
+    # pattern soundness reads the class records of every group
+    assert f"pattern_soundness_{spec}" in [item.name for item in summary.items]
     assert len(masks) == classes
     assert sorted(masks) == [r.subset for r in sweep(parse_group(spec)).records]
 
