@@ -4,18 +4,24 @@ Subcommands: norm (one subset), sweep (all subsets of a group), schur
 (gamma2 bounds of a literal matrix), verify (the full check battery).
 Exit codes: 0 success / verified, 1 violation or failed check, 2 usage or
 parse error (an --out path that cannot be opened included: it is opened
-before any work), 3 numerical failure.  A run that exits 0 or 1 writes its
+before any work), 3 numerical failure (gamma2 did not converge, or an
+exactness check raised ArithmeticError).  A run that exits 0 or 1 writes its
 report; a run that fails writes none, so it leaves an existing --out file
 unchanged and removes one it created.  All output on stdout is
 deterministic for fixed inputs and flags; timing and verify's PASS/FAIL
 item lines go to stderr, so stdout holds only the report.
 
-A report is rendered whole before any of it is written.  JSON reports are
-the bytes of json.dumps(..., indent=2, sort_keys=True); a sweep's is its
-summary with each class record written once (_record_json, which renders
-each distinct analysis, pattern, witness and float once, from bounded
-memos), handed to _emit as a list of parts that it joins a chunk at a
-time, never whole.
+A report is written to its sink as it is made, and no whole report text
+is held.  The sink rule: a --out file that the run created takes the
+report directly, and stdout or an existing --out file take it through a
+_Spool (at most _SPOOL_MEMORY characters in memory, the rest in a
+temporary file), copied there only once the run has succeeded.  JSON
+reports are the bytes of json.dumps(..., indent=2, sort_keys=True); a
+sweep's is its summary's head, each class record written once
+(_record_json, which renders each distinct analysis, pattern, witness and
+float once, from bounded memos) a chunk of records at a time, and its
+tail.  A sweep's CSV rows are written a block at a time as the sweep
+finds them, and the CSV and text sweeps keep no record.
 """
 
 from __future__ import annotations
@@ -26,9 +32,11 @@ import functools
 import json
 import os
 import re
+import shutil
 import sys
+import tempfile
 from json.encoder import encode_basestring_ascii
-from typing import Optional, Sequence, TextIO
+from typing import Iterator, Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -49,6 +57,8 @@ from .sweep import (
     DEFAULT_TOL_EXACT,
     ClassificationRecord,
     SweepReport,
+    csv_lines,
+    fold_sweep,
     run_verification,
     sweep,
 )
@@ -117,26 +127,12 @@ def _render(payload: dict, fmt: str) -> str:
     return _json_text(payload, "") if fmt == "json" else "\n".join(_text_lines(payload))
 
 
-# parts of a report that _emit joins into one write
-_EMIT_CHUNK = 512
-
-
-def _emit(parts: list[str], out: Optional[TextIO]) -> None:
-    """Write a rendered report and a newline to the open --out file
-    (printing its path) or to stdout.  The report comes as a list of parts:
-    a sweep's JSON is its summary's head, each record with its separator,
-    and the summary's tail.  They are joined and written _EMIT_CHUNK at a
-    time, which saves a write call per part and holds at most one chunk's
-    copy of the report.  Every part is rendered before this is called, so a
-    run that fails while rendering leaves an existing --out file as it was."""
-    target = sys.stdout if out is None else out
-    if out is not None and out.tell():  # append mode: a nonzero end means an old report
-        out.truncate(0)
-    target.writelines("".join(parts[lo:lo + _EMIT_CHUNK])
-                      for lo in range(0, len(parts), _EMIT_CHUNK))
-    target.write("\n")
-    if out is not None:
-        print(out.name)
+def _emit(payload: dict, args) -> None:
+    """Write a report rendered whole by _render, and a newline, to the
+    run's sink: args.out, which main sets.  Two writes, since joining the
+    newline on would copy the report."""
+    args.out.write(_render(payload, args.format))
+    args.out.write("\n")
 
 
 def _json_text(value, indent: str) -> str:
@@ -361,22 +357,29 @@ def _record_json(record: ClassificationRecord) -> str:
         return _json_text(record.to_dict(), "    ")
 
 
-def _sweep_json(report: SweepReport) -> list[str]:
-    """A sweep's JSON report as _emit's parts, byte for byte as
-    json.dumps(report.to_dict(), indent=2, sort_keys=True) writes it.  The
-    summary is rendered with no records and split at its "records" line
-    (the only line that can start with that key at this indent: a JSON
-    string escapes its newlines), and each record is written once by
-    _record_json between the two halves.  A sweep always holds the empty
-    set's class, so the list is never empty."""
+# records whose text _sweep_json joins into one chunk
+_RECORD_CHUNK = 32
+
+
+def _sweep_json(report: SweepReport) -> Iterator[str]:
+    """A sweep's JSON report and its newline, a chunk at a time, byte for
+    byte as json.dumps(report.to_dict(), indent=2, sort_keys=True) writes
+    it.  The summary is rendered with no records and split at its
+    "records" line (the only line that can start with that key at this
+    indent: a JSON string escapes its newlines); between the halves each
+    record is written once by _record_json, _RECORD_CHUNK records joined
+    into one chunk, so at most one chunk of the records' text is held.  A
+    sweep always holds the empty set's class, so "records" is never
+    empty."""
     summary = _json_text({**report.summary(), "records": []}, "")
     head, _, tail = summary.partition('\n  "records": []')
-    parts = [head, '\n  "records": [\n    ']
-    for record in report.records:
-        parts += (_record_json(record), ",\n    ")
-    parts[-1] = "\n  ]"
-    parts.append(tail)
-    return parts
+    separator = ",\n    "
+    records = report.records
+    yield head + '\n  "records": [\n    '
+    for lo in range(0, len(records), _RECORD_CHUNK):
+        text = separator.join(map(_record_json, records[lo:lo + _RECORD_CHUNK]))
+        yield text if lo == 0 else separator + text
+    yield "\n  ]" + tail + "\n"
 
 
 def _text_lines(payload: dict, prefix: str = "") -> list[str]:
@@ -413,26 +416,35 @@ def cmd_norm(args) -> int:
     if bounds is not None:
         payload["cb_lower"] = bounds.lower
         payload["cb_upper"] = bounds.upper
-    _emit([_render(payload, args.format)], args.out)
+    _emit(payload, args)
     return EXIT_OK
 
 
 def cmd_sweep(args) -> int:
-    """Sweep a group and write its report: CSV from to_csv; JSON through
-    _sweep_json, a record at a time with no dict of the records; text from
-    the summary and the record count."""
+    """Sweep a group and write its report to args.out as it is made.  JSON
+    takes sweep()'s records, since its summary comes first, and writes
+    them through _sweep_json a chunk at a time; CSV writes the header,
+    then each block's rows (csv_lines) as fold_sweep folds them, and text
+    the summary and the class count.  The CSV and text sweeps keep no
+    record."""
     group = parse_group(args.group)
-    report = sweep(group, tol=DEFAULT_TOL_EXACT if args.tol is None else args.tol)
-    print(f"sweep of {group.name} took {report.wall_time_s:.2f}s", file=sys.stderr)
-    if args.format == "csv":
-        parts = [report.to_csv().rstrip("\n")]
-    elif args.format == "json":
-        parts = _sweep_json(report)
+    tol = DEFAULT_TOL_EXACT if args.tol is None else args.tol
+    if args.format == "json":
+        report = sweep(group, tol)
+    elif args.format == "csv":
+        args.out.write(csv_lines((), header=True))
+        report = fold_sweep(group, tol, keep_records=False,
+                            each_block=lambda block: args.out.write(csv_lines(block)))
     else:
+        report = fold_sweep(group, tol, keep_records=False)
+    print(f"sweep of {group.name} took {report.wall_time_s:.2f}s", file=sys.stderr)
+    if args.format == "json":
+        for chunk in _sweep_json(report):
+            args.out.write(chunk)
+    elif args.format == "text":
         # _text_lines writes a list of dicts as its length alone
-        records = [{}] * len(report.records)
-        parts = [_render({**report.summary(), "records": records}, "text")]
-    _emit(parts, args.out)
+        count = sum(slot["classes"] for slot in report.kind_totals.values())
+        _emit({**report.summary(), "records": [{}] * count}, args)
     return EXIT_OK if not report.violations else EXIT_VIOLATION
 
 
@@ -461,14 +473,14 @@ def cmd_schur(args) -> int:
             print("--witness-only applies to --f0", file=sys.stderr)
             return EXIT_USAGE
         value = witness_lower_bound(matrix, orthogonal_witness())
-        _emit([_render({"witness_lower_bound": value}, args.format)], args.out)
+        _emit({"witness_lower_bound": value}, args)
         return EXIT_OK
     try:
         bounds = gamma2(matrix, tol=1e-3 if args.tol is None else args.tol)
     except Gamma2ConvergenceError as exc:
         print(f"solver did not converge: bracket [{exc.lower}, {exc.upper}]", file=sys.stderr)
         return EXIT_NUMERIC
-    _emit([_render(bounds.to_dict(), args.format)], args.out)
+    _emit(bounds.to_dict(), args)
     return EXIT_OK
 
 
@@ -484,7 +496,7 @@ def cmd_verify(args) -> int:
     for item in summary.items:
         marker = "PASS" if item.passed else "FAIL"
         print(f"{marker} {item.name}: {item.detail}", file=sys.stderr)
-    _emit([_render(summary.to_dict(), args.format)], args.out)
+    _emit(summary.to_dict(), args)
     return EXIT_OK if summary.passed else EXIT_VIOLATION
 
 
@@ -539,23 +551,95 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the most characters of a report that a spool keeps in memory: a report of
+# norm, schur or verify fits, and a sweep's moves to disk early, so a run on
+# stdout peaks where the same run to a new --out file does
+_SPOOL_MEMORY = 1 << 16
+
+
+class _Spool:
+    """The sink of a run whose target may take the report only once the
+    run has succeeded.  The text is kept as the parts it was written in,
+    neither joined nor encoded, up to _SPOOL_MEMORY characters in all;
+    the write that would pass that moves it to a temporary file, which
+    keeps every byte (no newline is translated).  So memory never holds
+    more of the report than the limit."""
+
+    def __init__(self):
+        self.parts: list[str] = []
+        self.size = 0
+        self.file: Optional[TextIO] = None
+
+    def write(self, text: str) -> None:
+        if self.file is None:
+            self.size += len(text)
+            if self.size <= _SPOOL_MEMORY:
+                self.parts.append(text)
+                return
+            self.file = tempfile.TemporaryFile("w+", encoding="utf-8", newline="")
+            self.file.writelines(self.parts)
+            self.parts = []
+        self.file.write(text)
+
+    def copy_to(self, target: TextIO) -> None:
+        if self.file is None:
+            target.writelines(self.parts)
+        else:
+            self.file.seek(0)
+            shutil.copyfileobj(self.file, target)
+
+    def close(self) -> None:
+        if self.file is not None:
+            self.file.close()
+
+
+def _spooled(args, target: Optional[TextIO]) -> int:
+    """Run the subcommand with a _Spool as its sink, and copy the report
+    to the target (stdout when None, else an existing --out file, which is
+    truncated first) only once the run has succeeded: a run that fails
+    writes nothing there."""
+    with contextlib.closing(_Spool()) as spool:
+        args.out = spool
+        code = args.func(args)
+        if code in (EXIT_OK, EXIT_VIOLATION):
+            if target is None:
+                target = sys.stdout
+            else:
+                target.truncate(0)
+            spool.copy_to(target)
+    return code
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     path, created, code = args.out, False, EXIT_USAGE
+    target = None
     try:
         # --out is opened before any work, so that a path that cannot be
-        # written stops the run at once.  A new file is created, and an
-        # existing one opened in append mode, so that a run that fails
-        # leaves its report as it was (_emit truncates)
+        # written stops the run at once.  A new file is created and takes
+        # the report as it is written; an existing one is opened in append
+        # mode and, like stdout, takes it from a spool once the run has
+        # succeeded, so that a run that fails leaves its report as it was
         if path:
             try:
-                args.out, created = open(path, "x"), True
+                target, created = open(path, "x"), True
             except FileExistsError:
-                args.out = open(path, "a")
-        with args.out or contextlib.nullcontext():
-            code = args.func(args)
+                target = open(path, "a")
+        with target or contextlib.nullcontext():
+            if created:
+                args.out = target
+                code = args.func(args)
+            else:
+                code = _spooled(args, target)
+        if path and code in (EXIT_OK, EXIT_VIOLATION):
+            print(path)
     except (ValueError, OSError) as exc:
+        code = EXIT_USAGE
+        print(str(exc), file=sys.stderr)
+    except ArithmeticError as exc:
+        # an exactness check of the library failed: a numerical failure
+        code = EXIT_NUMERIC
         print(str(exc), file=sys.stderr)
     finally:
         # every run that exits 0 or 1 has written its report, and no other

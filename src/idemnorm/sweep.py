@@ -12,13 +12,16 @@ the classification theorems at the requested tolerance:
 Any counterexample is reported as a violation; subsets of kind "other" whose
 norm sits at 4/3 are collected as extremal examples.
 
-sweep() works a block of 2^12 masks at a time, the masks that share their
-bits from 12 up.  _build_block holds the block's _Block: the canonical form
-of every mask in it, and the finished record of each mask that is its own
-form, at the sweep's tolerance (_classify: the array kernels of
-_class_layers over slices of 256 masks, then _records).  The sweep then
-calls canonical_form on every mask of the block in increasing order and
-classify on each mask that is its own form, and each call is a lookup.
+A sweep works a block of 2^12 masks at a time, the masks that share their
+bits from 12 up (class_blocks, a generator of each block's records).
+_build_block holds the block's _Block: the canonical form of every mask in
+it, and the finished record of each mask that is its own form, at the
+sweep's tolerance (_classify: the array kernels of _class_layers over
+slices of 128 masks, then _records).  The sweep then calls canonical_form
+on every mask of the block in increasing order and classify on each mask
+that is its own form, and each call is a lookup.  The report's summary is
+one fold over those blocks (fold_sweep), which keeps the records only when
+asked: sweep() keeps them, and the CLI's CSV and text reports do not.
 Outside a sweep nothing builds a block: canonical_form of a mask that the
 held block does not answer is the least of its own translates, one row,
 and classify of one is a batch of one through _classify.
@@ -38,7 +41,7 @@ import io
 import time
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -90,8 +93,9 @@ DEFAULT_TOL_EXACT = 1e-9
 # time: the masks that share their bits from 12 up
 _BLOCK_BITS = 12
 _BLOCK_LOW = (1 << _BLOCK_BITS) - 1
-# the most masks that one _class_layers call stacks
-_LAYER_SLICE = 256
+# the most masks that one _class_layers call stacks: 128 keeps the kernels'
+# temporaries, which grow with the order, small beside a streamed sweep
+_LAYER_SLICE = 128
 
 
 @dataclass(frozen=True, slots=True)
@@ -161,7 +165,7 @@ def _build_block(group: Group, high: int, tol: float) -> range:
 
 def _classify(group: Group, masks: np.ndarray, tol: float) -> list["ClassificationRecord"]:
     """classify's record of each of a uint64 stack of masks, in any order
-    and canonical or not: _class_layers over slices of at most 256 masks,
+    and canonical or not: _class_layers over slices of at most 128 masks,
     each with its rows from _translates, then _records at the tolerance."""
     layers: list[tuple] = []
     for lo in range(0, len(masks), _LAYER_SLICE):
@@ -350,25 +354,33 @@ class SweepReport:
         }
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
+        """The header row and one row a record, as csv_lines writes them."""
+        return csv_lines(self.records, header=True)
+
+
+def csv_lines(records: Iterable[ClassificationRecord], header: bool = False) -> str:
+    """One CSV row for each record, after the header row when asked, in
+    csv.writer's dialect: every line ends in \r\n.  to_csv is the whole
+    report's, and the CLI writes a sweep's CSV from it a block at a time."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    if header:
         writer.writerow(["subset", "kind", "q", "norm_lower", "norm_upper",
                          "predicted", "orbit_size", "below_coset_bound",
                          "in_open_interval", "extremal_other"])
-        for r in self.records:
-            writer.writerow([
-                " ".join(str(i) for i in subset_elements(r.subset)),
-                r.analysis.kind,
-                "" if r.analysis.q is None else r.analysis.q,
-                repr(r.norm_lower),
-                repr(r.norm_upper),
-                "" if r.predicted is None else repr(r.predicted),
-                r.orbit_size,
-                int(r.below_coset_bound),
-                int(r.in_open_interval),
-                int(r.extremal_other),
-            ])
-        return buf.getvalue()
+    writer.writerows([
+        " ".join(str(i) for i in subset_elements(r.subset)),
+        r.analysis.kind,
+        "" if r.analysis.q is None else r.analysis.q,
+        repr(r.norm_lower),
+        repr(r.norm_upper),
+        "" if r.predicted is None else repr(r.predicted),
+        r.orbit_size,
+        int(r.below_coset_bound),
+        int(r.in_open_interval),
+        int(r.extremal_other),
+    ] for r in records)
+    return buf.getvalue()
 
 
 def _violations_for(group: Group, record: ClassificationRecord, tol: float) -> list[SweepViolation]:
@@ -397,39 +409,60 @@ def _violations_for(group: Group, record: ClassificationRecord, tol: float) -> l
     return out
 
 
-def sweep(group: Group, tol: float = DEFAULT_TOL_EXACT) -> SweepReport:
+def class_blocks(group: Group, tol: float) -> Iterator[list[ClassificationRecord]]:
+    """The records of a sweep of the group at tol, a block at a time: for
+    each block of 2^12 masks in increasing order, the record of each mask
+    of it that is its own canonical form, in increasing order.  The
+    block's canonical_form and classify calls are lookups into the block
+    that _build_block holds; a block is built only when it is asked for."""
+    for high in range(max(1, (1 << group.order) >> _BLOCK_BITS)):
+        yield [classify(group, mask, tol) for mask in _build_block(group, high, tol)
+               if canonical_form(group, mask) == mask]
+
+
+def fold_sweep(group: Group, tol: float = DEFAULT_TOL_EXACT, keep_records: bool = True,
+               each_block: Optional[Callable[[list[ClassificationRecord]], object]] = None
+               ) -> SweepReport:
     """Classify every subset (one canonical representative per translation
     orbit, in increasing bitmask order) and check the classification
-    theorems; see the module docstring for the violation rules."""
+    theorems; see the module docstring for the violation rules.  The
+    summary (kind totals, witness presence, subset total, extremal
+    classes, violations, wall time) is one fold over class_blocks, and
+    each_block, when given, is called on each block's records once they
+    are folded, so a caller can write them as they come.  The report holds
+    every record when keep_records, and none otherwise: a sweep then holds
+    one block's records at a time, and its class count is the sum of the
+    kind totals' classes."""
     tol = validate_tol(tol)
     if group.order > SWEEP_ORDER_CAP:
         raise ValueError(f"full sweep capped at order {SWEEP_ORDER_CAP}, group has {group.order}")
     started = time.perf_counter()
     records: list[ClassificationRecord] = []
-    for high in range(max(1, (1 << group.order) >> _BLOCK_BITS)):
-        records += [classify(group, mask, tol) for mask in _build_block(group, high, tol)
-                    if canonical_form(group, mask) == mask]
-
     violations = []
     # each slot is made once, on its kind's or label's first record
     kind_totals = defaultdict(lambda: {"classes": 0, "subsets": 0})
     witness_presence = defaultdict(lambda: {"classes": 0, "with_witness": 0})
     subset_total = 0
     extremal = []
-    for record in records:
-        kind = record.analysis.kind
-        slot = kind_totals[kind]
-        slot["classes"] += 1
-        slot["subsets"] += record.orbit_size
-        subset_total += record.orbit_size
-        label = f"two_cosets_q{record.analysis.q}" if kind == "two_cosets" else kind
-        wslot = witness_presence[label]
-        wslot["classes"] += 1
-        if record.witness is not None:
-            wslot["with_witness"] += 1
-        violations.extend(_violations_for(group, record, tol))
-        if record.extremal_other:
-            extremal.append(record.subset)
+    for block in class_blocks(group, tol):
+        for record in block:
+            kind = record.analysis.kind
+            slot = kind_totals[kind]
+            slot["classes"] += 1
+            slot["subsets"] += record.orbit_size
+            subset_total += record.orbit_size
+            label = f"two_cosets_q{record.analysis.q}" if kind == "two_cosets" else kind
+            wslot = witness_presence[label]
+            wslot["classes"] += 1
+            if record.witness is not None:
+                wslot["with_witness"] += 1
+            violations.extend(_violations_for(group, record, tol))
+            if record.extremal_other:
+                extremal.append(record.subset)
+        if keep_records:
+            records += block
+        if each_block is not None:
+            each_block(block)
     return SweepReport(
         group_name=group.name,
         order=group.order,
@@ -443,6 +476,12 @@ def sweep(group: Group, tol: float = DEFAULT_TOL_EXACT) -> SweepReport:
         witness_presence=dict(witness_presence),
         wall_time_s=time.perf_counter() - started,
     )
+
+
+def sweep(group: Group, tol: float = DEFAULT_TOL_EXACT) -> SweepReport:
+    """Classify every subset of the group and check the classification
+    theorems: fold_sweep's report with every record."""
+    return fold_sweep(group, tol)
 
 
 # -- one-shot verification ------------------------------------------------------
@@ -532,7 +571,7 @@ def run_verification(group_specs: Optional[Sequence[str]] = None,
     compares the recorded norm with 9/7 and finds the subgroups among the
     coset classes, and on abelian groups the amenable cross check compares
     the recorded character sum of every class with its cb bracket, from
-    _cb_brackets over the records 256 at a time.  So each class's cb
+    _cb_brackets over the records 128 at a time.  So each class's cb
     bracket is computed once on every group, in the sweep's stacks on a
     Cayley group and in the cross check on an abelian one."""
     tol = validate_tol(tol)

@@ -3,7 +3,7 @@
 sweep._classify runs the stabilizers, the norm (mu and the character sum
 on abelian groups, the cb bracket on Cayley groups), the witness search,
 the witness integral and the pattern search as array kernels over a uint64
-stack of masks, at most 256 a call, and builds their records.  A sweep
+stack of masks, at most 128 a call, and builds their records.  A sweep
 builds each 4096-mask block once, the records of its canonical masks as
 one stack, and classify reads a canonical mask's record from the block
 held; any other mask, and any mask outside a sweep, is a batch of one.
@@ -86,11 +86,12 @@ def _check_analysis(group, record):
 
 
 def _layers(group, masks):
-    """_class_layers over a stack of masks, in slices of 256 as _classify
-    takes them."""
+    """_class_layers over a stack of masks, in slices of _LAYER_SLICE as
+    _classify takes them."""
     stack = np.array(masks, dtype=np.uint64)
-    return [found for lo in range(0, len(stack), 256)
-            for found in sweep_module._class_layers(group, *_stack(group, stack[lo:lo + 256]))]
+    step = sweep_module._LAYER_SLICE
+    return [found for lo in range(0, len(stack), step)
+            for found in sweep_module._class_layers(group, *_stack(group, stack[lo:lo + step]))]
 
 
 @pytest.mark.parametrize("spec", SMALL)
@@ -289,7 +290,7 @@ def test_canonical_form_then_classify_in_any_order_builds_each_blocks_records_on
 def test_a_shuffled_stack_gives_each_mask_the_record_classify_gives_it(make):
     # _classify takes any masks in any order: a shuffled stack of masks
     # from every block, canonical and not, with repeats, longer than one
-    # 256-mask slice, gives each mask the record classify gives it alone
+    # 128-mask slice, gives each mask the record classify gives it alone
     group = make()
     size = 1 << group.order
     rng = random.Random(4)

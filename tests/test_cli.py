@@ -644,9 +644,10 @@ def test_json_reports_are_the_bytes_of_json_dumps(argv, monkeypatch, capsys):
     assert capsys.readouterr().out == _dumps(payload) + "\n"
 
 
-# Z13, Z14 and Z2xZ7 sweep across 4096-mask blocks: 2, 4 and 4 of them
+# Z13, Z14, Z2xZ7 and Z16 sweep across 4096-mask blocks: 2, 4, 4 and 16 of
+# them
 SWEEP_JSON_GROUPS = ("Z6", "Z2xZ4", "Z12", "Z2xZ6", "Z13", "Z14", "Z2xZ7", "S3", "D4", "Q8",
-                     "Z2xZ2xZ3")
+                     "Z2xZ2xZ3", "Z16")
 
 
 @functools.cache
@@ -667,14 +668,20 @@ def test_sweep_json_is_the_bytes_of_json_dumps_on_stdout_and_out(spec, tmp_path,
     assert target.read_text() == expected
 
 
-def test_sweep_of_a_cayley_table_file(tmp_path, capsys):
-    # D8 (order 16) as a Cayley table file, with r^i s^j at index i + 8 j
-    # and s r = r^-1 s: the CSV written to --out holds the header and one
-    # row for each of its 808 classes, whose orbit sizes partition the
-    # 2^16 subsets, and the JSON is a fixed point of json.dumps
-    path = tmp_path / "d8.json"
+def _d8_table_file(directory):
+    """D8 (order 16) as a Cayley table file, with r^i s^j at index i + 8 j
+    and s r = r^-1 s."""
+    path = directory / "d8.json"
     path.write_text(json.dumps({"table": [[(a + (b if a < 8 else -b)) % 8 + 8 * ((a >= 8) ^ (b >= 8))
                                            for b in range(16)] for a in range(16)]}))
+    return path
+
+
+def test_sweep_of_a_cayley_table_file(tmp_path, capsys):
+    # D8 as a Cayley table file: the CSV written to --out holds the header
+    # and one row for each of its 808 classes, whose orbit sizes partition
+    # the 2^16 subsets, and the JSON is a fixed point of json.dumps
+    path = _d8_table_file(tmp_path)
     target = tmp_path / "d8.csv"
     code, out, _ = run_cli(capsys, "sweep", "-g", str(path), "--format", "csv",
                            "--out", str(target))
@@ -686,6 +693,175 @@ def test_sweep_of_a_cayley_table_file(tmp_path, capsys):
     assert sum(int(row["orbit_size"]) for row in rows) == 1 << 16
     code, out, _ = run_cli(capsys, "sweep", "-g", str(path), "--format", "json")
     assert code == 0 and out == _dumps(json.loads(out)) + "\n"
+
+
+def _report_on_every_sink(capsys, tmp_path, argv):
+    """The bytes that a successful run writes to stdout, to a new --out
+    file and to an existing, longer --out file, which must be the same."""
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    new, old = tmp_path / "new.report", tmp_path / "old.report"
+    old.write_text("an older and longer report\n" * 20000)
+    for target in (new, old):
+        code, out_line, _ = run_cli(capsys, *argv, "--out", str(target))
+        assert code == 0 and out_line == f"{target}\n"
+    assert new.read_bytes() == old.read_bytes() == out.encode()
+    return out
+
+
+@pytest.mark.parametrize("spec", SWEEP_JSON_GROUPS)
+def test_sweep_json_is_the_same_bytes_on_every_sink(spec, tmp_path, capsys):
+    # a new --out file takes the report as it is written, while stdout and
+    # an existing file take it from the spool
+    out = _report_on_every_sink(capsys, tmp_path, ("sweep", "-g", spec, "--format", "json"))
+    assert out == _dumps(_sweep_of(spec).to_dict()) + "\n"
+
+
+@pytest.mark.parametrize("spec", ("Z6", "Z2xZ4", "S3", "D4", "Z16", "D8 file"))
+def test_sweep_csv_is_the_bytes_of_to_csv_on_every_sink(spec, tmp_path, capsys):
+    # the CSV is written a block at a time as the sweep folds it (Z16 has
+    # 16 blocks), and it is to_csv's text: \r\n line ends, and no newline
+    # after the last row's
+    group = _d8_table_file(tmp_path) if spec == "D8 file" else spec
+    expected = sweep(parse_group(str(group))).to_csv()
+    out = _report_on_every_sink(capsys, tmp_path, ("sweep", "-g", str(group), "--format", "csv"))
+    assert out == expected and out.endswith("0\r\n")
+
+
+def test_sweep_json_reaches_a_new_out_file_before_its_last_record_is_written(tmp_path, capsys,
+                                                                              monkeypatch):
+    # each _record_json call notes the size of the file so far: the report
+    # is written a chunk of records at a time, not once all are rendered
+    target = tmp_path / "report.json"
+    sizes = []
+    record_json = cli._record_json
+
+    def noting_the_size(record):
+        sizes.append(target.stat().st_size)
+        return record_json(record)
+
+    monkeypatch.setattr(cli, "_record_json", noting_the_size)
+    code, _, _ = run_cli(capsys, "sweep", "-g", "Z16", "--format", "json", "--out", str(target))
+    assert code == 0 and len(sizes) == 4116
+    assert 0 < sizes[-1] < target.stat().st_size
+
+
+@pytest.mark.parametrize("fmt", ("csv", "text"))
+def test_csv_and_text_sweeps_keep_no_record(fmt, capsys, monkeypatch):
+    # the fold hands back no records, and the text report still counts them
+    reports = []
+    fold = cli.fold_sweep
+
+    def keeping_the_report(*args, **kwargs):
+        reports.append(fold(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(cli, "fold_sweep", keeping_the_report)
+    code, out, _ = run_cli(capsys, "sweep", "-g", "Z13", "--format", fmt)
+    assert code == 0
+    [report] = reports
+    assert report.records == [] and report.subset_total == 1 << 13
+    expected = _sweep_of("Z13")
+    assert report.summary() == expected.summary()
+    if fmt == "csv":
+        assert out == expected.to_csv()
+    else:
+        assert "records: [632 entries]\n" in out
+
+
+def _numpy_norm_on_the_fifth_class(monkeypatch):
+    """Hand the sweep a fifth class record whose norm is a numpy float,
+    which the JSON record writer refuses with a TypeError."""
+    sweep_module = importlib.import_module("idemnorm.sweep")
+    classify = sweep_module.classify
+    calls = []
+
+    def numpy_norm_on_the_fifth(group, mask, tol):
+        record = classify(group, mask, tol)
+        calls.append(mask)
+        if len(calls) == 5:
+            return dataclasses.replace(record, norm_lower=np.float64(record.norm_lower))
+        return record
+
+    monkeypatch.setattr(sweep_module, "classify", numpy_norm_on_the_fifth)
+
+
+def test_record_writer_failing_partway_leaves_no_new_out_file(tmp_path, capsys, monkeypatch):
+    # the summary's head is written to the new file before the records are
+    _numpy_norm_on_the_fifth_class(monkeypatch)
+    target = tmp_path / "report.json"
+    with pytest.raises(TypeError, match="float64"):
+        main(["sweep", "-g", "Z6", "--format", "json", "--out", str(target)])
+    assert list(tmp_path.iterdir()) == []
+    assert capsys.readouterr().out == ""
+
+
+def test_record_writer_failing_partway_prints_nothing(capsys, monkeypatch):
+    # stdout takes the report from the spool, once the run has succeeded
+    _numpy_norm_on_the_fifth_class(monkeypatch)
+    with pytest.raises(TypeError, match="float64"):
+        main(["sweep", "-g", "Z6", "--format", "json"])
+    assert capsys.readouterr().out == ""
+
+
+def _refuse_the_witness_integrals_of_a_later_block(monkeypatch, sizes, target):
+    """Make the first _witness_integrals call of a sweep on masks of its
+    third 4096-mask block or later raise the ArithmeticError of a formula
+    that disagrees with its numeric integral, noting the size of the
+    target file at that call."""
+    sweep_module = importlib.import_module("idemnorm.sweep")
+    integrals = sweep_module._witness_integrals
+
+    def refusing_a_later_block(group, masks, *args):
+        if len(masks) and int(masks[0]) >> 12 >= 2:
+            sizes.append(target.stat().st_size if target.exists() else None)
+            raise ArithmeticError("test-function integral mismatch: formula 6.0 vs numeric 7.0")
+        return integrals(group, masks, *args)
+
+    monkeypatch.setattr(sweep_module, "_witness_integrals", refusing_a_later_block)
+
+
+@pytest.mark.parametrize("sink", ("new", "existing", "stdout"))
+def test_failed_exactness_check_in_a_csv_sweep_exits_3(sink, tmp_path, capsys, monkeypatch):
+    # the CSV rows of Z16's first two blocks, 3,033 classes, were written
+    # before the failure: a new --out file is removed, an existing one
+    # kept, and stdout is empty
+    target = tmp_path / "report.csv"
+    if sink == "existing":
+        target.write_text("old report\n")
+    sizes = []
+    _refuse_the_witness_integrals_of_a_later_block(monkeypatch, sizes, target)
+    out_args = () if sink == "stdout" else ("--out", str(target))
+    code, out, err = run_cli(capsys, "sweep", "-g", "Z16", "--format", "csv", *out_args)
+    assert code == 3 and out == ""
+    assert err == "test-function integral mismatch: formula 6.0 vs numeric 7.0\n"
+    if sink == "new":
+        assert sizes[0] > 0 and list(tmp_path.iterdir()) == []
+    elif sink == "existing":
+        assert target.read_text() == "old report\n"
+    else:
+        assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("out", (False, True))
+def test_failed_exactness_check_in_norm_exits_3(out, tmp_path, capsys, monkeypatch):
+    # the autocorrelation of the stabilizer moved off the integers by 0.3
+    groups_module = importlib.import_module("idemnorm.groups")
+    spectrum_of = groups_module._spectrum_of
+    calls = []
+
+    def shifted(group, values):
+        calls.append(1)
+        return spectrum_of(group, values) + (0.3 * group.order if len(calls) == 2 else 0)
+
+    monkeypatch.setattr(groups_module, "_spectrum_of", shifted)
+    target = tmp_path / "report.json"
+    out_args = ("--out", str(target)) if out else ()
+    code, stdout, err = run_cli(capsys, "norm", "-g", "Z2xZ2xZ2xZ2xZ2xZ2xZ2", "-s", "0,4,8",
+                                *out_args)
+    assert code == 3 and stdout == ""
+    assert err.endswith("away from an integer\n") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 def _as_report_item(record_dict):

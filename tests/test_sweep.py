@@ -432,7 +432,7 @@ def test_sweeps_across_blocks_give_each_class_the_record_of_a_batch_of_one(
         spec, blocks, classes, monkeypatch):
     # the sweep builds each 4096-mask block exactly once, in increasing
     # order, and classify reads the canonical masks' records from the
-    # block held, 256 masks a kernel call; classify on a fresh group of
+    # block held, 128 masks a kernel call; classify on a fresh group of
     # the same name builds nothing and classifies each mask as a batch of
     # one, which must give the same record, at the block edges (masks
     # within 2 of a multiple of 4096) as everywhere else
