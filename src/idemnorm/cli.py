@@ -20,8 +20,10 @@ reports are the bytes of json.dumps(..., indent=2, sort_keys=True); a
 sweep's is its summary's head, each class record written once
 (_record_json, which renders each distinct analysis, pattern, witness and
 float once, from bounded memos) a chunk of records at a time, and its
-tail.  A sweep's CSV rows are written a block at a time as the sweep
-finds them, and the CSV and text sweeps keep no record.
+tail.  A sweep's CSV rows (sweep.csv_lines) are written a block at a time
+as the sweep finds them, and the CSV and text sweeps keep no record.  The
+JSON records and the CSV rows share one text layer: groups.subset_text
+writes their element lists, and sweep.float_text's memo their floats.
 """
 
 from __future__ import annotations
@@ -41,8 +43,7 @@ from typing import Iterator, Optional, Sequence, TextIO
 import numpy as np
 
 from .bs import bs_norm, predicted_norm
-from .groups import (_BYTE_BITS, Group, analyze_cosets, parse_group, subset_elements,
-                     subset_mask)
+from .groups import Group, analyze_cosets, parse_group, subset_elements, subset_mask, subset_text
 from .multiplier import cb_norm
 from .schur import (
     Gamma2ConvergenceError,
@@ -54,10 +55,12 @@ from .schur import (
 )
 from .sweep import (
     DEFAULT_GROUP_SPECS,
+    CSV_HEADER,
     DEFAULT_TOL_EXACT,
     ClassificationRecord,
     SweepReport,
     csv_lines,
+    float_text,
     fold_sweep,
     run_verification,
     sweep,
@@ -219,33 +222,15 @@ _PATTERN_LAYOUT = ('[\n        [\n          %s,\n          %s,\n          %s\n  
 _WITNESS_LAYOUT = '{\n        "u": %s,\n        "v": %s,\n        "w": %s\n      }'
 
 
-@functools.cache
-def _byte_elements(indent: str, position: int) -> tuple[str, ...]:
-    """For each byte value v at the given byte position, the elements
-    8 position + j of its set bits j as JSON list items nested at the
-    indent, joined as _json_elements joins them."""
-    separator = ",\n" + indent + "  "
-    return tuple(separator.join(str(8 * position + j) for j in _BYTE_BITS[v])
-                 for v in range(256))
-
-
 def _json_elements(mask: int, indent: str) -> str:
     """The elements of a bitmask as a JSON list nested at the given indent,
     as _json_text writes subset_elements(mask), whose items are ints: the
-    text of each nonzero byte read from _byte_elements and joined.  The
-    empty mask is "[]", and a negative one raises subset_elements'
-    ValueError."""
-    if mask <= 0:
-        return _json_text(subset_elements(mask), indent)
+    list's items are subset_text's, joined by the list's separator, inside
+    its brackets.  The empty mask is "[]", and a negative one raises
+    subset_text's ValueError."""
     inner = indent + "  "
-    texts = []
-    position = 0
-    while mask:
-        if mask & 255:
-            texts.append(_byte_elements(indent, position)[mask & 255])
-        mask >>= 8
-        position += 1
-    return f"[\n{inner}" + (",\n" + inner).join(texts) + f"\n{indent}]"
+    text = subset_text(mask, ",\n" + inner)
+    return f"[\n{inner}{text}\n{indent}]" if text else "[]"
 
 
 # the most distinct texts that each memo of _record_json keeps
@@ -294,18 +279,14 @@ def _witness_json(u, v, w) -> str:
     return _WITNESS_LAYOUT % _int_texts(u, v, w)
 
 
-# _json_float of the floats that _float_json lets through
-_float_memo = functools.lru_cache(maxsize=_MEMO_SIZE)(_json_float)
-
-
 def _float_json(value) -> str:
     """A record's float field, or None, as _json_text writes it.  An exact
-    float that is neither zero nor NaN is read from _float_memo: two such
-    floats that compare equal have the same bits, so the same text.
-    0.0 == -0.0 and NaN equals nothing, so those are written each time,
-    and a type _json_text refuses raises TypeError."""
-    if type(value) is float and value and value == value:
-        return _float_memo(value)
+    float is sweep.float_text's, which the CSV rows share, with NaN and the
+    infinities spelled as json spells them; None is null, and a type
+    _json_text refuses raises TypeError."""
+    if type(value) is float:
+        text = float_text(value)
+        return _NONFINITE.get(text, text)
     return _JSON_SCALARS[type(value)](value)
 
 
@@ -423,28 +404,26 @@ def cmd_norm(args) -> int:
 def cmd_sweep(args) -> int:
     """Sweep a group and write its report to args.out as it is made.  JSON
     takes sweep()'s records, since its summary comes first, and writes
-    them through _sweep_json a chunk at a time; CSV writes the header,
+    them through _sweep_json a chunk at a time; CSV writes CSV_HEADER,
     then each block's rows (csv_lines) as fold_sweep folds them, and text
-    the summary and the class count.  The CSV and text sweeps keep no
-    record."""
+    the summary and the class count, as the line "records: [N entries]".
+    The CSV and text sweeps keep no record."""
     group = parse_group(args.group)
     tol = DEFAULT_TOL_EXACT if args.tol is None else args.tol
     if args.format == "json":
         report = sweep(group, tol)
     elif args.format == "csv":
-        args.out.write(csv_lines((), header=True))
-        report = fold_sweep(group, tol, keep_records=False,
-                            each_block=lambda block: args.out.write(csv_lines(block)))
+        args.out.write(CSV_HEADER)
+        report = fold_sweep(group, tol, each_block=lambda block: args.out.write(csv_lines(block)))
     else:
-        report = fold_sweep(group, tol, keep_records=False)
+        report = fold_sweep(group, tol)
     print(f"sweep of {group.name} took {report.wall_time_s:.2f}s", file=sys.stderr)
     if args.format == "json":
         for chunk in _sweep_json(report):
             args.out.write(chunk)
     elif args.format == "text":
-        # _text_lines writes a list of dicts as its length alone
         count = sum(slot["classes"] for slot in report.kind_totals.values())
-        _emit({**report.summary(), "records": [{}] * count}, args)
+        _emit({**report.summary(), "records": f"[{count} entries]"}, args)
     return EXIT_OK if not report.violations else EXIT_VIOLATION
 
 

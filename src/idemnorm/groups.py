@@ -462,6 +462,33 @@ def subset_elements(mask: int) -> list[int]:
     return out
 
 
+@functools.cache
+def _byte_texts(separator: str, position: int) -> tuple[str, ...]:
+    """For each byte value v at the byte position, the elements
+    8 position + j of its set bits j as decimal text joined by the
+    separator: the table that subset_text reads."""
+    return tuple(separator.join(str(8 * position + j) for j in _BYTE_BITS[v])
+                 for v in range(256))
+
+
+def subset_text(mask: int, separator: str) -> str:
+    """The elements of a bitmask, ascending, as decimal text joined by the
+    separator: separator.join(map(str, subset_elements(mask))), pieced
+    together from the _byte_texts of each nonzero byte.  The text of the
+    CSV subset field and, inside its brackets, of a JSON element list.  The
+    empty mask is "", and a negative one raises ValueError."""
+    if mask < 0:
+        raise ValueError(f"subset mask {mask} is negative")
+    texts = []
+    position = 0
+    while mask:
+        if mask & 255:
+            texts.append(_byte_texts(separator, position)[mask & 255])
+        mask >>= 8
+        position += 1
+    return separator.join(texts)
+
+
 def _bits(mask: int, n: int) -> np.ndarray:
     """Membership flags of the elements 0..n-1 in a bitmask (np.unpackbits)."""
     raw = np.frombuffer(mask.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)

@@ -20,8 +20,12 @@ sweep's tolerance (_classify: the array kernels of _class_layers over
 slices of 128 masks, then _records).  The sweep then calls canonical_form
 on every mask of the block in increasing order and classify on each mask
 that is its own form, and each call is a lookup.  The report's summary is
-one fold over those blocks (fold_sweep), which keeps the records only when
-asked: sweep() keeps them, and the CLI's CSV and text reports do not.
+one fold over those blocks (fold_sweep), which keeps no record: sweep()
+collects them through its each_block, and the CLI's CSV and text reports
+keep none.  A CSV report is CSV_HEADER and csv_lines' rows, one f-string a
+record, from the two text helpers that the CLI's JSON records share:
+groups.subset_text for the elements and float_text, a memo of
+float.__repr__, for the floats.
 Outside a sweep nothing builds a block: canonical_form of a mask that the
 held block does not answer is the least of its own translates, one row,
 and classify of one is a batch of one through _classify.
@@ -36,8 +40,7 @@ takes its brackets from _cb_brackets over the sweep's records too.
 
 from __future__ import annotations
 
-import csv
-import io
+import functools
 import time
 from collections import defaultdict
 from dataclasses import dataclass
@@ -61,6 +64,7 @@ from .groups import (
     parse_group,
     subset_elements,
     subset_mask,
+    subset_text,
     translate_left,
     validate_mask,
 )
@@ -354,33 +358,45 @@ class SweepReport:
         }
 
     def to_csv(self) -> str:
-        """The header row and one row a record, as csv_lines writes them."""
-        return csv_lines(self.records, header=True)
+        """The CSV report: CSV_HEADER, then one row a record (csv_lines)."""
+        return CSV_HEADER + csv_lines(self.records)
 
 
-def csv_lines(records: Iterable[ClassificationRecord], header: bool = False) -> str:
-    """One CSV row for each record, after the header row when asked, in
-    csv.writer's dialect: every line ends in \r\n.  to_csv is the whole
-    report's, and the CLI writes a sweep's CSV from it a block at a time."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    if header:
-        writer.writerow(["subset", "kind", "q", "norm_lower", "norm_upper",
-                         "predicted", "orbit_size", "below_coset_bound",
-                         "in_open_interval", "extremal_other"])
-    writer.writerows([
-        " ".join(str(i) for i in subset_elements(r.subset)),
-        r.analysis.kind,
-        "" if r.analysis.q is None else r.analysis.q,
-        repr(r.norm_lower),
-        repr(r.norm_upper),
-        "" if r.predicted is None else repr(r.predicted),
-        r.orbit_size,
-        int(r.below_coset_bound),
-        int(r.in_open_interval),
-        int(r.extremal_other),
-    ] for r in records)
-    return buf.getvalue()
+# float.__repr__ of a float, for at most 2^12 distinct floats: a sweep's
+# classes share their norms (Z20's 52,488 records hold 8,556 distinct
+# floats, and nine in ten of its CSV floats are read from here)
+_float_memo = functools.lru_cache(maxsize=1 << 12, typed=True)(float.__repr__)
+
+
+def float_text(value: float) -> str:
+    """float.__repr__ of a float: its CSV field and, when finite, its JSON
+    number.  A float that is neither zero nor NaN is read from _float_memo:
+    two such floats that compare equal have the same bits, so the same
+    text.  0.0 == -0.0 and NaN equals nothing, so those are written each
+    time."""
+    return _float_memo(value) if value and value == value else float.__repr__(value)
+
+
+# the first line of a sweep's CSV report, which to_csv and the CLI write
+CSV_HEADER = ("subset,kind,q,norm_lower,norm_upper,predicted,orbit_size,"
+              "below_coset_bound,in_open_interval,extremal_other\r\n")
+
+
+def csv_lines(records: Iterable[ClassificationRecord]) -> str:
+    """One CSV row for each record, byte for byte as csv.writer's default
+    dialect writes it, each line ending in \r\n: no field of a sweep
+    record holds a comma, a quote or a line break, so none is quoted.  The
+    subset is its elements joined by blanks (subset_text), the floats are
+    float_text's, None is an empty field and a flag is 0 or 1.  to_csv is
+    CSV_HEADER and the rows of every record, and the CLI writes a sweep's
+    rows a block at a time."""
+    return "".join([
+        f"{subset_text(r.subset, ' ')},{r.analysis.kind},"
+        f"{'' if r.analysis.q is None else r.analysis.q},"
+        f"{float_text(r.norm_lower)},{float_text(r.norm_upper)},"
+        f"{'' if r.predicted is None else float_text(r.predicted)},{r.orbit_size},"
+        f"{r.below_coset_bound:d},{r.in_open_interval:d},{r.extremal_other:d}\r\n"
+        for r in records])
 
 
 def _violations_for(group: Group, record: ClassificationRecord, tol: float) -> list[SweepViolation]:
@@ -420,7 +436,7 @@ def class_blocks(group: Group, tol: float) -> Iterator[list[ClassificationRecord
                if canonical_form(group, mask) == mask]
 
 
-def fold_sweep(group: Group, tol: float = DEFAULT_TOL_EXACT, keep_records: bool = True,
+def fold_sweep(group: Group, tol: float = DEFAULT_TOL_EXACT,
                each_block: Optional[Callable[[list[ClassificationRecord]], object]] = None
                ) -> SweepReport:
     """Classify every subset (one canonical representative per translation
@@ -429,15 +445,13 @@ def fold_sweep(group: Group, tol: float = DEFAULT_TOL_EXACT, keep_records: bool 
     summary (kind totals, witness presence, subset total, extremal
     classes, violations, wall time) is one fold over class_blocks, and
     each_block, when given, is called on each block's records once they
-    are folded, so a caller can write them as they come.  The report holds
-    every record when keep_records, and none otherwise: a sweep then holds
-    one block's records at a time, and its class count is the sum of the
-    kind totals' classes."""
+    are folded, so a caller can write or keep them as they come.  The
+    report holds no record: the fold holds one block's records at a time,
+    and the class count is the sum of the kind totals' classes."""
     tol = validate_tol(tol)
     if group.order > SWEEP_ORDER_CAP:
         raise ValueError(f"full sweep capped at order {SWEEP_ORDER_CAP}, group has {group.order}")
     started = time.perf_counter()
-    records: list[ClassificationRecord] = []
     violations = []
     # each slot is made once, on its kind's or label's first record
     kind_totals = defaultdict(lambda: {"classes": 0, "subsets": 0})
@@ -459,8 +473,6 @@ def fold_sweep(group: Group, tol: float = DEFAULT_TOL_EXACT, keep_records: bool 
             violations.extend(_violations_for(group, record, tol))
             if record.extremal_other:
                 extremal.append(record.subset)
-        if keep_records:
-            records += block
         if each_block is not None:
             each_block(block)
     return SweepReport(
@@ -468,7 +480,7 @@ def fold_sweep(group: Group, tol: float = DEFAULT_TOL_EXACT, keep_records: bool 
         order=group.order,
         mode="character_sum" if group.is_abelian else "schur",
         tolerance=tol,
-        records=records,
+        records=[],
         violations=violations,
         kind_totals=dict(kind_totals),
         subset_total=subset_total,
@@ -480,8 +492,12 @@ def fold_sweep(group: Group, tol: float = DEFAULT_TOL_EXACT, keep_records: bool 
 
 def sweep(group: Group, tol: float = DEFAULT_TOL_EXACT) -> SweepReport:
     """Classify every subset of the group and check the classification
-    theorems: fold_sweep's report with every record."""
-    return fold_sweep(group, tol)
+    theorems: fold_sweep's report, with every record, which its each_block
+    collects."""
+    records: list[ClassificationRecord] = []
+    report = fold_sweep(group, tol, each_block=records.extend)
+    report.records = records
+    return report
 
 
 # -- one-shot verification ------------------------------------------------------

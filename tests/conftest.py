@@ -13,10 +13,15 @@ oracle_cb_norm the first cb norm, one dense SVD of the whole multiplier
 matrix.  oracle_gamma2 keeps the first form of gamma2's fixed-point step,
 on separate row and column weights; it alone calls library helpers (the
 proofs built at the closing step), because it judges the rewritten step's
-iterates bit for bit, not the norm.
+iterates bit for bit, not the norm.  oracle_csv_lines keeps the first CSV
+row writer, csv.writer over subset_elements and repr, which the one
+f-string of sweep.csv_lines must match byte for byte; ELEMENT_TEXT_MASKS
+are the masks on which the element texts are checked.
 """
 
+import csv
 import functools
+import io
 import itertools
 import math
 import random
@@ -569,3 +574,42 @@ def oracle_gamma2(a, tol=1e-3):
                                                "witness crossed the certified upper bound")
         upper = lower
     return schur.Gamma2Bounds(lower=lower, upper=upper, certificate=certificate, witness=witness)
+
+
+def oracle_csv_lines(records, header=False):
+    """sweep.csv_lines as first written: a csv.writer row for each record,
+    after the header row when asked, the subset as its elements joined by
+    blanks and the floats by repr."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    if header:
+        writer.writerow(["subset", "kind", "q", "norm_lower", "norm_upper",
+                         "predicted", "orbit_size", "below_coset_bound",
+                         "in_open_interval", "extremal_other"])
+    writer.writerows([
+        " ".join(str(i) for i in subset_elements(r.subset)),
+        r.analysis.kind,
+        "" if r.analysis.q is None else r.analysis.q,
+        repr(r.norm_lower),
+        repr(r.norm_upper),
+        "" if r.predicted is None else repr(r.predicted),
+        r.orbit_size,
+        int(r.below_coset_bound),
+        int(r.in_open_interval),
+        int(r.extremal_other),
+    ] for r in records)
+    return buf.getvalue()
+
+
+def _element_text_masks():
+    """Masks of 1 to 9 bytes, each with its top byte set, beside single
+    bits (bit 63 among them), all of 64 bits, 2^64 and wider random masks:
+    both sides of subset_elements' 64-bit switch."""
+    rng = random.Random(5)
+    return ([0, 1, 255, 256, 1 << 63, (1 << 64) - 1, 1 << 64, (1 << 200) | 3]
+            + [1 << k for k in range(0, 80, 7)]
+            + [rng.getrandbits(96) for _ in range(50)]
+            + [rng.getrandbits(8 * k - 1) | 1 << (8 * k - 1) for k in range(1, 10)])
+
+
+ELEMENT_TEXT_MASKS = _element_text_masks()

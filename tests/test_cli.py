@@ -18,11 +18,11 @@ from idemnorm import cli
 from idemnorm.cli import _json_text, _record_json, build_parser, main
 from idemnorm.groups import CosetAnalysis, Group, parse_group, subset_elements
 from idemnorm.schur import Gamma2Bounds, WitnessPair, check_certificate, witness_lower_bound
-from idemnorm.sweep import SweepReport, sweep
+from idemnorm.sweep import CSV_HEADER, SweepReport, csv_lines, sweep
 from idemnorm.witness import WitnessTriple
 
-from conftest import (dihedral_group, oracle_analyze_cosets, oracle_mul, planted_subsets,
-                      random_subgroup)
+from conftest import (ELEMENT_TEXT_MASKS, dihedral_group, oracle_analyze_cosets,
+                      oracle_csv_lines, oracle_mul, planted_subsets, random_subgroup)
 
 
 def run_cli(capsys, *argv):
@@ -171,6 +171,20 @@ def test_bad_subset_spec_exits_2_with_one_line(capsys, group, spec, message):
     assert code == 2
     assert not out
     assert err.startswith(message) and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("group, spec, elements", [
+    # a field is what int() reads in base 10: a sign, and blanks around it
+    ("Z4", "+1", [1]),
+    ("Z4", "-0", [0]),
+    ("Z4", " 1 , 2 ", [1, 2]),
+    ("Z4", "+0,+3", [0, 3]),
+    ("Z2xZ4", "( +1 , 0 ), (0,-0)", [0, 4]),
+])
+def test_subset_spec_takes_what_int_reads(capsys, group, spec, elements):
+    assert subset_elements(cli.parse_subset(parse_group(group), spec)) == elements
+    code, out, _ = run_cli(capsys, "norm", "-g", group, "-s", spec, "--format", "json")
+    assert code == 0 and json.loads(out)["subset"] == elements
 
 
 def test_sweep_z6(capsys):
@@ -769,6 +783,55 @@ def test_csv_and_text_sweeps_keep_no_record(fmt, capsys, monkeypatch):
         assert "records: [632 entries]\n" in out
 
 
+def test_text_sweep_hands_its_record_count_as_text(capsys, monkeypatch):
+    # the text report names the class count and builds no list of that length
+    payloads = []
+    emit = cli._emit
+
+    def noting_the_payload(payload, args):
+        payloads.append(payload)
+        emit(payload, args)
+
+    monkeypatch.setattr(cli, "_emit", noting_the_payload)
+    code, out, _ = run_cli(capsys, "sweep", "-g", "Z13", "--format", "text")
+    assert code == 0 and "records: [632 entries]\n" in out
+    [payload] = payloads
+    assert payload["records"] == "[632 entries]"
+
+
+@pytest.mark.parametrize("spec", ("Z6", "Z2xZ4", "Z16", "S3", "D4", "D8 file"))
+def test_csv_rows_match_the_csv_writer_oracle_on_every_record(spec, tmp_path):
+    group = parse_group(str(_d8_table_file(tmp_path) if spec == "D8 file" else spec))
+    report = sweep(group)
+    assert csv_lines(report.records) == oracle_csv_lines(report.records)
+    assert report.to_csv() == oracle_csv_lines(report.records, header=True)
+    assert CSV_HEADER == oracle_csv_lines([], header=True)
+
+
+def test_csv_rows_match_the_csv_writer_oracle_on_hand_made_records():
+    # the fields a sweep of Z6 seldom or never gives: the empty set, a
+    # two-coset q, no prediction, a norm of -0.0, NaN and the infinities
+    records = sweep(parse_group("Z6")).records
+    base = records[3]
+    two_cosets = next(r for r in records if r.analysis.kind == "two_cosets")
+    made = [
+        dataclasses.replace(base, subset=0, analysis=CosetAnalysis("empty")),
+        two_cosets,
+        dataclasses.replace(two_cosets, analysis=dataclasses.replace(two_cosets.analysis, q=7)),
+        dataclasses.replace(base, predicted=None),
+        dataclasses.replace(base, norm_lower=-0.0, norm_upper=0.0, predicted=-0.0),
+        dataclasses.replace(base, norm_lower=math.nan, norm_upper=math.inf,
+                            predicted=-math.inf),
+        dataclasses.replace(base, subset=(1 << 24) - 1, orbit_size=1, below_coset_bound=True,
+                            in_open_interval=True, extremal_other=True),
+    ]
+    assert two_cosets.analysis.q is not None
+    for record in made:
+        assert csv_lines([record]) == oracle_csv_lines([record])
+    assert csv_lines(made) == oracle_csv_lines(made)
+    assert csv_lines([]) == ""
+
+
 def _numpy_norm_on_the_fifth_class(monkeypatch):
     """Hand the sweep a fifth class record whose norm is a numpy float,
     which the JSON record writer refuses with a TypeError."""
@@ -1178,10 +1241,7 @@ def test_json_writer_refuses_a_list_of_one_unknown_type(items):
 
 @pytest.mark.parametrize("indent", ["", "      ", "        "])
 def test_json_elements_pieces_the_bytes_together_as_json_text_writes_the_list(indent):
-    rng = random.Random(5)
-    masks = ([0, 1, 255, 256, (1 << 64) - 1, 1 << 64, (1 << 200) | 3]
-             + [1 << k for k in range(0, 80, 7)] + [rng.getrandbits(96) for _ in range(50)])
-    for mask in masks:
+    for mask in ELEMENT_TEXT_MASKS:
         assert cli._json_elements(mask, indent) == _json_text(subset_elements(mask), indent)
     with pytest.raises(ValueError):
         cli._json_elements(-1, indent)

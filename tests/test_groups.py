@@ -31,10 +31,12 @@ from idemnorm.groups import (
     _translates,
     _spectrum_of,
     character_values,
+    subset_text,
     validate_mask,
 )
 
 from conftest import (
+    ELEMENT_TEXT_MASKS,
     _closure,
     dicyclic_group,
     dihedral_group,
@@ -575,6 +577,17 @@ def test_subset_elements_matches_subset_mask(z6):
             assert elements == [x for x in range(bits) if mask >> x & 1]
             assert all(type(x) is int for x in elements)
             assert subset_mask(big, elements) == mask
+
+
+@pytest.mark.parametrize("separator", [" ", ",\n  ", ""])
+def test_subset_text_joins_the_elements_of_every_byte(separator):
+    # the one per-byte table of the CSV subset field and the JSON element
+    # lists, against subset_elements, which reads np.unpackbits above 64 bits
+    for mask in ELEMENT_TEXT_MASKS:
+        assert subset_text(mask, separator) == separator.join(map(str, subset_elements(mask)))
+    for mask in (-1, -(1 << 70)):
+        with pytest.raises(ValueError, match="negative"):
+            subset_text(mask, separator)
 
 
 ORACLE_GROUPS = ("Z6", "Z8", "Z2xZ4", "S3", "D4", "Q8")
