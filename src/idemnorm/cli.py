@@ -7,15 +7,17 @@ parse error (an --out path that cannot be opened included: it is opened
 before any work), 3 numerical failure (gamma2 did not converge, or an
 exactness check raised ArithmeticError).  A run that exits 0 or 1 writes its
 report; a run that fails writes none, so it leaves an existing --out file
-unchanged and removes one it created.  All output on stdout is
+unchanged and removes one it created.  An existing --out is truncated only
+when it is a seekable file that holds something, so /dev/null or a pipe
+takes the report as stdout does.  All output on stdout is
 deterministic for fixed inputs and flags; timing and verify's PASS/FAIL
 item lines go to stderr, so stdout holds only the report.
 
 A report is written to its sink as it is made, and no whole report text
 is held.  The sink rule: a --out file that the run created takes the
 report directly, and stdout or an existing --out file take it through a
-_Spool (at most _SPOOL_MEMORY characters in memory, the rest in a
-temporary file), copied there only once the run has succeeded.  JSON
+tempfile.SpooledTemporaryFile (at most _SPOOL_MEMORY bytes in memory, the
+rest on disk), copied there only once the run has succeeded.  JSON
 reports are the bytes of json.dumps(..., indent=2, sort_keys=True); a
 sweep's is its summary's head, each class record written once
 (_record_json, which renders each distinct analysis, pattern, witness and
@@ -23,7 +25,8 @@ float once, from bounded memos) a chunk of records at a time, and its
 tail.  A sweep's CSV rows (sweep.csv_lines) are written a block at a time
 as the sweep finds them, and the CSV and text sweeps keep no record.  The
 JSON records and the CSV rows share one text layer: groups.subset_text
-writes their element lists, and sweep.float_text's memo their floats.
+writes their element lists, and sweep.float_text's memo their floats
+and every float scalar of a JSON report (_json_float).
 """
 
 from __future__ import annotations
@@ -185,7 +188,10 @@ _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def _json_float(value: float) -> str:
-    text = float.__repr__(value)
+    """A float as json writes it: sweep.float_text's text, read from its
+    memo (which the CSV rows share), with NaN and the infinities spelled
+    as json spells them."""
+    text = float_text(value)
     return _NONFINITE.get(text, text)
 
 
@@ -279,26 +285,15 @@ def _witness_json(u, v, w) -> str:
     return _WITNESS_LAYOUT % _int_texts(u, v, w)
 
 
-def _float_json(value) -> str:
-    """A record's float field, or None, as _json_text writes it.  An exact
-    float is sweep.float_text's, which the CSV rows share, with NaN and the
-    infinities spelled as json spells them; None is null, and a type
-    _json_text refuses raises TypeError."""
-    if type(value) is float:
-        text = float_text(value)
-        return _NONFINITE.get(text, text)
-    return _JSON_SCALARS[type(value)](value)
-
-
 def _record_json(record: ClassificationRecord) -> str:
     """A sweep record's JSON, byte for byte as
     _json_text(record.to_dict(), "    ") writes it, straight from the
     record's fields into one f-string: no dict, no sorting.  Each
     distinct value is rendered once: the analysis, the pattern and the
-    witness come from typed memos of their fields, the floats from
-    _float_json, and norm_upper reuses norm_lower's text when the two
-    fields hold the same float object; the bools and the orbit size are
-    written by their exact type's writer, and the subset by
+    witness come from typed memos of their fields, and norm_upper reuses
+    norm_lower's text when the two fields hold the same float object; the
+    floats (or None), the bools and the orbit size are written by their
+    exact type's writer, so a float by _json_float, and the subset by
     _json_elements.  A field of a type that a sweep does not give it
     raises TypeError on the way, and the record is then written by
     _json_text itself, which writes it or raises TypeError as it would
@@ -308,11 +303,12 @@ def _record_json(record: ClassificationRecord) -> str:
     lower, upper = record.norm_lower, record.norm_upper
     below, extremal = record.below_coset_bound, record.extremal_other
     inside, exact, orbit = record.in_open_interval, record.norm_exact, record.orbit_size
+    predicted, bound = record.predicted, record.witness_bound
     try:
         analysis_text = _analysis_json(analysis.kind, analysis.q, analysis.rep_a,
                                        analysis.rep_b, analysis.subgroup)
-        lower_text = _float_json(lower)
-        upper_text = lower_text if upper is lower else _float_json(upper)
+        lower_text = write[type(lower)](lower)
+        upper_text = lower_text if upper is lower else write[type(upper)](upper)
         pattern_text = "null" if pattern is None else _pattern_json(*pattern[0], *pattern[1])
         witness_text = ("null" if witness is None
                         else _witness_json(witness.u, witness.v, witness.w))
@@ -328,10 +324,10 @@ def _record_json(record: ClassificationRecord) -> str:
             f'      "norm_upper": {upper_text},\n'
             f'      "orbit_size": {write[type(orbit)](orbit)},\n'
             f'      "pattern": {pattern_text},\n'
-            f'      "predicted": {_float_json(record.predicted)},\n'
+            f'      "predicted": {write[type(predicted)](predicted)},\n'
             f'      "subset": {_json_elements(record.subset, "      ")},\n'
             f'      "witness": {witness_text},\n'
-            f'      "witness_bound": {_float_json(record.witness_bound)}\n'
+            f'      "witness_bound": {write[type(bound)](bound)}\n'
             '    }'
         )
     except TypeError:
@@ -530,62 +526,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# the most characters of a report that a spool keeps in memory: a report of
+# the most bytes of a report that a spool keeps in memory: a report of
 # norm, schur or verify fits, and a sweep's moves to disk early, so a run on
 # stdout peaks where the same run to a new --out file does
 _SPOOL_MEMORY = 1 << 16
 
 
-class _Spool:
-    """The sink of a run whose target may take the report only once the
-    run has succeeded.  The text is kept as the parts it was written in,
-    neither joined nor encoded, up to _SPOOL_MEMORY characters in all;
-    the write that would pass that moves it to a temporary file, which
-    keeps every byte (no newline is translated).  So memory never holds
-    more of the report than the limit."""
-
-    def __init__(self):
-        self.parts: list[str] = []
-        self.size = 0
-        self.file: Optional[TextIO] = None
-
-    def write(self, text: str) -> None:
-        if self.file is None:
-            self.size += len(text)
-            if self.size <= _SPOOL_MEMORY:
-                self.parts.append(text)
-                return
-            self.file = tempfile.TemporaryFile("w+", encoding="utf-8", newline="")
-            self.file.writelines(self.parts)
-            self.parts = []
-        self.file.write(text)
-
-    def copy_to(self, target: TextIO) -> None:
-        if self.file is None:
-            target.writelines(self.parts)
-        else:
-            self.file.seek(0)
-            shutil.copyfileobj(self.file, target)
-
-    def close(self) -> None:
-        if self.file is not None:
-            self.file.close()
-
-
 def _spooled(args, target: Optional[TextIO]) -> int:
-    """Run the subcommand with a _Spool as its sink, and copy the report
-    to the target (stdout when None, else an existing --out file, which is
-    truncated first) only once the run has succeeded: a run that fails
-    writes nothing there."""
-    with contextlib.closing(_Spool()) as spool:
+    """Run the subcommand with a spool as its sink, and copy the report to
+    the target (stdout when None, else an existing --out file) only once
+    the run has succeeded: a run that fails writes nothing there.  The
+    spool is a tempfile.SpooledTemporaryFile that keeps every byte (no
+    newline is translated) and moves to disk once it holds more than
+    _SPOOL_MEMORY bytes.  Sink writers call write only, never writelines,
+    which would hold the whole iterable.  The target is truncated first
+    only when it is a seekable file that holds something, so /dev/null and
+    a pipe take the report too."""
+    with tempfile.SpooledTemporaryFile(_SPOOL_MEMORY, "w+", encoding="utf-8",
+                                       newline="") as spool:
         args.out = spool
         code = args.func(args)
         if code in (EXIT_OK, EXIT_VIOLATION):
             if target is None:
                 target = sys.stdout
-            else:
+            elif target.seekable() and target.tell():
                 target.truncate(0)
-            spool.copy_to(target)
+            spool.seek(0)
+            shutil.copyfileobj(spool, target)
     return code
 
 

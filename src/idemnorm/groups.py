@@ -441,25 +441,17 @@ def subset_mask(group: Group, indices: Sequence[int]) -> int:
     return _index_mask(group, np.array(checked, dtype=np.int64))
 
 
-# _BYTE_BITS[v]: the positions of the set bits of the byte v, ascending
+# _BYTE_BITS[v]: the positions of the set bits of the byte v, ascending,
+# which _byte_texts reads
 _BYTE_BITS = tuple(tuple(j for j in range(8) if v >> j & 1) for v in range(256))
 
 
 def subset_elements(mask: int) -> list[int]:
-    """Elements of a bitmask, ascending: read a byte at a time from
-    _BYTE_BITS up to 64 bits, through np.unpackbits above that.  A
+    """Elements of a bitmask, ascending, as a list of ints (_members).  A
     negative mask raises ValueError."""
     if mask < 0:
         raise ValueError(f"subset mask {mask} is negative")
-    if mask >> 64:
-        return _members(mask).tolist()
-    out = []
-    base = 0
-    while mask:
-        out += [base + j for j in _BYTE_BITS[mask & 255]]
-        mask >>= 8
-        base += 8
-    return out
+    return _members(mask).tolist()
 
 
 @functools.cache

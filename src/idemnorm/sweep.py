@@ -680,19 +680,21 @@ def run_verification(group_specs: Optional[Sequence[str]] = None,
         for record in report.records:
             if record.pattern is None:
                 continue
-            name = f"S={subset_elements(record.subset)}"
             rows, cols = record.pattern
             matrix = multiplier_matrix(group, record.subset)
+            problems = []
             if not (matrix[np.ix_(rows, cols)] == target).all():
-                failures.append(f"{name}: inexact hit")
+                problems.append("inexact hit")
             # classify's norm: the cb bracket on a Cayley group, the
             # character sum (checked against the bracket below) otherwise
             if record.norm_lower < t.pattern_norm - tol:
-                failures.append(f"{name}: lower {record.norm_lower!r} < 9/7 - tol")
+                problems.append(f"lower {record.norm_lower!r} < 9/7 - tol")
             # every subgroup lies in a class analyze_cosets calls a coset,
             # and a hit survives translation
             if record.analysis.kind == "coset":
-                failures.append(f"{name}: a coset class has a pattern hit")
+                problems.append("a coset class has a pattern hit")
+            # the subset's name is built for a failure only: most records pass
+            failures += [f"S={subset_elements(record.subset)}: {problem}" for problem in problems]
         items.append(_verdict(f"pattern_soundness_{group.name}", failures,
                               "hits exact, bounded below by 9/7; subgroups clean"))
         items.append(_proof_chain_item(group, report.records))

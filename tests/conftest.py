@@ -16,7 +16,8 @@ proofs built at the closing step), because it judges the rewritten step's
 iterates bit for bit, not the norm.  oracle_csv_lines keeps the first CSV
 row writer, csv.writer over subset_elements and repr, which the one
 f-string of sweep.csv_lines must match byte for byte; ELEMENT_TEXT_MASKS
-are the masks on which the element texts are checked.
+are the masks on which the element texts are checked.  assert_same_text
+compares whole reports without pytest's diff of the two texts.
 """
 
 import csv
@@ -604,7 +605,8 @@ def oracle_csv_lines(records, header=False):
 def _element_text_masks():
     """Masks of 1 to 9 bytes, each with its top byte set, beside single
     bits (bit 63 among them), all of 64 bits, 2^64 and wider random masks:
-    both sides of subset_elements' 64-bit switch."""
+    masks below, at and above 64 bits, with a table of subset_text read
+    at every byte position up to the ninth."""
     rng = random.Random(5)
     return ([0, 1, 255, 256, 1 << 63, (1 << 64) - 1, 1 << 64, (1 << 200) | 3]
             + [1 << k for k in range(0, 80, 7)]
@@ -613,3 +615,24 @@ def _element_text_masks():
 
 
 ELEMENT_TEXT_MASKS = _element_text_masks()
+
+
+def assert_same_text(actual, expected):
+    """Fail unless two texts (str or bytes) are equal, naming both lengths
+    and the first offset at which they differ, with 60 characters of
+    context on each side.  It holds no assert, so pytest's assertion
+    rewriting never diffs the texts: on two multi-megabyte reports that
+    diff runs for minutes."""
+    if actual == expected:
+        return
+    # the longest common prefix, by halving: each step compares two slices
+    lo, hi = 0, min(len(actual), len(expected))
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if actual[:mid] == expected[:mid]:
+            lo = mid
+        else:
+            hi = mid - 1
+    start = max(lo - 60, 0)
+    pytest.fail(f"texts differ: lengths {len(actual)} and {len(expected)}, first at offset "
+                f"{lo}: {actual[start:lo + 60]!r} against {expected[start:lo + 60]!r}")

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import enum
 import functools
+import gc
 import importlib
 import json
 import math
@@ -10,6 +11,7 @@ import pathlib
 import random
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,8 +23,9 @@ from idemnorm.schur import Gamma2Bounds, WitnessPair, check_certificate, witness
 from idemnorm.sweep import CSV_HEADER, SweepReport, csv_lines, sweep
 from idemnorm.witness import WitnessTriple
 
-from conftest import (ELEMENT_TEXT_MASKS, dihedral_group, oracle_analyze_cosets,
-                      oracle_csv_lines, oracle_mul, planted_subsets, random_subgroup)
+from conftest import (ELEMENT_TEXT_MASKS, assert_same_text, dihedral_group,
+                      oracle_analyze_cosets, oracle_csv_lines, oracle_mul, planted_subsets,
+                      random_subgroup)
 
 
 def run_cli(capsys, *argv):
@@ -418,6 +421,56 @@ def test_out_file_replaces_a_longer_report(tmp_path, capsys):
     assert json.loads(target.read_text())["bs_norm"] == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ("norm", "-g", "Z4", "-s", "0,2"),
+    ("sweep", "-g", "Z6", "--format", "csv"),
+    ("verify", "--groups", "Z3"),
+])
+def test_out_devnull_takes_the_report(argv, capsys):
+    # a character device refuses truncate: an existing --out is truncated
+    # only when it is a seekable file that holds something
+    code, out, _ = run_cli(capsys, *argv, "--out", os.devnull)
+    assert code == 0 and out == f"{os.devnull}\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout on this platform")
+def test_out_dev_stdout_into_a_pipe_takes_the_report():
+    # a pipe is not seekable: the spool is copied in, and the path follows
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    run = subprocess.run([sys.executable, "-m", "idemnorm.cli", "sweep", "-g", "Z6",
+                          "--format", "csv", "--out", "/dev/stdout"], capture_output=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+    assert run.returncode == 0
+    assert_same_text(run.stdout.decode(), sweep(parse_group("Z6")).to_csv() + "/dev/stdout\n")
+
+
+def _traced_peak(argv):
+    """The tracemalloc peak, in bytes, of one successful run of main, after
+    a collection, so that no earlier run's cyclic garbage is freed inside
+    it."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_stdout_sink_peaks_where_a_new_out_file_does(tmp_path, capsys, monkeypatch):
+    # the spool keeps at most _SPOOL_MEMORY bytes of the report before it
+    # moves to disk, so a sweep on stdout holds no more of its report than
+    # one written straight to a new file
+    argv = ["sweep", "-g", "Z16", "--format", "json"]
+    _traced_peak(argv + ["--out", str(tmp_path / "warm.json")])  # fills the memos
+    with open(os.devnull, "w") as devnull:
+        monkeypatch.setattr(sys, "stdout", devnull)
+        stdout_peak = _traced_peak(argv)
+    monkeypatch.undo()
+    file_peak = _traced_peak(argv + ["--out", str(tmp_path / "new.json")])
+    assert stdout_peak - file_peak < 2 * cli._SPOOL_MEMORY
+
+
 FAILED_RUNS = [
     (("norm", "-g", "BAD", "-s", "0"), 2),
     (("norm", "-g", "Z4", "-s", "0,9"), 2),
@@ -655,7 +708,7 @@ def test_json_reports_are_the_bytes_of_json_dumps(argv, monkeypatch, capsys):
         payload = sweep(parse_group(argv[2])).to_dict()
     else:
         [payload] = payloads
-    assert capsys.readouterr().out == _dumps(payload) + "\n"
+    assert_same_text(capsys.readouterr().out, _dumps(payload) + "\n")
 
 
 # Z13, Z14, Z2xZ7 and Z16 sweep across 4096-mask blocks: 2, 4, 4 and 16 of
@@ -673,13 +726,14 @@ def _sweep_of(spec):
 def test_sweep_json_is_the_bytes_of_json_dumps_on_stdout_and_out(spec, tmp_path, capsys):
     expected = _dumps(_sweep_of(spec).to_dict()) + "\n"
     code, out, _ = run_cli(capsys, "sweep", "-g", spec, "--format", "json")
-    assert code == 0 and out == expected
+    assert code == 0
+    assert_same_text(out, expected)
     target = tmp_path / "report.json"
     target.write_text("an older and longer report\n" * 1000)
     code, out, _ = run_cli(capsys, "sweep", "-g", spec, "--format", "json",
                            "--out", str(target))
     assert code == 0 and out == f"{target}\n"
-    assert target.read_text() == expected
+    assert_same_text(target.read_text(), expected)
 
 
 def _d8_table_file(directory):
@@ -706,7 +760,8 @@ def test_sweep_of_a_cayley_table_file(tmp_path, capsys):
     assert len(rows) == 808
     assert sum(int(row["orbit_size"]) for row in rows) == 1 << 16
     code, out, _ = run_cli(capsys, "sweep", "-g", str(path), "--format", "json")
-    assert code == 0 and out == _dumps(json.loads(out)) + "\n"
+    assert code == 0
+    assert_same_text(out, _dumps(json.loads(out)) + "\n")
 
 
 def _report_on_every_sink(capsys, tmp_path, argv):
@@ -719,7 +774,8 @@ def _report_on_every_sink(capsys, tmp_path, argv):
     for target in (new, old):
         code, out_line, _ = run_cli(capsys, *argv, "--out", str(target))
         assert code == 0 and out_line == f"{target}\n"
-    assert new.read_bytes() == old.read_bytes() == out.encode()
+    assert_same_text(new.read_bytes(), out.encode())
+    assert_same_text(old.read_bytes(), out.encode())
     return out
 
 
@@ -728,7 +784,7 @@ def test_sweep_json_is_the_same_bytes_on_every_sink(spec, tmp_path, capsys):
     # a new --out file takes the report as it is written, while stdout and
     # an existing file take it from the spool
     out = _report_on_every_sink(capsys, tmp_path, ("sweep", "-g", spec, "--format", "json"))
-    assert out == _dumps(_sweep_of(spec).to_dict()) + "\n"
+    assert_same_text(out, _dumps(_sweep_of(spec).to_dict()) + "\n")
 
 
 @pytest.mark.parametrize("spec", ("Z6", "Z2xZ4", "S3", "D4", "Z16", "D8 file"))
@@ -739,7 +795,8 @@ def test_sweep_csv_is_the_bytes_of_to_csv_on_every_sink(spec, tmp_path, capsys):
     group = _d8_table_file(tmp_path) if spec == "D8 file" else spec
     expected = sweep(parse_group(str(group))).to_csv()
     out = _report_on_every_sink(capsys, tmp_path, ("sweep", "-g", str(group), "--format", "csv"))
-    assert out == expected and out.endswith("0\r\n")
+    assert_same_text(out, expected)
+    assert out.endswith("0\r\n")
 
 
 def test_sweep_json_reaches_a_new_out_file_before_its_last_record_is_written(tmp_path, capsys,
@@ -778,7 +835,7 @@ def test_csv_and_text_sweeps_keep_no_record(fmt, capsys, monkeypatch):
     expected = _sweep_of("Z13")
     assert report.summary() == expected.summary()
     if fmt == "csv":
-        assert out == expected.to_csv()
+        assert_same_text(out, expected.to_csv())
     else:
         assert "records: [632 entries]\n" in out
 
@@ -803,8 +860,8 @@ def test_text_sweep_hands_its_record_count_as_text(capsys, monkeypatch):
 def test_csv_rows_match_the_csv_writer_oracle_on_every_record(spec, tmp_path):
     group = parse_group(str(_d8_table_file(tmp_path) if spec == "D8 file" else spec))
     report = sweep(group)
-    assert csv_lines(report.records) == oracle_csv_lines(report.records)
-    assert report.to_csv() == oracle_csv_lines(report.records, header=True)
+    assert_same_text(csv_lines(report.records), oracle_csv_lines(report.records))
+    assert_same_text(report.to_csv(), oracle_csv_lines(report.records, header=True))
     assert CSV_HEADER == oracle_csv_lines([], header=True)
 
 

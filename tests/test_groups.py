@@ -568,7 +568,7 @@ def test_subset_elements_matches_subset_mask(z6):
     for mask in (-1, -(1 << 70)):
         with pytest.raises(ValueError, match="negative"):
             subset_elements(mask)
-    # both sides of the 64-bit switch between the byte table and np.unpackbits
+    # masks below, at and above 64 bits, up to 1024 bits
     rng = random.Random(0)
     big = make_abelian_group([1024])
     for bits in (1, 63, 64, 65, 1024):
@@ -582,7 +582,7 @@ def test_subset_elements_matches_subset_mask(z6):
 @pytest.mark.parametrize("separator", [" ", ",\n  ", ""])
 def test_subset_text_joins_the_elements_of_every_byte(separator):
     # the one per-byte table of the CSV subset field and the JSON element
-    # lists, against subset_elements, which reads np.unpackbits above 64 bits
+    # lists, against subset_elements, which reads np.unpackbits and no table
     for mask in ELEMENT_TEXT_MASKS:
         assert subset_text(mask, separator) == separator.join(map(str, subset_elements(mask)))
     for mask in (-1, -(1 << 70)):
